@@ -127,31 +127,51 @@ def turning_angles(curve: SphereCurve) -> np.ndarray:
     return np.arctan2(s, c)
 
 
+def wrapped(nodes: np.ndarray, closed: bool) -> np.ndarray:
+    """Nodes padded so that chord j runs from row j to row j + 1 on either kind of
+    curve: a closed curve gets its last node prepended and its first appended, an
+    arc is returned as it is."""
+    if not closed:
+        return nodes
+    return np.concatenate((nodes[-1:], nodes, nodes[:1]))
+
+
+def wrapped_edges(ext: np.ndarray, closed: bool) -> np.ndarray:
+    """Geodesic edge lengths, in node order, of the curve whose wrapped nodes are ext."""
+    k = 1 if closed else 0
+    return geodesic_distance(ext[k:-1], ext[k + 1:])
+
+
+def chord_curvature(ext: np.ndarray, closed: bool) -> np.ndarray:
+    """Curvature vectors of the curve whose wrapped nodes are ext, from one pass
+    over its chords.
+
+    With u_j the unit chord from row j to row j + 1 and c_j its length, node v
+    between chords j - 1 and j gets 2 (w - v <w, v>) / (c_j + c_{j-1}), where
+    w = u_j - u_{j-1}. Arc endpoints get zero vectors.
+    """
+    d = ext[1:] - ext[:-1]
+    c = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True))
+    u = d / c
+    v = ext[1:-1]
+    lap = u[1:] - u[:-1]
+    lap -= v * np.add.reduce(lap * v, axis=1, keepdims=True)
+    lap *= 2.0
+    lap /= c[:-1] + c[1:]
+    if closed:
+        return lap
+    out = np.zeros_like(ext)
+    out[1:-1] = lap
+    return out
+
+
 def curvature_vectors(curve: SphereCurve) -> np.ndarray:
     """Discrete geodesic-curvature vectors (tangent to the sphere at each node).
 
     Chord-scaled second difference; exact (= cot r toward the pole) on uniform
     latitude polygons. Arc endpoints get zero vectors.
     """
-    nodes = curve.nodes
-    if curve.closed:
-        prv = np.roll(nodes, 1, axis=0)
-        nxt = np.roll(nodes, -1, axis=0)
-        v = nodes
-    else:
-        v, prv, nxt = nodes[1:-1], nodes[:-2], nodes[2:]
-    d_prev = prv - v
-    d_next = nxt - v
-    c_prev = np.linalg.norm(d_prev, axis=-1, keepdims=True)
-    c_next = np.linalg.norm(d_next, axis=-1, keepdims=True)
-    lap = d_next / c_next + d_prev / c_prev
-    lap -= v * np.sum(lap * v, axis=-1, keepdims=True)
-    kv = 2.0 * lap / (c_prev + c_next)
-    if curve.closed:
-        return kv
-    out = np.zeros_like(nodes)
-    out[1:-1] = kv
-    return out
+    return chord_curvature(wrapped(curve.nodes, curve.closed), curve.closed)
 
 
 def _mean_adjacent_edges(curve: SphereCurve) -> np.ndarray:

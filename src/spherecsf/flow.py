@@ -3,10 +3,16 @@
 Nodes move by p <- normalize(p + dt * k), k the discrete geodesic-curvature vector.
 The effective step obeys dt <= 0.25 * (min edge)^2 and lands exactly on snapshot
 times; steps that produce NaNs or increase length are retried with halved dt.
+
+Each step makes one pass over the chords (curves.chord_curvature) and evaluates
+the edge lengths once, on the trial; the accepted trial's edges are the next
+step's CFL input. The remesh uniformity ratio uses the edges of the mesh the
+step started from, and a remesh recomputes the edges from the new mesh.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -15,7 +21,7 @@ import numpy as np
 from .errors import (AntipodalEndpoints, ConfigInvalid, DomainError, NeverEnters,
                      ParamDomain)
 from .curves import (MIN_NODES, ClosedSphereCurve, SphereArc, SphereCurve,
-                     curvature_vectors, resample, turning_angles)
+                     chord_curvature, resample, turning_angles, wrapped, wrapped_edges)
 from .sphere import GreatCircle, as_point, geodesic_distance
 
 CFL_FACTOR = 0.25
@@ -114,33 +120,6 @@ def _snapshot(t: float, curve: SphereCurve) -> Snapshot:
     )
 
 
-def _kvec(nodes: np.ndarray, closed: bool) -> np.ndarray:
-    if closed:
-        prv = np.roll(nodes, 1, axis=0)
-        nxt = np.roll(nodes, -1, axis=0)
-        v = nodes
-    else:
-        v, prv, nxt = nodes[1:-1], nodes[:-2], nodes[2:]
-    d_prev = prv - v
-    d_next = nxt - v
-    c_prev = np.linalg.norm(d_prev, axis=1, keepdims=True)
-    c_next = np.linalg.norm(d_next, axis=1, keepdims=True)
-    lap = d_next / c_next + d_prev / c_prev
-    lap -= v * np.sum(lap * v, axis=1, keepdims=True)
-    kv = 2.0 * lap / (c_prev + c_next)
-    if closed:
-        return kv
-    out = np.zeros_like(nodes)
-    out[1:-1] = kv
-    return out
-
-
-def _edges(nodes: np.ndarray, closed: bool) -> np.ndarray:
-    q = np.roll(nodes, -1, axis=0) if closed else nodes[1:]
-    p = nodes if closed else nodes[:-1]
-    return np.arccos(np.clip(np.sum(p * q, axis=1), -1.0, 1.0))
-
-
 def _initial_mesh(curve: SphereCurve, cfg: FlowConfig) -> SphereCurve:
     if cfg.target_nodes is not None and curve.n != cfg.target_nodes:
         return resample(curve, n=cfg.target_nodes)
@@ -164,6 +143,8 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
         raise ConfigInvalid("max_time is required when evolving an arc")
     curve = _initial_mesh(curve, cfg)
     nodes = np.array(curve.nodes)
+    ext = wrapped(nodes, closed)
+    e = wrapped_edges(ext, closed)
     t = 0.0
     snaps = [_snapshot(0.0, curve.with_nodes(nodes))]
     length = snaps[0].length
@@ -179,20 +160,22 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
             status = STATUS_MAX_TIME
             break
 
-        e = _edges(nodes, closed)
-        dt = min(cfg.dt, CFL_FACTOR * float(e.min()) ** 2)
+        dt = min(cfg.dt, CFL_FACTOR * float(np.minimum.reduce(e)) ** 2)
         if cfg.max_time is not None:
             dt = min(dt, cfg.max_time - t)
         dt = min(dt, next_snap - t)
         dt = max(dt, 1e-16)
 
-        kv = _kvec(nodes, closed)
+        kv = chord_curvature(ext, closed)
         accepted = False
         for _ in range(cfg.max_dt_halvings + 1):
-            trial = nodes + dt * kv
-            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-            new_len = float(_edges(trial, closed).sum())
-            if np.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP:
+            trial = dt * kv
+            trial += nodes
+            trial /= np.sqrt(np.add.reduce(trial * trial, axis=1, keepdims=True))
+            trial_ext = wrapped(trial, closed)
+            trial_e = wrapped_edges(trial_ext, closed)
+            new_len = float(np.add.reduce(trial_e))
+            if math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP:
                 accepted = True
                 break
             dt *= 0.5
@@ -200,8 +183,8 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
             status = STATUS_SINGULARITY
             break
 
-        nodes = trial
-        length = new_len
+        start_e = e
+        nodes, ext, e, length = trial, trial_ext, trial_e, new_len
         t += dt
         since_remesh += 1
 
@@ -212,12 +195,14 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
         if since_remesh >= cfg.remesh_every:
             since_remesh = 0
             want = _target_n(length, len(nodes), cfg, closed)
-            ratio = float(e.max() / e.min())
+            ratio = float(start_e.max() / start_e.min())
             if want != len(nodes) or ratio >= cfg.remesh_uniformity:
                 cur = curve.with_nodes(nodes)
                 cur = resample(cur, n=want)
                 nodes = np.array(cur.nodes)
-                length = float(_edges(nodes, closed).sum())
+                ext = wrapped(nodes, closed)
+                e = wrapped_edges(ext, closed)
+                length = float(np.add.reduce(e))
 
     if snaps[-1].t < t - 1e-12 or len(snaps) == 1 and t > 0:
         snaps.append(_snapshot(t, curve.with_nodes(nodes)))

@@ -42,7 +42,7 @@ def geodesic_distance(p, q):
     """Great-circle distance in [0, pi]; accepts (3,) or (n, 3) arrays."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    dots = np.clip(np.sum(p * q, axis=-1), -1.0, 1.0)
+    dots = np.minimum(np.maximum(np.add.reduce(p * q, axis=-1), -1.0), 1.0)
     return np.arccos(dots)
 
 

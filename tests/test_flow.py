@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherecsf import (FlowConfig, SphereArc, barrier_radius_oracle,
-                       circle_curve, circle_extinction_time, circle_oracle,
-                       evolve_arc, evolve_closed, leafable_wiggle,
-                       perturbed_latitude, straightening_experiment,
+from spherecsf import (ClosedSphereCurve, FlowConfig, SphereArc,
+                       barrier_radius_oracle, circle_curve, circle_extinction_time,
+                       circle_oracle, curvature_vectors, evolve_arc, evolve_closed,
+                       leafable_wiggle, perturbed_latitude, straightening_experiment,
                        time_to_enter_cap)
+from spherecsf.curves import chord_curvature, wrapped, wrapped_edges
 from spherecsf.errors import ConfigInvalid, DomainError, NeverEnters
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -24,6 +25,62 @@ def wavy_arc(n=65):
     return SphereArc(np.stack([np.cos(lam) * np.cos(s),
                                np.sin(lam) * np.cos(s),
                                np.sin(s)], axis=1))
+
+
+# Reference kernel: curvature vectors from rolled neighbour arrays and edges
+# from a separate dot-product pass. The chord kernel reorders only IEEE-exact
+# arithmetic, so it must match these bit for bit.
+def _kvec_reference(nodes: np.ndarray, closed: bool) -> np.ndarray:
+    if closed:
+        prv = np.roll(nodes, 1, axis=0)
+        nxt = np.roll(nodes, -1, axis=0)
+        v = nodes
+    else:
+        v, prv, nxt = nodes[1:-1], nodes[:-2], nodes[2:]
+    d_prev = prv - v
+    d_next = nxt - v
+    c_prev = np.linalg.norm(d_prev, axis=1, keepdims=True)
+    c_next = np.linalg.norm(d_next, axis=1, keepdims=True)
+    lap = d_next / c_next + d_prev / c_prev
+    lap -= v * np.sum(lap * v, axis=1, keepdims=True)
+    kv = 2.0 * lap / (c_prev + c_next)
+    if closed:
+        return kv
+    out = np.zeros_like(nodes)
+    out[1:-1] = kv
+    return out
+
+
+def _edges_reference(nodes: np.ndarray, closed: bool) -> np.ndarray:
+    q = np.roll(nodes, -1, axis=0) if closed else nodes[1:]
+    p = nodes if closed else nodes[:-1]
+    return np.arccos(np.clip(np.sum(p * q, axis=1), -1.0, 1.0))
+
+
+@st.composite
+def jittered_polygons(draw):
+    """A randomly rotated latitude polygon with jittered angles and radii."""
+    n = draw(st.integers(8, 300))
+    radius = draw(st.floats(0.2, 1.4))
+    jitter = draw(st.floats(0.0, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ang = 2.0 * np.pi * (np.arange(n) + jitter * rng.uniform(-0.5, 0.5, n)) / n
+    rho = radius * (1.0 + 0.3 * jitter * rng.uniform(-1.0, 1.0, n))
+    nodes = np.stack([np.sin(rho) * np.cos(ang), np.sin(rho) * np.sin(ang),
+                      np.cos(rho)], axis=1)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return nodes @ rot.T
+
+
+@settings(max_examples=200)
+@given(jittered_polygons(), st.booleans())
+def test_chord_kernel_matches_reference(nodes, closed):
+    curve = ClosedSphereCurve(nodes) if closed else SphereArc(nodes)
+    nodes = np.array(curve.nodes)
+    ext = wrapped(nodes, closed)
+    assert np.array_equal(chord_curvature(ext, closed), _kvec_reference(nodes, closed))
+    assert np.array_equal(wrapped_edges(ext, closed), _edges_reference(nodes, closed))
+    assert np.array_equal(curvature_vectors(curve), _kvec_reference(nodes, closed))
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -105,12 +162,16 @@ def test_length_decreases(radius, amp, mode):
 
 def test_snapshot_fields():
     cfg = FlowConfig(dt=2e-4, snapshot_dt=2e-2, max_time=0.05)
-    s = evolve_closed(circle_curve(0.9, n=128), cfg).final()
+    c = circle_curve(0.9, n=128)
+    s = evolve_closed(c, cfg).final()
     assert s.bending >= 0.0
     assert s.enclosed_area is not None
-    # reversing orientation flips the signed total curvature
-    rev = evolve_closed(circle_curve(0.9, n=128), cfg)
     assert s.total_curvature > 0
+    # reversing orientation flips the signed total curvature and swaps the
+    # enclosed region for its complement
+    rev = evolve_closed(ClosedSphereCurve(c.nodes[::-1]), cfg).final()
+    assert abs(rev.total_curvature + s.total_curvature) < 1e-9
+    assert abs(rev.enclosed_area + s.enclosed_area - 4.0 * np.pi) < 1e-9
 
 
 def test_arc_endpoints_pinned():
