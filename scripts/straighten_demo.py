@@ -24,7 +24,7 @@ def main():
     args = ap.parse_args()
 
     g = GreatCircle(np.array([0.0, 0.0, 1.0]))
-    curve = leafable_wiggle(g, band=args.band, mode=args.mode, n=args.nodes,
+    curve = leafable_wiggle(g.pole, band=args.band, mode=args.mode, n=args.nodes,
                             seed=args.seed)
     cfg = FlowConfig(dt=args.dt, snapshot_dt=0.02, max_time=args.max_time)
     res = straightening_experiment(curve, g, barrier_halfwidth=args.barrier,

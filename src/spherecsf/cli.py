@@ -12,6 +12,7 @@ Data files are byte-deterministic for a fixed config; only manifest.json
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -22,15 +23,13 @@ import numpy as np
 from .errors import (ConfigInvalid, DomainError, ParamDomain, SphereCSFError,
                      TooFewNodes)
 from .sphere import GreatCircle
-from .curves import SphereArc, load_curve, resample, save_curve
-from .flow import (DirichletArcSpec, FlowConfig, evolve_arc, evolve_closed,
-                   straightening_experiment)
+from .curves import SphereArc, load_curve, save_curve
+from .flow import FlowConfig, evolve_arc, evolve_closed, straightening_experiment
 from .graphflow import PeriodicGraph, crosscheck, evolve_graph
-from .jordan import (Spacing, circle_curve, construct_spacing, dirichlet_gamma,
-                     koch_like, leafable_wiggle, multiplicity_at,
-                     multiplicity_sup, perturbed_latitude, verify_spacing)
-from .levelset import (area_ode_check, classify_long_term, make_annulus,
-                       sandwich_flow)
+from .jordan import (CURVE_KINDS, Spacing, construct_spacing, generate_curve,
+                     multiplicity_at, multiplicity_sup, verify_spacing)
+from .levelset import (AnnulusState, area_ode_check, classify_long_term,
+                       make_annulus, sandwich_flow)
 
 _MISSING = object()
 
@@ -120,49 +119,24 @@ def _pole(cfg: dict, field: str = "pole", default=(0.0, 0.0, 1.0)):
 
 
 def _build_curve(spec, field: str, seed: int):
+    """A curve from {"file": path} or {"kind": name, **maker keyword arguments};
+    --seed is the default of a maker's `seed`."""
     if not isinstance(spec, dict):
         raise ConfigInvalid(f"{field}: must be an object")
+    params = dict(spec)
     try:
-        if "file" in spec:
-            return load_curve(spec["file"])
-        kind = _get(spec, "kind")
-        if kind == "Circle":
-            return circle_curve(radius=_get(spec, "radius"),
-                                pole=_pole(spec), n=int(spec.get("n", 256)),
-                                phase=float(spec.get("phase", 0.0)))
-        if kind == "PerturbedLatitude":
-            return perturbed_latitude(radius=_get(spec, "radius"),
-                                      amplitude=_get(spec, "amplitude"),
-                                      mode=int(_get(spec, "mode")),
-                                      n=int(spec.get("n", 512)),
-                                      pole=_pole(spec),
-                                      phase=float(spec.get("phase", 0.0)))
-        if kind == "LeafableWiggle":
-            return leafable_wiggle(g=GreatCircle(_pole(spec)),
-                                   band=float(spec.get("band", 0.05)),
-                                   cap_radius=float(spec.get("cap_radius", 0.7)),
-                                   closeness=float(spec.get("closeness", 0.1)),
-                                   mode=int(spec.get("mode", 14)),
-                                   n=int(spec.get("n", 512)),
-                                   seed=int(spec.get("seed", seed)))
-        if kind == "KochLike":
-            return koch_like(depth=int(_get(spec, "depth")),
-                             base_radius=float(spec.get("base_radius", 0.8)),
-                             pole=_pole(spec),
-                             base_nodes=int(spec.get("base_nodes", 6)))
-        if kind == "DirichletGamma":
-            arc_spec = DirichletArcSpec(
-                circle=GreatCircle(_pole(spec)),
-                band_halfwidth=_get(spec, "band_halfwidth"),
-                cap_radius=float(spec.get("cap_radius", 1.3)),
-                closeness=float(spec.get("closeness", 0.25)))
-            arc, _ = dirichlet_gamma(arc_spec, spacing=spec.get("spacing"))
-            if "n" in spec:
-                arc = resample(arc, n=int(spec["n"]))
-            return arc
-        raise ConfigInvalid(f"{field}.kind: unknown curve kind {kind!r} "
-                            f"(known: Circle, PerturbedLatitude, LeafableWiggle, "
-                            f"KochLike, DirichletGamma)")
+        if "file" in params:
+            if len(params) > 1:
+                raise ConfigInvalid(f"{field}: a file spec holds only 'file', "
+                                    f"got {sorted(params)}")
+            return load_curve(params["file"])
+        kind = params.pop("kind", None)
+        if kind not in CURVE_KINDS:
+            raise ConfigInvalid(f"{field}.kind: unknown curve kind {kind!r} "
+                                f"(known: {', '.join(CURVE_KINDS)})")
+        if "seed" in inspect.signature(CURVE_KINDS[kind]).parameters:
+            params.setdefault("seed", seed)
+        return generate_curve(kind, **params)
     except ConfigInvalid:
         raise
     except (DomainError, ParamDomain, TooFewNodes, TypeError, ValueError) as exc:
@@ -395,7 +369,6 @@ def cmd_levelset(args) -> int:
         })
         _say(args, f"{name}: verdict {result.verdict}")
     elif mode == "area":
-        from .levelset import AnnulusState
         if not isinstance(state, AnnulusState):
             raise ConfigInvalid("annulus: required for mode 'area'")
         report = area_ode_check(state, float(_get(cfg, "t")))
@@ -405,7 +378,6 @@ def cmd_levelset(args) -> int:
                                        "initial_area": state.area})
         _say(args, f"{name}: area-law residual {report.residual:.3e}")
     else:
-        from .levelset import AnnulusState
         if not isinstance(state, AnnulusState):
             raise ConfigInvalid("annulus: required for mode 'classify'")
         out = classify_long_term(state, max_time=float(_get(cfg, "max_time")))

@@ -4,17 +4,22 @@ A curve is an ordered array of unit nodes joined by geodesic edges. Closed curve
 around; arcs have pinned endpoints. Orientation conventions: travel direction t at a
 node, left normal p x t; positive turning = left turn; enclosed area is the region to
 the left of travel.
+
+Neighbours come from one padded array, `wrapped(nodes, closed)`: a closed curve gets its
+last node prepended and its first appended, an arc is left as it is, so on either kind
+chord j runs from row j to row j + 1 and the node at row j has neighbours at rows j - 1
+and j + 1. `edge_ends` picks the edges, in node order, out of that array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .errors import DomainError, NotEmbedded, PoleDegenerate, TooFewNodes
-from .sphere import GreatCircle, geodesic_distance, slerp
+from .sphere import GreatCircle, geodesic_distance
 
 MIN_NODES = 8
 EDGE_MIN = 1e-8
@@ -25,6 +30,25 @@ CROSS_TOL = 1e-12
 DIAG_MIN_NODES = 32
 
 
+def wrapped(nodes: np.ndarray, closed: bool) -> np.ndarray:
+    """The padded neighbour array of the module docstring."""
+    if not closed:
+        return nodes
+    return np.concatenate((nodes[-1:], nodes, nodes[:1]))
+
+
+def edge_ends(ext: np.ndarray, closed: bool):
+    """(start, end) rows of every edge, in node order, of the curve whose wrapped
+    nodes are ext."""
+    k = 1 if closed else 0
+    return ext[k:-1], ext[k + 1:]
+
+
+def wrapped_edges(ext: np.ndarray, closed: bool) -> np.ndarray:
+    """Geodesic edge lengths, in node order, of the curve whose wrapped nodes are ext."""
+    return geodesic_distance(*edge_ends(ext, closed))
+
+
 def _validated_nodes(nodes, closed: bool) -> np.ndarray:
     nodes = np.array(nodes, dtype=float)
     if nodes.ndim != 2 or nodes.shape[1] != 3:
@@ -32,13 +56,13 @@ def _validated_nodes(nodes, closed: bool) -> np.ndarray:
     n = len(nodes)
     if n < MIN_NODES:
         raise TooFewNodes(f"need at least {MIN_NODES} nodes, got {n}")
+    if not np.all(np.isfinite(nodes)):
+        raise DomainError("nodes must be finite")
     norms = np.linalg.norm(nodes, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise DomainError("all nodes must be unit vectors (tolerance 1e-9)")
     nodes = nodes / norms[:, None]
-    q = np.roll(nodes, -1, axis=0) if closed else nodes[1:]
-    p = nodes if closed else nodes[:-1]
-    edges = geodesic_distance(p, q)
+    edges = wrapped_edges(wrapped(nodes, closed), closed)
     if np.any(edges <= EDGE_MIN) or np.any(edges >= EDGE_MAX):
         raise DomainError(
             f"edge lengths must lie in ({EDGE_MIN}, pi/2); "
@@ -48,55 +72,39 @@ def _validated_nodes(nodes, closed: bool) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ClosedSphereCurve:
+class _Polyline:
+    """Validated read-only nodes; subclasses only say whether the curve closes."""
+
     nodes: np.ndarray
+    closed: ClassVar[bool]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _validated_nodes(self.nodes, closed=True))
+        object.__setattr__(self, "nodes", _validated_nodes(self.nodes, self.closed))
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
-    @property
-    def closed(self) -> bool:
-        return True
-
     def edge_lengths(self) -> np.ndarray:
-        return geodesic_distance(self.nodes, np.roll(self.nodes, -1, axis=0))
+        return wrapped_edges(wrapped(self.nodes, self.closed), self.closed)
 
     def length(self) -> float:
         return float(self.edge_lengths().sum())
 
-    def with_nodes(self, nodes) -> "ClosedSphereCurve":
-        return ClosedSphereCurve(nodes)
+    def with_nodes(self, nodes):
+        return type(self)(nodes)
 
 
-@dataclass(frozen=True)
-class SphereArc:
+class ClosedSphereCurve(_Polyline):
+    """Closed polyline; the last node joins back to the first."""
+
+    closed = True
+
+
+class SphereArc(_Polyline):
     """Open polyline; the first and last nodes are the (fixed) endpoints."""
 
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", _validated_nodes(self.nodes, closed=False))
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def closed(self) -> bool:
-        return False
-
-    def edge_lengths(self) -> np.ndarray:
-        return geodesic_distance(self.nodes[:-1], self.nodes[1:])
-
-    def length(self) -> float:
-        return float(self.edge_lengths().sum())
-
-    def with_nodes(self, nodes) -> "SphereArc":
-        return SphereArc(nodes)
+    closed = False
 
 
 SphereCurve = ClosedSphereCurve | SphereArc
@@ -116,30 +124,12 @@ def turning_angles(curve: SphereCurve) -> np.ndarray:
 
     Closed: one angle per node. Arc: one per interior node (n - 2 values).
     """
-    nodes = curve.nodes
-    if curve.closed:
-        v, a, b = nodes, np.roll(nodes, 1, axis=0), np.roll(nodes, -1, axis=0)
-    else:
-        v, a, b = nodes[1:-1], nodes[:-2], nodes[2:]
-    t_in, t_out = _travel_tangents(v, a, b)
+    ext = wrapped(curve.nodes, curve.closed)
+    v = ext[1:-1]
+    t_in, t_out = _travel_tangents(v, ext[:-2], ext[2:])
     s = np.sum(v * np.cross(t_in, t_out), axis=-1)
     c = np.sum(t_in * t_out, axis=-1)
     return np.arctan2(s, c)
-
-
-def wrapped(nodes: np.ndarray, closed: bool) -> np.ndarray:
-    """Nodes padded so that chord j runs from row j to row j + 1 on either kind of
-    curve: a closed curve gets its last node prepended and its first appended, an
-    arc is returned as it is."""
-    if not closed:
-        return nodes
-    return np.concatenate((nodes[-1:], nodes, nodes[:1]))
-
-
-def wrapped_edges(ext: np.ndarray, closed: bool) -> np.ndarray:
-    """Geodesic edge lengths, in node order, of the curve whose wrapped nodes are ext."""
-    k = 1 if closed else 0
-    return geodesic_distance(ext[k:-1], ext[k + 1:])
 
 
 def chord_curvature(ext: np.ndarray, closed: bool) -> np.ndarray:
@@ -174,10 +164,11 @@ def curvature_vectors(curve: SphereCurve) -> np.ndarray:
     return chord_curvature(wrapped(curve.nodes, curve.closed), curve.closed)
 
 
-def _mean_adjacent_edges(curve: SphereCurve) -> np.ndarray:
-    e = curve.edge_lengths()
-    if curve.closed:
-        return 0.5 * (e + np.roll(e, 1))
+def mean_adjacent_edges(curve: SphereCurve) -> np.ndarray:
+    """Mean length h of the two edges at each node that has two (the nodes
+    turning_angles measures)."""
+    ext = wrapped(curve.nodes, curve.closed)
+    e = geodesic_distance(ext[:-1], ext[1:])
     return 0.5 * (e[:-1] + e[1:])
 
 
@@ -191,16 +182,13 @@ class CurveDiagnostics:
     min_edge: float
 
 
-def diagnostics(curve: SphereCurve, check_embedded: bool = True) -> CurveDiagnostics:
-    """Integral diagnostics. Enclosed area (closed curves) is the Gauss-Bonnet
-    complement 2*pi - sum of turning, the area left of travel."""
-    if curve.n < DIAG_MIN_NODES:
-        raise TooFewNodes(f"diagnostics needs >= {DIAG_MIN_NODES} nodes, got {curve.n}")
-    if check_embedded and self_intersects(curve.nodes, curve.closed):
-        raise NotEmbedded("curve polyline intersects itself")
+def integrals(curve: SphereCurve) -> CurveDiagnostics:
+    """Length, total turning, bending sum(tau^2 / h) and, for closed curves, the
+    enclosed area: the Gauss-Bonnet complement 2*pi - sum of turning, the area
+    left of travel. No node floor or embedding check; diagnostics adds those."""
     e = curve.edge_lengths()
     tau = turning_angles(curve)
-    hbar = _mean_adjacent_edges(curve)
+    hbar = mean_adjacent_edges(curve)
     area = float(2.0 * np.pi - tau.sum()) if curve.closed else None
     return CurveDiagnostics(
         length=float(e.sum()),
@@ -212,14 +200,19 @@ def diagnostics(curve: SphereCurve, check_embedded: bool = True) -> CurveDiagnos
     )
 
 
+def diagnostics(curve: SphereCurve, check_embedded: bool = True) -> CurveDiagnostics:
+    """integrals() of a curve with at least DIAG_MIN_NODES nodes, by default
+    also checked to be embedded."""
+    if curve.n < DIAG_MIN_NODES:
+        raise TooFewNodes(f"diagnostics needs >= {DIAG_MIN_NODES} nodes, got {curve.n}")
+    if check_embedded and self_intersects(curve.nodes, curve.closed):
+        raise NotEmbedded("curve polyline intersects itself")
+    return integrals(curve)
+
+
 def self_intersects(nodes: np.ndarray, closed: bool) -> bool:
     """True if any two nonadjacent geodesic edges cross or touch (tol 1e-12)."""
-    nodes = np.asarray(nodes, dtype=float)
-    if closed:
-        a = nodes
-        b = np.roll(nodes, -1, axis=0)
-    else:
-        a, b = nodes[:-1], nodes[1:]
+    a, b = edge_ends(wrapped(np.asarray(nodes, dtype=float), closed), closed)
     m = len(a)
     poles = np.cross(a, b)
     poles /= np.linalg.norm(poles, axis=1, keepdims=True)
@@ -278,19 +271,15 @@ def resample(curve: SphereCurve, n: Optional[int] = None,
     if n is None:
         if spacing <= 0:
             raise DomainError("spacing must be positive")
-        n = (max(MIN_NODES, int(round(total / spacing)))
-             if curve.closed else max(MIN_NODES, int(round(total / spacing)) + 1))
+        n = nodes_for_spacing(total, spacing, curve.closed)
     if n < MIN_NODES:
         raise TooFewNodes(f"cannot resample to {n} < {MIN_NODES} nodes")
     cum = np.concatenate([[0.0], np.cumsum(e)])
     if curve.closed:
         t = np.arange(n) * (total / n)
-        src_a = curve.nodes
-        src_b = np.roll(curve.nodes, -1, axis=0)
     else:
         t = np.linspace(0.0, total, n)
-        src_a = curve.nodes[:-1]
-        src_b = curve.nodes[1:]
+    src_a, src_b = edge_ends(wrapped(curve.nodes, curve.closed), curve.closed)
     idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(e) - 1)
     f = (t - cum[idx]) / e[idx]
     f = np.clip(f, 0.0, 1.0)
@@ -306,13 +295,15 @@ def resample(curve: SphereCurve, n: Optional[int] = None,
     return curve.with_nodes(new)
 
 
+def nodes_for_spacing(length: float, spacing: float, closed: bool) -> int:
+    """Node count that places nodes about `spacing` apart along a curve of this
+    length (an arc has one node more than edges); at least MIN_NODES."""
+    return max(MIN_NODES, int(round(length / spacing)) + (0 if closed else 1))
+
+
 def _edge_frames(nodes: np.ndarray, closed: bool):
-    """Per-edge (a, b, pole, cos_len, inward tangents at both endpoints)."""
-    if closed:
-        a = nodes
-        b = np.roll(nodes, -1, axis=0)
-    else:
-        a, b = nodes[:-1], nodes[1:]
+    """Per-edge (a, b, pole, inward tangents at both endpoints)."""
+    a, b = edge_ends(wrapped(nodes, closed), closed)
     pole = np.cross(a, b)
     pole /= np.linalg.norm(pole, axis=1, keepdims=True)
     dots = np.sum(a * b, axis=1, keepdims=True)
@@ -348,11 +339,7 @@ def curve_distance(points: np.ndarray, curve: SphereCurve) -> np.ndarray:
 def densify(curve: SphereCurve, spacing: float) -> np.ndarray:
     """Sample points along the polyline at most `spacing` apart (includes nodes)."""
     e = curve.edge_lengths()
-    if curve.closed:
-        a = curve.nodes
-        b = np.roll(curve.nodes, -1, axis=0)
-    else:
-        a, b = curve.nodes[:-1], curve.nodes[1:]
+    a, b = edge_ends(wrapped(curve.nodes, curve.closed), curve.closed)
     pieces = []
     counts = np.maximum(1, np.ceil(e / spacing).astype(int))
     for i in range(len(e)):
@@ -380,16 +367,13 @@ def hausdorff_distance(a: SphereCurve, b: SphereCurve, refine: float = 1e-4) -> 
     return float(max(d_ab, d_ba))
 
 
-def _node_tangents(curve: SphereCurve) -> np.ndarray:
+def node_tangents(curve: SphereCurve) -> np.ndarray:
     """Unit travel tangents at nodes (central differences, projected)."""
     nodes = curve.nodes
-    if curve.closed:
-        diff = np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)
-    else:
-        diff = np.empty_like(nodes)
-        diff[1:-1] = nodes[2:] - nodes[:-2]
-        diff[0] = nodes[1] - nodes[0]
-        diff[-1] = nodes[-1] - nodes[-2]
+    ext = wrapped(nodes, curve.closed)
+    diff = ext[2:] - ext[:-2]
+    if not curve.closed:  # one-sided at the endpoints
+        diff = np.concatenate((nodes[1:2] - nodes[:1], diff, nodes[-1:] - nodes[-2:-1]))
     diff -= nodes * np.sum(diff * nodes, axis=1, keepdims=True)
     nrm = np.linalg.norm(diff, axis=1, keepdims=True)
     if np.any(nrm < 1e-14):
@@ -404,7 +388,7 @@ def latitude_deviation_angles(curve: SphereCurve, g: GreatCircle) -> np.ndarray:
     if np.any(geodesic_distance(nodes, g.pole) < 1e-6) or \
        np.any(geodesic_distance(nodes, -g.pole) < 1e-6):
         raise PoleDegenerate("curve passes within 1e-6 of a pole of g")
-    t = _node_tangents(curve)
+    t = node_tangents(curve)
     lat = g.direction_at(nodes)
     return np.arccos(np.clip(np.abs(np.sum(t * lat, axis=1)), 0.0, 1.0))
 
@@ -422,10 +406,8 @@ def intersection_count(curve: SphereCurve, g: GreatCircle) -> int:
     """
     h = curve.nodes @ g.pole
     h = np.where(h == 0.0, 1e-12, h)
-    s = np.sign(h)
-    if curve.closed:
-        return int(np.count_nonzero(s != np.roll(s, -1)))
-    return int(np.count_nonzero(s[1:] != s[:-1]))
+    s_a, s_b = edge_ends(wrapped(np.sign(h), curve.closed), curve.closed)
+    return int(np.count_nonzero(s_a != s_b))
 
 
 def save_curve(path, curve: SphereCurve) -> None:
@@ -451,9 +433,12 @@ def load_curve(path) -> SphereCurve:
                     kind = tag
                 continue
             try:
-                rows.append([float(tok) for tok in line.split(",")])
+                row = [float(tok) for tok in line.split(",")]
             except ValueError:
                 raise DomainError(f"curve file has a non-numeric row: {line!r}")
+            if len(row) != 3:
+                raise DomainError(f"curve file row must hold x,y,z: {line!r}")
+            rows.append(row)
     if kind is None:
         raise DomainError("curve file missing '# closed' or '# arc' header")
     nodes = np.array(rows, dtype=float)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (AntipodalEndpoints, ConfigInvalid, DomainError, NeverEnters,
                      ParamDomain)
-from .curves import (MIN_NODES, ClosedSphereCurve, SphereArc, SphereCurve,
-                     chord_curvature, resample, turning_angles, wrapped, wrapped_edges)
+from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, chord_curvature,
+                     integrals, nodes_for_spacing, resample, wrapped, wrapped_edges)
 from .sphere import GreatCircle, as_point, geodesic_distance
 
 CFL_FACTOR = 0.25
@@ -50,11 +50,12 @@ class FlowConfig:
             raise ConfigInvalid(f"dt must be in (0, 1], got {self.dt!r}")
         if not (0.0 < self.snapshot_dt <= 1.0):
             raise ConfigInvalid(f"snapshot_dt must be in (0, 1], got {self.snapshot_dt!r}")
-        if self.max_time is not None and self.max_time <= 0.0:
-            raise ConfigInvalid(f"max_time must be positive, got {self.max_time!r}")
-        if self.extinction_length <= 0.0:
+        if self.max_time is not None and not (0.0 < self.max_time < math.inf):
             raise ConfigInvalid(
-                f"extinction_length must be positive, got {self.extinction_length!r}")
+                f"max_time must be positive and finite, got {self.max_time!r}")
+        if not (0.0 < self.extinction_length < math.inf):
+            raise ConfigInvalid(f"extinction_length must be positive and finite, "
+                                f"got {self.extinction_length!r}")
         if self.target_nodes is not None and self.target_nodes < 32:
             raise ConfigInvalid(f"target_nodes must be >= 32, got {self.target_nodes!r}")
         if self.target_spacing is not None and not (0.0 < self.target_spacing < 0.5):
@@ -64,9 +65,9 @@ class FlowConfig:
             raise ConfigInvalid("target_nodes and target_spacing are mutually exclusive")
         if self.remesh_every < 1:
             raise ConfigInvalid(f"remesh_every must be >= 1, got {self.remesh_every!r}")
-        if self.remesh_uniformity <= 1.0:
-            raise ConfigInvalid(
-                f"remesh_uniformity must exceed 1, got {self.remesh_uniformity!r}")
+        if not (1.0 < self.remesh_uniformity < math.inf):
+            raise ConfigInvalid(f"remesh_uniformity must exceed 1 and be finite, "
+                                f"got {self.remesh_uniformity!r}")
         if not (0 <= self.max_dt_halvings <= 40):
             raise ConfigInvalid(
                 f"max_dt_halvings must be in [0, 40], got {self.max_dt_halvings!r}")
@@ -101,23 +102,11 @@ class FlowTrajectory:
 
 
 def _snapshot(t: float, curve: SphereCurve) -> Snapshot:
-    # no node-count floor here: flow may legitimately coarsen to 8 nodes near extinction
-    e = curve.edge_lengths()
-    tau = turning_angles(curve)
-    if curve.closed:
-        hbar = 0.5 * (e + np.roll(e, 1))
-        area = float(2.0 * np.pi - tau.sum())
-    else:
-        hbar = 0.5 * (e[:-1] + e[1:])
-        area = None
-    return Snapshot(
-        t=float(t),
-        curve=curve,
-        length=float(e.sum()),
-        total_curvature=float(tau.sum()),
-        bending=float(np.sum(tau * tau / hbar)),
-        enclosed_area=area,
-    )
+    # integrals, not diagnostics: flow may legitimately coarsen to 8 nodes near extinction
+    d = integrals(curve)
+    return Snapshot(t=float(t), curve=curve, length=d.length,
+                    total_curvature=d.total_curvature, bending=d.bending,
+                    enclosed_area=d.enclosed_area)
 
 
 def _initial_mesh(curve: SphereCurve, cfg: FlowConfig) -> SphereCurve:
@@ -130,8 +119,7 @@ def _initial_mesh(curve: SphereCurve, cfg: FlowConfig) -> SphereCurve:
 
 def _target_n(length: float, curve_n: int, cfg: FlowConfig, closed: bool) -> int:
     if cfg.target_spacing is not None:
-        n = int(round(length / cfg.target_spacing)) + (0 if closed else 1)
-        return max(MIN_NODES, n)
+        return nodes_for_spacing(length, cfg.target_spacing, closed)
     if cfg.target_nodes is not None:
         return cfg.target_nodes
     return curve_n

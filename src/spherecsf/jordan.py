@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError, ParamDomain, SpacingNotFound
 from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, curve_distance,
-                     latitude_deviation_angles, resample, turning_angles)
+                     edge_ends, latitude_deviation_angles, mean_adjacent_edges,
+                     resample, turning_angles, wrapped)
 from .flow import DirichletArcSpec
 from .sphere import (GreatCircle, Latitude, Wedge, as_point, fold_angle,
                      geodesic_distance, orthonormal_frame, reflect_across, slerp,
@@ -72,8 +73,7 @@ class MultiplicityReport:
 def _edge_height_extrema(h: np.ndarray, cos_edge: np.ndarray, sin_edge: np.ndarray,
                          closed: bool):
     """Per-edge (min |height|, max |height|) of the sinusoidal height profile."""
-    ha = h if closed else h[:-1]
-    hb = np.roll(h, -1) if closed else h[1:]
+    ha, hb = edge_ends(wrapped(h, closed), closed)
     amp_sq = (ha * ha + hb * hb - 2.0 * ha * hb * cos_edge) / (sin_edge * sin_edge)
     amp = np.sqrt(np.maximum(amp_sq, 0.0))
     crit_inside = (hb - ha * cos_edge) * (hb * cos_edge - ha) < 0.0
@@ -89,10 +89,8 @@ def _multiplicity_from_heights(h, cos_edge, sin_edge, sin_band, sin_touch, close
     if not in_band.any():
         return 0, []
     emin, emax = _edge_height_extrema(h, cos_edge, sin_edge, closed)
-    if closed:
-        link = in_band & np.roll(in_band, -1) & (emax < sin_band)
-    else:
-        link = in_band[:-1] & in_band[1:] & (emax < sin_band)
+    band_a, band_b = edge_ends(wrapped(in_band, closed), closed)
+    link = band_a & band_b & (emax < sin_band)
 
     comps = []
     if closed and link.all():
@@ -104,15 +102,9 @@ def _multiplicity_from_heights(h, cos_edge, sin_edge, sin_band, sin_touch, close
         for s in starts:
             idx = [s]
             j = s
-            while True:
-                if closed:
-                    if not link[j]:
-                        break
-                    j = (j + 1) % n
-                else:
-                    if j >= n - 1 or not link[j]:
-                        break
-                    j = j + 1
+            # an arc's last node has no outgoing link
+            while j < len(link) and link[j]:
+                j = (j + 1) % n
                 idx.append(j)
             idx = np.array(idx)
             # edge k joins nodes k and k+1, so internal edges are idx[:-1]
@@ -132,12 +124,8 @@ def _multiplicity_from_heights(h, cos_edge, sin_edge, sin_band, sin_touch, close
 
 
 def _height_geometry(curve: SphereCurve):
-    nodes = curve.nodes
-    if curve.closed:
-        q = np.roll(nodes, -1, axis=0)
-        dots = np.sum(nodes * q, axis=1)
-    else:
-        dots = np.sum(nodes[:-1] * nodes[1:], axis=1)
+    a, b = edge_ends(wrapped(curve.nodes, curve.closed), curve.closed)
+    dots = np.sum(a * b, axis=1)
     cos_edge = np.clip(dots, -1.0, 1.0)
     sin_edge = np.sqrt(np.maximum(1e-300, 1.0 - cos_edge * cos_edge))
     return cos_edge, sin_edge
@@ -419,16 +407,16 @@ def _cap_window(lon: np.ndarray, inner: float, ramp: float) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(np.pi * w))
 
 
-def leafable_wiggle(g: Optional[GreatCircle] = None, band: float = 0.05,
+def leafable_wiggle(pole=(0.0, 0.0, 1.0), band: float = 0.05,
                     cap_radius: float = 0.7, closeness: float = 0.1,
                     mode: int = 14, n: int = 512, seed: int = 0) -> ClosedSphereCurve:
-    """Band-confined generator: flat through both caps, steep wiggle between.
+    """Band-confined generator around the great circle g with this pole: flat
+    through both caps, steep wiggle between.
 
     The initial latitude deviation is about atan(0.88 * band * mode); with the
     defaults that exceeds 0.5 rad while the curve stays inside B_band(g).
     """
-    if g is None:
-        g = GreatCircle(np.array([0.0, 0.0, 1.0]))
+    g = GreatCircle(pole)
     rng = np.random.default_rng(seed)
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
     lon = 2.0 * np.pi * np.arange(n) / n
@@ -564,7 +552,7 @@ def check_dirichlet_gamma(arc: SphereArc, spec: DirichletArcSpec, info: dict) ->
     theta = info["theta"]
     lon, s = g.chart_coords(arc.nodes)
     e = arc.edge_lengths()
-    hbar = 0.5 * (e[:-1] + e[1:])
+    hbar = mean_adjacent_edges(arc)
     checks = {}
 
     psi_ends = [float(wedge.leaf_angle(arc.nodes[0])),
@@ -618,21 +606,31 @@ def check_dirichlet_gamma(arc: SphereArc, spec: DirichletArcSpec, info: dict) ->
     return checks
 
 
+def _dirichlet_gamma_arc(band_halfwidth: float, pole=(0.0, 0.0, 1.0),
+                         cap_radius: float = 1.3, closeness: float = 0.25,
+                         spacing: Optional[float] = None,
+                         n: Optional[int] = None) -> SphereArc:
+    """dirichlet_gamma's arc around the great circle with this pole, resampled
+    to n nodes when n is given."""
+    spec = DirichletArcSpec(circle=GreatCircle(pole), band_halfwidth=band_halfwidth,
+                            cap_radius=cap_radius, closeness=closeness)
+    arc, _ = dirichlet_gamma(spec, spacing=spacing)
+    return arc if n is None else resample(arc, n=n)
+
+
+# The named curve families; a maker's keyword arguments are the keys of the
+# CLI's curve spec.
+CURVE_KINDS = {
+    "Circle": circle_curve,
+    "PerturbedLatitude": perturbed_latitude,
+    "LeafableWiggle": leafable_wiggle,
+    "KochLike": koch_like,
+    "DirichletGamma": _dirichlet_gamma_arc,
+}
+
+
 def generate_curve(kind: str, **params):
-    """Dispatch for the named curve families used across experiments."""
-    makers = {
-        "Circle": circle_curve,
-        "PerturbedLatitude": perturbed_latitude,
-        "LeafableWiggle": leafable_wiggle,
-        "KochLike": koch_like,
-    }
-    if kind in makers:
-        return makers[kind](**params)
-    if kind == "DirichletGamma":
-        return_info = params.pop("return_info", False)
-        spec = params.pop("spec", None)
-        if spec is None:
-            spec = DirichletArcSpec(**params)
-        arc, info = dirichlet_gamma(spec)
-        return (arc, info) if return_info else arc
-    raise DomainError(f"unknown curve kind {kind!r}")
+    """The curve of family `kind` built from the maker's keyword arguments."""
+    if kind not in CURVE_KINDS:
+        raise DomainError(f"unknown curve kind {kind!r} (known: {', '.join(CURVE_KINDS)})")
+    return CURVE_KINDS[kind](**params)

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (DomainError, ExtinctionBeforeEnd, NotEmbedded,
                      OffsetCollision)
 from .curves import (ClosedSphereCurve, curve_distance, densify,
-                     hausdorff_distance, resample, self_intersects)
+                     hausdorff_distance, integrals, node_tangents, resample,
+                     self_intersects)
 from .flow import (STATUS_EXTINCT, FlowConfig, FlowTrajectory, evolve_closed)
 from .sphere import as_point, orthonormal_frame, slerp
 
@@ -83,8 +84,8 @@ def point_in_left(curve: ClosedSphereCurve, p) -> bool:
 
 
 def enclosed_left_area(curve: ClosedSphereCurve) -> float:
-    from .curves import turning_angles
-    return float(2.0 * np.pi - turning_angles(curve).sum())
+    """Area of the region to the left of travel (curves.integrals)."""
+    return integrals(curve).enclosed_area
 
 
 def curves_cross(a: ClosedSphereCurve, b: ClosedSphereCurve) -> bool:
@@ -92,10 +93,6 @@ def curves_cross(a: ClosedSphereCurve, b: ClosedSphereCurve) -> bool:
     step = 0.25 * float(min(a.edge_lengths().min(), b.edge_lengths().min()))
     d = curve_distance(densify(a, step), b)
     return bool(d.min() <= 1e-9)
-
-
-def _reversed(curve: ClosedSphereCurve) -> ClosedSphereCurve:
-    return ClosedSphereCurve(curve.nodes[::-1])
 
 
 @dataclass(frozen=True)
@@ -132,9 +129,9 @@ def make_annulus(alpha: ClosedSphereCurve, beta: ClosedSphereCurve) -> AnnulusSt
     if curves_cross(alpha, beta):
         raise NotEmbedded("annulus boundaries intersect")
     if _side_of(alpha, beta):
-        alpha = _reversed(alpha)
+        alpha = alpha.with_nodes(alpha.nodes[::-1])
     if _side_of(beta, alpha):
-        beta = _reversed(beta)
+        beta = beta.with_nodes(beta.nodes[::-1])
     area = 4.0 * np.pi - enclosed_left_area(alpha) - enclosed_left_area(beta)
     if area <= 0.0:
         raise DomainError("boundaries do not bound a positive-area annulus")
@@ -154,10 +151,7 @@ def offset_curve(curve: ClosedSphereCurve, eps: float, side: int) -> ClosedSpher
     if side not in (-1, 1):
         raise DomainError("side must be +1 (left) or -1 (right)")
     nodes = curve.nodes
-    t = np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)
-    t -= nodes * np.sum(t * nodes, axis=1, keepdims=True)
-    t /= np.linalg.norm(t, axis=1, keepdims=True)
-    nu = np.cross(nodes, t)
+    nu = np.cross(nodes, node_tangents(curve))
     q = np.cos(eps) * nodes + np.sin(eps) * side * nu
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     for _ in range(SMOOTHING_MAX_PASSES):

@@ -1,11 +1,16 @@
 """End-to-end command line tests, run in process through cli.main."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spherecsf import SphereArc, acceptance, save_curve
-from spherecsf.cli import main
+from spherecsf import SphereArc, acceptance, circle_curve, generate_curve, save_curve
+from spherecsf.cli import _build_curve, main
+from spherecsf.jordan import CURVE_KINDS
 
 EQUATOR = {"kind": "Circle", "radius": 1.5707963267948966, "n": 192}
 BAND_ANNULUS = {"alpha": {"kind": "Circle", "radius": 0.8, "n": 192},
@@ -98,6 +103,9 @@ def test_simulate_arc_requires_horizon(tmp_path, capsys):
     ({"flow": {"max_time": 0.1}}, "curve"),
     ({"curve": {"kind": "Nonsense"}}, "curve.kind"),
     ({"curve": {"kind": "Circle", "radius": 1.0}, "name": "a/b"}, "name"),
+    ({"curve": {"kind": "Circle", "radius": 1.0, "wibble": 1}}, "wibble"),
+    ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"max_time": float("nan")}},
+     "flow.max_time"),
 ])
 def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
     rc, _ = run_cli(tmp_path, "simulate", cfg)
@@ -105,6 +113,68 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert field in err
+
+
+def test_unknown_kind_lists_the_registry(tmp_path, capsys):
+    rc, _ = run_cli(tmp_path, "simulate", {"curve": {"kind": "Nonsense"}})
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(kind in err for kind in CURVE_KINDS)
+
+
+def test_simulate_rejects_non_finite_curve_file(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    save_curve(path, circle_curve(0.8, n=32))
+    lines = path.read_text().splitlines()
+    lines[2] = "nan,0,1"  # the first node, after the two header lines
+    path.write_text("\n".join(lines) + "\n")
+    rc, _ = run_cli(tmp_path, "simulate", {"curve": {"file": str(path)},
+                                           "flow": {"max_time": 0.01}})
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
+# Every registry kind, with its keys spelled as the generator's keyword arguments.
+CURVE_SPECS = {
+    "Circle": {"radius": 0.9, "n": 64, "phase": 0.2, "pole": [0, 0.6, 0.8]},
+    "PerturbedLatitude": {"radius": 1.1, "amplitude": 0.1, "mode": 3, "n": 96},
+    "LeafableWiggle": {"band": 0.04, "n": 128, "mode": 6, "pole": [1, 0, 0], "seed": 2},
+    "KochLike": {"depth": 2, "base_radius": 0.7, "base_nodes": 5},
+    "DirichletGamma": {"band_halfwidth": 0.08, "pole": [0, 1, 0], "spacing": 0.02,
+                       "n": 80},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CURVE_KINDS))
+def test_cli_curve_spec_is_generator_call(kind):
+    params = CURVE_SPECS[kind]
+    built = _build_curve({"kind": kind, **params}, "curve", seed=5)
+    assert np.array_equal(built.nodes, generate_curve(kind, **params).nodes)
+
+
+def test_seed_flag_is_the_default_generator_seed():
+    built = _build_curve({"kind": "LeafableWiggle", "n": 64}, "curve", seed=5)
+    assert np.array_equal(built.nodes,
+                          generate_curve("LeafableWiggle", n=64, seed=5).nodes)
+
+
+def test_runtime_imports_numpy_only(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    cfg = tmp_path / "checks.json"
+    cfg.write_text(json.dumps({"checks": ["initial-continuity"]}))
+    script = ("import sys\n"
+              "from spherecsf.cli import main\n"
+              f"rc = main(['verify', '--config', {str(cfg)!r}, '--out', "
+              f"{str(tmp_path / 'out')!r}, '--quiet'])\n"
+              "print('scipy' in sys.modules)\n"
+              "sys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_missing_config_flag(tmp_path, capsys):

@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, c1_deviation,
                        cap_area, circle_curve, curvature_vectors,
                        curve_distance, densify, diagnostics,
+                       enclosed_left_area, geodesic_distance,
                        hausdorff_distance, intersection_count, load_curve,
                        perturbed_latitude, resample, save_curve,
                        self_intersects, signed_band_coordinate,
                        turning_angles, unit)
+from spherecsf.curves import integrals, mean_adjacent_edges
 from spherecsf.errors import DomainError, TooFewNodes
+from spherecsf.flow import _snapshot
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -40,6 +43,15 @@ def test_degenerate_edge_rejected():
     nodes[5] = nodes[4]
     with pytest.raises(DomainError):
         ClosedSphereCurve(nodes)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("cls", [ClosedSphereCurve, SphereArc])
+def test_non_finite_node_rejected(cls, bad):
+    nodes = circle_curve(0.8, n=32).nodes.copy()
+    nodes[3, 1] = bad
+    with pytest.raises(DomainError, match="finite"):
+        cls(nodes)
 
 
 def test_long_edge_rejected():
@@ -154,6 +166,11 @@ def test_load_rejects_bad_files(tmp_path):
     q.write_text("1,0,0\n0,1,0\n")
     with pytest.raises(DomainError):
         load_curve(q)
+    r = tmp_path / "ragged.csv"
+    save_curve(r, circle_curve(0.9, n=16))
+    r.write_text(r.read_text() + "0.6,0.8\n")
+    with pytest.raises(DomainError, match="x,y,z"):
+        load_curve(r)
 
 
 def test_densify_stays_on_curve():
@@ -171,3 +188,104 @@ def test_diagnostics_latitude():
     assert d.min_edge <= d.max_edge
     with pytest.raises(TooFewNodes):
         diagnostics(circle_curve(0.8, n=16))
+
+
+# ---------------------------------------------------------------------------
+# the padded-neighbour kernel against the np.roll forms it replaced
+
+
+def _edges_reference(nodes, closed):
+    q = np.roll(nodes, -1, axis=0) if closed else nodes[1:]
+    p = nodes if closed else nodes[:-1]
+    return geodesic_distance(p, q)
+
+
+def _turning_reference(nodes, closed):
+    if closed:
+        v, a, b = nodes, np.roll(nodes, 1, axis=0), np.roll(nodes, -1, axis=0)
+    else:
+        v, a, b = nodes[1:-1], nodes[:-2], nodes[2:]
+    t_in = (v * np.sum(a * v, axis=-1, keepdims=True)) - a
+    t_in /= np.linalg.norm(t_in, axis=-1, keepdims=True)
+    t_out = b - v * np.sum(b * v, axis=-1, keepdims=True)
+    t_out /= np.linalg.norm(t_out, axis=-1, keepdims=True)
+    return np.arctan2(np.sum(v * np.cross(t_in, t_out), axis=-1),
+                      np.sum(t_in * t_out, axis=-1))
+
+
+def _hbar_reference(e, closed):
+    return 0.5 * (e + np.roll(e, 1)) if closed else 0.5 * (e[:-1] + e[1:])
+
+
+def _snapshot_integrals_reference(nodes, closed):
+    e = _edges_reference(nodes, closed)
+    tau = _turning_reference(nodes, closed)
+    area = float(2.0 * np.pi - tau.sum()) if closed else None
+    return (float(e.sum()), float(tau.sum()),
+            float(np.sum(tau * tau / _hbar_reference(e, closed))), area)
+
+
+@st.composite
+def wavy_curves(draw):
+    """Randomly rotated wavy latitude polygon with jittered nodes, closed or an arc."""
+    n = draw(st.integers(8, 300))
+    closed = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    jitter = draw(st.floats(0.0, 0.9))
+    ang = 2.0 * np.pi * (np.arange(n) + jitter * rng.uniform(-0.5, 0.5, n)) / n
+    rho = (draw(st.floats(0.3, 1.4))
+           + draw(st.floats(0.0, 0.2)) * np.sin(draw(st.integers(1, 6)) * ang))
+    nodes = np.stack([np.sin(rho) * np.cos(ang), np.sin(rho) * np.sin(ang),
+                      np.cos(rho)], axis=1)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    nodes = nodes @ rot.T
+    return ClosedSphereCurve(nodes) if closed else SphereArc(nodes[: n // 2 + 4])
+
+
+def _integral_values(d):
+    return (d.length, d.total_curvature, d.bending, d.enclosed_area)
+
+
+@settings(max_examples=200)
+@given(wavy_curves())
+def test_padded_neighbours_match_rolled_reference(curve):
+    nodes, closed = np.array(curve.nodes), curve.closed
+    e = _edges_reference(nodes, closed)
+    assert np.array_equal(curve.edge_lengths(), e)
+    assert np.array_equal(turning_angles(curve), _turning_reference(nodes, closed))
+    assert np.array_equal(mean_adjacent_edges(curve), _hbar_reference(e, closed))
+    want = _snapshot_integrals_reference(nodes, closed)
+    assert _integral_values(integrals(curve)) == want
+    assert _integral_values(_snapshot(0.0, curve)) == want
+
+
+def _close(a, b, tol=1e-12):
+    return abs(a - b) <= tol * max(1.0, abs(a))
+
+
+@settings(max_examples=100)
+@given(wavy_curves(), st.integers(0, 2 ** 32 - 1))
+def test_integrals_invariant_under_rotation(curve, seed):
+    rot, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    turned = curve.with_nodes(curve.nodes @ rot.T)
+    a, b = integrals(curve), integrals(turned)
+    # Edges come from arccos(<p, q>), which resolves an edge h only to about
+    # eps / h (1e-14 at h = 0.01), and tangents from differences of nodes h
+    # apart, so each integral gets 1e-12 plus that slack summed over the edges;
+    # bending divides by h once more.
+    inv_e = 1.0 / curve.edge_lengths()
+    slack = 1e-12 + 4.0 * np.finfo(float).eps * inv_e.sum()
+    assert abs(a.length - b.length) <= slack
+    assert abs(a.total_curvature - b.total_curvature) <= slack
+    rel = 1e-12 + 4.0 * np.finfo(float).eps * (inv_e * inv_e).max()
+    assert abs(a.bending - b.bending) <= rel * a.bending
+
+
+@settings(max_examples=100)
+@given(wavy_curves())
+def test_reversal_flips_turning_and_complements_area(curve):
+    back = curve.with_nodes(curve.nodes[::-1])
+    assert _close(integrals(back).total_curvature, -integrals(curve).total_curvature)
+    if curve.closed:
+        total = enclosed_left_area(curve) + enclosed_left_area(back)
+        assert _close(total, 4.0 * np.pi)

@@ -89,6 +89,10 @@ def test_chord_kernel_matches_reference(nodes, closed):
     (dict(remesh_uniformity=0.9), "remesh_uniformity"),
     (dict(target_nodes=4), "target_nodes"),
     (dict(max_time=-0.1), "max_time"),
+    (dict(max_time=np.nan), "max_time"),
+    (dict(max_time=np.inf), "max_time"),
+    (dict(extinction_length=np.nan), "extinction_length"),
+    (dict(remesh_uniformity=np.nan), "remesh_uniformity"),
 ])
 def test_config_validation_names_field(kwargs, field):
     with pytest.raises(ConfigInvalid) as exc:

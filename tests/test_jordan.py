@@ -91,6 +91,11 @@ def test_wiggle_is_leafable_and_wiggly():
     assert report.reasons == []
 
 
+def test_wiggle_follows_its_pole():
+    w = leafable_wiggle(pole=X)
+    assert is_leafable(w, GreatCircle(X), 0.025, 0.7, 0.1).ok
+
+
 def test_latitude_is_not_leafable():
     report = is_leafable(circle_curve(0.4, n=128), GreatCircle(Z), 0.025, 0.7, 0.1)
     assert not report.ok
@@ -144,12 +149,9 @@ def test_generate_curve_dispatch():
                           mode=3, n=64).n == 64
     assert generate_curve("KochLike", depth=1).n == 24
     assert generate_curve("LeafableWiggle", seed=1).n >= 8
-    spec = DirichletArcSpec(circle=GreatCircle(Z), band_halfwidth=0.08,
-                            cap_radius=1.3, closeness=0.25)
-    arc = generate_curve("DirichletGamma", spec=spec)
+    arc = generate_curve("DirichletGamma", band_halfwidth=0.08, pole=Z,
+                         cap_radius=1.3, closeness=0.25)
     assert isinstance(arc, SphereArc)
-    arc2, info = generate_curve("DirichletGamma", spec=spec, return_info=True)
-    assert "theta" in info
     with pytest.raises(DomainError):
         generate_curve("Nonsense")
 
