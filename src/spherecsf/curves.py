@@ -28,6 +28,12 @@ EDGE_MAX = np.pi / 2.0
 CROSS_TOL = 1e-12
 # diagnostics() needs at least this many nodes to mean anything.
 DIAG_MIN_NODES = 32
+# Radians added to every cap and Lipschitz bound of the pruned queries. It covers
+# the arccos noise floor (about 2.6e-8 near zero) of the distances and edge
+# lengths the bounds are built from, so pruning never drops a deciding pair.
+BOUND_SLACK = 1e-7
+# Point-edge pairs in the first batch of hausdorff_distance; each batch doubles.
+_FIRST_BATCH = 4096
 
 
 def wrapped(nodes: np.ndarray, closed: bool) -> np.ndarray:
@@ -211,51 +217,49 @@ def diagnostics(curve: SphereCurve, check_embedded: bool = True) -> CurveDiagnos
 
 
 def self_intersects(nodes: np.ndarray, closed: bool) -> bool:
-    """True if any two nonadjacent geodesic edges cross or touch (tol 1e-12)."""
+    """True if any two nonadjacent geodesic edges cross or touch (tol 1e-12).
+
+    Exact for the polyline, and the answer of testing every pair: a unit point that
+    passes the crossing test for an edge lies in that edge's cap (centred on the
+    normalised chord midpoint, its radius the half length widened by the
+    tolerance), so only pairs whose caps overlap get the great-circle test, or for
+    coplanar pairs the overlap test.
+    """
     a, b = edge_ends(wrapped(np.asarray(nodes, dtype=float), closed), closed)
     m = len(a)
     poles = np.cross(a, b)
     poles /= np.linalg.norm(poles, axis=1, keepdims=True)
     cos_len = np.sum(a * b, axis=1)  # edges < pi/2 so cos is monotone on them
+    mid = _midpoints(a, b)
+    # c.a, c.b >= cos_len - CROSS_TOL give c.mid >= 2 (cos_len - CROSS_TOL) / |a + b|
+    reach = np.arccos(np.clip(2.0 * (cos_len - CROSS_TOL) / np.sqrt(2.0 + 2.0 * cos_len),
+                              -1.0, 1.0))
+    gi, jj = _cap_pairs(mid, reach, mid, reach)
+    keep = jj > gi + 1
+    if closed:
+        keep &= ~((gi == 0) & (jj == m - 1))
+    gi, jj = gi[keep], jj[keep]
+    cr = np.cross(poles[gi], poles[jj])
+    nn = np.linalg.norm(cr, axis=1)
+    apart = nn > 1e-12
+    i, j = gi[apart], jj[apart]
+    c = cr[apart] / nn[apart][:, None]
 
-    chunk = max(16, int(4.0e6 / max(m, 1)))
-    for i0 in range(0, m, chunk):
-        i1 = min(i0 + chunk, m)
-        idx_i = np.arange(i0, i1)
-        cr = np.cross(poles[i0:i1, None, :], poles[None, :, :])
-        nn = np.linalg.norm(cr, axis=2)
-        ii, jj = np.nonzero(nn > 1e-12)
-        gi = idx_i[ii]
-        keep = jj > gi + 1
-        if closed:
-            keep &= ~((gi == 0) & (jj == m - 1))
-        gi, jj, ii = gi[keep], jj[keep], ii[keep]
-        if len(gi):
-            c = cr[ii, jj] / nn[ii, jj][:, None]
-            for cand in (c, -c):
-                on_i = ((np.sum(cand * a[gi], axis=1) >= cos_len[gi] - CROSS_TOL)
-                        & (np.sum(cand * b[gi], axis=1) >= cos_len[gi] - CROSS_TOL))
-                on_j = ((np.sum(cand * a[jj], axis=1) >= cos_len[jj] - CROSS_TOL)
-                        & (np.sum(cand * b[jj], axis=1) >= cos_len[jj] - CROSS_TOL))
-                if np.any(on_i & on_j):
-                    return True
-        # coplanar pairs: overlap iff some endpoint lies strictly inside the other edge
-        ii2, jj2 = np.nonzero(nn <= 1e-12)
-        gi2 = idx_i[ii2]
-        keep2 = jj2 > gi2 + 1
-        if closed:
-            keep2 &= ~((gi2 == 0) & (jj2 == m - 1))
-        gi2, jj2 = gi2[keep2], jj2[keep2]
-        for i, j in zip(gi2, jj2):
-            for p in (a[j], b[j]):
-                if (p @ a[i] > cos_len[i] + CROSS_TOL
-                        and p @ b[i] > cos_len[i] + CROSS_TOL):
-                    return True
-            for p in (a[i], b[i]):
-                if (p @ a[j] > cos_len[j] + CROSS_TOL
-                        and p @ b[j] > cos_len[j] + CROSS_TOL):
-                    return True
-    return False
+    def on(p, k):
+        return ((np.sum(p * a[k], axis=1) >= cos_len[k] - CROSS_TOL)
+                & (np.sum(p * b[k], axis=1) >= cos_len[k] - CROSS_TOL))
+
+    if np.any(on(c, i) & on(c, j)) or np.any(on(-c, i) & on(-c, j)):
+        return True
+    # coplanar pairs: overlap iff some endpoint lies strictly inside the other edge
+    i, j = gi[~apart], jj[~apart]
+
+    def inside(p, k):
+        return ((np.vecdot(p, a[k]) > cos_len[k] + CROSS_TOL)
+                & (np.vecdot(p, b[k]) > cos_len[k] + CROSS_TOL))
+
+    return bool(np.any(inside(a[j], i) | inside(b[j], i)
+                       | inside(a[i], j) | inside(b[i], j)))
 
 
 def resample(curve: SphereCurve, n: Optional[int] = None,
@@ -314,6 +318,16 @@ def _edge_frames(nodes: np.ndarray, closed: bool):
     return a, b, pole, ta, tb
 
 
+def _edge_distance(to_a, to_b, height, cos_a, cos_b):
+    """Exact distance to a geodesic edge from a point's dot products with the
+    edge's inward tangents at both ends, its pole and its two ends: the height
+    inside the lune the ends' meridians bound, else the nearer end."""
+    h = np.abs(np.arcsin(np.clip(height, -1.0, 1.0)))
+    d_end = np.minimum(np.arccos(np.clip(cos_a, -1.0, 1.0)),
+                       np.arccos(np.clip(cos_b, -1.0, 1.0)))
+    return np.where((to_a >= 0.0) & (to_b >= 0.0), h, d_end)
+
+
 def curve_distance(points: np.ndarray, curve: SphereCurve) -> np.ndarray:
     """Exact geodesic distance from each point to the curve polyline.
 
@@ -326,45 +340,176 @@ def curve_distance(points: np.ndarray, curve: SphereCurve) -> np.ndarray:
     chunk = max(64, int(4.0e6 / max(m, 1)))
     for i0 in range(0, len(points), chunk):
         x = points[i0:i0 + chunk]
-        in_a = (x @ ta.T) >= 0.0
-        in_b = (x @ tb.T) >= 0.0
-        h = np.abs(np.arcsin(np.clip(x @ pole.T, -1.0, 1.0)))
-        d_end = np.minimum(np.arccos(np.clip(x @ a.T, -1.0, 1.0)),
-                           np.arccos(np.clip(x @ b.T, -1.0, 1.0)))
-        d = np.where(in_a & in_b, h, d_end)
+        d = _edge_distance(x @ ta.T, x @ tb.T, x @ pole.T, x @ a.T, x @ b.T)
         out[i0:i0 + chunk] = d.min(axis=1)
     return out
 
 
+def _runs(counts: np.ndarray):
+    """For items laid out in consecutive groups, counts[g] in group g: the group
+    of each item and its place in the group."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return group, np.arange(len(group)) - first[group]
+
+
+def _group_min(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Min of each group of values laid out as _runs says; inf for an empty one."""
+    out = np.full(len(counts), np.inf)
+    full = counts > 0
+    out[full] = np.minimum.reduceat(values, (np.cumsum(counts) - counts)[full])
+    return out
+
+
+def _midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Normalised chord midpoints: the centres of the edges' caps."""
+    s = a + b
+    return s / np.linalg.norm(s, axis=1, keepdims=True)
+
+
+def _starts_inside(lo, hi, other, strict: bool):
+    """Pairs (k, l) with other[l] in [lo[k], hi[k]], or in (lo[k], hi[k]] when
+    strict, grouped by k."""
+    order = np.argsort(other, kind="stable")
+    first = np.searchsorted(other[order], lo, "right" if strict else "left")
+    k, step = _runs(np.searchsorted(other[order], hi, "right") - first)
+    return k, order[first[k] + step]
+
+
+def _cap_pairs(ca, ra, cb, rb):
+    """Pairs (i, j), grouped by ascending i, whose caps B(ca_i, ra_i) and
+    B(cb_j, rb_j) overlap, to BOUND_SLACK.
+
+    A coordinate moves no further than the angle, so overlapping caps have
+    overlapping shadows [c - r, c + r] on the axis where the cb spread most:
+    either the b shadow starts inside the a shadow or the a shadow starts
+    strictly inside the b shadow. The chord between the centres then decides.
+    """
+    axis = int(np.argmax(np.ptp(cb, axis=0)))
+    ra = ra + BOUND_SLACK
+    lo_a, lo_b = ca[:, axis] - ra, cb[:, axis] - rb
+    i1, j1 = _starts_inside(lo_a, ca[:, axis] + ra, lo_b, strict=False)
+    j2, i2 = _starts_inside(lo_b, cb[:, axis] + rb, lo_a, strict=True)
+    i, j = np.concatenate((i1, i2)), np.concatenate((j1, j2))
+    d = ca[i] - cb[j]
+    half = 0.5 * np.minimum(ra[i] + rb[j], np.pi)
+    keep = np.add.reduce(d * d, axis=1) <= 4.0 * np.sin(half) ** 2
+    i, j = i[keep], j[keep]
+    by_i = np.argsort(i, kind="stable")
+    return i[by_i], j[by_i]
+
+
+def _sample_counts(e: np.ndarray, spacing: float) -> np.ndarray:
+    """densify's slerp steps on edges of lengths e."""
+    return np.maximum(1, np.ceil(e / spacing).astype(int))
+
+
+def _edge_samples(a, b, e, edges, counts, end=None):
+    """densify's points on edges[k], counts[k] of them from its start, each with
+    its k; `end`, the k of an arc's last edge, adds the arc's last node there."""
+    k, step = _runs(counts)
+    f = step / counts[k]
+    i = edges[k]
+    ang = e[i]
+    pts = (np.sin((1.0 - f) * ang)[:, None] * a[i]
+           + np.sin(f * ang)[:, None] * b[i]) / np.sin(ang)[:, None]
+    if end is not None:
+        pts = np.concatenate((pts, b[edges[end]][None]))
+        k = np.append(k, end)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True), k
+
+
 def densify(curve: SphereCurve, spacing: float) -> np.ndarray:
-    """Sample points along the polyline at most `spacing` apart (includes nodes)."""
+    """Sample points along the polyline at most `spacing` apart (includes nodes):
+    ceil(h / spacing) slerp steps per edge of length h, and an arc's last node."""
     e = curve.edge_lengths()
     a, b = edge_ends(wrapped(curve.nodes, curve.closed), curve.closed)
-    pieces = []
-    counts = np.maximum(1, np.ceil(e / spacing).astype(int))
-    for i in range(len(e)):
-        f = np.arange(counts[i]) / counts[i]
-        ang = e[i]
-        seg = (np.sin((1.0 - f) * ang)[:, None] * a[i]
-               + np.sin(f * ang)[:, None] * b[i]) / np.sin(ang)
-        pieces.append(seg)
-    if not curve.closed:
-        pieces.append(curve.nodes[-1:])
-    pts = np.concatenate(pieces, axis=0)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    m = len(e)
+    pts, _ = _edge_samples(a, b, e, np.arange(m), _sample_counts(e, spacing),
+                           None if curve.closed else m - 1)
+    return pts
+
+
+def _node_distances(nodes, centre, half, frames) -> np.ndarray:
+    """Distance, by curve_distance's formula, from each node to the polyline with
+    these edge caps (centre, half length) and stacked _edge_frames, measured
+    against nearby edges only.
+
+    A point within r of the polyline has its nearest edge j within r + half_j of
+    centre_j, so the edges whose caps lie that close settle every point they
+    bring within r; r starts at the longest edge and doubles for the rest, and
+    from r = pi on every edge is near.
+    """
+    out = np.empty(len(nodes))
+    todo = np.arange(len(nodes))
+    r = 2.0 * float(half.max())
+    while len(todo):
+        owner, cand = _cap_pairs(nodes[todo], np.full(len(todo), r), centre, half)
+        d = _edge_distance(*np.vecdot(nodes[todo][owner, None], frames[cand]).T)
+        near = _group_min(d, np.bincount(owner, minlength=len(todo)))
+        done = (near <= r) | (r >= np.pi)
+        out[todo[done]] = near[done]
+        todo, r = todo[~done], 2.0 * r
+    return out
+
+
+def _directed_hausdorff(x: SphereCurve, y: SphereCurve, refine: float) -> float:
+    """max over densify(x, refine) of curve_distance(., y), evaluated only on the
+    x-edges that can hold the max and, for each, the y-edges that can be nearest."""
+    ext = wrapped(x.nodes, x.closed)
+    a, b = edge_ends(ext, x.closed)
+    e = wrapped_edges(ext, x.closed)
+    ya, yb, pole, ta, tb = _edge_frames(y.nodes, y.closed)
+    frames = np.stack((ta, tb, pole, ya, yb), axis=1)
+    centre, half = _midpoints(ya, yb), 0.5 * y.edge_lengths()
+    d_node = _node_distances(x.nodes, centre, half, frames)
+    # distance to y is 1-Lipschitz, so no point of edge i is further than ub[i]
+    da, db = edge_ends(wrapped(d_node, x.closed), x.closed)
+    ub = 0.5 * (da + db + e)
+    floor = float(d_node.max())  # densified nodes reach it, to rounding
+    order = np.argsort(-ub, kind="stable")
+    order = order[ub[order] >= floor - BOUND_SLACK]
+    # a point of edge i is within e_i / 2 of its cap centre and within ub[i] of
+    # its nearest point, which is within e_j / 2 of the centre of its edge j
+    owner, cand = _cap_pairs(_midpoints(a[order], b[order]), ub[order] + 0.5 * e[order],
+                             centre, half)
+    ncand = np.bincount(owner, minlength=len(order))
+    first = np.cumsum(ncand) - ncand
+    counts = _sample_counts(e[order], refine)
+    cost = np.concatenate(([0], np.cumsum(counts * ncand)))
+    last = len(order)  # the position of an arc's last edge, which ends in its last node
+    if not x.closed and len(e) - 1 in order:
+        last = int(np.flatnonzero(order == len(e) - 1)[0])
+    best = -np.inf
+    start, budget = 0, _FIRST_BATCH
+    # edges by descending bound, in batches that double in size, until the
+    # next bound cannot beat the running max
+    while start < len(order) and ub[order[start]] >= max(best, floor) - BOUND_SLACK:
+        stop = max(start + 1, int(np.searchsorted(cost, cost[start] + budget, "right")) - 1)
+        tail = last - start if start <= last < stop else None
+        pts, k = _edge_samples(a, b, e, order[start:stop], counts[start:stop], tail)
+        pos = start + k
+        p, step = _runs(ncand[pos])
+        j = cand[first[pos[p]] + step]
+        d = _edge_distance(*np.vecdot(pts[p, None], frames[j]).T)
+        best = max(best, float(_group_min(d, ncand[pos]).max()))
+        start, budget = stop, 2 * budget
+    return best
 
 
 def hausdorff_distance(a: SphereCurve, b: SphereCurve, refine: float = 1e-4) -> float:
     """Symmetric Hausdorff distance between two curves.
 
-    One side is densified to at most `refine` spacing, the other measured exactly
-    per edge, so the result is accurate to refine/2.
+    Each way it is the max, over densify(., refine), of the exact point-to-polyline
+    distance (curve_distance) to the other curve, so the result is accurate to
+    refine/2. Distance to a curve is 1-Lipschitz, so an edge whose endpoint
+    distances and length bound all its points below the running max is skipped,
+    and a point is measured only against edges whose caps can hold its nearest
+    point; neither changes the max.
     """
     if refine <= 0:
         raise DomainError("refine must be positive")
-    d_ab = curve_distance(densify(a, refine), b).max()
-    d_ba = curve_distance(densify(b, refine), a).max()
-    return float(max(d_ab, d_ba))
+    return float(max(_directed_hausdorff(a, b, refine), _directed_hausdorff(b, a, refine)))
 
 
 def node_tangents(curve: SphereCurve) -> np.ndarray:

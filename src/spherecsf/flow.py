@@ -13,7 +13,8 @@ step started from, and a remesh recomputes the edges from the new mesh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,9 @@ from .sphere import GreatCircle, as_point, geodesic_distance
 CFL_FACTOR = 0.25
 # A step may not increase length by more than this before it is retried.
 LENGTH_BACKSTOP = 1e-12
+
+# FlowConfig's count fields; every other field is a real number.
+_COUNT_FIELDS = ("target_nodes", "remesh_every", "max_dt_halvings")
 
 STATUS_EXTINCT = "extinct"
 STATUS_MAX_TIME = "reached_max_time"
@@ -46,6 +50,16 @@ class FlowConfig:
     max_dt_halvings: int = 8
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            count = f.name in _COUNT_FIELDS
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if count else numbers.Real):
+                raise ConfigInvalid(f"{f.name} must be "
+                                    f"{'an integer' if count else 'a real number'}, "
+                                    f"got {value!r}")
         if not (0.0 < self.dt <= 1.0):
             raise ConfigInvalid(f"dt must be in (0, 1], got {self.dt!r}")
         if not (0.0 < self.snapshot_dt <= 1.0):

@@ -70,10 +70,9 @@ class MultiplicityReport:
         }
 
 
-def _edge_height_extrema(h: np.ndarray, cos_edge: np.ndarray, sin_edge: np.ndarray,
-                         closed: bool):
-    """Per-edge (min |height|, max |height|) of the sinusoidal height profile."""
-    ha, hb = edge_ends(wrapped(h, closed), closed)
+def _height_extrema(ha, hb, cos_edge, sin_edge):
+    """(min |height|, max |height|) of the sinusoidal height profile along edges
+    whose ends have heights ha, hb."""
     amp_sq = (ha * ha + hb * hb - 2.0 * ha * hb * cos_edge) / (sin_edge * sin_edge)
     amp = np.sqrt(np.maximum(amp_sq, 0.0))
     crit_inside = (hb - ha * cos_edge) * (hb * cos_edge - ha) < 0.0
@@ -88,7 +87,7 @@ def _multiplicity_from_heights(h, cos_edge, sin_edge, sin_band, sin_touch, close
     in_band = np.abs(h) < sin_band
     if not in_band.any():
         return 0, []
-    emin, emax = _edge_height_extrema(h, cos_edge, sin_edge, closed)
+    emin, emax = _height_extrema(*edge_ends(wrapped(h, closed), closed), cos_edge, sin_edge)
     band_a, band_b = edge_ends(wrapped(in_band, closed), closed)
     link = band_a & band_b & (emax < sin_band)
 
@@ -145,12 +144,57 @@ def multiplicity_at(curve: SphereCurve, g: GreatCircle, r: float) -> Multiplicit
     return MultiplicityReport(pole=g.pole, r=float(r), count=count, components=ranges)
 
 
+def _component_counts(heights, cos_edge, sin_edge, sin_band, sin_touch, closed):
+    """_multiplicity_from_heights' count for every column of heights (one pole
+    each), from the in-band entries alone.
+
+    Within a pole the in-band nodes fall into runs of linked edges, the run
+    through a closed curve's last node going on into the run at node 0. A node
+    touches if |h| <= sin_touch or its outgoing edge is linked with
+    min |h| <= sin_touch; the count is the number of runs holding a touch.
+    """
+    n = len(heights)
+    pole, node = np.nonzero((np.abs(heights) < sin_band).T)  # pole by pole
+    h = heights[node, pole]
+    # an entry's edge goes to the next entry when that is the next node of its pole
+    nxt = np.arange(1, len(node) + 1)
+    adjacent = np.zeros(len(node), dtype=bool)
+    adjacent[:-1] = (node[1:] == node[:-1] + 1) & (pole[1:] == pole[:-1])
+    edge = adjacent.copy()
+    if closed:  # and from node n - 1 to node 0 of its pole
+        end = np.flatnonzero(node == n - 1)
+        first = np.searchsorted(pole, pole[end])
+        wraps = node[first] == 0
+        end, first = end[wraps], first[wraps]
+        nxt[end] = first
+        edge[end] = True
+    q = np.flatnonzero(edge)
+    emin, emax = _height_extrema(h[q], h[nxt[q]], cos_edge[node[q]], sin_edge[node[q]])
+    link = np.zeros(len(node), dtype=bool)
+    link[q] = emax < sin_band
+    touch = np.abs(h) <= sin_touch
+    touch[q] |= link[q] & (emin <= sin_touch)
+    start = np.ones(len(node), dtype=bool)
+    start[1:] = ~(link & adjacent)[:-1]
+    run = np.cumsum(start) - 1
+    if closed:  # a linked seam makes the run through node n - 1 the run at node 0
+        seam = np.arange(np.count_nonzero(start))
+        seam[run[end[link[end]]]] = run[first[link[end]]]
+        run = seam[run]
+    held = np.zeros(np.count_nonzero(start), dtype=bool)
+    held[run[touch]] = True
+    return np.bincount(pole[start][held], minlength=heights.shape[1])
+
+
 def multiplicity_sup(curve: SphereCurve, r: float,
                      pole_samples: int = 2000) -> MultiplicityReport:
     """Estimated sup over great circles of the r-multiplicity (a lower bound).
 
     Fibonacci lattice over poles plus one refinement pass around the best pole;
-    ties resolve to the lexicographically smallest pole.
+    ties resolve to the lexicographically smallest pole. Each pole's count is
+    exactly the one multiplicity_at's component rule gives on the same heights,
+    counted for all poles at once from their in-band entries; the winner's
+    components come from that rule itself.
     """
     if pole_samples < 100:
         raise DomainError(f"pole_samples must be >= 100, got {pole_samples!r}")
@@ -160,18 +204,15 @@ def multiplicity_sup(curve: SphereCurve, r: float,
     sin_band = np.sin(2.0 * r)
     sin_touch = np.sin(min(r + TOUCH_TOL, np.pi / 2))
     closed = curve.closed
-    nodes = curve.nodes
 
     def evaluate(poles):
-        best = None
-        heights = nodes @ poles.T
-        for k in range(len(poles)):
-            count, ranges = _multiplicity_from_heights(
-                heights[:, k], cos_edge, sin_edge, sin_band, sin_touch, closed)
-            key = (-count, tuple(poles[k]))
-            if best is None or key < best[0]:
-                best = (key, count, poles[k], ranges)
-        return best
+        heights = curve.nodes @ poles.T
+        counts = _component_counts(heights, cos_edge, sin_edge, sin_band, sin_touch,
+                                   closed)
+        k = np.lexsort((poles[:, 2], poles[:, 1], poles[:, 0], -counts))[0]
+        count, ranges = _multiplicity_from_heights(
+            heights[:, k], cos_edge, sin_edge, sin_band, sin_touch, closed)
+        return (-count, tuple(poles[k])), count, poles[k], ranges
 
     coarse = evaluate(fibonacci_sphere(pole_samples))
     spacing = np.sqrt(4.0 * np.pi / pole_samples)

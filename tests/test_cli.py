@@ -106,6 +106,12 @@ def test_simulate_arc_requires_horizon(tmp_path, capsys):
     ({"curve": {"kind": "Circle", "radius": 1.0, "wibble": 1}}, "wibble"),
     ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"max_time": float("nan")}},
      "flow.max_time"),
+    ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"max_time": "x"}},
+     "flow.max_time"),
+    ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"target_nodes": float("nan")}},
+     "flow.target_nodes"),
+    ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"remesh_every": float("nan")}},
+     "flow.remesh_every"),
 ])
 def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
     rc, _ = run_cli(tmp_path, "simulate", cfg)

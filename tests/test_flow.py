@@ -93,6 +93,12 @@ def test_chord_kernel_matches_reference(nodes, closed):
     (dict(max_time=np.inf), "max_time"),
     (dict(extinction_length=np.nan), "extinction_length"),
     (dict(remesh_uniformity=np.nan), "remesh_uniformity"),
+    (dict(max_time="x"), "max_time"),
+    (dict(dt=True), "dt"),
+    (dict(target_nodes=np.nan), "target_nodes"),
+    (dict(target_nodes=64.0), "target_nodes"),
+    (dict(remesh_every=np.nan), "remesh_every"),
+    (dict(max_dt_halvings=None), "max_dt_halvings"),
 ])
 def test_config_validation_names_field(kwargs, field):
     with pytest.raises(ConfigInvalid) as exc:
