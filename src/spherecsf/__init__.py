@@ -16,7 +16,7 @@ from .errors import (AntipodalEndpoints, BlowUp, ConfigInvalid, DomainError,
 from .sphere import (Band, GreatCircle, Latitude, Rotation, Wedge, antipode,
                      cap_area, fold_angle, geodesic_distance,
                      latitude_through, orthonormal_frame, reflect_across,
-                     rotate, signed_band_coordinate, slerp, unit)
+                     signed_band_coordinate, slerp, unit)
 from .curves import (ClosedSphereCurve, CurveDiagnostics, SphereArc,
                      SphereCurve, c1_deviation, curvature_vectors,
                      curve_distance, densify, diagnostics, hausdorff_distance,
@@ -52,7 +52,7 @@ __all__ = [
     "GreatCircle", "Latitude", "Rotation", "Band", "Wedge", "unit",
     "geodesic_distance", "fold_angle", "orthonormal_frame", "slerp",
     "antipode", "latitude_through", "signed_band_coordinate", "cap_area",
-    "rotate", "reflect_across",
+    "reflect_across",
     # curves
     "ClosedSphereCurve", "SphereArc", "SphereCurve", "CurveDiagnostics",
     "turning_angles", "curvature_vectors", "diagnostics", "self_intersects",

@@ -26,7 +26,7 @@ from .jordan import (circle_curve, dirichlet_gamma, fibonacci_sphere,
 from .levelset import (VERDICT_EXTINCT, VERDICT_HEMISPHERE,
                        VERDICT_MEASURE_ZERO, VERDICT_WHOLE_SPHERE,
                        annulus_area_law, classify_long_term,
-                       extinct_off_area, make_annulus, sandwich_flow)
+                       evolve_annulus, make_annulus, sandwich_flow)
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -179,26 +179,6 @@ def check_length_derivative() -> CheckResult:
                    max_relative_residual=worst)
 
 
-def _extinction(traj):
-    return traj.final().t if traj.terminal_status == STATUS_EXTINCT else None
-
-
-def _off_areas(traj, times):
-    """One boundary's enclosed (off-annulus) area at each of `times`, held at
-    its extinct value past its death; NaN where it has no snapshot."""
-    dead_at = _extinction(traj)
-    snap_t = traj.times
-    out = np.full(len(times), np.nan)
-    for i, t in enumerate(times):
-        if dead_at is not None and t > dead_at:
-            out[i] = extinct_off_area(traj.final().enclosed_area)
-            continue
-        j = int(np.argmin(np.abs(snap_t - t)))
-        if abs(snap_t[j] - t) <= 1e-9:
-            out[i] = traj.snapshots[j].enclosed_area
-    return out
-
-
 def check_area_ode() -> CheckResult:
     # the inner cap dies at ln sec 0.6 < 0.3; from then on the region is a
     # cap whose area follows mu' = mu - 2*pi, no longer mu' = mu
@@ -207,13 +187,8 @@ def check_area_ode() -> CheckResult:
     mu0 = state.area
     cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=horizon,
                      remesh_every=10 ** 9)
-    ta = evolve_closed(state.alpha, cfg)
-    tb = evolve_closed(state.beta, cfg)
-    times = max(ta, tb, key=lambda traj: traj.final().t).times
-    areas = 4.0 * np.pi - _off_areas(ta, times) - _off_areas(tb, times)
-    paired = ~np.isnan(areas)
-    times, areas = times[paired], areas[paired]
-    t_inner, t_outer = _extinction(ta), _extinction(tb)
+    times, off, (t_inner, t_outer), _ = evolve_annulus(state, cfg)
+    areas = 4.0 * np.pi - off[0] - off[1]
     model = annulus_area_law(mu0, times,
                              [t for t in (t_inner, t_outer) if t is not None])
     residual = float(np.abs(areas / model - 1.0).max())

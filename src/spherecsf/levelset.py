@@ -16,11 +16,11 @@ import numpy as np
 
 from .errors import (DomainError, ExtinctionBeforeEnd, NotEmbedded,
                      OffsetCollision)
-from .curves import (ClosedSphereCurve, curve_distance, densify,
+from .curves import (ClosedSphereCurve, curve_distance, densify, edge_ends,
                      hausdorff_distance, integrals, node_tangents, resample,
-                     self_intersects)
-from .flow import (STATUS_EXTINCT, FlowConfig, FlowTrajectory, evolve_closed)
-from .sphere import as_point, orthonormal_frame, slerp
+                     self_intersects, wrapped)
+from .flow import STATUS_EXTINCT, FlowConfig, evolve_closed
+from .sphere import as_point, geodesic_distance, orthonormal_frame, slerp
 
 AREA_FLOOR = 1e-2          # a sandwich area below this is treated as degenerate
 AREA_STABLE_FRACTION = 0.25
@@ -54,18 +54,19 @@ def point_in_left(curve: ClosedSphereCurve, p) -> bool:
                           "curve; move the probe slightly")
     e1, e2 = orthonormal_frame(p)
     golden = np.pi * (3.0 - np.sqrt(5.0))
-    nxt = np.roll(nodes, -1, axis=0)
+    starts, ends = edge_ends(wrapped(nodes, True), True)
     for k in range(24):
         m = np.cos(k * golden) * e1 + np.sin(k * golden) * e2
         h = nodes @ m
         if np.any(np.abs(h) < 1e-12):
             continue
-        hit = (h > 0) != (np.roll(h, -1) > 0)
+        h_start, h_end = edge_ends(wrapped(h, True), True)
+        hit = (h_start > 0) != (h_end > 0)
         if not np.any(hit):
             continue
-        a, b = nodes[hit], nxt[hit]
-        ha, hb = h[hit], np.roll(h, -1)[hit]
-        ell = np.arccos(np.clip(np.sum(a * b, axis=1), -1.0, 1.0))
+        a, b = starts[hit], ends[hit]
+        ha, hb = h_start[hit], h_end[hit]
+        ell = geodesic_distance(a, b)
         g = np.mod(np.arctan2(ha * np.sin(ell), ha * np.cos(ell) - hb), np.pi)
         y = (np.sin(ell - g)[:, None] * a + np.sin(g)[:, None] * b)
         y /= np.linalg.norm(y, axis=1, keepdims=True)
@@ -157,7 +158,8 @@ def offset_curve(curve: ClosedSphereCurve, eps: float, side: int) -> ClosedSpher
     for _ in range(SMOOTHING_MAX_PASSES):
         if not self_intersects(q, closed=True):
             break
-        q = q + 0.25 * (np.roll(q, -1, axis=0) + np.roll(q, 1, axis=0) - 2.0 * q)
+        ext = wrapped(q, True)
+        q = q + 0.25 * (ext[2:] + ext[:-2] - 2.0 * q)
         q /= np.linalg.norm(q, axis=1, keepdims=True)
     else:
         raise OffsetCollision(f"offset {eps!r} on side {side} cannot be embedded")
@@ -292,13 +294,32 @@ class AreaOdeReport:
     residual: float
 
 
-def _paired_snapshots(ta: FlowTrajectory, tb: FlowTrajectory):
-    k = min(len(ta.snapshots), len(tb.snapshots))
-    for i in range(k):
-        sa, sb = ta.snapshots[i], tb.snapshots[i]
-        if abs(sa.t - sb.t) > 1e-9:
-            break
-        yield sa, sb
+def evolve_annulus(state: AnnulusState, cfg: FlowConfig):
+    """Evolve both boundaries of `state` under `cfg`, paired in time.
+
+    Returns (times, off_areas, extinctions, finals): the longer-lived
+    boundary's snapshot times (alpha's on a tie within 1e-9), less any at
+    which a live boundary has no snapshot within 1e-9; each boundary's
+    off-annulus (left) area there, shape (2, len(times)), held at
+    `extinct_off_area` strictly after its death; each boundary's extinction
+    time or None; and each boundary's final snapshot.
+    """
+    ta, tb = evolve_closed(state.alpha, cfg), evolve_closed(state.beta, cfg)
+    finals = [ta.final(), tb.final()]
+    extinctions = [s.t if traj.terminal_status == STATUS_EXTINCT else None
+                   for traj, s in zip((ta, tb), finals)]
+    times = (tb if finals[1].t > finals[0].t + 1e-9 else ta).times
+    off = np.full((2, len(times)), np.nan)
+    for row, traj, dead_at, final in zip(off, (ta, tb), extinctions, finals):
+        snap_t = traj.times
+        for i, t in enumerate(times):
+            j = int(np.argmin(np.abs(snap_t - t)))
+            if abs(snap_t[j] - t) <= 1e-9:
+                row[i] = traj.snapshots[j].enclosed_area
+        if dead_at is not None:
+            row[times > dead_at] = extinct_off_area(final.enclosed_area)
+    paired = ~np.isnan(off).any(axis=0)
+    return times[paired], off[:, paired], extinctions, finals
 
 
 def area_ode_check(state: AnnulusState, t_end: float,
@@ -314,20 +335,16 @@ def area_ode_check(state: AnnulusState, t_end: float,
         times = np.array([0.0, t_end])
         zero = np.zeros_like(times)
         return AreaOdeReport(times=times, areas=zero, model=zero, residual=0.0)
-    cfg = cfg or _default_cfg(t_end)
-    ta = evolve_closed(state.alpha, cfg)
-    tb = evolve_closed(state.beta, cfg)
-    for traj, name in ((ta, "alpha"), (tb, "beta")):
-        if traj.terminal_status == STATUS_EXTINCT and traj.final().t < t_end - 1e-9:
+    times, off, extinctions, _ = evolve_annulus(state, cfg or _default_cfg(t_end))
+    for t_ext, name in zip(extinctions, ("alpha", "beta")):
+        if t_ext is not None and t_ext < t_end - 1e-9:
             raise ExtinctionBeforeEnd(
-                f"annulus boundary {name} went extinct at t = {traj.final().t:.6f} "
+                f"annulus boundary {name} went extinct at t = {t_ext:.6f} "
                 f"< {t_end}")
-    times, areas = [], []
-    for sa, sb in _paired_snapshots(ta, tb):
-        times.append(sa.t)
-        areas.append(4.0 * np.pi - sa.enclosed_area - sb.enclosed_area)
-    times = np.array(times)
-    areas = np.array(areas)
+    # a cfg horizon past t_end may see a death; the annulus law ends there
+    live = times <= min((t for t in extinctions if t is not None), default=np.inf)
+    times, off = times[live], off[:, live]
+    areas = 4.0 * np.pi - off[0] - off[1]
     model = state.area * np.exp(times)
     residual = float(np.abs(areas / model - 1.0).max())
     return AreaOdeReport(times=times, areas=areas, model=model, residual=residual)
@@ -400,21 +417,11 @@ def classify_long_term(state: AnnulusState, max_time: float,
     else:
         expected = VERDICT_WHOLE_SPHERE
 
-    contributions = []
-    ext_times = []
-    finals = []
-    for curve in (state.alpha, state.beta):
-        traj = evolve_closed(curve, cfg)
-        snap = traj.final()
-        finals.append(snap)
-        if traj.terminal_status == STATUS_EXTINCT:
-            ext_times.append(snap.t)
-            contributions.append(extinct_off_area(snap.enclosed_area))
-        else:
-            contributions.append(snap.enclosed_area)
-
-    final_area = 4.0 * np.pi - contributions[0] - contributions[1]
-    both_dead = len(ext_times) == 2
+    _, _, extinctions, finals = evolve_annulus(state, cfg)
+    c0, c1 = (s.enclosed_area if t_ext is None else extinct_off_area(s.enclosed_area)
+              for s, t_ext in zip(finals, extinctions))
+    final_area = 4.0 * np.pi - c0 - c1
+    both_dead = None not in extinctions
 
     if both_dead and final_area <= area_tol:
         verdict = VERDICT_EXTINCT
@@ -430,6 +437,6 @@ def classify_long_term(state: AnnulusState, max_time: float,
         complement_area_max=big_a,
         expected_verdict=expected,
         consistent=verdict == expected,
-        extinction_time=max(ext_times) if both_dead else None,
+        extinction_time=max(extinctions) if both_dead else None,
         final_area=float(final_area),
     )

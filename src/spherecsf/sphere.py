@@ -225,10 +225,6 @@ class Rotation:
         return Rotation(self.axis, -self.angle)
 
 
-def rotate(rot: Rotation, p):
-    return rot.apply(p)
-
-
 def reflect_across(g: GreatCircle, p):
     """Mirror image across the plane of g."""
     p = np.asarray(p, dtype=float)
@@ -276,29 +272,27 @@ class Wedge:
         """The rotated circle R_psi(circle)."""
         return GreatCircle(Rotation(self.vertex, psi).apply(self.circle.pole))
 
+    def _fold(self, p):
+        # leaf angle folded into (-pi/2, pi/2], and the mask of points on the
+        # wedge axis (the vertex and its antipode), where every leaf meets
+        m = self.circle.pole
+        u = p @ m
+        w = p @ np.cross(self.vertex, m)
+        psi = np.arctan2(-u, w)
+        psi = np.where(psi > np.pi / 2.0, psi - np.pi, psi)
+        psi = np.where(psi <= -np.pi / 2.0, psi + np.pi, psi)
+        return psi, np.hypot(u, w) < 1e-12
+
     def leaf_angle(self, p):
         """Rotation angle psi in (-pi/2, pi/2] whose leaf contains p.
 
         The vertex and its antipode lie on every leaf; PoleDegenerate there.
         """
-        p = np.asarray(p, dtype=float)
-        m = self.circle.pole
-        u = p @ m
-        w = p @ np.cross(self.vertex, m)
-        if np.any(np.hypot(u, w) < 1e-12):
+        psi, on_axis = self._fold(np.asarray(p, dtype=float))
+        if np.any(on_axis):
             raise PoleDegenerate("every leaf passes through the wedge axis")
-        psi = np.arctan2(-u, w)
-        psi = np.where(psi > np.pi / 2.0, psi - np.pi, psi)
-        psi = np.where(psi <= -np.pi / 2.0, psi + np.pi, psi)
         return psi if psi.ndim else float(psi)
 
     def contains(self, p, slack=0.0):
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        m = self.circle.pole
-        u = p @ m
-        w = p @ np.cross(self.vertex, m)
-        on_axis = np.hypot(u, w) < 1e-12
-        psi = np.arctan2(-u, w)
-        psi = np.where(psi > np.pi / 2.0, psi - np.pi, psi)
-        psi = np.where(psi <= -np.pi / 2.0, psi + np.pi, psi)
+        psi, on_axis = self._fold(np.atleast_2d(np.asarray(p, dtype=float)))
         return bool(np.all(on_axis | (np.abs(psi) <= self.halfangle + slack)))

@@ -69,6 +69,21 @@ def test_simulate_outputs_are_byte_deterministic(tmp_path):
         assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), rel
 
 
+@pytest.mark.parametrize("cfg,files", [
+    ({"mode": "area", "annulus": BAND_ANNULUS, "t": 0.15},
+     ("report.json", "tables/areas.csv")),
+    ({"mode": "classify", "max_time": 0.2, "annulus": {
+        "alpha": {"kind": "Circle", "radius": 0.3, "n": 128},
+        "beta": {"kind": "Circle", "radius": 0.5, "n": 128}}},
+     ("report.json",)),
+], ids=["area", "classify"])
+def test_levelset_outputs_are_byte_deterministic(tmp_path, cfg, files):
+    _, d1 = run_cli(tmp_path, "levelset", cfg, out="a")
+    _, d2 = run_cli(tmp_path, "levelset", cfg, out="b")
+    for rel in files:
+        assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), rel
+
+
 def test_simulate_csv_format_drops_jsonl(tmp_path):
     rc, d = run_cli(tmp_path, "simulate", SIM_CFG, extra=("--format", "csv"))
     assert rc == 0

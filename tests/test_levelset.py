@@ -8,6 +8,7 @@ from spherecsf import (
     ClosedSphereCurve,
     DomainError,
     ExtinctionBeforeEnd,
+    FlowConfig,
     NotEmbedded,
     OffsetCollision,
     annulus_area_law,
@@ -24,6 +25,7 @@ from spherecsf import (
     point_in_left,
     sandwich_flow,
 )
+from spherecsf.levelset import evolve_annulus
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -219,6 +221,16 @@ def test_area_ode_extinction_before_horizon():
         area_ode_check(st, 0.5)
 
 
+def test_area_ode_stops_at_a_death_past_the_horizon():
+    # the config runs on past t_end = 0.03; the inner cap dies at 0.0457 and
+    # the annulus law is compared only while both boundaries live
+    st = make_annulus(circle_curve(0.3, n=64), circle_curve(0.5, n=64))
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=0.1)
+    rep = area_ode_check(st, 0.03, cfg)
+    assert rep.times[-1] == pytest.approx(0.04)
+    assert rep.residual < 1e-3
+
+
 def test_area_ode_degenerate_is_identically_zero():
     rep = area_ode_check(degenerate_annulus(), 0.4)
     assert rep.residual == 0.0
@@ -248,6 +260,24 @@ def test_annulus_area_law_across_inner_extinction(a, b, old_miss):
     miss = abs(want[-1] / (mu0 * np.exp(0.3)) - 1.0)
     assert miss == pytest.approx(old_miss, abs=0.01)
     assert miss > 2e-2
+
+
+def test_evolve_annulus_holds_the_dead_cap_to_the_horizon():
+    # the inner cap (latitude 0.3) dies at ln sec 0.3 = 0.0457, well inside
+    # the horizon; the outer boundary (latitude 0.8) lives on
+    horizon = 0.08
+    state = make_annulus(circle_curve(0.3, n=64), circle_curve(0.8, n=64))
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=horizon)
+    times, off, (t_inner, t_outer), finals = evolve_annulus(state, cfg)
+    assert t_inner == pytest.approx(-np.log(np.cos(0.3)), rel=1e-2)
+    assert t_outer is None
+    assert t_inner == finals[0].t and finals[1].t >= horizon - 1e-9
+    dead = times > t_inner
+    assert dead.sum() >= 3 and np.all(off[0][dead] == 0.0)
+    assert times[0] == 0.0 and times[-1] >= horizon - 1e-9
+    areas = 4.0 * np.pi - off[0] - off[1]
+    model = annulus_area_law(state.area, times, [t_inner])
+    assert np.abs(areas / model - 1.0).max() <= 2e-2
 
 
 def test_classify_straddling_band_is_honest_about_short_horizons():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from spherecsf import (Band, GreatCircle, Rotation, Wedge, antipode, cap_area,
                        fold_angle, geodesic_distance, latitude_through,
-                       orthonormal_frame, reflect_across, rotate,
+                       orthonormal_frame, reflect_across,
                        signed_band_coordinate, slerp, unit)
 from spherecsf.errors import DomainError, PoleDegenerate
 
@@ -139,11 +139,6 @@ def test_rotation_preserves_angles(a, v, ang):
     q = rot.apply(p)
     assert abs(np.linalg.norm(q) - 1.0) < 1e-10
     assert abs(q @ axis - p @ axis) < 1e-10
-
-
-def test_rotate_helper_matches_rotation():
-    rot = Rotation(Z, 0.9)
-    assert np.allclose(rotate(rot, X), rot.apply(X), atol=EXACT_TOL)
 
 
 def test_reflect_is_involution():
