@@ -213,17 +213,23 @@ def check_area_ode() -> CheckResult:
                    outer_extinction=t_outer, samples=int(len(times)))
 
 
-def check_multiplicity_monotone() -> CheckResult:
-    r = 0.1
+def _monotone_increases(counter):
+    """(increases, transitions) of counter(curve, great circle) between
+    consecutive snapshots, over every monotone trajectory and pole."""
     violations = 0
     checked = 0
     for traj in _monotone_trajectories():
         for pole in _monotone_poles():
             g = GreatCircle(pole)
-            counts = [multiplicity_at(s.curve, g, r).count for s in traj.snapshots]
-            diffs = np.diff(counts)
+            diffs = np.diff([counter(s.curve, g) for s in traj.snapshots])
             violations += int(np.sum(diffs > 0))
             checked += len(diffs)
+    return violations, checked
+
+
+def check_multiplicity_monotone() -> CheckResult:
+    violations, checked = _monotone_increases(
+        lambda curve, g: multiplicity_at(curve, g, 0.1).count)
     return _result("multiplicity-monotone", violations == 0,
                    f"{violations} increases of the band multiplicity across "
                    f"{checked} sampled transitions (needs 0)",
@@ -231,15 +237,7 @@ def check_multiplicity_monotone() -> CheckResult:
 
 
 def check_intersection_monotone() -> CheckResult:
-    violations = 0
-    checked = 0
-    for traj in _monotone_trajectories():
-        for pole in _monotone_poles():
-            g = GreatCircle(pole)
-            counts = [intersection_count(s.curve, g) for s in traj.snapshots]
-            diffs = np.diff(counts)
-            violations += int(np.sum(diffs > 0))
-            checked += len(diffs)
+    violations, checked = _monotone_increases(intersection_count)
     return _result("intersection-monotone", violations == 0,
                    f"{violations} increases of the great-circle crossing "
                    f"count across {checked} sampled transitions (needs 0)",

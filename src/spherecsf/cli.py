@@ -5,6 +5,10 @@ manifest.json, report.json, tables/*.csv and (for flow runs) trajectory.jsonl,
 and prints a one-line summary. Exit codes: 0 success, 1 runtime or science
 failure, 2 invalid config (the message names the offending field).
 
+`main` is the one run skeleton: it loads the config, names the run, hands the
+subcommand its `RunDir`, and writes manifest.json once the subcommand returns.
+A run that raises leaves no directory behind.
+
 Data files are byte-deterministic for a fixed config; only manifest.json
 (wall time) may differ between runs.
 """
@@ -20,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import (ConfigInvalid, DomainError, ParamDomain, SphereCSFError,
                      TooFewNodes)
 from .sphere import GreatCircle
@@ -32,6 +37,7 @@ from .levelset import (AnnulusState, area_ode_check, classify_long_term,
                        make_annulus, sandwich_flow)
 
 _MISSING = object()
+_TRAJECTORY_FIELDS = ["t", "length", "total_curvature", "bending", "area"]
 
 
 def _json_default(obj):
@@ -53,29 +59,34 @@ def _fmt_cell(value) -> str:
 
 
 class RunDir:
-    """Output folder <out>/<name> with the standard file layout."""
+    """Output folder <out>/<name> with the standard file layout, made (with
+    its tables/ subfolder) on the first write."""
 
     def __init__(self, out: str, name: str):
+        self.name = name
         self.path = Path(out) / name
+
+    def file(self, rel: str) -> Path:
         (self.path / "tables").mkdir(parents=True, exist_ok=True)
+        return self.path / rel
 
     def write_json(self, rel: str, obj) -> None:
         text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
-        (self.path / rel).write_text(text + "\n")
+        self.file(rel).write_text(text + "\n")
 
     def write_jsonl(self, rel: str, rows) -> None:
-        with open(self.path / rel, "w") as fh:
+        with open(self.file(rel), "w") as fh:
             for row in rows:
                 fh.write(json.dumps(row, default=_json_default) + "\n")
 
     def write_csv(self, rel: str, header, rows) -> None:
-        with open(self.path / rel, "w") as fh:
+        with open(self.file(rel), "w") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
 
 
-def _load_config(args, required: bool = True) -> dict:
+def _load_config(args, required: bool) -> dict:
     if args.config is None:
         if required:
             raise ConfigInvalid("config: this command requires --config")
@@ -92,12 +103,26 @@ def _load_config(args, required: bool = True) -> dict:
     return cfg
 
 
-def _get(cfg: dict, name: str, default=_MISSING):
-    if name in cfg:
-        return cfg[name]
-    if default is _MISSING:
-        raise ConfigInvalid(f"{name}: required field is missing")
-    return default
+def _get(cfg: dict, name: str, default=_MISSING, kind=None):
+    """Field `name` of `cfg` converted by `kind` (e.g. float, int), or
+    `default` as given when the field is absent. A null stands for an absent
+    field whose default is None. A missing required field, or a value `kind`
+    cannot convert, raises ConfigInvalid naming the field."""
+    if name not in cfg:
+        if default is _MISSING:
+            raise ConfigInvalid(f"{name}: required field is missing")
+        return default
+    value = cfg[name]
+    if kind is None or (value is None and default is None):
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"{name}: cannot read {value!r} ({exc})")
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
 def _run_name(cfg: dict, fallback: str) -> str:
@@ -107,14 +132,10 @@ def _run_name(cfg: dict, fallback: str) -> str:
     return name
 
 
-def _pole(cfg: dict, field: str = "pole", default=(0.0, 0.0, 1.0)):
-    raw = cfg.get(field, list(default))
-    try:
-        p = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigInvalid(f"{field}: must be a 3-vector, got {raw!r}")
+def _pole(cfg: dict) -> np.ndarray:
+    p = _get(cfg, "pole", np.array([0.0, 0.0, 1.0]), _floats)
     if p.shape != (3,):
-        raise ConfigInvalid(f"{field}: must be a 3-vector, got {raw!r}")
+        raise ConfigInvalid(f"pole: must be a 3-vector, got {cfg['pole']!r}")
     return p
 
 
@@ -163,60 +184,39 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _write_manifest(run: RunDir, args, command: str, name: str, cfg: dict,
-                    started: float) -> None:
-    manifest = {
-        "command": command,
-        "name": name,
+def _write_manifest(run: RunDir, args, cfg: dict, wall_time_s: float) -> None:
+    run.write_json("manifest.json", {
+        "command": args.command,
+        "name": run.name,
         "seed": args.seed,
         "format": args.format,
         "config": cfg,
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "spherecsf": _version(),
+            "spherecsf": __version__,
         },
-        "wall_time_s": round(time.monotonic() - started, 3),
-    }
-    run.write_json("manifest.json", manifest)
-
-
-def _version() -> str:
-    from . import __version__
-    return __version__
-
-
-def _trajectory_rows(traj, include_nodes: bool):
-    for s in traj.snapshots:
-        row = {
-            "t": s.t,
-            "length": s.length,
-            "total_curvature": s.total_curvature,
-            "bending": s.bending,
-            "area": s.enclosed_area,
-        }
-        if include_nodes:
-            row["nodes"] = s.curve.nodes.tolist()
-        yield row
+        "wall_time_s": wall_time_s,
+    })
 
 
 def _write_trajectory(run: RunDir, args, traj, include_nodes: bool) -> None:
+    rows = [(s.t, s.length, s.total_curvature, s.bending, s.enclosed_area)
+            for s in traj.snapshots]
     if args.format == "jsonl":
-        run.write_jsonl("trajectory.jsonl", _trajectory_rows(traj, include_nodes))
-    run.write_csv("tables/trajectory.csv",
-                  ["t", "length", "total_curvature", "bending", "area"],
-                  ((s.t, s.length, s.total_curvature, s.bending,
-                    s.enclosed_area) for s in traj.snapshots))
+        run.write_jsonl("trajectory.jsonl", (
+            dict(zip(_TRAJECTORY_FIELDS, row),
+                 **({"nodes": s.curve.nodes.tolist()} if include_nodes else {}))
+            for row, s in zip(rows, traj.snapshots)))
+    run.write_csv("tables/trajectory.csv", _TRAJECTORY_FIELDS, rows)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, cfg, run), writes its report and tables into
+# run and returns its exit code
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    cfg = _load_config(args)
-    name = _run_name(cfg, "simulate")
+def cmd_simulate(args, cfg: dict, run: RunDir) -> int:
     curve = _build_curve(_get(cfg, "curve"), "curve", args.seed)
     fcfg = _flow_config(cfg)
     if isinstance(curve, SphereArc):
@@ -225,11 +225,10 @@ def cmd_simulate(args) -> int:
         traj = evolve_arc(curve, fcfg)
     else:
         traj = evolve_closed(curve, fcfg)
-    run = RunDir(args.out, name)
-    include_nodes = bool(args.nodes or cfg.get("record_nodes", False))
+    include_nodes = args.nodes or _get(cfg, "record_nodes", False, bool)
     _write_trajectory(run, args, traj, include_nodes)
     final = traj.final()
-    save_curve(run.path / "tables" / "final_curve.csv", final.curve)
+    save_curve(run.file("tables/final_curve.csv"), final.curve)
     run.write_json("report.json", {
         "terminal_status": traj.terminal_status,
         "snapshots": len(traj.snapshots),
@@ -240,67 +239,53 @@ def cmd_simulate(args) -> int:
         "final_area": final.enclosed_area,
         "final_nodes": final.curve.n,
     })
-    _write_manifest(run, args, "simulate", name, cfg, started)
-    _say(args, f"{name}: {traj.terminal_status} at t={final.t:.6f}, "
+    _say(args, f"{run.name}: {traj.terminal_status} at t={final.t:.6f}, "
                f"length={final.length:.6f}")
     return 0
 
 
-def cmd_multiplicity(args) -> int:
-    started = time.monotonic()
-    cfg = _load_config(args)
-    name = _run_name(cfg, "multiplicity")
+def cmd_multiplicity(args, cfg: dict, run: RunDir) -> int:
     curve = _build_curve(_get(cfg, "curve"), "curve", args.seed)
-    r = float(_get(cfg, "r"))
+    r = _get(cfg, "r", kind=float)
     if "pole" in cfg:
         report = multiplicity_at(curve, GreatCircle(_pole(cfg)), r)
     else:
-        report = multiplicity_sup(curve, r,
-                                  pole_samples=int(cfg.get("pole_samples", 2000)))
-    run = RunDir(args.out, name)
+        report = multiplicity_sup(
+            curve, r, pole_samples=_get(cfg, "pole_samples", 2000, int))
     run.write_json("report.json", report.to_json())
     run.write_csv("tables/components.csv", ["start", "end"], report.components)
-    _write_manifest(run, args, "multiplicity", name, cfg, started)
-    _say(args, f"{name}: multiplicity {report.count} at pole "
+    _say(args, f"{run.name}: multiplicity {report.count} at pole "
                f"[{report.pole[0]:.6f}, {report.pole[1]:.6f}, {report.pole[2]:.6f}]")
     return 0
 
 
-def cmd_spacing(args) -> int:
-    started = time.monotonic()
-    cfg = _load_config(args)
-    name = _run_name(cfg, "spacing")
+def cmd_spacing(args, cfg: dict, run: RunDir) -> int:
     curve = _build_curve(_get(cfg, "curve"), "curve", args.seed)
-    theta = float(_get(cfg, "theta"))
-    x_samples = int(cfg.get("x_samples", 1000))
-    run = RunDir(args.out, name)
+    theta = _get(cfg, "theta", kind=float)
+    x_samples = _get(cfg, "x_samples", 1000, int)
     if "points" in cfg:
-        spacing = Spacing(points=np.asarray(cfg["points"], dtype=float),
-                          clearance=float(_get(cfg, "C")), theta=theta)
+        spacing = Spacing(points=_get(cfg, "points", kind=_floats),
+                          clearance=_get(cfg, "C", kind=float), theta=theta)
         check = verify_spacing(curve, spacing, x_samples=x_samples)
-        run.write_json("report.json", {"mode": "verify", "ok": check.ok,
-                                       "reason": check.reason,
-                                       **spacing.to_json()})
-        run.write_csv("tables/points.csv", ["x", "y", "z"], spacing.points)
-        _write_manifest(run, args, "spacing", name, cfg, started)
-        _say(args, f"{name}: verification {'passed' if check.ok else 'failed'}"
+        report = {"mode": "verify", "ok": check.ok, "reason": check.reason}
+        summary = (f"verification {'passed' if check.ok else 'failed'}"
                    + (f" ({check.reason})" if check.reason else ""))
-        return 0 if check.ok else 1
-    spacing = construct_spacing(curve, theta,
-                                margin=float(cfg.get("margin", 0.22)),
-                                x_samples=x_samples)
-    run.write_json("report.json", {"mode": "construct", **spacing.to_json()})
+        rc = 0 if check.ok else 1
+    else:
+        spacing = construct_spacing(curve, theta,
+                                    margin=_get(cfg, "margin", 0.22, float),
+                                    x_samples=x_samples)
+        report = {"mode": "construct"}
+        summary = (f"found {len(spacing.points)} points with clearance "
+                   f"{spacing.clearance:.6f}")
+        rc = 0
+    run.write_json("report.json", {**report, **spacing.to_json()})
     run.write_csv("tables/points.csv", ["x", "y", "z"], spacing.points)
-    _write_manifest(run, args, "spacing", name, cfg, started)
-    _say(args, f"{name}: found {len(spacing.points)} points with clearance "
-               f"{spacing.clearance:.6f}")
-    return 0
+    _say(args, f"{run.name}: {summary}")
+    return rc
 
 
-def cmd_straighten(args) -> int:
-    started = time.monotonic()
-    cfg = _load_config(args)
-    name = _run_name(cfg, "straighten")
+def cmd_straighten(args, cfg: dict, run: RunDir) -> int:
     curve = _build_curve(_get(cfg, "curve"), "curve", args.seed)
     if isinstance(curve, SphereArc):
         raise ConfigInvalid("curve: straighten needs a closed curve")
@@ -308,12 +293,11 @@ def cmd_straighten(args) -> int:
     fcfg = _flow_config(cfg)
     if fcfg.max_time is None:
         raise ConfigInvalid("flow.max_time: required for straighten")
-    res = straightening_experiment(curve, g,
-                                   barrier_halfwidth=float(_get(cfg, "barrier_halfwidth")),
-                                   alignment=float(_get(cfg, "alignment")),
-                                   cfg=fcfg)
-    run = RunDir(args.out, name)
-    _write_trajectory(run, args, res.trajectory, bool(cfg.get("record_nodes", False)))
+    res = straightening_experiment(
+        curve, g, barrier_halfwidth=_get(cfg, "barrier_halfwidth", kind=float),
+        alignment=_get(cfg, "alignment", kind=float), cfg=fcfg)
+    _write_trajectory(run, args, res.trajectory,
+                      _get(cfg, "record_nodes", False, bool))
     run.write_csv("tables/deviations.csv",
                   ["t", "deviation", "max_height", "barrier_height"],
                   zip(res.times, res.deviations, res.max_heights,
@@ -324,8 +308,7 @@ def cmd_straighten(args) -> int:
         "initial_deviation": float(res.deviations[0]),
         "final_deviation": float(res.deviations[-1]),
     })
-    _write_manifest(run, args, "straighten", name, cfg, started)
-    _say(args, f"{name}: contained={res.containment_ok}, aligned at "
+    _say(args, f"{run.name}: contained={res.containment_ok}, aligned at "
                f"t={res.first_aligned_time}, final deviation "
                f"{res.deviations[-1]:.3e}")
     return 0
@@ -342,20 +325,18 @@ def _levelset_state(cfg: dict, seed: int):
     return _build_curve(_get(cfg, "curve"), "curve", seed)
 
 
-def cmd_levelset(args) -> int:
-    started = time.monotonic()
-    cfg = _load_config(args)
-    name = _run_name(cfg, "levelset")
-    mode = cfg.get("mode", "sandwich")
+def cmd_levelset(args, cfg: dict, run: RunDir) -> int:
+    mode = _get(cfg, "mode", "sandwich")
     if mode not in ("sandwich", "area", "classify"):
         raise ConfigInvalid(f"mode: must be sandwich, area or classify, got {mode!r}")
     state = _levelset_state(cfg, args.seed)
-    run = RunDir(args.out, name)
+    if mode != "sandwich" and not isinstance(state, AnnulusState):
+        raise ConfigInvalid(f"annulus: required for mode {mode!r}")
 
     if mode == "sandwich":
-        result = sandwich_flow(state, n_levels=int(cfg.get("levels", 4)),
-                               t_end=float(_get(cfg, "t")),
-                               eps0=float(cfg.get("eps0", 0.1)))
+        result = sandwich_flow(state, n_levels=_get(cfg, "levels", 4, int),
+                               t_end=_get(cfg, "t", kind=float),
+                               eps0=_get(cfg, "eps0", 0.1, float))
         run.write_csv("tables/levels.csv",
                       ["eps", "gap_initial", "gap_final", "area_final", "skipped"],
                       ((r.eps, r.gap_initial, r.gap_final, r.area_final,
@@ -367,20 +348,16 @@ def cmd_levelset(args) -> int:
                         "gap_final": r.gap_final, "area_final": r.area_final,
                         "skipped": r.skipped} for r in result.rows],
         })
-        _say(args, f"{name}: verdict {result.verdict}")
+        _say(args, f"{run.name}: verdict {result.verdict}")
     elif mode == "area":
-        if not isinstance(state, AnnulusState):
-            raise ConfigInvalid("annulus: required for mode 'area'")
-        report = area_ode_check(state, float(_get(cfg, "t")))
+        report = area_ode_check(state, _get(cfg, "t", kind=float))
         run.write_csv("tables/areas.csv", ["t", "area", "model"],
                       zip(report.times, report.areas, report.model))
         run.write_json("report.json", {"residual": report.residual,
                                        "initial_area": state.area})
-        _say(args, f"{name}: area-law residual {report.residual:.3e}")
+        _say(args, f"{run.name}: area-law residual {report.residual:.3e}")
     else:
-        if not isinstance(state, AnnulusState):
-            raise ConfigInvalid("annulus: required for mode 'classify'")
-        out = classify_long_term(state, max_time=float(_get(cfg, "max_time")))
+        out = classify_long_term(state, max_time=_get(cfg, "max_time", kind=float))
         run.write_json("report.json", {
             "verdict": out.verdict,
             "expected_verdict": out.expected_verdict,
@@ -389,63 +366,56 @@ def cmd_levelset(args) -> int:
             "extinction_time": out.extinction_time,
             "final_area": out.final_area,
         })
-        _say(args, f"{name}: verdict {out.verdict} (expected "
+        _say(args, f"{run.name}: verdict {out.verdict} (expected "
                    f"{out.expected_verdict}, consistent={out.consistent})")
-    _write_manifest(run, args, "levelset", name, cfg, started)
     return 0
 
 
 def _graph_initial(cfg: dict) -> PeriodicGraph:
     if "values" in cfg:
-        return PeriodicGraph(np.asarray(cfg["values"], dtype=float))
-    n = int(cfg.get("n", 256))
+        return PeriodicGraph(_get(cfg, "values", kind=_floats))
+    n = _get(cfg, "n", 256, int)
     x = 2.0 * np.pi * np.arange(n) / n
-    h = np.full(n, float(cfg.get("constant_height", 0.0)))
+    h = np.full(n, _get(cfg, "constant_height", 0.0, float))
     terms = cfg.get("harmonics", [])
     if not isinstance(terms, list):
         raise ConfigInvalid("harmonics: must be a list of objects")
     for i, term in enumerate(terms):
-        if not isinstance(term, dict) or "mode" not in term:
-            raise ConfigInvalid(f"harmonics[{i}].mode: required")
-        k = int(term["mode"])
-        h += float(term.get("sin_height", 0.0)) * np.sin(k * x)
-        h += float(term.get("cos_height", 0.0)) * np.cos(k * x)
+        if not isinstance(term, dict):
+            raise ConfigInvalid(f"harmonics[{i}]: must be an object")
+        try:
+            k = _get(term, "mode", kind=int)
+            h += _get(term, "sin_height", 0.0, float) * np.sin(k * x)
+            h += _get(term, "cos_height", 0.0, float) * np.cos(k * x)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"harmonics[{i}].{exc}")
     if np.abs(h).max() >= np.pi / 2:
         raise ConfigInvalid("harmonics: heights must stay below pi/2")
     return PeriodicGraph(np.tan(h))
 
 
-def cmd_graphflow(args) -> int:
-    started = time.monotonic()
-    cfg = _load_config(args)
-    name = _run_name(cfg, "graphflow")
-    t_end = float(_get(cfg, "t"))
+def cmd_graphflow(args, cfg: dict, run: RunDir) -> int:
+    t_end = _get(cfg, "t", kind=float)
     initial = _graph_initial(cfg)
-    run = RunDir(args.out, name)
     report = {"t": t_end, "n": initial.n}
-    if cfg.get("crosscheck", False):
+    if _get(cfg, "crosscheck", False, bool):
         out = crosscheck(initial, GreatCircle(_pole(cfg)), t_end,
-                         curve_nodes=int(cfg.get("curve_nodes", 512)),
-                         dt=float(cfg.get("dt", 1e-4)))
+                         curve_nodes=_get(cfg, "curve_nodes", 512, int),
+                         dt=_get(cfg, "dt", 1e-4, float))
         final = out["graph"]
         report["gap"] = out["gap"]
-        _say(args, f"{name}: crosscheck gap {out['gap']:.3e}")
+        _say(args, f"{run.name}: crosscheck gap {out['gap']:.3e}")
     else:
-        dt = cfg.get("dt")
-        final = evolve_graph(initial, t_end, dt=None if dt is None else float(dt))
-        _say(args, f"{name}: evolved to t={t_end}")
+        final = evolve_graph(initial, t_end, dt=_get(cfg, "dt", None, float))
+        _say(args, f"{run.name}: evolved to t={t_end}")
     report["max_height"] = float(np.abs(final.heights).max())
     run.write_csv("tables/profile.csv", ["x", "u"], zip(final.x, final.values))
     run.write_json("report.json", report)
-    _write_manifest(run, args, "graphflow", name, cfg, started)
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, cfg: dict, run: RunDir) -> int:
     from .acceptance import CHECKS, run_checks
-    started = time.monotonic()
-    cfg = _load_config(args, required=False)
-    name = _run_name(cfg, "verify")
     names = cfg.get("checks")
     if names is not None:
         if (not isinstance(names, list)
@@ -461,7 +431,6 @@ def cmd_verify(args) -> int:
         results.append(result)
         _say(args, f"{'PASS' if result.passed else 'FAIL'} "
                    f"{result.name}: {result.detail}")
-    run = RunDir(args.out, name)
     run.write_json("report.json", {
         "all_passed": all(r.passed for r in results),
         "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail,
@@ -469,7 +438,6 @@ def cmd_verify(args) -> int:
     })
     run.write_csv("tables/checks.csv", ["name", "passed"],
                   ((r.name, r.passed) for r in results))
-    _write_manifest(run, args, "verify", name, cfg, started)
     failed = [r.name for r in results if not r.passed]
     if failed:
         _say(args, f"{len(failed)} of {len(results)} checks failed: {failed}")
@@ -480,23 +448,26 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# name: (function, help, whether --config is required)
+_COMMANDS = {
+    "simulate": (cmd_simulate, "evolve a curve and record its trajectory", True),
+    "multiplicity": (cmd_multiplicity, "band multiplicity of a curve", True),
+    "spacing": (cmd_spacing, "construct or verify a spaced point set", True),
+    "straighten": (cmd_straighten, "band-confined straightening run", True),
+    "levelset": (cmd_levelset, "offset sandwich, area law, or trichotomy", True),
+    "graphflow": (cmd_graphflow, "periodic graph evolution over a great circle",
+                  True),
+    "verify": (cmd_verify, "run the built-in acceptance checks", False),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spherecsf",
         description="curve shortening flow on the unit sphere")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": (cmd_simulate, "evolve a curve and record its trajectory"),
-        "multiplicity": (cmd_multiplicity, "band multiplicity of a curve"),
-        "spacing": (cmd_spacing, "construct or verify a spaced point set"),
-        "straighten": (cmd_straighten, "band-confined straightening run"),
-        "levelset": (cmd_levelset, "offset sandwich, area law, or trichotomy"),
-        "graphflow": (cmd_graphflow, "periodic graph evolution over a great circle"),
-        "verify": (cmd_verify, "run the built-in acceptance checks"),
-    }
     extra_flags = {"simulate": [("--nodes", "record node positions in the trajectory")]}
-    for cmd, (func, help_text) in commands.items():
+    for cmd, (func, help_text, needs_config) in _COMMANDS.items():
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", help="path to a JSON config file")
         p.add_argument("--out", default="out", help="output root directory")
@@ -508,14 +479,19 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="suppress the stdout summary")
         for flag, help_flag in extra_flags.get(cmd, []):
             p.add_argument(flag, action="store_true", help=help_flag)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, needs_config=needs_config)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        cfg = _load_config(args, args.needs_config)
+        run = RunDir(args.out, _run_name(cfg, args.command))
+        rc = args.func(args, cfg, run)
+        _write_manifest(run, args, cfg, round(time.monotonic() - started, 3))
+        return rc
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

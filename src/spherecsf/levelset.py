@@ -190,13 +190,21 @@ def approximate_boundaries(curve: ClosedSphereCurve, n_levels: int,
     """Two-sided offsets at eps0 * 2^-n; collided levels are skipped with a note."""
     if n_levels < 1:
         raise DomainError("need at least one level")
+    return _offset_levels(curve, curve, -1, n_levels, eps0)
+
+
+def _offset_levels(alpha: ClosedSphereCurve, beta: ClosedSphereCurve,
+                   beta_side: int, n_levels: int, eps0: float) -> list:
+    """OffsetLevel per eps = eps0 * 2^-n, n < n_levels: alpha offset to its
+    left, beta to side `beta_side`; a level whose offset collides is skipped
+    with the collision's message."""
     levels = []
     for n in range(n_levels):
         eps = eps0 * 2.0 ** (-n)
         try:
             levels.append(OffsetLevel(eps=eps,
-                                      alpha=offset_curve(curve, eps, +1),
-                                      beta=offset_curve(curve, eps, -1)))
+                                      alpha=offset_curve(alpha, eps, +1),
+                                      beta=offset_curve(beta, eps, beta_side)))
         except OffsetCollision as exc:
             levels.append(OffsetLevel(eps=eps, alpha=None, beta=None,
                                       skipped=str(exc)))
@@ -239,31 +247,27 @@ def sandwich_flow(initial, n_levels: int, t_end: float, eps0: float = 0.1,
     if t_end <= 0.0:
         raise DomainError("t_end must be positive")
     cfg = cfg or _default_cfg(t_end)
+    if isinstance(initial, AnnulusState):
+        if initial.degenerate and n_levels > 0:
+            raise DomainError("cannot sandwich a degenerate annulus")
+        alpha, beta, beta_side = initial.alpha, initial.beta, +1
+        mu = lambda ea, eb: 4.0 * np.pi - ea - eb  # noqa: E731
+    else:
+        alpha, beta, beta_side = initial, initial, -1
+        mu = lambda ea, eb: eb - ea  # noqa: E731
     rows = []
-    for n in range(n_levels):
-        eps = eps0 * 2.0 ** (-n)
-        try:
-            if isinstance(initial, AnnulusState):
-                if initial.degenerate:
-                    raise DomainError("cannot sandwich a degenerate annulus")
-                alpha = offset_curve(initial.alpha, eps, +1)
-                beta = offset_curve(initial.beta, eps, +1)
-                mu = lambda ea, eb: 4.0 * np.pi - ea - eb  # noqa: E731
-            else:
-                alpha = offset_curve(initial, eps, +1)
-                beta = offset_curve(initial, eps, -1)
-                mu = lambda ea, eb: eb - ea  # noqa: E731
-        except OffsetCollision as exc:
-            rows.append(SandwichRow(eps=eps, gap_initial=np.nan, gap_final=np.nan,
-                                    area_final=np.nan, skipped=str(exc)))
+    for lv in _offset_levels(alpha, beta, beta_side, n_levels, eps0):
+        if lv.skipped is not None:
+            rows.append(SandwichRow(eps=lv.eps, gap_initial=np.nan,
+                                    gap_final=np.nan, area_final=np.nan,
+                                    skipped=lv.skipped))
             continue
-        gap0 = hausdorff_distance(alpha, beta, refine=1e-3)
-        ta = evolve_closed(alpha, cfg)
-        tb = evolve_closed(beta, cfg)
-        alpha_t, beta_t = ta.final().curve, tb.final().curve
+        gap0 = hausdorff_distance(lv.alpha, lv.beta, refine=1e-3)
+        alpha_t = evolve_closed(lv.alpha, cfg).final().curve
+        beta_t = evolve_closed(lv.beta, cfg).final().curve
         gap_t = hausdorff_distance(alpha_t, beta_t, refine=1e-3)
         area_t = mu(enclosed_left_area(alpha_t), enclosed_left_area(beta_t))
-        rows.append(SandwichRow(eps=eps, gap_initial=float(gap0),
+        rows.append(SandwichRow(eps=lv.eps, gap_initial=float(gap0),
                                 gap_final=float(gap_t), area_final=float(area_t)))
 
     live = [r for r in rows if r.skipped is None]
@@ -341,9 +345,9 @@ def area_ode_check(state: AnnulusState, t_end: float,
             raise ExtinctionBeforeEnd(
                 f"annulus boundary {name} went extinct at t = {t_ext:.6f} "
                 f"< {t_end}")
-    # a cfg horizon past t_end may see a death; the annulus law ends there
-    live = times <= min((t for t in extinctions if t is not None), default=np.inf)
-    times, off = times[live], off[:, live]
+    # a cfg horizon past t_end runs on (and may see a death); compare to t_end
+    keep = times <= t_end + 1e-9
+    times, off = times[keep], off[:, keep]
     areas = 4.0 * np.pi - off[0] - off[1]
     model = state.area * np.exp(times)
     residual = float(np.abs(areas / model - 1.0).max())

@@ -136,6 +136,35 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
     assert field in err
 
 
+@pytest.mark.parametrize("command,cfg,field", [
+    ("multiplicity", {"curve": EQUATOR, "r": "x"}, "r"),
+    ("graphflow", {"t": "soon"}, "t"),
+    ("levelset", {"curve": EQUATOR, "t": 0.05, "levels": None}, "levels"),
+    ("graphflow", {"t": 0.05, "values": [1, 2, "a"]}, "values"),
+    ("graphflow", {"t": 0.05, "harmonics": [{"mode": 2, "sin_height": "x"}]},
+     "harmonics[0].sin_height"),
+], ids=["r", "t", "levels", "values", "sin_height"])
+def test_non_numeric_fields_are_config_errors(tmp_path, capsys, command, cfg,
+                                              field):
+    rc, d = run_cli(tmp_path, command, cfg)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:")
+    assert not d.exists()
+
+
+@pytest.mark.parametrize("cfg,code", [
+    ({"mode": "sandwich", "curve": EQUATOR}, 2),
+    ({"mode": "area", "t": 0.5, "annulus": {
+        "alpha": {"kind": "Circle", "radius": 0.3, "n": 64},
+        "beta": {"kind": "Circle", "radius": 0.5, "n": 64}}}, 1),
+], ids=["missing-t", "extinct-before-t"])
+def test_failed_levelset_run_leaves_no_directory(tmp_path, cfg, code):
+    rc, d = run_cli(tmp_path, "levelset", cfg)
+    assert rc == code
+    assert not d.exists()
+
+
 def test_unknown_kind_lists_the_registry(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "simulate", {"curve": {"kind": "Nonsense"}})
     assert rc == 2

@@ -199,6 +199,20 @@ def test_sandwich_rejects_nonpositive_time():
         sandwich_flow(circle_curve(1.0, n=64), 1, t_end=0.0)
 
 
+@pytest.mark.parametrize("initial", [lambda: circle_curve(1.0, n=64),
+                                     band_annulus, degenerate_annulus],
+                         ids=["curve", "annulus", "degenerate"])
+def test_sandwich_with_no_levels_is_inconclusive(initial):
+    res = sandwich_flow(initial(), 0, t_end=0.05, eps0=0.08)
+    assert res.rows == [] and res.verdict == "Inconclusive"
+    assert res.t_end == 0.05 and res.eps0 == 0.08
+
+
+def test_sandwich_rejects_degenerate_annulus():
+    with pytest.raises(DomainError, match="degenerate"):
+        sandwich_flow(degenerate_annulus(), 2, t_end=0.05)
+
+
 # ---------------------------------------------------------------------------
 # area law and the trichotomy
 
@@ -222,12 +236,12 @@ def test_area_ode_extinction_before_horizon():
 
 
 def test_area_ode_stops_at_a_death_past_the_horizon():
-    # the config runs on past t_end = 0.03; the inner cap dies at 0.0457 and
-    # the annulus law is compared only while both boundaries live
+    # the config runs on past t_end = 0.03 and the inner cap dies at 0.0457;
+    # the annulus law is compared on [0, t_end] only
     st = make_annulus(circle_curve(0.3, n=64), circle_curve(0.5, n=64))
     cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=0.1)
     rep = area_ode_check(st, 0.03, cfg)
-    assert rep.times[-1] == pytest.approx(0.04)
+    assert rep.times[-1] == pytest.approx(0.03)
     assert rep.residual < 1e-3
 
 
