@@ -15,8 +15,7 @@ from .errors import (AntipodalEndpoints, BlowUp, ConfigInvalid, DomainError,
                      SpacingNotFound, SphereCSFError, TooFewNodes)
 from .sphere import (Band, GreatCircle, Latitude, Rotation, Wedge, antipode,
                      cap_area, fold_angle, geodesic_distance,
-                     latitude_through, orthonormal_frame, reflect_across,
-                     signed_band_coordinate, slerp, unit)
+                     orthonormal_frame, reflect_across, slerp, unit)
 from .curves import (ClosedSphereCurve, CurveDiagnostics, SphereArc,
                      SphereCurve, c1_deviation, curvature_vectors,
                      curve_distance, densify, diagnostics, hausdorff_distance,
@@ -51,8 +50,7 @@ __all__ = [
     # sphere
     "GreatCircle", "Latitude", "Rotation", "Band", "Wedge", "unit",
     "geodesic_distance", "fold_angle", "orthonormal_frame", "slerp",
-    "antipode", "latitude_through", "signed_band_coordinate", "cap_area",
-    "reflect_across",
+    "antipode", "cap_area", "reflect_across",
     # curves
     "ClosedSphereCurve", "SphereArc", "SphereCurve", "CurveDiagnostics",
     "turning_angles", "curvature_vectors", "diagnostics", "self_intersects",

@@ -106,14 +106,22 @@ def _load_config(args, required: bool) -> dict:
 def _get(cfg: dict, name: str, default=_MISSING, kind=None):
     """Field `name` of `cfg` converted by `kind` (e.g. float, int), or
     `default` as given when the field is absent. A null stands for an absent
-    field whose default is None. A missing required field, or a value `kind`
-    cannot convert, raises ConfigInvalid naming the field."""
+    field whose default is None. An int field takes only a JSON integer and a
+    bool field only true or false, as FlowConfig's counts do. A missing
+    required field, or a value `kind` cannot take, raises ConfigInvalid naming
+    the field."""
     if name not in cfg:
         if default is _MISSING:
             raise ConfigInvalid(f"{name}: required field is missing")
         return default
     value = cfg[name]
     if kind is None or (value is None and default is None):
+        return value
+    if kind is int or kind is bool:
+        if type(value) is not kind:
+            raise ConfigInvalid(f"{name}: must be "
+                                f"{'an integer' if kind is int else 'true or false'}, "
+                                f"got {value!r}")
         return value
     try:
         return kind(value)

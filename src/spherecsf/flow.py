@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import (AntipodalEndpoints, ConfigInvalid, DomainError, NeverEnters,
                      ParamDomain)
-from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, chord_curvature,
-                     integrals, nodes_for_spacing, resample, wrapped, wrapped_edges)
+from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, c1_deviation,
+                     chord_curvature, integrals, nodes_for_spacing, resample, wrapped,
+                     wrapped_edges)
 from .sphere import GreatCircle, as_point, geodesic_distance
 
 CFL_FACTOR = 0.25
@@ -346,8 +347,6 @@ def straightening_experiment(curve: ClosedSphereCurve, g: GreatCircle,
     Reports the deviation series, the widening-band containment check (slack
     1e-3), and the first snapshot time with deviation <= alignment.
     """
-    from .curves import c1_deviation  # local import keeps module deps one-way
-
     traj = evolve_closed(curve, cfg)
     times = traj.times
     devs = np.array([c1_deviation(s.curve, g) for s in traj.snapshots])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUp, DomainError
-from .curves import ClosedSphereCurve, hausdorff_distance, resample
+from .curves import ClosedSphereCurve, hausdorff_distance, resample, wrapped
 from .flow import FlowConfig, evolve_closed
 from .sphere import GreatCircle
 
@@ -68,8 +68,8 @@ def evolve_graph(initial, t_end: float, dt: float | None = None) -> PeriodicGrap
         one = 1.0 + u * u
         cap = STABILITY_FACTOR * dx * dx / float(np.max(one) ** 2)
         step = min(cap if dt is None else min(dt, cap), t_end - t)
-        up = np.roll(u, -1)
-        um = np.roll(u, 1)
+        ext = wrapped(u, True)
+        um, up = ext[:-2], ext[2:]
         ux = (up - um) / (2.0 * dx)
         uxx = (up - 2.0 * u + um) / (dx * dx)
         u = u + step * (one * one / (one + ux * ux)) * (uxx + u)

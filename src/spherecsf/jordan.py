@@ -20,8 +20,7 @@ from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, curve_distance,
                      resample, turning_angles, wrapped)
 from .flow import DirichletArcSpec
 from .sphere import (GreatCircle, Latitude, Wedge, as_point, fold_angle,
-                     geodesic_distance, orthonormal_frame, reflect_across, slerp,
-                     unit)
+                     geodesic_distance, orthonormal_frame, reflect_across, unit)
 
 TOUCH_TOL = 1e-9
 MAX_KOCH_DEPTH = 6
@@ -81,77 +80,30 @@ def _height_extrema(ha, hb, cos_edge, sin_edge):
     return abs_min, abs_max
 
 
-def _multiplicity_from_heights(h, cos_edge, sin_edge, sin_band, sin_touch, closed):
-    """Component count and index ranges given node heights against one pole."""
-    n = len(h)
-    in_band = np.abs(h) < sin_band
-    if not in_band.any():
-        return 0, []
-    emin, emax = _height_extrema(*edge_ends(wrapped(h, closed), closed), cos_edge, sin_edge)
-    band_a, band_b = edge_ends(wrapped(in_band, closed), closed)
-    link = band_a & band_b & (emax < sin_band)
-
-    comps = []
-    if closed and link.all():
-        comps.append((0, n - 1, np.arange(n), np.arange(n)))
-    else:
-        # starts: in-band nodes whose incoming link is absent
-        incoming = np.roll(link, 1) if closed else np.concatenate([[False], link])
-        starts = np.nonzero(in_band & ~incoming)[0]
-        for s in starts:
-            idx = [s]
-            j = s
-            # an arc's last node has no outgoing link
-            while j < len(link) and link[j]:
-                j = (j + 1) % n
-                idx.append(j)
-            idx = np.array(idx)
-            # edge k joins nodes k and k+1, so internal edges are idx[:-1]
-            eidx = idx[:-1]
-            comps.append((int(idx[0]), int(idx[-1]), idx, eidx))
-
-    count = 0
-    ranges = []
-    for a, b, idx, eidx in comps:
-        touch = np.abs(h[idx]).min() <= sin_touch
-        if not touch and len(eidx):
-            touch = emin[eidx].min() <= sin_touch
-        if touch:
-            count += 1
-            ranges.append((a, b))
-    return count, ranges
-
-
-def _height_geometry(curve: SphereCurve):
-    a, b = edge_ends(wrapped(curve.nodes, curve.closed), curve.closed)
-    dots = np.sum(a * b, axis=1)
-    cos_edge = np.clip(dots, -1.0, 1.0)
-    sin_edge = np.sqrt(np.maximum(1e-300, 1.0 - cos_edge * cos_edge))
-    return cos_edge, sin_edge
-
-
-def multiplicity_at(curve: SphereCurve, g: GreatCircle, r: float) -> MultiplicityReport:
-    """Components of curve inside B_{2r}(g) that touch the closed band B_r(g)."""
+def _band_geometry(curve: SphereCurve, r: float):
+    """_components' arguments after the heights: each edge's cos and sin, the
+    band and touch thresholds on |height| at radius r, and closedness."""
     if not (0.0 < r < np.pi / 4.0):
         raise DomainError(f"multiplicity radius must be in (0, pi/4), got {r!r}")
-    cos_edge, sin_edge = _height_geometry(curve)
-    h = curve.nodes @ g.pole
-    count, ranges = _multiplicity_from_heights(
-        h, cos_edge, sin_edge,
-        sin_band=np.sin(2.0 * r),
-        sin_touch=np.sin(min(r + TOUCH_TOL, np.pi / 2)),
-        closed=curve.closed)
-    return MultiplicityReport(pole=g.pole, r=float(r), count=count, components=ranges)
+    a, b = edge_ends(wrapped(curve.nodes, curve.closed), curve.closed)
+    cos_edge = np.clip(np.sum(a * b, axis=1), -1.0, 1.0)
+    sin_edge = np.sqrt(np.maximum(1e-300, 1.0 - cos_edge * cos_edge))
+    return (cos_edge, sin_edge, np.sin(2.0 * r), np.sin(min(r + TOUCH_TOL, np.pi / 2)),
+            curve.closed)
 
 
-def _component_counts(heights, cos_edge, sin_edge, sin_band, sin_touch, closed):
-    """_multiplicity_from_heights' count for every column of heights (one pole
-    each), from the in-band entries alone.
+def _components(heights, cos_edge, sin_edge, sin_band, sin_touch, closed):
+    """The components that count, for every column of heights (one pole each),
+    from the in-band entries alone.
 
-    Within a pole the in-band nodes fall into runs of linked edges, the run
-    through a closed curve's last node going on into the run at node 0. A node
-    touches if |h| <= sin_touch or its outgoing edge is linked with
-    min |h| <= sin_touch; the count is the number of runs holding a touch.
+    Returns the count per column and one (column, first node, last node) row
+    per counted component, sorted by column and first node. Within a column
+    the in-band nodes fall into runs of linked edges; a closed curve's run
+    through its last node goes on into the run at node 0, so that component
+    runs from the late run's first node to the early run's last node, and a
+    closed curve linked all round is (0, n - 1). A node touches if
+    |h| <= sin_touch or its outgoing edge is linked with min |h| <= sin_touch;
+    a component counts if it holds a touch.
     """
     n = len(heights)
     pole, node = np.nonzero((np.abs(heights) < sin_band).T)  # pole by pole
@@ -163,10 +115,10 @@ def _component_counts(heights, cos_edge, sin_edge, sin_band, sin_touch, closed):
     edge = adjacent.copy()
     if closed:  # and from node n - 1 to node 0 of its pole
         end = np.flatnonzero(node == n - 1)
-        first = np.searchsorted(pole, pole[end])
-        wraps = node[first] == 0
-        end, first = end[wraps], first[wraps]
-        nxt[end] = first
+        head = np.searchsorted(pole, pole[end])
+        wraps = node[head] == 0
+        end, head = end[wraps], head[wraps]
+        nxt[end] = head
         edge[end] = True
     q = np.flatnonzero(edge)
     emin, emax = _height_extrema(h[q], h[nxt[q]], cos_edge[node[q]], sin_edge[node[q]])
@@ -177,13 +129,31 @@ def _component_counts(heights, cos_edge, sin_edge, sin_band, sin_touch, closed):
     start = np.ones(len(node), dtype=bool)
     start[1:] = ~(link & adjacent)[:-1]
     run = np.cumsum(start) - 1
-    if closed:  # a linked seam makes the run through node n - 1 the run at node 0
-        seam = np.arange(np.count_nonzero(start))
-        seam[run[end[link[end]]]] = run[first[link[end]]]
+    stop = np.ones(len(node), dtype=bool)  # each run's last entry
+    stop[:-1] = start[1:]
+    rows = np.column_stack([pole[start], node[start], node[stop]])
+    if closed:  # a linked seam makes the run at node 0 part of the run through n - 1
+        late, early = run[end[link[end]]], run[head[link[end]]]
+        rows[late, 2] = rows[early, 2]
+        seam = np.arange(len(rows))
+        seam[early] = late
         run = seam[run]
-    held = np.zeros(np.count_nonzero(start), dtype=bool)
+    held = np.zeros(len(rows), dtype=bool)
     held[run[touch]] = True
-    return np.bincount(pole[start][held], minlength=heights.shape[1])
+    return np.bincount(rows[held, 0], minlength=heights.shape[1]), rows[held]
+
+
+def _report(pole, r, counts, rows, k) -> MultiplicityReport:
+    """The report for column k, with this pole, of _components' result."""
+    ranges = [(a, b) for a, b in rows[rows[:, 0] == k, 1:].tolist()]
+    return MultiplicityReport(pole=pole, r=float(r), count=int(counts[k]),
+                              components=ranges)
+
+
+def multiplicity_at(curve: SphereCurve, g: GreatCircle, r: float) -> MultiplicityReport:
+    """Components of curve inside B_{2r}(g) that touch the closed band B_r(g)."""
+    band = _band_geometry(curve, r)
+    return _report(g.pole, r, *_components((curve.nodes @ g.pole)[:, None], *band), 0)
 
 
 def multiplicity_sup(curve: SphereCurve, r: float,
@@ -191,35 +161,23 @@ def multiplicity_sup(curve: SphereCurve, r: float,
     """Estimated sup over great circles of the r-multiplicity (a lower bound).
 
     Fibonacci lattice over poles plus one refinement pass around the best pole;
-    ties resolve to the lexicographically smallest pole. Each pole's count is
-    exactly the one multiplicity_at's component rule gives on the same heights,
-    counted for all poles at once from their in-band entries; the winner's
-    components come from that rule itself.
+    ties resolve to the lexicographically smallest pole. Every pole's count
+    and the winner's components come from one call of multiplicity_at's
+    component rule, _components, on all the poles' heights.
     """
     if pole_samples < 100:
         raise DomainError(f"pole_samples must be >= 100, got {pole_samples!r}")
-    if not (0.0 < r < np.pi / 4.0):
-        raise DomainError(f"multiplicity radius must be in (0, pi/4), got {r!r}")
-    cos_edge, sin_edge = _height_geometry(curve)
-    sin_band = np.sin(2.0 * r)
-    sin_touch = np.sin(min(r + TOUCH_TOL, np.pi / 2))
-    closed = curve.closed
+    band = _band_geometry(curve, r)
 
     def evaluate(poles):
-        heights = curve.nodes @ poles.T
-        counts = _component_counts(heights, cos_edge, sin_edge, sin_band, sin_touch,
-                                   closed)
+        counts, rows = _components(curve.nodes @ poles.T, *band)
         k = np.lexsort((poles[:, 2], poles[:, 1], poles[:, 0], -counts))[0]
-        count, ranges = _multiplicity_from_heights(
-            heights[:, k], cos_edge, sin_edge, sin_band, sin_touch, closed)
-        return (-count, tuple(poles[k])), count, poles[k], ranges
+        return (-counts[k], tuple(poles[k])), _report(poles[k], r, counts, rows, k)
 
     coarse = evaluate(fibonacci_sphere(pole_samples))
     spacing = np.sqrt(4.0 * np.pi / pole_samples)
-    fine = evaluate(_cap_lattice(coarse[2], spacing, 64))
-    best = min([coarse, fine], key=lambda b: b[0])
-    return MultiplicityReport(pole=best[2], r=float(r), count=best[1],
-                              components=best[3])
+    fine = evaluate(_cap_lattice(coarse[1].pole, spacing, 64))
+    return min([coarse, fine], key=lambda b: b[0])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +205,21 @@ class SpacingCheck:
     witness: Optional[np.ndarray]
 
 
+def _circles_through(x, pts):
+    """Unit normals of the great circles through x and each of pts, and their
+    |Gram| matrix with a unit diagonal: two circles meet at an angle above
+    pi/2 - theta where its entry is below sin(theta). None when a point sits
+    at +-x, since it then spans every circle through x."""
+    cr = np.cross(x, pts)
+    nn = np.linalg.norm(cr, axis=1)
+    if np.any(nn < 1e-9):
+        return None
+    nrm = cr / nn[:, None]
+    gram = np.abs(nrm @ nrm.T)
+    np.fill_diagonal(gram, 1.0)
+    return nrm, gram
+
+
 def verify_spacing(curve: SphereCurve, spacing: Spacing,
                    x_samples: int = 1000) -> SpacingCheck:
     """Check both spacing conditions; returns the first counterexample found.
@@ -265,16 +238,12 @@ def verify_spacing(curve: SphereCurve, spacing: Spacing,
         return SpacingCheck(False, f"clearance violated at point {bad[0]}", pts[bad[0]])
     sin_th = np.sin(theta)
     for x in fibonacci_sphere(x_samples):
-        cr = np.cross(x, pts)
-        nn = np.linalg.norm(cr, axis=1)
-        if np.any(nn < 1e-9):
+        circles = _circles_through(x, pts)
+        if circles is None:
             if len(pts) >= 2:
-                continue  # a y at +-x spans any circle through x
+                continue
             return SpacingCheck(False, "single degenerate point", x)
-        nrm = cr / nn[:, None]
-        gram = np.abs(nrm @ nrm.T)
-        np.fill_diagonal(gram, 1.0)
-        if gram.min() >= sin_th:
+        if circles[1].min() >= sin_th:
             return SpacingCheck(False, "no transverse pair", x)
     return SpacingCheck(True, None, None)
 
@@ -303,17 +272,10 @@ def construct_spacing(curve: SphereCurve, theta: float, margin: float = 0.22,
     sin_strict = np.sin(0.9 * theta)
     additions = 0
     for x in xs:
-        pts = np.array(chosen)
-        cr = np.cross(x, pts)
-        nn = np.linalg.norm(cr, axis=1)
-        good = nn >= 1e-9
-        if not good.all() and len(pts) >= 2:
+        circles = _circles_through(x, np.array(chosen))
+        if circles is None or circles[1].min() < sin_strict:
             continue
-        nrm = cr[good] / nn[good][:, None]
-        gram = np.abs(nrm @ nrm.T)
-        np.fill_diagonal(gram, 1.0)
-        if gram.min() < sin_strict:
-            continue
+        nrm, gram = circles
         # all circles through x cluster: manufacture a transverse companion
         if additions >= max_additions:
             raise SpacingNotFound("needed too many extra points")
@@ -388,15 +350,15 @@ def is_leafable(ell: ClosedSphereCurve, g: GreatCircle, r: float, cap_radius: fl
         if not mask.any():
             reasons.append("graph")
             continue
-        runs = int(np.count_nonzero(mask & ~np.roll(mask, 1)))
-        if runs > 1:
+        starts = np.flatnonzero(mask & ~wrapped(mask, True)[:-2])  # each run's first node
+        if len(starts) > 1:
             reasons.append("graph")
         idx = np.nonzero(mask)[0]
-        if runs <= 1 and len(idx) >= 2:
+        if len(starts) <= 1 and len(idx) >= 2:
             if mask.all():
                 reasons.append("graph")
             else:
-                start = int(np.nonzero(mask & ~np.roll(mask, 1))[0][0])
+                start = int(starts[0])
                 seq = [(start + k) % ell.n for k in range(ell.n) if mask[(start + k) % ell.n]]
                 steps = fold_angle(np.diff(lon[seq]))
                 if not (np.all(steps > 0) or np.all(steps < 0)):
@@ -478,8 +440,7 @@ def koch_like(depth: int, base_radius: float = 0.8, pole=(0.0, 0.0, 1.0),
     ang = 2.0 * np.pi * np.arange(base_nodes) / base_nodes
     nodes = lat.point(ang)
     for _ in range(depth):
-        p = nodes
-        q = np.roll(nodes, -1, axis=0)
+        p, q = edge_ends(wrapped(nodes, True), True)
         ell = geodesic_distance(p, q)[:, None]
         sl = np.sin(ell)
 

@@ -176,20 +176,6 @@ class Latitude:
         return np.all(np.abs(geodesic_distance(p, self.pole) - self.radius) <= tol)
 
 
-def latitude_through(g: GreatCircle, p) -> Latitude:
-    """The latitude of g through p; PoleDegenerate within 1e-9 of either pole."""
-    p = as_point(p)
-    r = float(geodesic_distance(g.pole, p))
-    if r < POLE_EPS or r > np.pi - POLE_EPS:
-        raise PoleDegenerate("point coincides with a pole of the great circle")
-    return Latitude(g.pole, r)
-
-
-def signed_band_coordinate(g: GreatCircle, p):
-    """pi/2 - d(p, pole); |value| < r exactly when p is in the open band B_r(g)."""
-    return np.pi / 2.0 - geodesic_distance(g.pole, p)
-
-
 def cap_area(r):
     """Area of a geodesic ball of radius r in (0, pi)."""
     r = float(r)
@@ -220,9 +206,6 @@ class Rotation:
 
     def apply(self, p):
         return np.asarray(p, dtype=float) @ self.matrix.T
-
-    def inverse(self):
-        return Rotation(self.axis, -self.angle)
 
 
 def reflect_across(g: GreatCircle, p):

@@ -143,7 +143,15 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
     ("graphflow", {"t": 0.05, "values": [1, 2, "a"]}, "values"),
     ("graphflow", {"t": 0.05, "harmonics": [{"mode": 2, "sin_height": "x"}]},
      "harmonics[0].sin_height"),
-], ids=["r", "t", "levels", "values", "sin_height"])
+    ("graphflow", {"t": 0.05, "crosscheck": "false"}, "crosscheck"),
+    ("graphflow", {"t": 0.05, "crosscheck": 1}, "crosscheck"),
+    ("spacing", {"curve": EQUATOR, "theta": 0.3, "x_samples": 100.9}, "x_samples"),
+    ("multiplicity", {"curve": EQUATOR, "r": 0.1, "pole_samples": True}, "pole_samples"),
+    ("graphflow", {"t": 0.05, "n": "128"}, "n"),
+    ("graphflow", {"t": 0.05, "harmonics": [{"mode": 2.0, "sin_height": 0.1}]},
+     "harmonics[0].mode"),
+], ids=["r", "t", "levels", "values", "sin_height", "bool-string", "bool-number",
+        "int-fraction", "int-bool", "int-string", "int-float"])
 def test_non_numeric_fields_are_config_errors(tmp_path, capsys, command, cfg,
                                               field):
     rc, d = run_cli(tmp_path, command, cfg)

@@ -1,5 +1,7 @@
 """Polyline curve model: validation, discrete curvature, metrics, file IO."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,7 @@ from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, c1_deviation,
                        enclosed_left_area, geodesic_distance,
                        hausdorff_distance, intersection_count, load_curve,
                        perturbed_latitude, resample, save_curve,
-                       self_intersects, signed_band_coordinate,
-                       turning_angles, unit)
+                       self_intersects, turning_angles)
 from spherecsf.curves import integrals, mean_adjacent_edges
 from spherecsf.errors import DomainError, TooFewNodes
 from spherecsf.flow import _snapshot
@@ -125,7 +126,7 @@ def test_c1_deviation_meridian_vs_latitude():
 def test_perturbation_height_amplitude():
     g = GreatCircle(Z)
     p = perturbed_latitude(np.pi / 2, 0.12, 5, n=512)
-    h = signed_band_coordinate(g, p.nodes)
+    h = g.band_coordinate(p.nodes)
     assert abs(np.abs(h).max() - 0.12) < 1e-9
 
 
@@ -257,6 +258,13 @@ def test_padded_neighbours_match_rolled_reference(curve):
     want = _snapshot_integrals_reference(nodes, closed)
     assert _integral_values(integrals(curve)) == want
     assert _integral_values(_snapshot(0.0, curve)) == want
+
+
+def test_no_module_takes_neighbours_with_np_roll():
+    # wrapped/edge_ends is the one neighbour convention of the package
+    package = Path(integrals.__code__.co_filename).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if "np.roll" in p.read_text()] == []
 
 
 def _close(a, b, tol=1e-12):

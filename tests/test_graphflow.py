@@ -5,8 +5,7 @@ import pytest
 
 from spherecsf import (GreatCircle, PeriodicGraph, constant_graph_oracle,
                        crosscheck, evolve_graph, intersection_count,
-                       lift_to_sphere, linear_mode_decay,
-                       signed_band_coordinate)
+                       lift_to_sphere, linear_mode_decay)
 from spherecsf.graphflow import POLE_GUARD
 from spherecsf.errors import BlowUp, DomainError
 
@@ -72,7 +71,7 @@ def test_linear_mode_decay_formula():
 def test_lift_constant_profile():
     g = GreatCircle(Z)
     curve = lift_to_sphere(PeriodicGraph(np.full(128, np.tan(0.3))), g)
-    h = signed_band_coordinate(g, curve.nodes)
+    h = g.band_coordinate(curve.nodes)
     assert np.abs(h - 0.3).max() < 1e-12
     assert curve.n == 128
 
@@ -80,7 +79,7 @@ def test_lift_constant_profile():
 def test_lift_zero_is_the_circle():
     g = GreatCircle(Z)
     curve = lift_to_sphere(PeriodicGraph(np.zeros(64)), g)
-    assert np.abs(signed_band_coordinate(g, curve.nodes)).max() < 1e-15
+    assert np.abs(g.band_coordinate(curve.nodes)).max() < 1e-15
 
 
 def test_lift_mode_three_crossings():

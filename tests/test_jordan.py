@@ -37,6 +37,16 @@ def test_great_circle_in_own_band():
     assert rep.components == [(0, 127)]
 
 
+def test_component_across_the_seam():
+    # node 0 sits in the band: the closed curve's component there runs from the
+    # late run's first node to the early run's last node; an arc splits it
+    mer = circle_curve(np.pi / 2, pole=X, n=256, phase=np.pi / 2)
+    rep = multiplicity_at(mer, GreatCircle(Z), 0.1)
+    assert (rep.count, rep.components) == (2, [(120, 136), (248, 8)])
+    rep = multiplicity_at(SphereArc(mer.nodes), GreatCircle(Z), 0.1)
+    assert (rep.count, rep.components) == (3, [(0, 8), (120, 136), (248, 255)])
+
+
 def test_far_latitude_misses_band():
     assert multiplicity_at(circle_curve(0.4, n=128), GreatCircle(Z), 0.1).count == 0
 

@@ -1,20 +1,20 @@
 """The pruned geometry queries against the brute-force forms they replaced.
 
-hausdorff_distance, self_intersects, densify and multiplicity_sup skip the
-parts of a curve that cannot change their answer. Each brute-force form below
-evaluates everything, and the queries must agree with it.
+hausdorff_distance, self_intersects, densify and the multiplicity rule skip
+the parts of a curve that cannot change their answer. Each brute-force form
+below evaluates everything, and the queries must agree with it.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherecsf import (ClosedSphereCurve, SphereArc, circle_curve, curve_distance,
-                       densify, hausdorff_distance, multiplicity_sup, self_intersects)
+from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, circle_curve,
+                       curve_distance, densify, hausdorff_distance, multiplicity_at,
+                       multiplicity_sup, self_intersects)
 from spherecsf.curves import CROSS_TOL, edge_ends, wrapped
-from spherecsf.jordan import (TOUCH_TOL, _cap_lattice, _component_counts,
-                              _height_geometry, _multiplicity_from_heights,
-                              fibonacci_sphere)
+from spherecsf.jordan import (_band_geometry, _cap_lattice, _components,
+                              _height_extrema, fibonacci_sphere)
 
 from test_curves import wavy_curves
 
@@ -81,13 +81,51 @@ def self_intersects_dense(nodes, closed):
     return False
 
 
+def _multiplicity_from_heights(h, cos_edge, sin_edge, sin_band, sin_touch, closed):
+    """Component count and index ranges given node heights against one pole."""
+    n = len(h)
+    in_band = np.abs(h) < sin_band
+    if not in_band.any():
+        return 0, []
+    emin, emax = _height_extrema(*edge_ends(wrapped(h, closed), closed), cos_edge, sin_edge)
+    band_a, band_b = edge_ends(wrapped(in_band, closed), closed)
+    link = band_a & band_b & (emax < sin_band)
+
+    comps = []
+    if closed and link.all():
+        comps.append((0, n - 1, np.arange(n), np.arange(n)))
+    else:
+        # starts: in-band nodes whose incoming link is absent
+        incoming = np.roll(link, 1) if closed else np.concatenate([[False], link])
+        starts = np.nonzero(in_band & ~incoming)[0]
+        for s in starts:
+            idx = [s]
+            j = s
+            # an arc's last node has no outgoing link
+            while j < len(link) and link[j]:
+                j = (j + 1) % n
+                idx.append(j)
+            idx = np.array(idx)
+            # edge k joins nodes k and k+1, so internal edges are idx[:-1]
+            eidx = idx[:-1]
+            comps.append((int(idx[0]), int(idx[-1]), idx, eidx))
+
+    count = 0
+    ranges = []
+    for a, b, idx, eidx in comps:
+        touch = np.abs(h[idx]).min() <= sin_touch
+        if not touch and len(eidx):
+            touch = emin[eidx].min() <= sin_touch
+        if touch:
+            count += 1
+            ranges.append((a, b))
+    return count, ranges
+
+
 def multiplicity_counts_loop(curve, r, poles):
-    cos_edge, sin_edge = _height_geometry(curve)
+    band = _band_geometry(curve, r)
     heights = curve.nodes @ poles.T
-    return [_multiplicity_from_heights(heights[:, k], cos_edge, sin_edge, np.sin(2.0 * r),
-                                       np.sin(min(r + TOUCH_TOL, np.pi / 2)),
-                                       curve.closed)
-            for k in range(len(poles))]
+    return [_multiplicity_from_heights(heights[:, k], *band) for k in range(len(poles))]
 
 
 def multiplicity_sup_loop(curve, r, pole_samples):
@@ -239,11 +277,21 @@ def test_equator_polygon_does_not_self_intersect():
 @given(wavy_curves(), st.sampled_from([0.02, 0.05, 0.1, 0.3]), st.integers(0, 2 ** 32 - 1))
 def test_component_counts_match_per_pole_loop(curve, r, seed):
     poles = fibonacci_sphere(200) @ _rotation(np.random.default_rng(seed)).T
-    cos_edge, sin_edge = _height_geometry(curve)
-    counts = _component_counts(curve.nodes @ poles.T, cos_edge, sin_edge,
-                               np.sin(2.0 * r), np.sin(min(r + TOUCH_TOL, np.pi / 2)),
-                               curve.closed)
-    assert counts.tolist() == [c for c, _ in multiplicity_counts_loop(curve, r, poles)]
+    counts, rows = _components(curve.nodes @ poles.T, *_band_geometry(curve, r))
+    loop = multiplicity_counts_loop(curve, r, poles)
+    assert counts.tolist() == [c for c, _ in loop]
+    assert [tuple(row) for row in rows.tolist()] == [(k, a, b) for k, (_, ranges)
+                                                     in enumerate(loop) for a, b in ranges]
+
+
+@settings(max_examples=40)
+@given(wavy_curves(), st.sampled_from([0.02, 0.05, 0.1, 0.3]), st.integers(0, 2 ** 32 - 1))
+def test_multiplicity_at_matches_per_pole_loop(curve, r, seed):
+    # the drawn curve and, when it is closed, the arc on the same nodes
+    poles = fibonacci_sphere(100) @ _rotation(np.random.default_rng(seed)).T
+    for c in [curve] + ([SphereArc(curve.nodes)] if curve.closed else []):
+        got = [multiplicity_at(c, GreatCircle(p), r) for p in poles]
+        assert [(m.count, m.components) for m in got] == multiplicity_counts_loop(c, r, poles)
 
 
 @settings(max_examples=25)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spherecsf import (Band, GreatCircle, Rotation, Wedge, antipode, cap_area,
-                       fold_angle, geodesic_distance, latitude_through,
-                       orthonormal_frame, reflect_across,
-                       signed_band_coordinate, slerp, unit)
+from spherecsf import (Band, GreatCircle, Latitude, Rotation, Wedge, antipode,
+                       cap_area, fold_angle, geodesic_distance, orthonormal_frame,
+                       reflect_across, slerp, unit)
 from spherecsf.errors import DomainError, PoleDegenerate
 
 X = np.array([1.0, 0.0, 0.0])
@@ -102,17 +101,9 @@ def test_signed_height_sign():
     assert abs(g.signed_height(g.point(1.0))) < EXACT_TOL
 
 
-def test_latitude_through_contains():
-    g = GreatCircle(Z)
-    for p in (unit([0.4, 0.1, 0.9]), unit([-0.2, 0.7, -0.3])):
-        lat = latitude_through(g, p)
-        d = geodesic_distance(lat.pole, p)
-        assert abs(d - lat.radius) < 1e-10
-
-
 def test_latitude_disjoint_from_circle_unless_equatorial():
     g = GreatCircle(Z)
-    lat = latitude_through(g, unit([0.4, 0.1, 0.9]))
+    lat = Latitude(g.pole, float(geodesic_distance(g.pole, unit([0.4, 0.1, 0.9]))))
     # latitude about +-pole(g) misses g when its radius is not pi/2
     assert abs(lat.radius - np.pi / 2) > 1e-6
     closest = min(geodesic_distance(lat.pole, g.point(t)) for t in np.linspace(0, 6.28, 64))
@@ -122,7 +113,7 @@ def test_latitude_disjoint_from_circle_unless_equatorial():
 def test_signed_band_coordinate_matches_height():
     g = GreatCircle(Z)
     p = g.chart_point(0.7, 0.25)
-    assert abs(signed_band_coordinate(g, p) - 0.25) < 1e-12
+    assert abs(g.band_coordinate(p) - 0.25) < 1e-12
 
 
 def test_cap_area_complement_identity():
