@@ -18,10 +18,10 @@ from .sphere import (Band, GreatCircle, Latitude, Rotation, Wedge, antipode,
                      orthonormal_frame, reflect_across, slerp, unit)
 from .curves import (ClosedSphereCurve, CurveDiagnostics, SphereArc,
                      SphereCurve, c1_deviation, curvature_vectors,
-                     curve_distance, densify, diagnostics, hausdorff_distance,
-                     intersection_count, latitude_deviation_angles,
-                     load_curve, resample, save_curve, self_intersects,
-                     turning_angles)
+                     curve_distance, curves_cross, densify, diagnostics,
+                     hausdorff_distance, intersection_count,
+                     latitude_deviation_angles, load_curve, resample,
+                     save_curve, self_intersects, turning_angles)
 from .flow import (DirichletArcSpec, FlowConfig, FlowTrajectory, Snapshot,
                    StraighteningResult, barrier_radius_oracle,
                    circle_extinction_time, circle_oracle, evolve_arc,
@@ -36,8 +36,8 @@ from .jordan import (LeafableReport, MultiplicityReport, Spacing, SpacingCheck,
 from .levelset import (AnnulusState, AreaOdeReport, ClassifyResult,
                        SandwichResult, annulus_area_law,
                        approximate_boundaries, area_ode_check,
-                       classify_long_term, curves_cross, enclosed_left_area,
-                       make_annulus, offset_curve, point_in_left, sandwich_flow)
+                       classify_long_term, enclosed_left_area, make_annulus,
+                       offset_curve, point_in_left, sandwich_flow)
 from .acceptance import CHECKS, CheckResult, run_checks
 
 __all__ = [

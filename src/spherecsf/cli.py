@@ -233,8 +233,8 @@ def cmd_simulate(args, cfg: dict, run: RunDir) -> int:
         traj = evolve_arc(curve, fcfg)
     else:
         traj = evolve_closed(curve, fcfg)
-    include_nodes = args.nodes or _get(cfg, "record_nodes", False, bool)
-    _write_trajectory(run, args, traj, include_nodes)
+    _write_trajectory(run, args, traj,
+                      _get(cfg, "record_nodes", False, bool) or args.nodes)
     final = traj.final()
     save_curve(run.file("tables/final_curve.csv"), final.curve)
     run.write_json("report.json", {

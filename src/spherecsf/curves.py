@@ -14,7 +14,7 @@ and j + 1. `edge_ends` picks the edges, in node order, out of that array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -216,52 +216,6 @@ def diagnostics(curve: SphereCurve, check_embedded: bool = True) -> CurveDiagnos
     return integrals(curve)
 
 
-def self_intersects(nodes: np.ndarray, closed: bool) -> bool:
-    """True if any two nonadjacent geodesic edges cross or touch (tol 1e-12).
-
-    Exact for the polyline, and the answer of testing every pair: a unit point that
-    passes the crossing test for an edge lies in that edge's cap (centred on the
-    normalised chord midpoint, its radius the half length widened by the
-    tolerance), so only pairs whose caps overlap get the great-circle test, or for
-    coplanar pairs the overlap test.
-    """
-    a, b = edge_ends(wrapped(np.asarray(nodes, dtype=float), closed), closed)
-    m = len(a)
-    poles = np.cross(a, b)
-    poles /= np.linalg.norm(poles, axis=1, keepdims=True)
-    cos_len = np.sum(a * b, axis=1)  # edges < pi/2 so cos is monotone on them
-    mid = _midpoints(a, b)
-    # c.a, c.b >= cos_len - CROSS_TOL give c.mid >= 2 (cos_len - CROSS_TOL) / |a + b|
-    reach = np.arccos(np.clip(2.0 * (cos_len - CROSS_TOL) / np.sqrt(2.0 + 2.0 * cos_len),
-                              -1.0, 1.0))
-    gi, jj = _cap_pairs(mid, reach, mid, reach)
-    keep = jj > gi + 1
-    if closed:
-        keep &= ~((gi == 0) & (jj == m - 1))
-    gi, jj = gi[keep], jj[keep]
-    cr = np.cross(poles[gi], poles[jj])
-    nn = np.linalg.norm(cr, axis=1)
-    apart = nn > 1e-12
-    i, j = gi[apart], jj[apart]
-    c = cr[apart] / nn[apart][:, None]
-
-    def on(p, k):
-        return ((np.sum(p * a[k], axis=1) >= cos_len[k] - CROSS_TOL)
-                & (np.sum(p * b[k], axis=1) >= cos_len[k] - CROSS_TOL))
-
-    if np.any(on(c, i) & on(c, j)) or np.any(on(-c, i) & on(-c, j)):
-        return True
-    # coplanar pairs: overlap iff some endpoint lies strictly inside the other edge
-    i, j = gi[~apart], jj[~apart]
-
-    def inside(p, k):
-        return ((np.vecdot(p, a[k]) > cos_len[k] + CROSS_TOL)
-                & (np.vecdot(p, b[k]) > cos_len[k] + CROSS_TOL))
-
-    return bool(np.any(inside(a[j], i) | inside(b[j], i)
-                       | inside(a[i], j) | inside(b[i], j)))
-
-
 def resample(curve: SphereCurve, n: Optional[int] = None,
              spacing: Optional[float] = None) -> SphereCurve:
     """Arclength-uniform resampling along the polyline.
@@ -305,44 +259,45 @@ def nodes_for_spacing(length: float, spacing: float, closed: bool) -> int:
     return max(MIN_NODES, int(round(length / spacing)) + (0 if closed else 1))
 
 
-def _edge_frames(nodes: np.ndarray, closed: bool):
-    """Per-edge (a, b, pole, inward tangents at both endpoints)."""
-    a, b = edge_ends(wrapped(nodes, closed), closed)
+class _Edges(NamedTuple):
+    """Per-edge geometry of a polyline, in node order, for the pruned queries."""
+
+    a: np.ndarray  # start of each edge
+    b: np.ndarray  # end of each edge
+    pole: np.ndarray  # unit a x b
+    cos_len: np.ndarray  # a . b; edges < pi/2 so cos is monotone on them
+    frames: np.ndarray  # inward tangents at a and at b, pole, a, b: _edge_distance's dots
+    centre: np.ndarray  # normalised chord midpoint, the centre of the edge's caps
+    half: np.ndarray  # half the length, the radius of the cap that holds the edge
+    reach: np.ndarray  # radius of the cap that holds every point _meet puts on the edge
+
+
+def _edges(nodes, closed: bool) -> _Edges:
+    a, b = edge_ends(wrapped(np.asarray(nodes, dtype=float), closed), closed)
     pole = np.cross(a, b)
     pole /= np.linalg.norm(pole, axis=1, keepdims=True)
-    dots = np.sum(a * b, axis=1, keepdims=True)
-    ta = b - a * dots  # tangent at a toward b
+    cos_len = np.add.reduce(a * b, axis=1)
+    ta = b - a * cos_len[:, None]  # tangent at a toward b
     ta /= np.linalg.norm(ta, axis=1, keepdims=True)
-    tb = a - b * dots  # tangent at b toward a
+    tb = a - b * cos_len[:, None]  # tangent at b toward a
     tb /= np.linalg.norm(tb, axis=1, keepdims=True)
-    return a, b, pole, ta, tb
+    centre = a + b
+    norm = np.linalg.norm(centre, axis=1)
+    centre /= norm[:, None]
+    # c.a, c.b >= cos_len - CROSS_TOL give c.centre >= 2 (cos_len - CROSS_TOL) / |a + b|
+    reach = np.arccos(np.clip(2.0 * (cos_len - CROSS_TOL) / norm, -1.0, 1.0))
+    return _Edges(a, b, pole, cos_len, np.stack((ta, tb, pole, a, b), axis=1), centre,
+                  0.5 * np.arccos(np.clip(cos_len, -1.0, 1.0)), reach)
 
 
 def _edge_distance(to_a, to_b, height, cos_a, cos_b):
     """Exact distance to a geodesic edge from a point's dot products with the
-    edge's inward tangents at both ends, its pole and its two ends: the height
-    inside the lune the ends' meridians bound, else the nearer end."""
+    edge's frames: the height inside the lune the ends' meridians bound, else
+    the nearer end."""
     h = np.abs(np.arcsin(np.clip(height, -1.0, 1.0)))
     d_end = np.minimum(np.arccos(np.clip(cos_a, -1.0, 1.0)),
                        np.arccos(np.clip(cos_b, -1.0, 1.0)))
     return np.where((to_a >= 0.0) & (to_b >= 0.0), h, d_end)
-
-
-def curve_distance(points: np.ndarray, curve: SphereCurve) -> np.ndarray:
-    """Exact geodesic distance from each point to the curve polyline.
-
-    Valid for distances below pi/2 (enough for band/clearance work).
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    a, b, pole, ta, tb = _edge_frames(curve.nodes, curve.closed)
-    m = len(a)
-    out = np.empty(len(points))
-    chunk = max(64, int(4.0e6 / max(m, 1)))
-    for i0 in range(0, len(points), chunk):
-        x = points[i0:i0 + chunk]
-        d = _edge_distance(x @ ta.T, x @ tb.T, x @ pole.T, x @ a.T, x @ b.T)
-        out[i0:i0 + chunk] = d.min(axis=1)
-    return out
 
 
 def _runs(counts: np.ndarray):
@@ -361,12 +316,6 @@ def _group_min(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Normalised chord midpoints: the centres of the edges' caps."""
-    s = a + b
-    return s / np.linalg.norm(s, axis=1, keepdims=True)
-
-
 def _starts_inside(lo, hi, other, strict: bool):
     """Pairs (k, l) with other[l] in [lo[k], hi[k]], or in (lo[k], hi[k]] when
     strict, grouped by k."""
@@ -378,7 +327,8 @@ def _starts_inside(lo, hi, other, strict: bool):
 
 def _cap_pairs(ca, ra, cb, rb):
     """Pairs (i, j), grouped by ascending i, whose caps B(ca_i, ra_i) and
-    B(cb_j, rb_j) overlap, to BOUND_SLACK.
+    B(cb_j, rb_j) overlap, to BOUND_SLACK: the one proximity search behind
+    every distance, crossing and Hausdorff query.
 
     A coordinate moves no further than the angle, so overlapping caps have
     overlapping shadows [c - r, c + r] on the axis where the cb spread most:
@@ -397,6 +347,81 @@ def _cap_pairs(ca, ra, cb, rb):
     i, j = i[keep], j[keep]
     by_i = np.argsort(i, kind="stable")
     return i[by_i], j[by_i]
+
+
+def _meet(p: _Edges, q: _Edges, i: np.ndarray, j: np.ndarray) -> bool:
+    """True if, for some k, edge i[k] of p and edge j[k] of q cross or touch
+    (tol CROSS_TOL), or lie on one great circle and overlap."""
+    cr = np.cross(p.pole[i], q.pole[j])
+    nn = np.linalg.norm(cr, axis=1)
+    apart = nn > 1e-12
+    c = cr[apart] / nn[apart][:, None]
+
+    def on(pt, e, k):
+        return ((np.sum(pt * e.a[k], axis=1) >= e.cos_len[k] - CROSS_TOL)
+                & (np.sum(pt * e.b[k], axis=1) >= e.cos_len[k] - CROSS_TOL))
+
+    ia, ja = i[apart], j[apart]
+    if np.any(on(c, p, ia) & on(c, q, ja)) or np.any(on(-c, p, ia) & on(-c, q, ja)):
+        return True
+    # coplanar pairs: overlap iff some endpoint lies strictly inside the other edge
+    i, j = i[~apart], j[~apart]
+
+    def inside(pt, e, k):
+        return ((np.vecdot(pt, e.a[k]) > e.cos_len[k] + CROSS_TOL)
+                & (np.vecdot(pt, e.b[k]) > e.cos_len[k] + CROSS_TOL))
+
+    return bool(np.any(inside(q.a[j], p, i) | inside(q.b[j], p, i)
+                       | inside(p.a[i], q, j) | inside(p.b[i], q, j)))
+
+
+def self_intersects(nodes: np.ndarray, closed: bool) -> bool:
+    """True if any two nonadjacent geodesic edges cross or touch (tol 1e-12).
+
+    Exact for the polyline, and the answer of testing every pair: only pairs
+    whose reach caps overlap get the great-circle test, or for coplanar pairs
+    the overlap test.
+    """
+    e = _edges(nodes, closed)
+    i, j = _cap_pairs(e.centre, e.reach, e.centre, e.reach)
+    keep = j > i + 1
+    if closed:
+        keep &= ~((i == 0) & (j == len(e.a) - 1))
+    return _meet(e, e, i[keep], j[keep])
+
+
+def curves_cross(a: ClosedSphereCurve, b: ClosedSphereCurve) -> bool:
+    """True if the two polylines cross or touch (tol 1e-12): self_intersects'
+    test on the pairs of an edge of a and an edge of b, exact for the
+    polylines."""
+    ea, eb = _edges(a.nodes, a.closed), _edges(b.nodes, b.closed)
+    return _meet(ea, eb, *_cap_pairs(ea.centre, ea.reach, eb.centre, eb.reach))
+
+
+def _distances(points: np.ndarray, edges: _Edges) -> np.ndarray:
+    """curve_distance to the polyline with these _edges.
+
+    A point's distance to the nearest edge start, a node, bounds its distance
+    to the polyline, so the edge that holds its nearest point has a cap within
+    that reach of it; one _cap_pairs round finds it.
+    """
+    near = np.empty(len(points))
+    rows = max(1, 2 ** 20 // len(edges.a))
+    for i in range(0, len(points), rows):
+        near[i:i + rows] = np.max(points[i:i + rows] @ edges.a.T, axis=1)
+    owner, cand = _cap_pairs(points, np.arccos(np.clip(near, -1.0, 1.0)),
+                             edges.centre, edges.half)
+    d = _edge_distance(*np.vecdot(points[owner, None], edges.frames[cand]).T)
+    return _group_min(d, np.bincount(owner, minlength=len(points)))
+
+
+def curve_distance(points: np.ndarray, curve: SphereCurve) -> np.ndarray:
+    """Exact geodesic distance from each point to the curve polyline.
+
+    Valid for distances below pi/2 (enough for band/clearance work).
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return _distances(points, _edges(curve.nodes, curve.closed))
 
 
 def _sample_counts(e: np.ndarray, spacing: float) -> np.ndarray:
@@ -430,39 +455,12 @@ def densify(curve: SphereCurve, spacing: float) -> np.ndarray:
     return pts
 
 
-def _node_distances(nodes, centre, half, frames) -> np.ndarray:
-    """Distance, by curve_distance's formula, from each node to the polyline with
-    these edge caps (centre, half length) and stacked _edge_frames, measured
-    against nearby edges only.
-
-    A point within r of the polyline has its nearest edge j within r + half_j of
-    centre_j, so the edges whose caps lie that close settle every point they
-    bring within r; r starts at the longest edge and doubles for the rest, and
-    from r = pi on every edge is near.
-    """
-    out = np.empty(len(nodes))
-    todo = np.arange(len(nodes))
-    r = 2.0 * float(half.max())
-    while len(todo):
-        owner, cand = _cap_pairs(nodes[todo], np.full(len(todo), r), centre, half)
-        d = _edge_distance(*np.vecdot(nodes[todo][owner, None], frames[cand]).T)
-        near = _group_min(d, np.bincount(owner, minlength=len(todo)))
-        done = (near <= r) | (r >= np.pi)
-        out[todo[done]] = near[done]
-        todo, r = todo[~done], 2.0 * r
-    return out
-
-
 def _directed_hausdorff(x: SphereCurve, y: SphereCurve, refine: float) -> float:
     """max over densify(x, refine) of curve_distance(., y), evaluated only on the
     x-edges that can hold the max and, for each, the y-edges that can be nearest."""
-    ext = wrapped(x.nodes, x.closed)
-    a, b = edge_ends(ext, x.closed)
-    e = wrapped_edges(ext, x.closed)
-    ya, yb, pole, ta, tb = _edge_frames(y.nodes, y.closed)
-    frames = np.stack((ta, tb, pole, ya, yb), axis=1)
-    centre, half = _midpoints(ya, yb), 0.5 * y.edge_lengths()
-    d_node = _node_distances(x.nodes, centre, half, frames)
+    ex, ey = _edges(x.nodes, x.closed), _edges(y.nodes, y.closed)
+    e = 2.0 * ex.half
+    d_node = _distances(x.nodes, ey)
     # distance to y is 1-Lipschitz, so no point of edge i is further than ub[i]
     da, db = edge_ends(wrapped(d_node, x.closed), x.closed)
     ub = 0.5 * (da + db + e)
@@ -471,8 +469,8 @@ def _directed_hausdorff(x: SphereCurve, y: SphereCurve, refine: float) -> float:
     order = order[ub[order] >= floor - BOUND_SLACK]
     # a point of edge i is within e_i / 2 of its cap centre and within ub[i] of
     # its nearest point, which is within e_j / 2 of the centre of its edge j
-    owner, cand = _cap_pairs(_midpoints(a[order], b[order]), ub[order] + 0.5 * e[order],
-                             centre, half)
+    owner, cand = _cap_pairs(ex.centre[order], ub[order] + ex.half[order],
+                             ey.centre, ey.half)
     ncand = np.bincount(owner, minlength=len(order))
     first = np.cumsum(ncand) - ncand
     counts = _sample_counts(e[order], refine)
@@ -487,11 +485,11 @@ def _directed_hausdorff(x: SphereCurve, y: SphereCurve, refine: float) -> float:
     while start < len(order) and ub[order[start]] >= max(best, floor) - BOUND_SLACK:
         stop = max(start + 1, int(np.searchsorted(cost, cost[start] + budget, "right")) - 1)
         tail = last - start if start <= last < stop else None
-        pts, k = _edge_samples(a, b, e, order[start:stop], counts[start:stop], tail)
+        pts, k = _edge_samples(ex.a, ex.b, e, order[start:stop], counts[start:stop], tail)
         pos = start + k
         p, step = _runs(ncand[pos])
         j = cand[first[pos[p]] + step]
-        d = _edge_distance(*np.vecdot(pts[p, None], frames[j]).T)
+        d = _edge_distance(*np.vecdot(pts[p, None], ey.frames[j]).T)
         best = max(best, float(_group_min(d, ncand[pos]).max()))
         start, budget = stop, 2 * budget
     return best

@@ -220,6 +220,18 @@ def _circles_through(x, pts):
     return nrm, gram
 
 
+def _check_x_samples(x_samples: int) -> None:
+    if x_samples < 1000:
+        raise DomainError(f"x_samples must be >= 1000, got {x_samples!r}")
+
+
+def _clearance(points, curve: SphereCurve) -> np.ndarray:
+    """Distance from each point or its antipode to the curve, whichever is less."""
+    pts = np.atleast_2d(points)
+    d = curve_distance(np.concatenate((pts, -pts)), curve)
+    return np.minimum(d[:len(pts)], d[len(pts):])
+
+
 def verify_spacing(curve: SphereCurve, spacing: Spacing,
                    x_samples: int = 1000) -> SpacingCheck:
     """Check both spacing conditions; returns the first counterexample found.
@@ -228,12 +240,10 @@ def verify_spacing(curve: SphereCurve, spacing: Spacing,
     (2) every sampled x sees two of the y's along great circles meeting at an
         angle above pi/2 - theta.
     """
-    if x_samples < 1000:
-        raise DomainError(f"x_samples must be >= 1000, got {x_samples!r}")
+    _check_x_samples(x_samples)
     pts = np.atleast_2d(spacing.points)
     c, theta = spacing.clearance, spacing.theta
-    d = np.minimum(curve_distance(pts, curve), curve_distance(-pts, curve))
-    bad = np.nonzero(d <= c)[0]
+    bad = np.nonzero(_clearance(pts, curve) <= c)[0]
     if len(bad):
         return SpacingCheck(False, f"clearance violated at point {bad[0]}", pts[bad[0]])
     sin_th = np.sin(theta)
@@ -253,8 +263,9 @@ def construct_spacing(curve: SphereCurve, theta: float, margin: float = 0.22,
     """Greedy deterministic construction of a (C, theta)-spacing for the curve."""
     if not (0.0 < theta < np.pi / 2.0):
         raise DomainError(f"theta must be in (0, pi/2), got {theta!r}")
+    _check_x_samples(x_samples)
     cand = fibonacci_sphere(256)
-    clear = np.minimum(curve_distance(cand, curve), curve_distance(-cand, curve))
+    clear = _clearance(cand, curve)
     feasible = cand[clear > margin]
     order = np.argsort(-clear[clear > margin])
     chosen = []
@@ -287,9 +298,7 @@ def construct_spacing(curve: SphereCurve, theta: float, margin: float = 0.22,
         for s in (np.pi / 2, np.pi / 2 + 0.3, np.pi / 2 - 0.3, np.pi / 2 + 0.6,
                   np.pi / 2 - 0.6):
             y = np.cos(s) * x + np.sin(s) * base
-            dy = min(float(curve_distance(y, curve)[0]),
-                     float(curve_distance(-y, curve)[0]))
-            if dy > 0.75 * margin:
+            if _clearance(y, curve)[0] > 0.75 * margin:
                 chosen.append(unit(y))
                 additions += 1
                 found = True
@@ -298,8 +307,7 @@ def construct_spacing(curve: SphereCurve, theta: float, margin: float = 0.22,
             raise SpacingNotFound(f"no clearing companion near x = {x}")
 
     pts = np.array(chosen)
-    clearances = np.minimum(curve_distance(pts, curve), curve_distance(-pts, curve))
-    big_c = float(clearances.min()) / 2.0
+    big_c = float(_clearance(pts, curve).min()) / 2.0
     out = Spacing(points=pts, clearance=big_c, theta=float(theta))
     check = verify_spacing(curve, out, x_samples=x_samples)
     if not check.ok:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DomainError, ExtinctionBeforeEnd, NotEmbedded,
                      OffsetCollision)
-from .curves import (ClosedSphereCurve, curve_distance, densify, edge_ends,
+from .curves import (ClosedSphereCurve, curve_distance, curves_cross, edge_ends,
                      hausdorff_distance, integrals, node_tangents, resample,
                      self_intersects, wrapped)
 from .flow import STATUS_EXTINCT, FlowConfig, evolve_closed
@@ -87,13 +87,6 @@ def point_in_left(curve: ClosedSphereCurve, p) -> bool:
 def enclosed_left_area(curve: ClosedSphereCurve) -> float:
     """Area of the region to the left of travel (curves.integrals)."""
     return integrals(curve).enclosed_area
-
-
-def curves_cross(a: ClosedSphereCurve, b: ClosedSphereCurve) -> bool:
-    """True if the two closed polylines intersect (coarse: sampled vs exact)."""
-    step = 0.25 * float(min(a.edge_lengths().min(), b.edge_lengths().min()))
-    d = curve_distance(densify(a, step), b)
-    return bool(d.min() <= 1e-9)
 
 
 @dataclass(frozen=True)

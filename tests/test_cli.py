@@ -150,11 +150,15 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
     ("graphflow", {"t": 0.05, "n": "128"}, "n"),
     ("graphflow", {"t": 0.05, "harmonics": [{"mode": 2.0, "sin_height": 0.1}]},
      "harmonics[0].mode"),
+    ("simulate", {**SIM_CFG, "record_nodes": "yes"}, "record_nodes"),
+    ("simulate --nodes", {**SIM_CFG, "record_nodes": "yes"}, "record_nodes"),
 ], ids=["r", "t", "levels", "values", "sin_height", "bool-string", "bool-number",
-        "int-fraction", "int-bool", "int-string", "int-float"])
+        "int-fraction", "int-bool", "int-string", "int-float", "bool-string-nodes",
+        "bool-string-nodes-flag"])
 def test_non_numeric_fields_are_config_errors(tmp_path, capsys, command, cfg,
                                               field):
-    rc, d = run_cli(tmp_path, command, cfg)
+    command, *flags = command.split()
+    rc, d = run_cli(tmp_path, command, cfg, extra=flags)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}:")

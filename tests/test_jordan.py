@@ -90,8 +90,11 @@ def test_spacing_rejects_point_on_curve():
 def test_spacing_sample_floor():
     eq = circle_curve(np.pi / 2, n=128)
     sp = construct_spacing(eq, 0.3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="x_samples must be >= 1000, got 100"):
         verify_spacing(eq, sp, x_samples=100)
+    # construction stops on the same check before its greedy search
+    with pytest.raises(DomainError, match="x_samples must be >= 1000, got 100"):
+        construct_spacing(eq, 0.3, margin=10.0, x_samples=100)
 
 
 def test_wiggle_is_leafable_and_wiggly():

@@ -90,9 +90,18 @@ def test_enclosed_area_complement_identity():
     assert abs(total - 4.0 * np.pi) < 1e-9
 
 
+# Transversal crossings with no shared node, which sampling one curve missed.
+CROSSING_CIRCLES = [
+    (circle_curve(0.5), circle_curve(0.5, pole=(np.sin(0.3), 0.0, np.cos(0.3)))),
+    (circle_curve(1.0), circle_curve(1.0, pole=(1.0, 0.0, 0.0))),
+]
+
+
 def test_curves_cross():
     assert not curves_cross(circle_curve(0.3, n=64), circle_curve(1.0, n=64))
     assert curves_cross(circle_curve(np.pi / 2, n=64), meridian_circle())
+    for a, b in CROSSING_CIRCLES:
+        assert curves_cross(a, b) and curves_cross(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +135,9 @@ def test_make_annulus_rejects_crossing_boundaries():
     eq = circle_curve(np.pi / 2, n=64)
     with pytest.raises(NotEmbedded):
         make_annulus(eq, meridian_circle())
+    for a, b in CROSSING_CIRCLES:
+        with pytest.raises(NotEmbedded):
+            make_annulus(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The pruned geometry queries against the brute-force forms they replaced.
 
-hausdorff_distance, self_intersects, densify and the multiplicity rule skip
-the parts of a curve that cannot change their answer. Each brute-force form
-below evaluates everything, and the queries must agree with it.
+curve_distance, curves_cross, hausdorff_distance, self_intersects, densify and
+the multiplicity rule skip the parts of a curve that cannot change their
+answer. Each brute-force form below evaluates everything, and the queries must
+agree with it.
 """
 
 import numpy as np
@@ -10,18 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, circle_curve,
-                       curve_distance, densify, hausdorff_distance, multiplicity_at,
-                       multiplicity_sup, self_intersects)
-from spherecsf.curves import CROSS_TOL, edge_ends, wrapped
+                       curve_distance, curves_cross, densify, hausdorff_distance,
+                       multiplicity_at, multiplicity_sup, self_intersects)
+from spherecsf.curves import CROSS_TOL, _edge_distance, edge_ends, wrapped
 from spherecsf.jordan import (_band_geometry, _cap_lattice, _components,
                               _height_extrema, fibonacci_sphere)
 
 from test_curves import wavy_curves
-
-# Both sides take the same exact distance per point and edge, but the brute
-# force gets its dot products from one matrix product, whose BLAS kernel may
-# round a product in a tail tile differently from the per-pair dot.
-HAUSDORFF_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -44,41 +40,80 @@ def densify_loop(curve, spacing):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def curve_distance_dense(points, curve):
+    """Every point against every edge, in chunks of points. The dot products
+    are per pair (np.vecdot), as in the pruned search: a matrix product may
+    round differently (a single point goes through BLAS gemv)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    a, b = edge_ends(wrapped(curve.nodes, curve.closed), curve.closed)
+    pole = np.cross(a, b)
+    pole /= np.linalg.norm(pole, axis=1, keepdims=True)
+    dots = np.sum(a * b, axis=1, keepdims=True)
+    ta = b - a * dots  # tangent at a toward b
+    ta /= np.linalg.norm(ta, axis=1, keepdims=True)
+    tb = a - b * dots  # tangent at b toward a
+    tb /= np.linalg.norm(tb, axis=1, keepdims=True)
+    frames = np.stack((ta, tb, pole, a, b), axis=1)
+    out = np.empty(len(points))
+    chunk = max(1, 2 ** 16 // len(a))
+    for i0 in range(0, len(points), chunk):
+        dot = np.vecdot(points[i0:i0 + chunk, None, None], frames[None])
+        out[i0:i0 + chunk] = _edge_distance(*np.moveaxis(dot, -1, 0)).min(axis=1)
+    return out
+
+
 def hausdorff_brute(a, b, refine):
-    return float(max(curve_distance(densify_loop(a, refine), b).max(),
-                     curve_distance(densify_loop(b, refine), a).max()))
+    return float(max(curve_distance_dense(densify_loop(a, refine), b).max(),
+                     curve_distance_dense(densify_loop(b, refine), a).max()))
 
 
-def self_intersects_dense(nodes, closed):
+def _edge_set(nodes, closed):
     a, b = edge_ends(wrapped(np.asarray(nodes, dtype=float), closed), closed)
-    m = len(a)
     poles = np.cross(a, b)
     poles /= np.linalg.norm(poles, axis=1, keepdims=True)
-    cos_len = np.sum(a * b, axis=1)
-    cr = np.cross(poles[:, None, :], poles[None, :, :])
+    return a, b, poles, np.sum(a * b, axis=1)
+
+
+def meets_dense(p, q, allowed):
+    """True if some pair (i, j) with allowed(i, j), i an edge of p and j one of
+    q, crosses or touches, or is coplanar and overlaps: every pair tested."""
+    a, b, poles, cos_len = p
+    qa, qb, qpoles, qcos = q
+    cr = np.cross(poles[:, None, :], qpoles[None, :, :])
     nn = np.linalg.norm(cr, axis=2)
-    gi, jj = np.nonzero(nn > 1e-12)
-    keep = jj > gi + 1
-    if closed:
-        keep &= ~((gi == 0) & (jj == m - 1))
-    gi, jj = gi[keep], jj[keep]
+    gi, jj = np.nonzero((nn > 1e-12) & allowed(*np.indices(nn.shape)))
     c = cr[gi, jj] / nn[gi, jj][:, None]
     for cand in (c, -c):
         on_i = ((np.sum(cand * a[gi], axis=1) >= cos_len[gi] - CROSS_TOL)
                 & (np.sum(cand * b[gi], axis=1) >= cos_len[gi] - CROSS_TOL))
-        on_j = ((np.sum(cand * a[jj], axis=1) >= cos_len[jj] - CROSS_TOL)
-                & (np.sum(cand * b[jj], axis=1) >= cos_len[jj] - CROSS_TOL))
+        on_j = ((np.sum(cand * qa[jj], axis=1) >= qcos[jj] - CROSS_TOL)
+                & (np.sum(cand * qb[jj], axis=1) >= qcos[jj] - CROSS_TOL))
         if np.any(on_i & on_j):
             return True
-    gi, jj = np.nonzero(nn <= 1e-12)
-    keep = jj > gi + 1
-    if closed:
-        keep &= ~((gi == 0) & (jj == m - 1))
-    for i, j in zip(gi[keep], jj[keep]):
-        for p, q in ((a[j], i), (b[j], i), (a[i], j), (b[i], j)):
-            if p @ a[q] > cos_len[q] + CROSS_TOL and p @ b[q] > cos_len[q] + CROSS_TOL:
+    for i, j in zip(*np.nonzero((nn <= 1e-12) & allowed(*np.indices(nn.shape)))):
+        for pt, (ea, eb, ec) in ((qa[j], (a[i], b[i], cos_len[i])),
+                                 (qb[j], (a[i], b[i], cos_len[i])),
+                                 (a[i], (qa[j], qb[j], qcos[j])),
+                                 (b[i], (qa[j], qb[j], qcos[j]))):
+            if pt @ ea > ec + CROSS_TOL and pt @ eb > ec + CROSS_TOL:
                 return True
     return False
+
+
+def self_intersects_dense(nodes, closed):
+    e = _edge_set(nodes, closed)
+    m = len(e[0])
+
+    def nonadjacent(i, j):
+        keep = j > i + 1
+        return keep & ~((i == 0) & (j == m - 1)) if closed else keep
+
+    return meets_dense(e, e, nonadjacent)
+
+
+def curves_cross_dense(p, q):
+    return meets_dense(_edge_set(p.nodes, p.closed), _edge_set(q.nodes, q.closed),
+                       lambda i, j: np.ones(i.shape, dtype=bool))
 
 
 def _multiplicity_from_heights(h, cos_edge, sin_edge, sin_band, sin_touch, closed):
@@ -214,12 +249,27 @@ def test_densify_matches_loop(curve, spacing):
     assert np.array_equal(densify(curve, spacing), densify_loop(curve, spacing))
 
 
+@settings(max_examples=100)
+@given(wavy_curves(), st.sampled_from([1e-9, 1e-4, 1e-2]), st.integers(0, 2 ** 32 - 1))
+def test_curve_distance_matches_dense(curve, nudge, seed):
+    # points on the curve (nodes and densified points), nudged off it, spread
+    # over the sphere, and the antipodes of all of them
+    rng = np.random.default_rng(seed)
+    on = np.concatenate((curve.nodes, densify(curve, 0.05)))
+    pts = np.concatenate((on, on + nudge * rng.normal(size=on.shape),
+                          rng.normal(size=(64, 3))))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = np.concatenate((pts, -pts))
+    assert np.array_equal(curve_distance(pts, curve), curve_distance_dense(pts, curve))
+    k = rng.integers(len(pts))
+    assert np.array_equal(curve_distance(pts[k], curve), curve_distance_dense(pts[k], curve))
+
+
 @settings(max_examples=60)
 @given(curve_pairs(), st.sampled_from([1e-2, 3e-3, 1e-3]))
 def test_hausdorff_matches_brute_force(pair, refine):
     a, b = pair
-    assert abs(hausdorff_distance(a, b, refine) - hausdorff_brute(a, b, refine)) \
-        <= HAUSDORFF_TOL
+    assert hausdorff_distance(a, b, refine) == hausdorff_brute(a, b, refine)
 
 
 @settings(max_examples=30)
@@ -229,8 +279,20 @@ def test_hausdorff_to_a_moved_copy(curve, shift, seed):
     rng = np.random.default_rng(seed)
     moved = curve.nodes + shift * 0.1 * rng.normal(size=(1, 3))
     other = curve.with_nodes(moved / np.linalg.norm(moved, axis=1, keepdims=True))
-    assert abs(hausdorff_distance(curve, other, 1e-3)
-               - hausdorff_brute(curve, other, 1e-3)) <= HAUSDORFF_TOL
+    assert hausdorff_distance(curve, other, 1e-3) == hausdorff_brute(curve, other, 1e-3)
+
+
+@settings(max_examples=150)
+@given(curve_pairs())
+def test_curves_cross_matches_dense(pair):
+    a, b = pair
+    assert curves_cross(a, b) == curves_cross_dense(a, b)
+    # b's node nearest to a moved onto a's nearest node: the curves touch there
+    k, near = np.unravel_index(np.argmax(b.nodes @ a.nodes.T), (b.n, a.n))
+    nodes = np.array(b.nodes)
+    nodes[k] = a.nodes[near]
+    touching = b.with_nodes(nodes)
+    assert curves_cross(a, touching) and curves_cross_dense(a, touching)
 
 
 @settings(max_examples=200)
