@@ -13,31 +13,28 @@ from .errors import (AntipodalEndpoints, BlowUp, ConfigInvalid, DomainError,
                      ExtinctionBeforeEnd, NeverEnters, NotEmbedded,
                      OffsetCollision, ParamDomain, PoleDegenerate,
                      SpacingNotFound, SphereCSFError, TooFewNodes)
-from .sphere import (Band, GreatCircle, Latitude, Rotation, Wedge, antipode,
-                     cap_area, fold_angle, geodesic_distance,
-                     orthonormal_frame, reflect_across, slerp, unit)
+from .sphere import (GreatCircle, Latitude, Wedge, cap_area, fold_angle,
+                     geodesic_distance, orthonormal_frame, slerp, unit)
 from .curves import (ClosedSphereCurve, CurveDiagnostics, SphereArc,
-                     SphereCurve, c1_deviation, curvature_vectors,
-                     curve_distance, curves_cross, densify, diagnostics,
-                     hausdorff_distance, intersection_count,
-                     latitude_deviation_angles, load_curve, resample,
-                     save_curve, self_intersects, turning_angles)
+                     SphereCurve, c1_deviation, curve_distance, curves_cross,
+                     densify, diagnostics, hausdorff_distance,
+                     intersection_count, latitude_deviation_angles, load_curve,
+                     resample, save_curve, self_intersects, turning_angles)
 from .flow import (DirichletArcSpec, FlowConfig, FlowTrajectory, Snapshot,
                    StraighteningResult, barrier_radius_oracle,
                    circle_extinction_time, circle_oracle, evolve_arc,
                    evolve_closed, straightening_experiment, time_to_enter_cap)
 from .graphflow import (PeriodicGraph, constant_graph_oracle, crosscheck,
-                        evolve_graph, lift_to_sphere, linear_mode_decay)
+                        evolve_graph, linear_mode_decay)
 from .jordan import (LeafableReport, MultiplicityReport, Spacing, SpacingCheck,
-                     check_dirichlet_gamma, circle_curve, construct_spacing,
-                     dirichlet_gamma, fibonacci_sphere, generate_curve,
-                     is_leafable, koch_like, leafable_wiggle, multiplicity_at,
-                     multiplicity_sup, perturbed_latitude, verify_spacing)
+                     circle_curve, construct_spacing, dirichlet_gamma,
+                     fibonacci_sphere, generate_curve, is_leafable, koch_like,
+                     leafable_wiggle, multiplicity_at, multiplicity_sup,
+                     perturbed_latitude, verify_spacing)
 from .levelset import (AnnulusState, AreaOdeReport, ClassifyResult,
-                       SandwichResult, annulus_area_law,
-                       approximate_boundaries, area_ode_check,
+                       SandwichResult, annulus_area_law, area_ode_check,
                        classify_long_term, enclosed_left_area, make_annulus,
-                       offset_curve, point_in_left, sandwich_flow)
+                       offset_curve, sandwich_flow)
 from .acceptance import CHECKS, CheckResult, run_checks
 
 __all__ = [
@@ -48,12 +45,11 @@ __all__ = [
     "SpacingNotFound", "ParamDomain", "OffsetCollision",
     "ExtinctionBeforeEnd", "NeverEnters",
     # sphere
-    "GreatCircle", "Latitude", "Rotation", "Band", "Wedge", "unit",
-    "geodesic_distance", "fold_angle", "orthonormal_frame", "slerp",
-    "antipode", "cap_area", "reflect_across",
+    "GreatCircle", "Latitude", "Wedge", "unit", "geodesic_distance",
+    "fold_angle", "orthonormal_frame", "slerp", "cap_area",
     # curves
     "ClosedSphereCurve", "SphereArc", "SphereCurve", "CurveDiagnostics",
-    "turning_angles", "curvature_vectors", "diagnostics", "self_intersects",
+    "turning_angles", "diagnostics", "self_intersects",
     "resample", "densify", "curve_distance", "hausdorff_distance",
     "latitude_deviation_angles", "c1_deviation", "intersection_count",
     "save_curve", "load_curve",
@@ -64,17 +60,16 @@ __all__ = [
     "straightening_experiment",
     # graphflow
     "PeriodicGraph", "evolve_graph", "constant_graph_oracle",
-    "linear_mode_decay", "lift_to_sphere", "crosscheck",
+    "linear_mode_decay", "crosscheck",
     # jordan
     "MultiplicityReport", "multiplicity_at", "multiplicity_sup", "Spacing",
     "SpacingCheck", "verify_spacing", "construct_spacing", "LeafableReport",
     "is_leafable", "circle_curve", "perturbed_latitude", "leafable_wiggle",
-    "koch_like", "dirichlet_gamma", "check_dirichlet_gamma", "generate_curve",
+    "koch_like", "dirichlet_gamma", "generate_curve",
     "fibonacci_sphere",
     # levelset
-    "AnnulusState", "make_annulus", "point_in_left", "curves_cross",
-    "enclosed_left_area", "offset_curve", "approximate_boundaries",
-    "sandwich_flow", "SandwichResult", "area_ode_check", "AreaOdeReport",
+    "AnnulusState", "make_annulus", "curves_cross", "enclosed_left_area",
+    "offset_curve", "sandwich_flow", "SandwichResult", "area_ode_check", "AreaOdeReport",
     "annulus_area_law", "classify_long_term", "ClassifyResult",
     # acceptance
     "CHECKS", "CheckResult", "run_checks",

@@ -161,15 +161,6 @@ def chord_curvature(ext: np.ndarray, closed: bool) -> np.ndarray:
     return out
 
 
-def curvature_vectors(curve: SphereCurve) -> np.ndarray:
-    """Discrete geodesic-curvature vectors (tangent to the sphere at each node).
-
-    Chord-scaled second difference; exact (= cot r toward the pole) on uniform
-    latitude polygons. Arc endpoints get zero vectors.
-    """
-    return chord_curvature(wrapped(curve.nodes, curve.closed), curve.closed)
-
-
 def mean_adjacent_edges(curve: SphereCurve) -> np.ndarray:
     """Mean length h of the two edges at each node that has two (the nodes
     turning_angles measures)."""
@@ -241,16 +232,20 @@ def resample(curve: SphereCurve, n: Optional[int] = None,
     idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(e) - 1)
     f = (t - cum[idx]) / e[idx]
     f = np.clip(f, 0.0, 1.0)
-    a = src_a[idx]
-    b = src_b[idx]
-    ang = e[idx]
-    s = np.sin(ang)
-    new = (np.sin((1.0 - f) * ang)[:, None] * a + np.sin(f * ang)[:, None] * b) / s[:, None]
+    new = edge_slerp(src_a[idx], src_b[idx], e[idx], f)
     new /= np.linalg.norm(new, axis=1, keepdims=True)
     if not curve.closed:
         new[0] = curve.nodes[0]
         new[-1] = curve.nodes[-1]
     return curve.with_nodes(new)
+
+
+def edge_slerp(a, b, ang, f):
+    """Points a fraction f along the geodesic edges from rows a to rows b, of
+    lengths ang, before the final normalisation:
+    (sin((1 - f) ang) a + sin(f ang) b) / sin(ang)."""
+    return (np.sin((1.0 - f) * ang)[:, None] * a
+            + np.sin(f * ang)[:, None] * b) / np.sin(ang)[:, None]
 
 
 def nodes_for_spacing(length: float, spacing: float, closed: bool) -> int:
@@ -435,9 +430,7 @@ def _edge_samples(a, b, e, edges, counts, end=None):
     k, step = _runs(counts)
     f = step / counts[k]
     i = edges[k]
-    ang = e[i]
-    pts = (np.sin((1.0 - f) * ang)[:, None] * a[i]
-           + np.sin(f * ang)[:, None] * b[i]) / np.sin(ang)[:, None]
+    pts = edge_slerp(a[i], b[i], e[i], f)
     if end is not None:
         pts = np.concatenate((pts, b[edges[end]][None]))
         k = np.append(k, end)

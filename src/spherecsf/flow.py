@@ -29,9 +29,13 @@ from .sphere import GreatCircle, as_point, geodesic_distance
 CFL_FACTOR = 0.25
 # A step may not increase length by more than this before it is retried.
 LENGTH_BACKSTOP = 1e-12
+# A rejected step is retried with dt halved, at most this many times.
+MAX_DT_HALVINGS = 8
+# A remesh check resamples when the longest edge exceeds the shortest by this ratio.
+REMESH_UNIFORMITY = 1.1
 
 # FlowConfig's count fields; every other field is a real number.
-_COUNT_FIELDS = ("target_nodes", "remesh_every", "max_dt_halvings")
+_COUNT_FIELDS = ("remesh_every",)
 
 STATUS_EXTINCT = "extinct"
 STATUS_MAX_TIME = "reached_max_time"
@@ -44,11 +48,8 @@ class FlowConfig:
     snapshot_dt: float = 1e-2
     max_time: Optional[float] = None
     extinction_length: float = 1e-2
-    target_nodes: Optional[int] = None
     target_spacing: Optional[float] = None
     remesh_every: int = 20
-    remesh_uniformity: float = 1.1
-    max_dt_halvings: int = 8
 
     def __post_init__(self):
         for f in fields(self):
@@ -71,21 +72,11 @@ class FlowConfig:
         if not (0.0 < self.extinction_length < math.inf):
             raise ConfigInvalid(f"extinction_length must be positive and finite, "
                                 f"got {self.extinction_length!r}")
-        if self.target_nodes is not None and self.target_nodes < 32:
-            raise ConfigInvalid(f"target_nodes must be >= 32, got {self.target_nodes!r}")
         if self.target_spacing is not None and not (0.0 < self.target_spacing < 0.5):
             raise ConfigInvalid(
                 f"target_spacing must be in (0, 0.5), got {self.target_spacing!r}")
-        if self.target_nodes is not None and self.target_spacing is not None:
-            raise ConfigInvalid("target_nodes and target_spacing are mutually exclusive")
         if self.remesh_every < 1:
             raise ConfigInvalid(f"remesh_every must be >= 1, got {self.remesh_every!r}")
-        if not (1.0 < self.remesh_uniformity < math.inf):
-            raise ConfigInvalid(f"remesh_uniformity must exceed 1 and be finite, "
-                                f"got {self.remesh_uniformity!r}")
-        if not (0 <= self.max_dt_halvings <= 40):
-            raise ConfigInvalid(
-                f"max_dt_halvings must be in [0, 40], got {self.max_dt_halvings!r}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +116,6 @@ def _snapshot(t: float, curve: SphereCurve) -> Snapshot:
 
 
 def _initial_mesh(curve: SphereCurve, cfg: FlowConfig) -> SphereCurve:
-    if cfg.target_nodes is not None and curve.n != cfg.target_nodes:
-        return resample(curve, n=cfg.target_nodes)
     if cfg.target_spacing is not None:
         return resample(curve, spacing=cfg.target_spacing)
     return curve
@@ -135,8 +124,6 @@ def _initial_mesh(curve: SphereCurve, cfg: FlowConfig) -> SphereCurve:
 def _target_n(length: float, curve_n: int, cfg: FlowConfig, closed: bool) -> int:
     if cfg.target_spacing is not None:
         return nodes_for_spacing(length, cfg.target_spacing, closed)
-    if cfg.target_nodes is not None:
-        return cfg.target_nodes
     return curve_n
 
 
@@ -171,7 +158,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
 
         kv = chord_curvature(ext, closed)
         accepted = False
-        for _ in range(cfg.max_dt_halvings + 1):
+        for _ in range(MAX_DT_HALVINGS + 1):
             trial = dt * kv
             trial += nodes
             trial /= np.sqrt(np.add.reduce(trial * trial, axis=1, keepdims=True))
@@ -199,7 +186,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
             since_remesh = 0
             want = _target_n(length, len(nodes), cfg, closed)
             ratio = float(start_e.max() / start_e.min())
-            if want != len(nodes) or ratio >= cfg.remesh_uniformity:
+            if want != len(nodes) or ratio >= REMESH_UNIFORMITY:
                 cur = curve.with_nodes(nodes)
                 cur = resample(cur, n=want)
                 nodes = np.array(cur.nodes)

@@ -92,7 +92,7 @@ def linear_mode_decay(k: int, t: float) -> float:
     return float(np.exp((1.0 - k * k) * t))
 
 
-def lift_to_sphere(g, circle: GreatCircle) -> ClosedSphereCurve:
+def _lift_to_sphere(g, circle: GreatCircle) -> ClosedSphereCurve:
     """The graph as a closed curve: longitude x, band coordinate arctan(u(x))."""
     g = g if isinstance(g, PeriodicGraph) else PeriodicGraph(g)
     nodes = circle.chart_point(g.x, g.heights)
@@ -109,9 +109,9 @@ def crosscheck(initial, circle: GreatCircle, t: float,
     if t <= 0.0:
         raise DomainError(f"crosscheck time must be positive, got {t!r}")
     g_t = evolve_graph(g0, t)
-    graph_curve = lift_to_sphere(g_t, circle)
+    graph_curve = _lift_to_sphere(g_t, circle)
 
-    start = resample(lift_to_sphere(g0, circle), n=curve_nodes)
+    start = resample(_lift_to_sphere(g0, circle), n=curve_nodes)
     cfg = FlowConfig(dt=dt, snapshot_dt=t, max_time=t,
                      remesh_every=10 ** 9, extinction_length=1e-6)
     traj = evolve_closed(start, cfg)

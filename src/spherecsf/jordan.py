@@ -16,11 +16,11 @@ import numpy as np
 
 from .errors import DomainError, ParamDomain, SpacingNotFound
 from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, curve_distance,
-                     edge_ends, latitude_deviation_angles, mean_adjacent_edges,
-                     resample, turning_angles, wrapped)
+                     edge_ends, edge_slerp, latitude_deviation_angles, resample,
+                     wrapped)
 from .flow import DirichletArcSpec
 from .sphere import (GreatCircle, Latitude, Wedge, as_point, fold_angle,
-                     geodesic_distance, orthonormal_frame, reflect_across, unit)
+                     geodesic_distance, orthonormal_frame, unit)
 
 TOUCH_TOL = 1e-9
 MAX_KOCH_DEPTH = 6
@@ -449,17 +449,12 @@ def koch_like(depth: int, base_radius: float = 0.8, pole=(0.0, 0.0, 1.0),
     nodes = lat.point(ang)
     for _ in range(depth):
         p, q = edge_ends(wrapped(nodes, True), True)
-        ell = geodesic_distance(p, q)[:, None]
-        sl = np.sin(ell)
-
-        def along(f):
-            return (np.sin((1.0 - f) * ell) * p + np.sin(f * ell) * q) / sl
-
-        a, mid, b = along(1.0 / 3.0), along(0.5), along(2.0 / 3.0)
+        ell = geodesic_distance(p, q)
+        a, mid, b = (edge_slerp(p, q, ell, f) for f in (1.0 / 3.0, 0.5, 2.0 / 3.0))
         tdir = q - mid * np.sum(q * mid, axis=1, keepdims=True)
         tdir /= np.linalg.norm(tdir, axis=1, keepdims=True)
         out = np.cross(tdir, mid)
-        d = (np.sqrt(3.0) / 6.0) * ell
+        d = (np.sqrt(3.0) / 6.0) * ell[:, None]
         apex = np.cos(d) * mid + np.sin(d) * out
         nodes = np.stack([p, a, apex, b], axis=1).reshape(-1, 3)
         nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
@@ -552,68 +547,6 @@ def dirichlet_gamma(spec: DirichletArcSpec, spacing: Optional[float] = None):
         "spacing": float(spacing),
     }
     return arc, info
-
-
-def check_dirichlet_gamma(arc: SphereArc, spec: DirichletArcSpec, info: dict) -> dict:
-    """Property checks for the hairpin construction; all values should be True."""
-    g, r = spec.circle, spec.band_halfwidth
-    x = spec.vertex
-    wedge: Wedge = info["wedge"]
-    theta = info["theta"]
-    lon, s = g.chart_coords(arc.nodes)
-    e = arc.edge_lengths()
-    hbar = mean_adjacent_edges(arc)
-    checks = {}
-
-    psi_ends = [float(wedge.leaf_angle(arc.nodes[0])),
-                float(wedge.leaf_angle(arc.nodes[-1]))]
-    mirrored = reflect_across(g, arc.nodes[0])
-    checks["endpoints_on_extreme_leaves"] = (
-        abs(abs(psi_ends[0]) - theta) <= 1e-9
-        and abs(abs(psi_ends[1]) - theta) <= 1e-9
-        and float(geodesic_distance(mirrored, arc.nodes[-1])) <= 1e-7)
-
-    checks["band_containment"] = bool(np.abs(s).max() <= 2.0 * r + 1e-9)
-    psi = wedge.leaf_angle(arc.nodes)
-    checks["wedge_containment"] = bool(np.abs(psi).max() <= theta + 1e-9)
-
-    d_far = geodesic_distance(arc.nodes, -x)
-    low = np.abs(s) < spec.floor - 1e-9
-    checks["low_points_in_far_cap"] = bool(
-        np.all(d_far[low] <= spec.closeness * spec.cap_radius + 1e-9))
-
-    dlam = np.diff(lon)
-    peak = int(np.argmax(lon))
-    checks["double_graph"] = bool(np.all(dlam[:peak] > 0) and np.all(dlam[peak:] < 0))
-    sign_changes = int(np.count_nonzero(np.sign(s[1:]) != np.sign(s[:-1])))
-    tip = int(np.argmin(np.abs(s)))
-    checks["single_crossing_at_tip"] = (
-        sign_changes == 1 and abs(float(s[tip])) <= float(e.max()))
-
-    crossings_ok = True
-    for frac in np.linspace(0.87, 0.98, 4):
-        for sign in (1.0, -1.0):
-            level = sign * frac * theta
-            hits = int(np.count_nonzero(np.sign(psi[1:] - level)
-                                        != np.sign(psi[:-1] - level)))
-            crossings_ok &= hits == 1
-    checks["extreme_leaves_hit_once"] = crossings_ok
-
-    devs = latitude_deviation_angles(arc, g)
-    in_cap = d_far <= spec.closeness * spec.cap_radius
-    checks["steep_in_far_cap"] = bool(np.all(devs[in_cap] > np.pi / 4.0))
-
-    tau = turning_angles(arc)
-    checks["no_sharp_left_turns"] = bool(
-        np.all(tau <= 2.0 * np.tan(2.0 * r) * hbar + 1e-12))
-
-    def collinear(triple):
-        n01 = unit(np.cross(triple[0], triple[1]))
-        return abs(float(triple[2] @ n01)) <= 1e-9
-
-    checks["flat_tails"] = collinear(arc.nodes[:3]) and collinear(arc.nodes[-3:])
-    checks["ok"] = all(bool(v) for v in checks.values())
-    return checks
 
 
 def _dirichlet_gamma_arc(band_halfwidth: float, pole=(0.0, 0.0, 1.0),

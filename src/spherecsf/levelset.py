@@ -34,7 +34,7 @@ VERDICT_HEMISPHERE = "HemisphereLimit"
 VERDICT_WHOLE_SPHERE = "WholeSphere"
 
 
-def point_in_left(curve: ClosedSphereCurve, p) -> bool:
+def _point_in_left(curve: ClosedSphereCurve, p) -> bool:
     """True when p lies in the region to the left of the travel direction.
 
     Walks a great circle from p and inspects the first transversal crossing
@@ -106,7 +106,7 @@ def _side_of(curve: ClosedSphereCurve, other: ClosedSphereCurve) -> bool:
     # whose antipode lands exactly on `curve` (symmetric meshes arrange that)
     for f in (0.0, 0.3819660112501051, 0.7639320225002102, 0.1458980337503155):
         try:
-            return point_in_left(curve, slerp(other.nodes[0], other.nodes[1], f))
+            return _point_in_left(curve, slerp(other.nodes[0], other.nodes[1], f))
         except DomainError:
             continue
     raise DomainError("cannot find a non-degenerate probe point for the "
@@ -117,8 +117,11 @@ def make_annulus(alpha: ClosedSphereCurve, beta: ClosedSphereCurve) -> AnnulusSt
     """Orient both boundaries with their off-annulus side on the left and
     compute the enclosed annulus area. alpha = beta (to 1e-7) degenerates to
     the zero-thickness annulus."""
-    # threshold sits above the ~1.5e-8 arccos noise floor of the metric
-    if alpha.n == beta.n and hausdorff_distance(alpha, beta, refine=1e-3) <= 1e-7:
+    # threshold sits above the ~1.5e-8 arccos noise floor of the metric; the
+    # Hausdorff distance is at least the largest node distance (to rounding),
+    # so a node of alpha 1e-6 off beta settles it without densifying
+    if (alpha.n == beta.n and float(curve_distance(alpha.nodes, beta).max()) <= 1e-6
+            and hausdorff_distance(alpha, beta, refine=1e-3) <= 1e-7):
         return AnnulusState(alpha=alpha, beta=beta, area=0.0, degenerate=True)
     if curves_cross(alpha, beta):
         raise NotEmbedded("annulus boundaries intersect")
@@ -170,40 +173,6 @@ def offset_curve(curve: ClosedSphereCurve, eps: float, side: int) -> ClosedSpher
     return out
 
 
-@dataclass(frozen=True)
-class OffsetLevel:
-    eps: float
-    alpha: Optional[ClosedSphereCurve]
-    beta: Optional[ClosedSphereCurve]
-    skipped: Optional[str] = None
-
-
-def approximate_boundaries(curve: ClosedSphereCurve, n_levels: int,
-                           eps0: float = 0.1) -> list:
-    """Two-sided offsets at eps0 * 2^-n; collided levels are skipped with a note."""
-    if n_levels < 1:
-        raise DomainError("need at least one level")
-    return _offset_levels(curve, curve, -1, n_levels, eps0)
-
-
-def _offset_levels(alpha: ClosedSphereCurve, beta: ClosedSphereCurve,
-                   beta_side: int, n_levels: int, eps0: float) -> list:
-    """OffsetLevel per eps = eps0 * 2^-n, n < n_levels: alpha offset to its
-    left, beta to side `beta_side`; a level whose offset collides is skipped
-    with the collision's message."""
-    levels = []
-    for n in range(n_levels):
-        eps = eps0 * 2.0 ** (-n)
-        try:
-            levels.append(OffsetLevel(eps=eps,
-                                      alpha=offset_curve(alpha, eps, +1),
-                                      beta=offset_curve(beta, eps, beta_side)))
-        except OffsetCollision as exc:
-            levels.append(OffsetLevel(eps=eps, alpha=None, beta=None,
-                                      skipped=str(exc)))
-    return levels
-
-
 # ---------------------------------------------------------------------------
 # the sandwich
 
@@ -249,18 +218,23 @@ def sandwich_flow(initial, n_levels: int, t_end: float, eps0: float = 0.1,
         alpha, beta, beta_side = initial, initial, -1
         mu = lambda ea, eb: eb - ea  # noqa: E731
     rows = []
-    for lv in _offset_levels(alpha, beta, beta_side, n_levels, eps0):
-        if lv.skipped is not None:
-            rows.append(SandwichRow(eps=lv.eps, gap_initial=np.nan,
-                                    gap_final=np.nan, area_final=np.nan,
-                                    skipped=lv.skipped))
+    for n in range(n_levels):
+        # level n offsets alpha to its left and beta to beta_side by eps0 * 2^-n;
+        # a level whose offset collides is skipped with the collision's message
+        eps = eps0 * 2.0 ** (-n)
+        try:
+            alpha_0 = offset_curve(alpha, eps, +1)
+            beta_0 = offset_curve(beta, eps, beta_side)
+        except OffsetCollision as exc:
+            rows.append(SandwichRow(eps=eps, gap_initial=np.nan, gap_final=np.nan,
+                                    area_final=np.nan, skipped=str(exc)))
             continue
-        gap0 = hausdorff_distance(lv.alpha, lv.beta, refine=1e-3)
-        alpha_t = evolve_closed(lv.alpha, cfg).final().curve
-        beta_t = evolve_closed(lv.beta, cfg).final().curve
+        gap0 = hausdorff_distance(alpha_0, beta_0, refine=1e-3)
+        alpha_t = evolve_closed(alpha_0, cfg).final().curve
+        beta_t = evolve_closed(beta_0, cfg).final().curve
         gap_t = hausdorff_distance(alpha_t, beta_t, refine=1e-3)
         area_t = mu(enclosed_left_area(alpha_t), enclosed_left_area(beta_t))
-        rows.append(SandwichRow(eps=lv.eps, gap_initial=float(gap0),
+        rows.append(SandwichRow(eps=eps, gap_initial=float(gap0),
                                 gap_final=float(gap_t), area_final=float(area_t)))
 
     live = [r for r in rows if r.skipped is None]

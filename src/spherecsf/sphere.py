@@ -1,4 +1,4 @@
-"""Spherical primitives: unit points, great circles, latitudes, rotations, bands, wedges.
+"""Spherical primitives: unit points, great circles, latitudes, wedges.
 
 Angles are radians; points are unit 3-vectors (numpy arrays of shape (3,) or (n, 3)).
 """
@@ -84,10 +84,6 @@ def slerp(p, q, f):
     return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
 
-def antipode(p):
-    return -np.asarray(p, dtype=float)
-
-
 @dataclass(frozen=True)
 class GreatCircle:
     """Oriented great circle {p : <p, pole> = 0}, counterclockwise seen from pole."""
@@ -143,9 +139,6 @@ class GreatCircle:
             raise PoleDegenerate("latitude direction undefined at the poles")
         return d / nn
 
-    def contains(self, p, tol=1e-9):
-        return np.all(np.abs(self.signed_height(p)) <= tol)
-
 
 @dataclass(frozen=True)
 class Latitude:
@@ -169,12 +162,6 @@ class Latitude:
                + np.multiply.outer(np.sin(angle), e2))
         return np.cos(self.radius) * self.pole + np.sin(self.radius) * rim
 
-    def direction_at(self, p):
-        return GreatCircle(self.pole).direction_at(p)
-
-    def contains(self, p, tol=1e-9):
-        return np.all(np.abs(geodesic_distance(p, self.pole) - self.radius) <= tol)
-
 
 def cap_area(r):
     """Area of a geodesic ball of radius r in (0, pi)."""
@@ -182,55 +169,6 @@ def cap_area(r):
     if not (0.0 < r < np.pi):
         raise DomainError(f"cap radius must be in (0, pi), got {r!r}")
     return 2.0 * np.pi * (1.0 - np.cos(r))
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """Rotation about `axis` by `angle`, stored folded into (-pi, pi]."""
-
-    axis: np.ndarray
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", as_point(self.axis, "axis"))
-        self.axis.flags.writeable = False
-        object.__setattr__(self, "angle", float(fold_angle(self.angle)))
-
-    @cached_property
-    def matrix(self):
-        x, y, z = self.axis
-        k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-        m = np.eye(3) + np.sin(self.angle) * k + (1.0 - np.cos(self.angle)) * (k @ k)
-        m.flags.writeable = False
-        return m
-
-    def apply(self, p):
-        return np.asarray(p, dtype=float) @ self.matrix.T
-
-
-def reflect_across(g: GreatCircle, p):
-    """Mirror image across the plane of g."""
-    p = np.asarray(p, dtype=float)
-    h = np.multiply.outer(p @ g.pole, g.pole)
-    return p - 2.0 * h
-
-
-@dataclass(frozen=True)
-class Band:
-    """B_r(g): points within distance halfwidth of the great circle."""
-
-    circle: GreatCircle
-    halfwidth: float
-
-    def __post_init__(self):
-        w = float(self.halfwidth)
-        if not (0.0 < w < np.pi / 2.0):
-            raise DomainError(f"band halfwidth must be in (0, pi/2), got {w!r}")
-        object.__setattr__(self, "halfwidth", w)
-
-    def contains(self, p, slack=0.0):
-        s = np.abs(np.arcsin(np.clip(self.circle.signed_height(p), -1.0, 1.0)))
-        return np.all(s <= self.halfwidth + slack)
 
 
 @dataclass(frozen=True)
@@ -251,31 +189,18 @@ class Wedge:
             raise DomainError(f"wedge halfangle must be in (0, pi/2), got {a!r}")
         object.__setattr__(self, "halfangle", a)
 
-    def leaf(self, psi) -> GreatCircle:
-        """The rotated circle R_psi(circle)."""
-        return GreatCircle(Rotation(self.vertex, psi).apply(self.circle.pole))
-
-    def _fold(self, p):
-        # leaf angle folded into (-pi/2, pi/2], and the mask of points on the
-        # wedge axis (the vertex and its antipode), where every leaf meets
-        m = self.circle.pole
-        u = p @ m
-        w = p @ np.cross(self.vertex, m)
-        psi = np.arctan2(-u, w)
-        psi = np.where(psi > np.pi / 2.0, psi - np.pi, psi)
-        psi = np.where(psi <= -np.pi / 2.0, psi + np.pi, psi)
-        return psi, np.hypot(u, w) < 1e-12
-
     def leaf_angle(self, p):
         """Rotation angle psi in (-pi/2, pi/2] whose leaf contains p.
 
         The vertex and its antipode lie on every leaf; PoleDegenerate there.
         """
-        psi, on_axis = self._fold(np.asarray(p, dtype=float))
-        if np.any(on_axis):
+        p = np.asarray(p, dtype=float)
+        m = self.circle.pole
+        u = p @ m
+        w = p @ np.cross(self.vertex, m)
+        if np.any(np.hypot(u, w) < 1e-12):
             raise PoleDegenerate("every leaf passes through the wedge axis")
+        psi = np.arctan2(-u, w)
+        psi = np.where(psi > np.pi / 2.0, psi - np.pi, psi)
+        psi = np.where(psi <= -np.pi / 2.0, psi + np.pi, psi)
         return psi if psi.ndim else float(psi)
-
-    def contains(self, p, slack=0.0):
-        psi, on_axis = self._fold(np.atleast_2d(np.asarray(p, dtype=float)))
-        return bool(np.all(on_axis | (np.abs(psi) <= self.halfangle + slack)))

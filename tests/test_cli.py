@@ -127,6 +127,11 @@ def test_simulate_arc_requires_horizon(tmp_path, capsys):
      "flow.target_nodes"),
     ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"remesh_every": float("nan")}},
      "flow.remesh_every"),
+    # the remesh uniformity and the dt-halving cap are flow constants, not settings
+    ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"remesh_uniformity": 1.1}},
+     "flow.remesh_uniformity"),
+    ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"max_dt_halvings": 8}},
+     "flow.max_dt_halvings"),
 ])
 def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
     rc, _ = run_cli(tmp_path, "simulate", cfg)

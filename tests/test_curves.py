@@ -1,19 +1,20 @@
 """Polyline curve model: validation, discrete curvature, metrics, file IO."""
 
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spherecsf
 from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, c1_deviation,
-                       cap_area, circle_curve, curvature_vectors,
-                       curve_distance, densify, diagnostics,
+                       cap_area, circle_curve, curve_distance, densify, diagnostics,
                        enclosed_left_area, geodesic_distance,
                        hausdorff_distance, intersection_count, load_curve,
                        perturbed_latitude, resample, save_curve,
                        self_intersects, turning_angles)
-from spherecsf.curves import integrals, mean_adjacent_edges
+from spherecsf.curves import chord_curvature, integrals, mean_adjacent_edges, wrapped
 from spherecsf.errors import DomainError, TooFewNodes
 from spherecsf.flow import _snapshot
 
@@ -72,7 +73,7 @@ def test_latitude_length_and_turning():
 def test_latitude_pointwise_curvature():
     # geodesic curvature of the r-latitude is cot(r); exact on uniform meshes
     c = circle_curve(np.pi / 4, n=512)
-    mags = np.linalg.norm(curvature_vectors(c), axis=1)
+    mags = np.linalg.norm(chord_curvature(wrapped(c.nodes, True), True), axis=1)
     assert np.abs(mags - 1.0).max() < CURVATURE_TOL
 
 
@@ -265,6 +266,23 @@ def test_no_module_takes_neighbours_with_np_roll():
     package = Path(integrals.__code__.co_filename).parent
     assert [p.name for p in sorted(package.glob("*.py"))
             if "np.roll" in p.read_text()] == []
+
+
+# names with no caller outside their own module and tests, kept off the top level
+REMOVED_NAMES = ("Rotation", "Band", "antipode", "reflect_across", "curvature_vectors",
+                 "approximate_boundaries", "point_in_left", "lift_to_sphere",
+                 "check_dirichlet_gamma")
+
+
+def test_public_surface_is_all():
+    # __all__ and the import block of the package name the same set of names
+    names = spherecsf.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(spherecsf, name) for name in names)
+    public = {name for name, value in vars(spherecsf).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public <= set(names)
+    assert [name for name in REMOVED_NAMES if hasattr(spherecsf, name)] == []
 
 
 def _close(a, b, tol=1e-12):

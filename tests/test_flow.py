@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from spherecsf import (ClosedSphereCurve, FlowConfig, SphereArc,
                        barrier_radius_oracle, circle_curve, circle_extinction_time,
-                       circle_oracle, curvature_vectors, evolve_arc, evolve_closed,
+                       circle_oracle, evolve_arc, evolve_closed,
                        leafable_wiggle, perturbed_latitude, straightening_experiment,
                        time_to_enter_cap)
 from spherecsf.curves import chord_curvature, wrapped, wrapped_edges
@@ -80,25 +80,24 @@ def test_chord_kernel_matches_reference(nodes, closed):
     ext = wrapped(nodes, closed)
     assert np.array_equal(chord_curvature(ext, closed), _kvec_reference(nodes, closed))
     assert np.array_equal(wrapped_edges(ext, closed), _edges_reference(nodes, closed))
-    assert np.array_equal(curvature_vectors(curve), _kvec_reference(nodes, closed))
 
 
 @pytest.mark.parametrize("kwargs, field", [
     (dict(dt=0.0), "dt"),
     (dict(snapshot_dt=-1.0), "snapshot_dt"),
-    (dict(remesh_uniformity=0.9), "remesh_uniformity"),
-    (dict(target_nodes=4), "target_nodes"),
+    (dict(target_spacing=0.5), "target_spacing"),
+    (dict(remesh_every=0), "remesh_every"),
     (dict(max_time=-0.1), "max_time"),
     (dict(max_time=np.nan), "max_time"),
     (dict(max_time=np.inf), "max_time"),
     (dict(extinction_length=np.nan), "extinction_length"),
-    (dict(remesh_uniformity=np.nan), "remesh_uniformity"),
+    (dict(target_spacing=np.nan), "target_spacing"),
     (dict(max_time="x"), "max_time"),
     (dict(dt=True), "dt"),
-    (dict(target_nodes=np.nan), "target_nodes"),
-    (dict(target_nodes=64.0), "target_nodes"),
+    (dict(target_spacing="x"), "target_spacing"),
+    (dict(remesh_every=20.0), "remesh_every"),
     (dict(remesh_every=np.nan), "remesh_every"),
-    (dict(max_dt_halvings=None), "max_dt_halvings"),
+    (dict(dt=None), "dt"),
 ])
 def test_config_validation_names_field(kwargs, field):
     with pytest.raises(ConfigInvalid) as exc:

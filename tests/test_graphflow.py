@@ -5,8 +5,8 @@ import pytest
 
 from spherecsf import (GreatCircle, PeriodicGraph, constant_graph_oracle,
                        crosscheck, evolve_graph, intersection_count,
-                       lift_to_sphere, linear_mode_decay)
-from spherecsf.graphflow import POLE_GUARD
+                       linear_mode_decay)
+from spherecsf.graphflow import POLE_GUARD, _lift_to_sphere
 from spherecsf.errors import BlowUp, DomainError
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -70,7 +70,7 @@ def test_linear_mode_decay_formula():
 
 def test_lift_constant_profile():
     g = GreatCircle(Z)
-    curve = lift_to_sphere(PeriodicGraph(np.full(128, np.tan(0.3))), g)
+    curve = _lift_to_sphere(PeriodicGraph(np.full(128, np.tan(0.3))), g)
     h = g.band_coordinate(curve.nodes)
     assert np.abs(h - 0.3).max() < 1e-12
     assert curve.n == 128
@@ -78,14 +78,14 @@ def test_lift_constant_profile():
 
 def test_lift_zero_is_the_circle():
     g = GreatCircle(Z)
-    curve = lift_to_sphere(PeriodicGraph(np.zeros(64)), g)
+    curve = _lift_to_sphere(PeriodicGraph(np.zeros(64)), g)
     assert np.abs(g.band_coordinate(curve.nodes)).max() < 1e-15
 
 
 def test_lift_mode_three_crossings():
     g = GreatCircle(Z)
     x = grid(128)
-    curve = lift_to_sphere(PeriodicGraph(0.05 * np.sin(3 * x)), g)
+    curve = _lift_to_sphere(PeriodicGraph(0.05 * np.sin(3 * x)), g)
     assert intersection_count(curve, g) == 6
 
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from spherecsf import (DirichletArcSpec, GreatCircle, Spacing, SphereArc,
-                       check_dirichlet_gamma, circle_curve, construct_spacing,
-                       dirichlet_gamma, fibonacci_sphere, generate_curve,
-                       geodesic_distance, is_leafable, koch_like,
+from spherecsf import (DirichletArcSpec, GreatCircle, Spacing, SphereArc, Wedge,
+                       circle_curve, construct_spacing, dirichlet_gamma,
+                       fibonacci_sphere, generate_curve, geodesic_distance,
+                       is_leafable, koch_like, latitude_deviation_angles,
                        leafable_wiggle, multiplicity_at, multiplicity_sup,
-                       perturbed_latitude, self_intersects, verify_spacing)
+                       self_intersects, turning_angles, unit, verify_spacing)
+from spherecsf.curves import mean_adjacent_edges
 from spherecsf.errors import DomainError, ParamDomain
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -143,6 +144,84 @@ def test_koch_scaling_and_embeddedness():
     # each level multiplies length by slightly under the flat 4/3 factor
     ratio = k4.length() / (koch_base_length() * (4.0 / 3.0) ** 4)
     assert 0.99 < ratio < 1.0
+
+
+def reflect_across(g: GreatCircle, p):
+    """Mirror image across the plane of g."""
+    p = np.asarray(p, dtype=float)
+    h = np.multiply.outer(p @ g.pole, g.pole)
+    return p - 2.0 * h
+
+
+def test_reflect_is_involution():
+    g = GreatCircle(unit([0.3, -0.5, 0.8]))
+    p = unit([0.2, 0.9, -0.4])
+    assert np.allclose(reflect_across(g, reflect_across(g, p)), p, atol=1e-12)
+    # fixed points on the circle itself
+    q = g.point(0.4)
+    assert np.allclose(reflect_across(g, q), q, atol=1e-12)
+
+
+def check_dirichlet_gamma(arc: SphereArc, spec: DirichletArcSpec, info: dict) -> dict:
+    """Property checks for the hairpin construction; all values should be True."""
+    g, r = spec.circle, spec.band_halfwidth
+    x = spec.vertex
+    wedge: Wedge = info["wedge"]
+    theta = info["theta"]
+    lon, s = g.chart_coords(arc.nodes)
+    e = arc.edge_lengths()
+    hbar = mean_adjacent_edges(arc)
+    checks = {}
+
+    psi_ends = [float(wedge.leaf_angle(arc.nodes[0])),
+                float(wedge.leaf_angle(arc.nodes[-1]))]
+    mirrored = reflect_across(g, arc.nodes[0])
+    checks["endpoints_on_extreme_leaves"] = (
+        abs(abs(psi_ends[0]) - theta) <= 1e-9
+        and abs(abs(psi_ends[1]) - theta) <= 1e-9
+        and float(geodesic_distance(mirrored, arc.nodes[-1])) <= 1e-7)
+
+    checks["band_containment"] = bool(np.abs(s).max() <= 2.0 * r + 1e-9)
+    psi = wedge.leaf_angle(arc.nodes)
+    checks["wedge_containment"] = bool(np.abs(psi).max() <= theta + 1e-9)
+
+    d_far = geodesic_distance(arc.nodes, -x)
+    low = np.abs(s) < spec.floor - 1e-9
+    checks["low_points_in_far_cap"] = bool(
+        np.all(d_far[low] <= spec.closeness * spec.cap_radius + 1e-9))
+
+    dlam = np.diff(lon)
+    peak = int(np.argmax(lon))
+    checks["double_graph"] = bool(np.all(dlam[:peak] > 0) and np.all(dlam[peak:] < 0))
+    sign_changes = int(np.count_nonzero(np.sign(s[1:]) != np.sign(s[:-1])))
+    tip = int(np.argmin(np.abs(s)))
+    checks["single_crossing_at_tip"] = (
+        sign_changes == 1 and abs(float(s[tip])) <= float(e.max()))
+
+    crossings_ok = True
+    for frac in np.linspace(0.87, 0.98, 4):
+        for sign in (1.0, -1.0):
+            level = sign * frac * theta
+            hits = int(np.count_nonzero(np.sign(psi[1:] - level)
+                                        != np.sign(psi[:-1] - level)))
+            crossings_ok &= hits == 1
+    checks["extreme_leaves_hit_once"] = crossings_ok
+
+    devs = latitude_deviation_angles(arc, g)
+    in_cap = d_far <= spec.closeness * spec.cap_radius
+    checks["steep_in_far_cap"] = bool(np.all(devs[in_cap] > np.pi / 4.0))
+
+    tau = turning_angles(arc)
+    checks["no_sharp_left_turns"] = bool(
+        np.all(tau <= 2.0 * np.tan(2.0 * r) * hbar + 1e-12))
+
+    def collinear(triple):
+        n01 = unit(np.cross(triple[0], triple[1]))
+        return abs(float(triple[2] @ n01)) <= 1e-9
+
+    checks["flat_tails"] = collinear(arc.nodes[:3]) and collinear(arc.nodes[-3:])
+    checks["ok"] = all(bool(v) for v in checks.values())
+    return checks
 
 
 def test_dirichlet_gamma_properties():

@@ -12,7 +12,6 @@ from spherecsf import (
     NotEmbedded,
     OffsetCollision,
     annulus_area_law,
-    approximate_boundaries,
     area_ode_check,
     cap_area,
     circle_curve,
@@ -22,10 +21,10 @@ from spherecsf import (
     hausdorff_distance,
     make_annulus,
     offset_curve,
-    point_in_left,
     sandwich_flow,
 )
-from spherecsf.levelset import evolve_annulus
+from spherecsf import levelset
+from spherecsf.levelset import _point_in_left, evolve_annulus
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -62,21 +61,21 @@ def degenerate_annulus():
 
 def test_point_in_left_cap_sides():
     c = circle_curve(0.3, n=128)
-    assert point_in_left(c, Z)
-    assert not point_in_left(c, X)
-    assert not point_in_left(c, -Z)
+    assert _point_in_left(c, Z)
+    assert not _point_in_left(c, X)
+    assert not _point_in_left(c, -Z)
 
 
 def test_point_in_left_rejects_point_on_curve():
     c = circle_curve(0.3, n=128)
     with pytest.raises(DomainError, match="lies on the curve"):
-        point_in_left(c, c.nodes[5])
+        _point_in_left(c, c.nodes[5])
 
 
 def test_point_in_left_rejects_antipode_on_curve():
     c = circle_curve(0.3, n=128)
     with pytest.raises(DomainError, match="antipode"):
-        point_in_left(c, -c.nodes[5])
+        _point_in_left(c, -c.nodes[5])
 
 
 def test_enclosed_area_matches_cap():
@@ -131,6 +130,28 @@ def test_make_annulus_degenerate_duplicate():
     assert st.area == 0.0
 
 
+def test_make_annulus_degenerate_near_duplicate():
+    # a copy turned by 5e-8 is still the zero-thickness annulus
+    c = circle_curve(0.7, n=96)
+    tilt = 5e-8
+    rot = np.array([[1.0, 0.0, 0.0],
+                    [0.0, np.cos(tilt), -np.sin(tilt)],
+                    [0.0, np.sin(tilt), np.cos(tilt)]])
+    assert make_annulus(c, c).degenerate
+    assert make_annulus(c, c.with_nodes(c.nodes @ rot.T)).degenerate
+
+
+def test_make_annulus_separated_boundaries_skip_hausdorff(monkeypatch):
+    # c06's circles: their nodes sit 0.4 apart, which already rules out the
+    # degenerate annulus without the densified Hausdorff distance
+    def unreachable(*args, **kwargs):
+        raise AssertionError("hausdorff_distance reached")
+
+    monkeypatch.setattr(levelset, "hausdorff_distance", unreachable)
+    st = make_annulus(circle_curve(0.6, n=256), circle_curve(1.0, n=256))
+    assert not st.degenerate
+
+
 def test_make_annulus_rejects_crossing_boundaries():
     eq = circle_curve(np.pi / 2, n=64)
     with pytest.raises(NotEmbedded):
@@ -173,16 +194,6 @@ def test_offset_focal_overrun_raises():
         offset_curve(c, 0.3, +1)
     out = offset_curve(c, 0.3, -1)  # away from the pole is fine
     assert abs(np.arccos(out.nodes[:, 2]).mean() - 0.4) < 1e-6
-
-
-def test_approximate_boundaries_halves_eps():
-    levels = approximate_boundaries(circle_curve(1.0, n=96), 3, eps0=0.1)
-    assert [lv.eps for lv in levels] == [0.1, 0.05, 0.025]
-    for lv in levels:
-        assert lv.skipped is None
-        assert lv.alpha is not None and lv.beta is not None
-    with pytest.raises(DomainError):
-        approximate_boundaries(circle_curve(1.0, n=96), 0)
 
 
 # ---------------------------------------------------------------------------
