@@ -20,7 +20,7 @@ from .curves import (ClosedSphereCurve, CurveDiagnostics, SphereArc,
                      densify, diagnostics, hausdorff_distance,
                      intersection_count, latitude_deviation_angles, load_curve,
                      resample, save_curve, self_intersects, turning_angles)
-from .flow import (DirichletArcSpec, FlowConfig, FlowTrajectory, Snapshot,
+from .flow import (DirichletArcSpec, FlowConfig, FlowStats, FlowTrajectory, Snapshot,
                    StraighteningResult, barrier_radius_oracle,
                    circle_extinction_time, circle_oracle, evolve_arc,
                    evolve_closed, straightening_experiment, time_to_enter_cap)
@@ -54,8 +54,8 @@ __all__ = [
     "latitude_deviation_angles", "c1_deviation", "intersection_count",
     "save_curve", "load_curve",
     # flow
-    "FlowConfig", "Snapshot", "FlowTrajectory", "evolve_closed", "evolve_arc",
-    "circle_extinction_time", "circle_oracle", "barrier_radius_oracle",
+    "FlowConfig", "Snapshot", "FlowTrajectory", "FlowStats", "evolve_closed",
+    "evolve_arc", "circle_extinction_time", "circle_oracle", "barrier_radius_oracle",
     "time_to_enter_cap", "DirichletArcSpec", "StraighteningResult",
     "straightening_experiment",
     # graphflow

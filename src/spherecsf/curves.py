@@ -138,29 +138,6 @@ def turning_angles(curve: SphereCurve) -> np.ndarray:
     return np.arctan2(s, c)
 
 
-def chord_curvature(ext: np.ndarray, closed: bool) -> np.ndarray:
-    """Curvature vectors of the curve whose wrapped nodes are ext, from one pass
-    over its chords.
-
-    With u_j the unit chord from row j to row j + 1 and c_j its length, node v
-    between chords j - 1 and j gets 2 (w - v <w, v>) / (c_j + c_{j-1}), where
-    w = u_j - u_{j-1}. Arc endpoints get zero vectors.
-    """
-    d = ext[1:] - ext[:-1]
-    c = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True))
-    u = d / c
-    v = ext[1:-1]
-    lap = u[1:] - u[:-1]
-    lap -= v * np.add.reduce(lap * v, axis=1, keepdims=True)
-    lap *= 2.0
-    lap /= c[:-1] + c[1:]
-    if closed:
-        return lap
-    out = np.zeros_like(ext)
-    out[1:-1] = lap
-    return out
-
-
 def mean_adjacent_edges(curve: SphereCurve) -> np.ndarray:
     """Mean length h of the two edges at each node that has two (the nodes
     turning_angles measures)."""

@@ -14,9 +14,9 @@ from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, c1_deviation,
                        hausdorff_distance, intersection_count, load_curve,
                        perturbed_latitude, resample, save_curve,
                        self_intersects, turning_angles)
-from spherecsf.curves import chord_curvature, integrals, mean_adjacent_edges, wrapped
+from spherecsf.curves import integrals, mean_adjacent_edges
 from spherecsf.errors import DomainError, TooFewNodes
-from spherecsf.flow import _snapshot
+from spherecsf.flow import _buffers, _snapshot, chord_curvature
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -73,7 +73,8 @@ def test_latitude_length_and_turning():
 def test_latitude_pointwise_curvature():
     # geodesic curvature of the r-latitude is cot(r); exact on uniform meshes
     c = circle_curve(np.pi / 4, n=512)
-    mags = np.linalg.norm(chord_curvature(wrapped(c.nodes, True), True), axis=1)
+    buf, _, kv = _buffers(c.nodes, True)
+    mags = np.linalg.norm(chord_curvature(buf, kv), axis=0)
     assert np.abs(mags - 1.0).max() < CURVATURE_TOL
 
 

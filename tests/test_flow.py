@@ -9,8 +9,9 @@ from spherecsf import (ClosedSphereCurve, FlowConfig, SphereArc,
                        circle_oracle, evolve_arc, evolve_closed,
                        leafable_wiggle, perturbed_latitude, straightening_experiment,
                        time_to_enter_cap)
-from spherecsf.curves import chord_curvature, wrapped, wrapped_edges
+from spherecsf import flow
 from spherecsf.errors import ConfigInvalid, DomainError, NeverEnters
+from spherecsf.flow import _buffers, _edges, chord_curvature
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -27,9 +28,9 @@ def wavy_arc(n=65):
                                np.sin(s)], axis=1))
 
 
-# Reference kernel: curvature vectors from rolled neighbour arrays and edges
-# from a separate dot-product pass. The chord kernel reorders only IEEE-exact
-# arithmetic, so it must match these bit for bit.
+# Reference kernel: curvature vectors from rolled (n, 3) neighbour arrays and
+# edges from a separate dot-product pass. The component-major chord kernel
+# reorders only IEEE-exact arithmetic, so it must match these bit for bit.
 def _kvec_reference(nodes: np.ndarray, closed: bool) -> np.ndarray:
     if closed:
         prv = np.roll(nodes, 1, axis=0)
@@ -57,13 +58,8 @@ def _edges_reference(nodes: np.ndarray, closed: bool) -> np.ndarray:
     return np.arccos(np.clip(np.sum(p * q, axis=1), -1.0, 1.0))
 
 
-@st.composite
-def jittered_polygons(draw):
+def jittered_polygon(n, radius, jitter, rng):
     """A randomly rotated latitude polygon with jittered angles and radii."""
-    n = draw(st.integers(8, 300))
-    radius = draw(st.floats(0.2, 1.4))
-    jitter = draw(st.floats(0.0, 0.9))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     ang = 2.0 * np.pi * (np.arange(n) + jitter * rng.uniform(-0.5, 0.5, n)) / n
     rho = radius * (1.0 + 0.3 * jitter * rng.uniform(-1.0, 1.0, n))
     nodes = np.stack([np.sin(rho) * np.cos(ang), np.sin(rho) * np.sin(ang),
@@ -72,14 +68,24 @@ def jittered_polygons(draw):
     return nodes @ rot.T
 
 
+@st.composite
+def jittered_polygons(draw, sizes=(8, 300), jitters=(0.0, 0.9)):
+    n = draw(st.integers(*sizes))
+    radius = draw(st.floats(0.2, 1.4))
+    jitter = draw(st.floats(*jitters))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return jittered_polygon(n, radius, jitter, rng)
+
+
 @settings(max_examples=200)
 @given(jittered_polygons(), st.booleans())
 def test_chord_kernel_matches_reference(nodes, closed):
     curve = ClosedSphereCurve(nodes) if closed else SphereArc(nodes)
     nodes = np.array(curve.nodes)
-    ext = wrapped(nodes, closed)
-    assert np.array_equal(chord_curvature(ext, closed), _kvec_reference(nodes, closed))
-    assert np.array_equal(wrapped_edges(ext, closed), _edges_reference(nodes, closed))
+    buf, _, kv = _buffers(nodes, closed)
+    chord_curvature(buf, kv if closed else kv[:, 1:-1])
+    assert np.array_equal(kv.T, _kvec_reference(nodes, closed))
+    assert np.array_equal(_edges(buf, closed), _edges_reference(nodes, closed))
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -192,6 +198,55 @@ def test_arc_endpoints_pinned():
         assert np.array_equal(s.curve.nodes[-1], arc.nodes[-1])
     assert s.enclosed_area is None
     assert traj.lengths[-1] < traj.lengths[0]
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_snapshots_own_their_nodes(closed):
+    curve = circle_curve(0.9, n=64) if closed else wavy_arc()
+    before = np.array(curve.nodes)
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=2e-3, max_time=0.02, target_spacing=0.02,
+                     remesh_every=5)
+    traj = (evolve_closed if closed else evolve_arc)(curve, cfg)
+    assert traj.stats.remeshes > 0
+    for s in traj.snapshots:
+        nodes = s.curve.nodes
+        assert nodes.shape == (s.curve.n, 3)
+        assert nodes.flags.c_contiguous and not nodes.flags.writeable
+        # owning its memory, it shares none with the step buffers or the caller
+        assert nodes.base is None
+    assert np.array_equal(curve.nodes, before) and not curve.nodes.flags.writeable
+
+
+class _FadingCFL(float):
+    """A CFL factor of 0.25 for the first `steps` step sizes, then 1e-20."""
+
+    def __new__(cls, steps):
+        factor = super().__new__(cls, 0.25)
+        factor.steps = steps
+        return factor
+
+    def __mul__(self, other):
+        self.steps -= 1
+        return (float(self) if self.steps >= 0 else 1e-20) * other
+
+
+def test_cfl_step_below_floor_stalls(monkeypatch):
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=0.01)
+    curve = circle_curve(0.9, n=128)
+    full = evolve_closed(curve, cfg)
+    monkeypatch.setattr(flow, "CFL_FACTOR", 1e-20)
+    at_once = evolve_closed(curve, cfg)
+    assert at_once.terminal_status == "stalled"
+    assert len(at_once.snapshots) == 1
+    assert (at_once.stats.accepted_steps, at_once.stats.min_dt) == (0, np.inf)
+    # stalling mid-run keeps every snapshot taken and adds the stalled state
+    monkeypatch.setattr(flow, "CFL_FACTOR", _FadingCFL(25))
+    traj = evolve_closed(curve, cfg)
+    assert traj.terminal_status == "stalled"
+    assert traj.stats.accepted_steps == 25
+    assert np.allclose(traj.times, [0.0, 1e-3, 2e-3, 2.5e-3], rtol=0, atol=1e-12)
+    for a, b in zip(traj.snapshots[:3], full.snapshots):
+        assert a.t == b.t and np.array_equal(a.curve.nodes, b.curve.nodes)
 
 
 def test_time_to_enter_cap_contract():
