@@ -174,12 +174,11 @@ def integrals(curve: SphereCurve) -> CurveDiagnostics:
     )
 
 
-def diagnostics(curve: SphereCurve, check_embedded: bool = True) -> CurveDiagnostics:
-    """integrals() of a curve with at least DIAG_MIN_NODES nodes, by default
-    also checked to be embedded."""
+def diagnostics(curve: SphereCurve) -> CurveDiagnostics:
+    """integrals() of an embedded curve with at least DIAG_MIN_NODES nodes."""
     if curve.n < DIAG_MIN_NODES:
         raise TooFewNodes(f"diagnostics needs >= {DIAG_MIN_NODES} nodes, got {curve.n}")
-    if check_embedded and self_intersects(curve.nodes, curve.closed):
+    if self_intersects(curve.nodes, curve.closed):
         raise NotEmbedded("curve polyline intersects itself")
     return integrals(curve)
 

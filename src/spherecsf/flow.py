@@ -3,7 +3,8 @@
 Nodes move by p <- normalize(p + dt * k), k the discrete geodesic-curvature vector.
 The effective step obeys dt <= 0.25 * (min edge)^2 and lands exactly on snapshot
 times; steps that produce NaNs or increase length are retried with halved dt. A run
-whose CFL step falls below DT_FLOOR ends as stalled.
+whose CFL step falls below DT_FLOOR, or whose mesh fails curve validation where a
+snapshot is due (it is never snapshotted), ends as stalled unless it was singular.
 
 Each step makes one pass over the chords (chord_curvature) and evaluates the edge
 lengths once, on the trial; the accepted trial's edges are the next step's CFL
@@ -79,8 +80,9 @@ class FlowConfig:
                                     f"got {value!r}")
         if not (0.0 < self.dt <= 1.0):
             raise ConfigInvalid(f"dt must be in (0, 1], got {self.dt!r}")
-        if not (0.0 < self.snapshot_dt <= 1.0):
-            raise ConfigInvalid(f"snapshot_dt must be in (0, 1], got {self.snapshot_dt!r}")
+        # 1000 times the landing tolerance, so snapshot times cannot fall behind t
+        if not (1e-9 <= self.snapshot_dt <= 1.0):
+            raise ConfigInvalid(f"snapshot_dt must be in [1e-9, 1], got {self.snapshot_dt!r}")
         if self.max_time is not None and not (0.0 < self.max_time < math.inf):
             raise ConfigInvalid(
                 f"max_time must be positive and finite, got {self.max_time!r}")
@@ -120,7 +122,6 @@ class FlowStats:
 class FlowTrajectory:
     snapshots: list
     terminal_status: str
-    config: FlowConfig
     stats: FlowStats
 
     @property
@@ -207,6 +208,13 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     def rows(buf):
         return buf[:, nodes].T.copy()
 
+    def snapshot() -> bool:  # unless the mesh fails validation (an edge reads 0)
+        try:
+            snaps.append(_snapshot(t, curve.with_nodes(rows(cur))))
+        except DomainError:
+            return False
+        return True
+
     while True:
         min_e = float(np.minimum.reduce(e))
         min_edge = min(min_edge, min_e)
@@ -253,7 +261,9 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
         since_remesh += 1
 
         if t >= next_snap - 1e-12:
-            snaps.append(_snapshot(t, curve.with_nodes(rows(cur))))
+            if not snapshot():
+                status = STATUS_STALLED
+                break
             next_snap += cfg.snapshot_dt
 
         if since_remesh >= cfg.remesh_every:
@@ -269,12 +279,12 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
                 remeshes += 1
 
     if snaps[-1].t < t - 1e-12 or len(snaps) == 1 and t > 0:
-        snaps.append(_snapshot(t, curve.with_nodes(rows(cur))))
+        if not snapshot() and status != STATUS_SINGULARITY:
+            status = STATUS_STALLED
     stats = FlowStats(accepted_steps=accepted, rejected_trials=rejected,
                       remeshes=remeshes, min_dt=min_dt, min_edge=min_edge,
                       final_n=kv.shape[1])
-    return FlowTrajectory(snapshots=snaps, terminal_status=status, config=cfg,
-                          stats=stats)
+    return FlowTrajectory(snapshots=snaps, terminal_status=status, stats=stats)
 
 
 def evolve_closed(curve: ClosedSphereCurve, cfg: FlowConfig) -> FlowTrajectory:
@@ -357,15 +367,14 @@ class DirichletArcSpec:
     """Parameters for the fixed-endpoint hairpin scenario in a band around a circle.
 
     The arc lives in B_{2*band_halfwidth}(circle), its endpoints sit on the two
-    extreme wedge leaves through `vertex`, and it dives into the cap of radius
-    closeness * cap_radius around the antipode of `vertex`.
+    extreme wedge leaves through `vertex` = circle.point(0), and it dives into
+    the cap of radius closeness * cap_radius around -`vertex`.
     """
 
     circle: GreatCircle
     band_halfwidth: float
     cap_radius: float = 1.3
     closeness: float = 0.25
-    vertex: Optional[np.ndarray] = None
 
     def __post_init__(self):
         r, c, a = self.band_halfwidth, self.cap_radius, self.closeness
@@ -378,19 +387,14 @@ class DirichletArcSpec:
         if 2.0 * r >= a * c:
             raise ParamDomain(
                 f"need 2*band_halfwidth < closeness*cap_radius, got {2 * r!r} >= {a * c!r}")
-        v = self.circle.point(0.0) if self.vertex is None else as_point(self.vertex)
-        if abs(float(v @ self.circle.pole)) > 1e-9:
-            raise ParamDomain("vertex must lie on the circle")
-        object.__setattr__(self, "vertex", v)
-        self.vertex.flags.writeable = False
+
+    @property
+    def vertex(self) -> np.ndarray:
+        return self.circle.point(0.0)
 
     @property
     def floor(self) -> float:
         return (1.0 + self.closeness) * self.band_halfwidth
-
-    @property
-    def ceiling(self) -> float:
-        return 2.0 * self.band_halfwidth
 
 
 @dataclass(frozen=True)

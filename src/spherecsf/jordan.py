@@ -23,6 +23,7 @@ from .sphere import (GreatCircle, Latitude, Wedge, as_point, fold_angle,
                      geodesic_distance, orthonormal_frame, unit)
 
 TOUCH_TOL = 1e-9
+MAX_SPACING_ADDITIONS = 64  # transverse companions construct_spacing may add
 MAX_KOCH_DEPTH = 6
 
 
@@ -259,7 +260,7 @@ def verify_spacing(curve: SphereCurve, spacing: Spacing,
 
 
 def construct_spacing(curve: SphereCurve, theta: float, margin: float = 0.22,
-                      x_samples: int = 1000, max_additions: int = 64) -> Spacing:
+                      x_samples: int = 1000) -> Spacing:
     """Greedy deterministic construction of a (C, theta)-spacing for the curve."""
     if not (0.0 < theta < np.pi / 2.0):
         raise DomainError(f"theta must be in (0, pi/2), got {theta!r}")
@@ -288,22 +289,20 @@ def construct_spacing(curve: SphereCurve, theta: float, margin: float = 0.22,
             continue
         nrm, gram = circles
         # all circles through x cluster: manufacture a transverse companion
-        if additions >= max_additions:
+        if additions >= MAX_SPACING_ADDITIONS:
             raise SpacingNotFound("needed too many extra points")
         k = int(np.unravel_index(np.argmin(gram), gram.shape)[0])
         n1 = nrm[k]
         n_target = unit(np.cross(x, n1))
         base = unit(np.cross(n_target, x))
-        found = False
         for s in (np.pi / 2, np.pi / 2 + 0.3, np.pi / 2 - 0.3, np.pi / 2 + 0.6,
                   np.pi / 2 - 0.6):
             y = np.cos(s) * x + np.sin(s) * base
             if _clearance(y, curve)[0] > 0.75 * margin:
                 chosen.append(unit(y))
                 additions += 1
-                found = True
                 break
-        if not found:
+        else:
             raise SpacingNotFound(f"no clearing companion near x = {x}")
 
     pts = np.array(chosen)
@@ -328,19 +327,17 @@ class LeafableReport:
 
 
 def is_leafable(ell: ClosedSphereCurve, g: GreatCircle, r: float, cap_radius: float,
-                closeness: float, vertex=None) -> LeafableReport:
+                closeness: float) -> LeafableReport:
     """Checks the band-leaf conditions for ell against g at scale r.
 
     Conditions: containment in B_{2r}(g); generator of the band (one net wind);
-    over each cap of V = B_C(x) u B_C(-x) the curve is a single monotone graph,
-    (closeness/2)-close in C^1 to the latitudes. Raises ParamDomain unless
-    2r < closeness * cap_radius and the vertex sits on g.
+    over each cap of V = B_C(x) u B_C(-x), x = g.point(0), the curve is a single
+    monotone graph, (closeness/2)-close in C^1 to the latitudes. Raises
+    ParamDomain unless 2r < closeness * cap_radius.
     """
     if 2.0 * r >= closeness * cap_radius:
         raise ParamDomain("need 2r < closeness * cap_radius")
-    x = g.point(0.0) if vertex is None else as_point(vertex)
-    if abs(float(x @ g.pole)) > 1e-9:
-        raise ParamDomain("vertex must lie on g")
+    x = g.point(0.0)
     reasons = []
     lon, s = g.chart_coords(ell.nodes)
     if np.abs(s).max() > 2.0 * r + 1e-12:
@@ -355,24 +352,17 @@ def is_leafable(ell: ClosedSphereCurve, g: GreatCircle, r: float, cap_radius: fl
     devs = latitude_deviation_angles(ell, g)
     for center in (x, -x):
         mask = geodesic_distance(ell.nodes, center) <= cap_radius
-        if not mask.any():
+        # each run's first node; no run (an empty or a full cap) is not a graph
+        starts = np.flatnonzero(mask & ~wrapped(mask, True)[:-2])
+        if len(starts) != 1:
             reasons.append("graph")
-            continue
-        starts = np.flatnonzero(mask & ~wrapped(mask, True)[:-2])  # each run's first node
-        if len(starts) > 1:
-            reasons.append("graph")
-        idx = np.nonzero(mask)[0]
-        if len(starts) <= 1 and len(idx) >= 2:
-            if mask.all():
-                reasons.append("graph")
-            else:
-                start = int(starts[0])
-                seq = [(start + k) % ell.n for k in range(ell.n) if mask[(start + k) % ell.n]]
-                steps = fold_angle(np.diff(lon[seq]))
-                if not (np.all(steps > 0) or np.all(steps < 0)):
-                    reasons.append("graph-monotone")
-        cap_dev = float(devs[mask].max()) if mask.any() else 0.0
-        max_dev = max(max_dev, cap_dev)
+        else:
+            idx = np.flatnonzero(mask)
+            run = np.concatenate((idx[idx >= starts[0]], idx[idx < starts[0]]))
+            steps = fold_angle(np.diff(lon[run]))
+            if not (np.all(steps > 0) or np.all(steps < 0)):
+                reasons.append("graph-monotone")
+        max_dev = max(max_dev, float(devs[mask].max(initial=0.0)))
     if max_dev > closeness / 2.0 + 1e-12:
         reasons.append("deviation")
 

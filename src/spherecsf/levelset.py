@@ -24,6 +24,7 @@ from .sphere import as_point, geodesic_distance, orthonormal_frame, slerp
 
 AREA_FLOOR = 1e-2          # a sandwich area below this is treated as degenerate
 AREA_STABLE_FRACTION = 0.25
+TRICHOTOMY_AREA_TOL = 1e-2  # complement-area slack around 2*pi and final-area floor
 SMOOTHING_MAX_PASSES = 60
 
 VERDICT_MEASURE_ZERO = "MeasureZeroCurve"
@@ -199,8 +200,8 @@ def _default_cfg(t_end: float) -> FlowConfig:
                       extinction_length=1e-3)
 
 
-def sandwich_flow(initial, n_levels: int, t_end: float, eps0: float = 0.1,
-                  cfg: Optional[FlowConfig] = None) -> SandwichResult:
+def sandwich_flow(initial, n_levels: int, t_end: float,
+                  eps0: float = 0.1) -> SandwichResult:
     """Evolve nested offset pairs and report gap and area per level.
 
     `initial` is a closed curve (offsets straddle it) or an AnnulusState
@@ -208,7 +209,7 @@ def sandwich_flow(initial, n_levels: int, t_end: float, eps0: float = 0.1,
     """
     if t_end <= 0.0:
         raise DomainError("t_end must be positive")
-    cfg = cfg or _default_cfg(t_end)
+    cfg = _default_cfg(t_end)
     if isinstance(initial, AnnulusState):
         if initial.degenerate and n_levels > 0:
             raise DomainError("cannot sandwich a degenerate annulus")
@@ -293,8 +294,7 @@ def evolve_annulus(state: AnnulusState, cfg: FlowConfig):
     return times[paired], off[:, paired], extinctions, finals
 
 
-def area_ode_check(state: AnnulusState, t_end: float,
-                   cfg: Optional[FlowConfig] = None) -> AreaOdeReport:
+def area_ode_check(state: AnnulusState, t_end: float) -> AreaOdeReport:
     """Compare the annulus area against area(0) * e^t on [0, t_end].
 
     Raises ExtinctionBeforeEnd if either boundary dies first. The degenerate
@@ -306,15 +306,12 @@ def area_ode_check(state: AnnulusState, t_end: float,
         times = np.array([0.0, t_end])
         zero = np.zeros_like(times)
         return AreaOdeReport(times=times, areas=zero, model=zero, residual=0.0)
-    times, off, extinctions, _ = evolve_annulus(state, cfg or _default_cfg(t_end))
+    times, off, extinctions, _ = evolve_annulus(state, _default_cfg(t_end))
     for t_ext, name in zip(extinctions, ("alpha", "beta")):
         if t_ext is not None and t_ext < t_end - 1e-9:
             raise ExtinctionBeforeEnd(
                 f"annulus boundary {name} went extinct at t = {t_ext:.6f} "
                 f"< {t_end}")
-    # a cfg horizon past t_end runs on (and may see a death); compare to t_end
-    keep = times <= t_end + 1e-9
-    times, off = times[keep], off[:, keep]
     areas = 4.0 * np.pi - off[0] - off[1]
     model = state.area * np.exp(times)
     residual = float(np.abs(areas / model - 1.0).max())
@@ -361,9 +358,7 @@ class ClassifyResult:
     final_area: float
 
 
-def classify_long_term(state: AnnulusState, max_time: float,
-                       cfg: Optional[FlowConfig] = None,
-                       area_tol: float = 1e-2) -> ClassifyResult:
+def classify_long_term(state: AnnulusState, max_time: float) -> ClassifyResult:
     """Trichotomy for the annulus evolution, with the complement-area predictor.
 
     The largest complementary cap A decides the expectation: A above 2*pi means
@@ -375,15 +370,13 @@ def classify_long_term(state: AnnulusState, max_time: float,
         raise DomainError("cannot classify a degenerate annulus")
     if max_time <= 0.0:
         raise DomainError("max_time must be positive")
-    cfg = cfg or FlowConfig(dt=1e-4, snapshot_dt=1e-2, max_time=max_time)
-    if cfg.max_time is None:
-        raise DomainError("classification config needs max_time")
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=1e-2, max_time=max_time)
 
     off0 = state.complement_areas
     big_a = float(max(off0))
-    if big_a > 2.0 * np.pi + area_tol:
+    if big_a > 2.0 * np.pi + TRICHOTOMY_AREA_TOL:
         expected = VERDICT_EXTINCT
-    elif big_a >= 2.0 * np.pi - area_tol:
+    elif big_a >= 2.0 * np.pi - TRICHOTOMY_AREA_TOL:
         expected = VERDICT_HEMISPHERE
     else:
         expected = VERDICT_WHOLE_SPHERE
@@ -394,7 +387,7 @@ def classify_long_term(state: AnnulusState, max_time: float,
     final_area = 4.0 * np.pi - c0 - c1
     both_dead = None not in extinctions
 
-    if both_dead and final_area <= area_tol:
+    if both_dead and final_area <= TRICHOTOMY_AREA_TOL:
         verdict = VERDICT_EXTINCT
     elif both_dead and final_area >= 4.0 * np.pi - 0.1:
         verdict = VERDICT_WHOLE_SPHERE

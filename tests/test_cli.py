@@ -132,6 +132,8 @@ def test_simulate_arc_requires_horizon(tmp_path, capsys):
      "flow.remesh_uniformity"),
     ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"max_dt_halvings": 8}},
      "flow.max_dt_halvings"),
+    ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"snapshot_dt": 2e-13}},
+     "flow.snapshot_dt"),
 ])
 def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
     rc, _ = run_cli(tmp_path, "simulate", cfg)

@@ -104,6 +104,8 @@ def test_chord_kernel_matches_reference(nodes, closed):
     (dict(remesh_every=20.0), "remesh_every"),
     (dict(remesh_every=np.nan), "remesh_every"),
     (dict(dt=None), "dt"),
+    # below 1e-9 the landing test would hold after every step
+    (dict(snapshot_dt=2e-13), "snapshot_dt"),
 ])
 def test_config_validation_names_field(kwargs, field):
     with pytest.raises(ConfigInvalid) as exc:

@@ -56,6 +56,13 @@ def evolve_reference(curve, cfg):
     since_remesh = accepted = rejected = remeshes = 0
     min_dt = min_edge = math.inf
 
+    def snapshot():  # the stepper's policy: a mesh that fails validation is not kept
+        try:
+            snaps.append(_snapshot(t, curve.with_nodes(nodes)))
+        except DomainError:
+            return False
+        return True
+
     while True:
         min_e = float(np.minimum.reduce(e))
         min_edge = min(min_edge, min_e)
@@ -98,7 +105,9 @@ def evolve_reference(curve, cfg):
         since_remesh += 1
 
         if t >= next_snap - 1e-12:
-            snaps.append(_snapshot(t, curve.with_nodes(nodes)))
+            if not snapshot():
+                status = STATUS_STALLED
+                break
             next_snap += cfg.snapshot_dt
 
         if since_remesh >= cfg.remesh_every:
@@ -113,25 +122,15 @@ def evolve_reference(curve, cfg):
                 remeshes += 1
 
     if snaps[-1].t < t - 1e-12 or len(snaps) == 1 and t > 0:
-        snaps.append(_snapshot(t, curve.with_nodes(nodes)))
+        if not snapshot() and status != STATUS_SINGULARITY:
+            status = STATUS_STALLED
     return snaps, status, FlowStats(accepted, rejected, remeshes, min_dt, min_edge,
                                     len(nodes))
 
 
-def _run(fn, curve, cfg):
-    try:
-        return fn(curve, cfg)
-    except DomainError as exc:  # a final mesh with an edge that reads 0
-        return repr(exc)
-
-
 def assert_matches_reference(curve, cfg):
-    traj = _run(evolve_closed if curve.closed else evolve_arc, curve, cfg)
-    ref = _run(evolve_reference, curve, cfg)
-    if isinstance(ref, str):
-        assert traj == ref
-        return None
-    snaps, status, stats = ref
+    traj = (evolve_closed if curve.closed else evolve_arc)(curve, cfg)
+    snaps, status, stats = evolve_reference(curve, cfg)
     assert traj.terminal_status == status
     assert traj.stats == stats
     assert len(traj.snapshots) == len(snaps)
@@ -180,16 +179,24 @@ def test_needled_polygons_match_reference(nodes, closed):
     assert_matches_reference(_curve(nodes, closed), NEEDLE_CFG)
 
 
-@pytest.mark.parametrize("delta, side, closed, status", [
-    (1e-7, 2.0, True, STATUS_SINGULARITY),
-    (2e-7, 3.0, False, STATUS_SINGULARITY),
-    (4e-7, 2.0, True, STATUS_MAX_TIME),
-    (1e-7, 1.0, False, STATUS_MAX_TIME),
-    (2.5e-8, 1.0, True, STATUS_STALLED),
-    (2.5e-8, 3.0, False, STATUS_STALLED),
-])
-def test_needle_statuses_match_reference(delta, side, closed, status):
-    base = jittered_polygon(100, 0.8, 0.6, np.random.default_rng(1))
+# (delta, side, closed, status, base polygon seed); the seed-0 needles step onto a
+# mesh whose needle edge reads 0, which is not snapshotted, and the runs stall.
+NEEDLE_ROWS = [
+    (1e-7, 2.0, True, STATUS_SINGULARITY, 1),
+    (2e-7, 3.0, False, STATUS_SINGULARITY, 1),
+    (4e-7, 2.0, True, STATUS_MAX_TIME, 1),
+    (1e-7, 1.0, False, STATUS_MAX_TIME, 1),
+    (2.5e-8, 1.0, True, STATUS_STALLED, 1),
+    (2.5e-8, 3.0, False, STATUS_STALLED, 1),
+    (2.5e-8, 2.0, True, STATUS_STALLED, 0),
+    (2.5e-8, 2.0, False, STATUS_STALLED, 0),
+]
+
+
+@pytest.mark.parametrize("delta, side, closed, status, seed", NEEDLE_ROWS, ids=[
+    "-".join(map(str, row[:4])) + ("-seed0" if row[4] == 0 else "") for row in NEEDLE_ROWS])
+def test_needle_statuses_match_reference(delta, side, closed, status, seed):
+    base = jittered_polygon(100, 0.8, 0.6, np.random.default_rng(seed))
     traj = assert_matches_reference(_curve(needled(base, delta, side), closed),
                                     NEEDLE_CFG)
     assert traj.terminal_status == status

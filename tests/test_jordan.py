@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from spherecsf import (DirichletArcSpec, GreatCircle, Spacing, SphereArc, Wedge,
-                       circle_curve, construct_spacing, dirichlet_gamma,
-                       fibonacci_sphere, generate_curve, geodesic_distance,
-                       is_leafable, koch_like, latitude_deviation_angles,
-                       leafable_wiggle, multiplicity_at, multiplicity_sup,
-                       self_intersects, turning_angles, unit, verify_spacing)
+from spherecsf import (ClosedSphereCurve, DirichletArcSpec, GreatCircle, Spacing,
+                       SphereArc, Wedge, circle_curve, construct_spacing,
+                       dirichlet_gamma, fibonacci_sphere, generate_curve,
+                       geodesic_distance, is_leafable, koch_like,
+                       latitude_deviation_angles, leafable_wiggle, multiplicity_at,
+                       multiplicity_sup, self_intersects, turning_angles, unit,
+                       verify_spacing)
 from spherecsf.curves import mean_adjacent_edges
 from spherecsf.errors import DomainError, ParamDomain
 
@@ -120,8 +121,28 @@ def test_leafable_param_domain():
     w = leafable_wiggle()
     with pytest.raises(ParamDomain):
         is_leafable(w, GreatCircle(Z), 0.05, 0.7, 0.1)  # 2r >= closeness * C
-    with pytest.raises(ParamDomain):
-        is_leafable(w, GreatCircle(Z), 0.025, 0.7, 0.1, vertex=Z)
+
+
+EQ = GreatCircle(Z)
+LON = np.linspace(-np.pi, np.pi, 2048, endpoint=False)  # LON[1024] = 0
+FOLD = np.arange(2048) == 1025
+
+
+@pytest.mark.parametrize("ell, reasons", [
+    # every node in the cap about x = EQ.point(0), none in the cap about -x
+    (circle_curve(0.2, pole=EQ.point(0.0), n=64),
+     ["containment", "deviation", "graph", "winding"]),
+    # a narrow bump at longitude 0.65 leaves x's 0.7-cap and comes back: two runs
+    (ClosedSphereCurve(EQ.chart_point(LON, 0.3 * np.exp(-((LON - 0.65) / 0.01) ** 2))),
+     ["containment", "deviation", "graph"]),
+    # one run in x's cap, in which node 1025 steps back in longitude
+    (ClosedSphereCurve(EQ.chart_point(np.where(FOLD, -0.01, LON), 0.01 * FOLD)),
+     ["deviation", "graph-monotone"]),
+])
+def test_leafable_cap_runs(ell, reasons):
+    report = is_leafable(ell, EQ, 0.025, 0.7, 0.1)
+    assert report.reasons == reasons
+    assert report.max_cap_deviation == latitude_deviation_angles(ell, EQ).max()
 
 
 def test_wiggle_seed_determinism():

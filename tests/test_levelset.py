@@ -258,16 +258,6 @@ def test_area_ode_extinction_before_horizon():
         area_ode_check(st, 0.5)
 
 
-def test_area_ode_stops_at_a_death_past_the_horizon():
-    # the config runs on past t_end = 0.03 and the inner cap dies at 0.0457;
-    # the annulus law is compared on [0, t_end] only
-    st = make_annulus(circle_curve(0.3, n=64), circle_curve(0.5, n=64))
-    cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=0.1)
-    rep = area_ode_check(st, 0.03, cfg)
-    assert rep.times[-1] == pytest.approx(0.03)
-    assert rep.residual < 1e-3
-
-
 def test_area_ode_degenerate_is_identically_zero():
     rep = area_ode_check(degenerate_annulus(), 0.4)
     assert rep.residual == 0.0
