@@ -4,29 +4,28 @@ Nodes move by p <- normalize(p + dt * k), k the discrete geodesic-curvature vect
 The effective step obeys dt <= 0.25 * (min edge)^2 and lands exactly on snapshot
 times; steps that produce NaNs or increase length are retried with halved dt. A run
 whose CFL step falls below DT_FLOOR, or whose mesh fails curve validation where a
-snapshot is due (it is never snapshotted), ends as stalled unless it was singular.
+snapshot or remesh is due (it is neither), ends as stalled unless it was singular.
 
-Each step makes one pass over the chords (chord_curvature) and evaluates the edge
-lengths once, on the trial; the accepted trial's edges are the next step's CFL
-input. The remesh uniformity ratio uses the edges of the mesh the step started
-from, and a remesh recomputes the edges from the new mesh.
-
-Inside the loop the nodes are component-major: two (3, w) buffers, w = n + 2 for a
-closed curve (columns padded as curves.wrapped pads rows) and w = n for an arc. A
-trial is written into the spare buffer, and the two swap when it is accepted; they
-are reallocated only at a remesh. Every per-node dot product and norm then sums
-the three rows of a (3, w) array, not the length-3 rows of an (n, 3) one, which
-is several times faster at large n. numpy sums length-3 rows left to right, as it
-sums the rows of a (3, w) array, and every other operation is elementwise and runs
-in the same order, so the results are bit-identical to the (n, 3) form the tests
-keep as their reference. Snapshots, remeshing and everything outside the loop see
-(n, 3) C-contiguous nodes.
+The loop steps a _Workspace, built for the initial mesh and again at each remesh.
+It holds the nodes, component-major in two (3, w) buffers (w = n + 2 for a closed
+curve, padded as curves.wrapped pads rows; w = n for an arc), every other array a
+step writes and every view a step reads, so a step is about 30 numpy calls that
+allocate nothing. Differences and products take whole (3, w) arrays flat, one call
+on contiguous memory each; what they leave in end columns mixes two rows, stays
+finite and reaches no node (pads are copied over it, an arc's end curvature is
+zeroed). A trial and its edges go into the spare buffer and edge array, which swap
+in when it is accepted; the remesh uniformity ratio uses the edges of the mesh the
+step started from. Each per-node dot product sums the rows of a (3, w) array in the
+order numpy sums a length-3 row, and every other operation is elementwise and in
+the same order, so the results are bit-identical to the (n, 3) form the tests keep
+as their reference. Everything outside the loop sees (n, 3) C-contiguous nodes.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -35,7 +34,7 @@ import numpy as np
 from .errors import (AntipodalEndpoints, ConfigInvalid, DomainError, NeverEnters,
                      ParamDomain)
 from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, c1_deviation,
-                     integrals, nodes_for_spacing, resample, wrapped)
+                     integrals, nodes_for_spacing, resample, wrapped, wrapped_edges)
 from .sphere import GreatCircle, as_point, geodesic_distance
 
 CFL_FACTOR = 0.25
@@ -114,6 +113,7 @@ class FlowStats:
     rejected_trials: int  # each one halved dt
     remeshes: int
     min_dt: float  # smallest accepted step; inf when none was accepted
+    max_dt: float  # largest accepted step; 0 when none was accepted
     min_edge: float  # shortest edge of any mesh a step was sized on
     final_n: int  # nodes of the mesh the run ended on
 
@@ -156,36 +156,88 @@ def _target_n(length: float, curve_n: int, cfg: FlowConfig, closed: bool) -> int
     return curve_n
 
 
-def chord_curvature(ext: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Curvature vectors at the interior columns of ext, a (3, m) array of nodes in
-    travel order, written into out (3, m - 2), from one pass over the chords.
-
-    With u_j the unit chord from column j to column j + 1 and c_j its length, the
-    node v between chords j - 1 and j gets 2 (w - v <w, v>) / (c_j + c_{j-1}),
-    where w = u_j - u_{j-1}.
-    """
-    d = ext[:, 1:] - ext[:, :-1]
-    c = np.add.reduce(d * d, axis=0)
-    np.sqrt(c, out=c)
-    d /= c
-    v = ext[:, 1:-1]
-    np.subtract(d[:, 1:], d[:, :-1], out=out)
-    out -= v * np.add.reduce(out * v, axis=0)
-    out *= 2.0
-    out /= c[:-1] + c[1:]
-    return out
+# The step's constant operands: numpy takes 0-d float64 arrays faster than floats.
+_ONE, _TWO, _MINUS_ONE = np.array(1.0), np.array(2.0), np.array(-1.0)
 
 
-def _buffers(nodes: np.ndarray, closed: bool):
-    """The two step buffers of the module docstring, the first holding nodes, and
-    the curvature array (arc endpoint columns stay zero)."""
-    cur = wrapped(nodes, closed).T.copy()
-    return cur, np.empty_like(cur), np.zeros((3, len(nodes)))
+def _dot(a, b, prod, out):
+    """np.add.reduce(a * b, axis=0), in order, into out; prod = (array, *its rows)."""
+    ab, r0, r1, r2 = prod
+    np.multiply(a, b, ab)
+    np.add(r0, r1, out)
+    return np.add(out, r2, out)
 
 
-def _edges(buf: np.ndarray, closed: bool) -> np.ndarray:
-    k = 1 if closed else 0
-    return geodesic_distance(buf[:, k:-1], buf[:, k + 1:], axis=0)
+# The views of one (3, w) node buffer b: b flat and its flat successors and
+# predecessors, its interior and node columns, and pads (0, w - 1) with sources.
+_Views = namedtuple("_Views", "flat ahead behind inner nodes pads wraps")
+
+
+class _Workspace:
+    """The step's arrays and views for one mesh (module docstring). With u_j the
+    unit chord from column j to column j + 1 and c_j its length, the node v between
+    chords j - 1 and j gets the curvature vector 2 (w - v <w, v>) / (c_j + c_{j-1}),
+    where w = u_j - u_{j-1}."""
+
+    def __init__(self, nodes: np.ndarray, closed: bool):
+        ext = wrapped(nodes, closed)
+        self.e = wrapped_edges(ext, closed)  # what trial() computes for these nodes
+        self.spare_e = np.empty_like(self.e)
+        ext = ext.T.copy()
+        n, w, k = len(nodes), ext.shape[1], int(closed)
+        cols = slice(1, -1) if closed else slice(None)
+        def views(b):
+            f = b.reshape(-1)
+            return _Views(f, f[1:], f[:-1], b[:, 1:-1], b[:, cols], b[:, ::w - 1],
+                          b[:, w - 2:0:-(w - 3)])
+        self.closed, self.n = closed, n
+        self.cur, self.nxt = views(ext), views(np.empty_like(ext))
+        # chords (j in column j), curvature and _dot's products; what no step writes is 0
+        d, kv, kn, dd, tt, pq = np.zeros((6, 3, w))
+        self.d, self.d_chords = d.reshape(-1), d[:, :-1]
+        self.d_ahead, self.d_behind = self.d[1:], self.d[:-1]
+        self.kf, self.k_ahead, self.kv, self.k_inner, self.k_ends = (
+            kv.reshape(-1), kv.reshape(-1)[1:], kv[:, cols], kv[:, 1:-1], kv[:, ::w - 1])
+        self.kn, self.kn_inner = (kn.reshape(-1), *kn[:, 1:-1]), kn[:, 1:-1]
+        self.dd, self.tt = (dd.reshape(-1), *dd[:, :-1]), (tt.reshape(-1), *tt[:, cols])
+        self.pq = (pq.reshape(-1)[:-1], *pq[:, k:-1])
+        self.c, self.c2, self.dot, self.norm = (np.empty(m) for m in (w - 1, w - 2, w - 2, n))
+        self.c_ahead, self.c_behind = self.c[1:], self.c[:-1]
+
+    def curvature(self):
+        """The current nodes' curvature vectors, into kv."""
+        v, d, c, kf, k = self.cur, self.d, self.c, self.kf, self.k_inner
+        np.subtract(v.ahead, v.behind, self.d_behind)
+        np.sqrt(_dot(d, d, self.dd, c), c)
+        np.divide(self.d_chords, c, self.d_chords)
+        np.subtract(self.d_ahead, self.d_behind, self.k_ahead)
+        np.multiply(v.inner, _dot(kf, v.flat, self.kn, self.dot), self.kn_inner)
+        np.subtract(kf, self.kn[0], kf)
+        np.multiply(kf, _TWO, kf)
+        np.divide(k, np.add(self.c_behind, self.c_ahead, self.c2), k)
+        if not self.closed:
+            np.copyto(self.k_ends, 0.0)
+
+    def trial(self, dt: float) -> float:
+        """Move the current nodes by dt along kv into the spare buffer, its edge
+        lengths into spare_e, and return its length."""
+        nxt = self.nxt
+        np.multiply(self.kf, dt, nxt.flat)
+        np.add(nxt.flat, self.cur.flat, nxt.flat)
+        norm = _dot(nxt.flat, nxt.flat, self.tt, self.norm)
+        np.divide(nxt.nodes, np.sqrt(norm, norm), nxt.nodes)
+        if self.closed:
+            np.copyto(nxt.pads, nxt.wraps)
+        e = _dot(nxt.behind, nxt.ahead, self.pq, self.spare_e)  # geodesic_distance
+        np.maximum(e, _MINUS_ONE, out=e)
+        np.minimum(e, _ONE, out=e)
+        return float(np.add.reduce(np.arccos(e, e)))
+
+    def accept(self) -> np.ndarray:
+        """Swap in the trial; return the edges of the mesh the step started from."""
+        self.cur, self.nxt = self.nxt, self.cur
+        self.e, self.spare_e = self.spare_e, self.e
+        return self.spare_e
 
 
 def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
@@ -193,30 +245,24 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     if not closed and cfg.max_time is None:
         raise ConfigInvalid("max_time is required when evolving an arc")
     curve = _initial_mesh(curve, cfg)
-    # node columns of a step buffer, and the curvature columns the kernel fills
-    nodes, moving = (slice(1, -1), slice(None)) if closed else (slice(None), slice(1, -1))
-    cur, nxt, kv = _buffers(curve.nodes, closed)
-    e = _edges(cur, closed)
+    ws = _Workspace(curve.nodes, closed)
     t = 0.0
     snaps = [_snapshot(0.0, curve.with_nodes(curve.nodes))]
     length = snaps[0].length
     status = None
     next_snap = cfg.snapshot_dt
     since_remesh = accepted = rejected = remeshes = 0
-    min_dt = min_edge = math.inf
-
-    def rows(buf):
-        return buf[:, nodes].T.copy()
+    min_dt, max_dt, min_edge = math.inf, 0.0, math.inf
 
     def snapshot() -> bool:  # unless the mesh fails validation (an edge reads 0)
         try:
-            snaps.append(_snapshot(t, curve.with_nodes(rows(cur))))
+            snaps.append(_snapshot(t, curve.with_nodes(ws.cur.nodes.T.copy())))
         except DomainError:
             return False
         return True
 
     while True:
-        min_e = float(np.minimum.reduce(e))
+        min_e = float(np.minimum.reduce(ws.e))
         min_edge = min(min_edge, min_e)
         if length < cfg.extinction_length and closed:
             status = STATUS_EXTINCT
@@ -234,17 +280,9 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
         dt = min(dt, next_snap - t)
         dt = max(dt, DT_FLOOR)
 
-        chord_curvature(cur, kv[:, moving])
-        trial = nxt[:, nodes]
+        ws.curvature()
         for _ in range(MAX_DT_HALVINGS + 1):
-            np.multiply(kv, dt, out=trial)
-            trial += cur[:, nodes]
-            trial /= np.sqrt(np.add.reduce(trial * trial, axis=0))
-            if closed:
-                nxt[:, 0] = nxt[:, -2]
-                nxt[:, -1] = nxt[:, 1]
-            trial_e = _edges(nxt, closed)
-            new_len = float(np.add.reduce(trial_e))
+            new_len = ws.trial(dt)
             if math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP:
                 break
             rejected += 1
@@ -253,11 +291,11 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
             status = STATUS_SINGULARITY
             break
 
-        start_e = e
-        cur, nxt, e, length = nxt, cur, trial_e, new_len
+        start_e, length = ws.accept(), new_len
         t += dt
         accepted += 1
         min_dt = min(min_dt, dt)
+        max_dt = max(max_dt, dt)
         since_remesh += 1
 
         if t >= next_snap - 1e-12:
@@ -268,22 +306,24 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
 
         if since_remesh >= cfg.remesh_every:
             since_remesh = 0
-            n = kv.shape[1]
-            want = _target_n(length, n, cfg, closed)
+            want = _target_n(length, ws.n, cfg, closed)
             ratio = float(start_e.max() / start_e.min())
-            if want != n or ratio >= REMESH_UNIFORMITY:
-                cur, nxt, kv = _buffers(
-                    resample(curve.with_nodes(rows(cur)), n=want).nodes, closed)
-                e = _edges(cur, closed)
-                length = float(np.add.reduce(e))
+            if want != ws.n or ratio >= REMESH_UNIFORMITY:
+                try:  # a mesh that fails validation is not remeshed, as not snapshotted
+                    nodes = resample(curve.with_nodes(ws.cur.nodes.T.copy()), n=want).nodes
+                except DomainError:
+                    status = STATUS_STALLED
+                    break
+                ws = _Workspace(nodes, closed)
+                length = float(np.add.reduce(ws.e))
                 remeshes += 1
 
     if snaps[-1].t < t - 1e-12 or len(snaps) == 1 and t > 0:
         if not snapshot() and status != STATUS_SINGULARITY:
             status = STATUS_STALLED
     stats = FlowStats(accepted_steps=accepted, rejected_trials=rejected,
-                      remeshes=remeshes, min_dt=min_dt, min_edge=min_edge,
-                      final_n=kv.shape[1])
+                      remeshes=remeshes, min_dt=min_dt, max_dt=max_dt,
+                      min_edge=min_edge, final_n=ws.n)
     return FlowTrajectory(snapshots=snaps, terminal_status=status, stats=stats)
 
 

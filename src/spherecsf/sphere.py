@@ -38,12 +38,11 @@ def as_point(p, what="point"):
     return p / n
 
 
-def geodesic_distance(p, q, axis=-1):
-    """Great-circle distance in [0, pi]; accepts (3,) or (n, 3) arrays, or points
-    stacked along another axis, which `axis` names."""
+def geodesic_distance(p, q):
+    """Great-circle distance in [0, pi]; accepts (3,) or (n, 3) arrays."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    dots = np.minimum(np.maximum(np.add.reduce(p * q, axis=axis), -1.0), 1.0)
+    dots = np.minimum(np.maximum(np.add.reduce(p * q, axis=-1), -1.0), 1.0)
     return np.arccos(dots)
 
 

@@ -16,7 +16,7 @@ from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, c1_deviation,
                        self_intersects, turning_angles)
 from spherecsf.curves import integrals, mean_adjacent_edges
 from spherecsf.errors import DomainError, TooFewNodes
-from spherecsf.flow import _buffers, _snapshot, chord_curvature
+from spherecsf.flow import _Workspace, _snapshot
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -73,8 +73,9 @@ def test_latitude_length_and_turning():
 def test_latitude_pointwise_curvature():
     # geodesic curvature of the r-latitude is cot(r); exact on uniform meshes
     c = circle_curve(np.pi / 4, n=512)
-    buf, _, kv = _buffers(c.nodes, True)
-    mags = np.linalg.norm(chord_curvature(buf, kv), axis=0)
+    ws = _Workspace(c.nodes, True)
+    ws.curvature()
+    mags = np.linalg.norm(ws.kv, axis=0)
     assert np.abs(mags - 1.0).max() < CURVATURE_TOL
 
 

@@ -11,7 +11,7 @@ from spherecsf import (ClosedSphereCurve, FlowConfig, SphereArc,
                        time_to_enter_cap)
 from spherecsf import flow
 from spherecsf.errors import ConfigInvalid, DomainError, NeverEnters
-from spherecsf.flow import _buffers, _edges, chord_curvature
+from spherecsf.flow import _Workspace
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -77,15 +77,19 @@ def jittered_polygons(draw, sizes=(8, 300), jitters=(0.0, 0.9)):
     return jittered_polygon(n, radius, jitter, rng)
 
 
+# "error": the entries the flat kernel leaves in end columns must stay finite
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=200)
 @given(jittered_polygons(), st.booleans())
 def test_chord_kernel_matches_reference(nodes, closed):
     curve = ClosedSphereCurve(nodes) if closed else SphereArc(nodes)
     nodes = np.array(curve.nodes)
-    buf, _, kv = _buffers(nodes, closed)
-    chord_curvature(buf, kv if closed else kv[:, 1:-1])
-    assert np.array_equal(kv.T, _kvec_reference(nodes, closed))
-    assert np.array_equal(_edges(buf, closed), _edges_reference(nodes, closed))
+    ws = _Workspace(nodes, closed)
+    ws.curvature()
+    assert np.array_equal(ws.kv.T, _kvec_reference(nodes, closed))
+    assert np.array_equal(ws.e, _edges_reference(nodes, closed))
+    ws.trial(0.25 * float(ws.e.min()) ** 2)  # the trial's edges, computed in place
+    assert np.array_equal(ws.spare_e, _edges_reference(ws.nxt.nodes.T.copy(), closed))
 
 
 @pytest.mark.parametrize("kwargs, field", [

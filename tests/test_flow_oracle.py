@@ -8,13 +8,15 @@ terminal status and every counter must come out identical.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherecsf import (ClosedSphereCurve, FlowConfig, SphereArc, circle_curve,
-                       evolve_arc, evolve_closed)
+from spherecsf import (ClosedSphereCurve, DirichletArcSpec, FlowConfig, GreatCircle,
+                       SphereArc, circle_curve, dirichlet_gamma, evolve_arc,
+                       evolve_closed)
 from spherecsf.errors import DomainError
 from spherecsf.curves import resample, wrapped, wrapped_edges
 from spherecsf.flow import (CFL_FACTOR, DT_FLOOR, LENGTH_BACKSTOP, MAX_DT_HALVINGS,
@@ -22,7 +24,7 @@ from spherecsf.flow import (CFL_FACTOR, DT_FLOOR, LENGTH_BACKSTOP, MAX_DT_HALVIN
                             STATUS_SINGULARITY, STATUS_STALLED, FlowStats,
                             _initial_mesh, _snapshot, _target_n)
 
-from test_flow import jittered_polygon, jittered_polygons, wavy_arc
+from test_flow import Z, jittered_polygon, jittered_polygons, wavy_arc
 
 
 def chord_curvature_rows(ext, closed):
@@ -55,6 +57,7 @@ def evolve_reference(curve, cfg):
     next_snap = cfg.snapshot_dt
     since_remesh = accepted = rejected = remeshes = 0
     min_dt = min_edge = math.inf
+    max_dt = 0.0
 
     def snapshot():  # the stepper's policy: a mesh that fails validation is not kept
         try:
@@ -102,6 +105,7 @@ def evolve_reference(curve, cfg):
         t += dt
         accepted += 1
         min_dt = min(min_dt, dt)
+        max_dt = max(max_dt, dt)
         since_remesh += 1
 
         if t >= next_snap - 1e-12:
@@ -115,7 +119,11 @@ def evolve_reference(curve, cfg):
             want = _target_n(length, len(nodes), cfg, closed)
             ratio = float(start_e.max() / start_e.min())
             if want != len(nodes) or ratio >= REMESH_UNIFORMITY:
-                nodes = np.array(resample(curve.with_nodes(nodes), n=want).nodes)
+                try:  # the snapshot policy holds for a remesh as well
+                    nodes = np.array(resample(curve.with_nodes(nodes), n=want).nodes)
+                except DomainError:
+                    status = STATUS_STALLED
+                    break
                 ext = wrapped(nodes, closed)
                 e = wrapped_edges(ext, closed)
                 length = float(np.add.reduce(e))
@@ -124,8 +132,8 @@ def evolve_reference(curve, cfg):
     if snaps[-1].t < t - 1e-12 or len(snaps) == 1 and t > 0:
         if not snapshot() and status != STATUS_SINGULARITY:
             status = STATUS_STALLED
-    return snaps, status, FlowStats(accepted, rejected, remeshes, min_dt, min_edge,
-                                    len(nodes))
+    return snaps, status, FlowStats(accepted, rejected, remeshes, min_dt, max_dt,
+                                    min_edge, len(nodes))
 
 
 def assert_matches_reference(curve, cfg):
@@ -157,8 +165,9 @@ def _curve(nodes, closed):
     return ClosedSphereCurve(nodes) if closed else SphereArc(nodes)
 
 
+NO_REMESH = 10 ** 9
 NEEDLE_CFG = FlowConfig(dt=1e-2, snapshot_dt=1e-2, max_time=1e-12,
-                        remesh_every=10 ** 9)
+                        remesh_every=NO_REMESH)
 
 
 @st.composite
@@ -179,26 +188,29 @@ def test_needled_polygons_match_reference(nodes, closed):
     assert_matches_reference(_curve(nodes, closed), NEEDLE_CFG)
 
 
-# (delta, side, closed, status, base polygon seed); the seed-0 needles step onto a
-# mesh whose needle edge reads 0, which is not snapshotted, and the runs stall.
+# (delta, side, closed, status, base polygon seed, remesh_every); the seed-0
+# needles step onto a mesh whose needle edge reads 0, which is neither
+# snapshotted nor remeshed, and the runs stall.
 NEEDLE_ROWS = [
-    (1e-7, 2.0, True, STATUS_SINGULARITY, 1),
-    (2e-7, 3.0, False, STATUS_SINGULARITY, 1),
-    (4e-7, 2.0, True, STATUS_MAX_TIME, 1),
-    (1e-7, 1.0, False, STATUS_MAX_TIME, 1),
-    (2.5e-8, 1.0, True, STATUS_STALLED, 1),
-    (2.5e-8, 3.0, False, STATUS_STALLED, 1),
-    (2.5e-8, 2.0, True, STATUS_STALLED, 0),
-    (2.5e-8, 2.0, False, STATUS_STALLED, 0),
+    (1e-7, 2.0, True, STATUS_SINGULARITY, 1, NO_REMESH),
+    (2e-7, 3.0, False, STATUS_SINGULARITY, 1, NO_REMESH),
+    (4e-7, 2.0, True, STATUS_MAX_TIME, 1, NO_REMESH),
+    (1e-7, 1.0, False, STATUS_MAX_TIME, 1, NO_REMESH),
+    (2.5e-8, 1.0, True, STATUS_STALLED, 1, NO_REMESH),
+    (2.5e-8, 3.0, False, STATUS_STALLED, 1, NO_REMESH),
+    (2.5e-8, 2.0, True, STATUS_STALLED, 0, NO_REMESH),
+    (2.5e-8, 2.0, False, STATUS_STALLED, 0, NO_REMESH),
+    (2.5e-8, 2.0, True, STATUS_STALLED, 0, 1),
 ]
 
 
-@pytest.mark.parametrize("delta, side, closed, status, seed", NEEDLE_ROWS, ids=[
-    "-".join(map(str, row[:4])) + ("-seed0" if row[4] == 0 else "") for row in NEEDLE_ROWS])
-def test_needle_statuses_match_reference(delta, side, closed, status, seed):
+@pytest.mark.parametrize("delta, side, closed, status, seed, every", NEEDLE_ROWS, ids=[
+    "-".join(map(str, row[:4])) + ("-seed0" if row[4] == 0 else "")
+    + ("-remesh1" if row[5] == 1 else "") for row in NEEDLE_ROWS])
+def test_needle_statuses_match_reference(delta, side, closed, status, seed, every):
     base = jittered_polygon(100, 0.8, 0.6, np.random.default_rng(seed))
     traj = assert_matches_reference(_curve(needled(base, delta, side), closed),
-                                    NEEDLE_CFG)
+                                    replace(NEEDLE_CFG, remesh_every=every))
     assert traj.terminal_status == status
     assert traj.stats.accepted_steps > 0
     assert traj.stats.rejected_trials > 0 or status == STATUS_STALLED
@@ -224,3 +236,26 @@ def test_shrinking_remesh_matches_reference(curve, max_time, status):
     assert traj.terminal_status == status
     assert traj.stats.remeshes > 0
     assert traj.stats.final_n < traj.snapshots[0].curve.n
+
+
+def _c11_arc():
+    spec = DirichletArcSpec(circle=GreatCircle(Z), band_halfwidth=0.04,
+                            cap_radius=1.3, closeness=0.25)
+    return resample(dirichlet_gamma(spec)[0], spacing=0.01)
+
+
+# The hypothesis draws above stop at 300 nodes; these pin two sizes perfbench
+# runs: the pi/3 circle at n = 2048 for about 50 steps, and c11's r = 0.04 arc
+# at 515 nodes, remeshed every 20 steps.
+@pytest.mark.parametrize("make, cfg, n", [
+    (lambda: circle_curve(np.pi / 3, n=2048),
+     FlowConfig(dt=1e-4, snapshot_dt=3e-5, max_time=9e-5), 2048),
+    (_c11_arc, FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=0.01,
+                          target_spacing=0.01, remesh_every=20), 515),
+], ids=["circle-n2048", "c11-arc-n515"])
+def test_benchmark_sizes_match_reference(make, cfg, n):
+    curve = make()
+    assert curve.n == n
+    traj = assert_matches_reference(curve, cfg)
+    assert traj.terminal_status == STATUS_MAX_TIME
+    assert traj.stats.accepted_steps >= 45
