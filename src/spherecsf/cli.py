@@ -423,7 +423,7 @@ def cmd_graphflow(args, cfg: dict, run: RunDir) -> int:
 
 
 def cmd_verify(args, cfg: dict, run: RunDir) -> int:
-    from .acceptance import CHECKS, run_checks
+    from .acceptance import CHECKS
     names = cfg.get("checks")
     if names is not None:
         if (not isinstance(names, list)
@@ -435,7 +435,7 @@ def cmd_verify(args, cfg: dict, run: RunDir) -> int:
                                 f"(known: {list(CHECKS)})")
     results = []
     for check_name in (names if names is not None else list(CHECKS)):
-        result = run_checks([check_name])[0]
+        result = CHECKS[check_name]()
         results.append(result)
         _say(args, f"{'PASS' if result.passed else 'FAIL'} "
                    f"{result.name}: {result.detail}")

@@ -58,8 +58,8 @@ class PeriodicGraph:
 def evolve_graph(initial, t_end: float, dt: float | None = None) -> PeriodicGraph:
     """Advance the profile to exactly t_end; raises BlowUp at the pole guard."""
     g = initial if isinstance(initial, PeriodicGraph) else PeriodicGraph(initial)
-    if t_end < 0.0:
-        raise DomainError(f"t_end must be nonnegative, got {t_end!r}")
+    if not 0.0 <= t_end < np.inf:
+        raise DomainError(f"t_end must be finite and nonnegative, got {t_end!r}")
     u = np.array(g.values)
     n = len(u)
     dx = 2.0 * np.pi / n
@@ -92,11 +92,9 @@ def linear_mode_decay(k: int, t: float) -> float:
     return float(np.exp((1.0 - k * k) * t))
 
 
-def _lift_to_sphere(g, circle: GreatCircle) -> ClosedSphereCurve:
+def _lift_to_sphere(g: PeriodicGraph, circle: GreatCircle) -> ClosedSphereCurve:
     """The graph as a closed curve: longitude x, band coordinate arctan(u(x))."""
-    g = g if isinstance(g, PeriodicGraph) else PeriodicGraph(g)
-    nodes = circle.chart_point(g.x, g.heights)
-    return ClosedSphereCurve(nodes)
+    return ClosedSphereCurve(circle.chart_point(g.x, g.heights))
 
 
 def crosscheck(initial, circle: GreatCircle, t: float,

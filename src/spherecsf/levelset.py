@@ -20,7 +20,7 @@ from .curves import (ClosedSphereCurve, curve_distance, curves_cross, edge_ends,
                      hausdorff_distance, integrals, node_tangents, resample,
                      self_intersects, wrapped)
 from .flow import STATUS_EXTINCT, FlowConfig, evolve_closed
-from .sphere import as_point, geodesic_distance, orthonormal_frame, slerp
+from .sphere import as_point
 
 AREA_FLOOR = 1e-2          # a sandwich area below this is treated as degenerate
 AREA_STABLE_FRACTION = 0.25
@@ -38,51 +38,17 @@ VERDICT_WHOLE_SPHERE = "WholeSphere"
 def _point_in_left(curve: ClosedSphereCurve, p) -> bool:
     """True when p lies in the region to the left of the travel direction.
 
-    Walks a great circle from p and inspects the first transversal crossing
-    with the curve: p sits left exactly when the curve's travel direction
-    there agrees with the probe circle's pole. Probe circles whose geometry
-    is degenerate (node on the circle, tangential first hit) are rotated away
-    deterministically.
+    Each edge (a, b) adds half the signed area of the triangle from -p over
+    (b, a), in the closed form of Van Oosterom and Strackee (1983). With A the
+    enclosed (left) area, in (0, 4*pi), the halves sum to (4*pi - A) / 2 when
+    p is on the left and to -A / 2 when it is on the right.
     """
     p = as_point(p)
-    nodes = curve.nodes
-    dots = nodes @ p
-    if np.any(dots > 1.0 - 1e-12):
+    if curve_distance(p, curve)[0] <= 1e-9:
         raise DomainError("side undefined: the point lies on the curve")
-    if np.any(dots < -(1.0 - 1e-12)):
-        # every probe circle through p passes through -p as well
-        raise DomainError("side undefined: the point's antipode lies on the "
-                          "curve; move the probe slightly")
-    e1, e2 = orthonormal_frame(p)
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    starts, ends = edge_ends(wrapped(nodes, True), True)
-    for k in range(24):
-        m = np.cos(k * golden) * e1 + np.sin(k * golden) * e2
-        h = nodes @ m
-        if np.any(np.abs(h) < 1e-12):
-            continue
-        h_start, h_end = edge_ends(wrapped(h, True), True)
-        hit = (h_start > 0) != (h_end > 0)
-        if not np.any(hit):
-            continue
-        a, b = starts[hit], ends[hit]
-        ha, hb = h_start[hit], h_end[hit]
-        ell = geodesic_distance(a, b)
-        g = np.mod(np.arctan2(ha * np.sin(ell), ha * np.cos(ell) - hb), np.pi)
-        y = (np.sin(ell - g)[:, None] * a + np.sin(g)[:, None] * b)
-        y /= np.linalg.norm(y, axis=1, keepdims=True)
-        tau = np.cross(np.cross(a, b), y)
-        tau /= np.linalg.norm(tau, axis=1, keepdims=True)
-        u = np.cross(m, p)
-        phi = np.mod(np.arctan2(y @ u, y @ p), 2.0 * np.pi)
-        j = int(np.argmin(phi))
-        if phi[j] < 1e-9:
-            raise DomainError("side undefined: the point lies on the curve")
-        agree = float(tau[j] @ m)
-        if abs(agree) < 1e-9:
-            continue
-        return agree > 0.0
-    raise DomainError("no transversal probe circle found for the side test")
+    a, b = edge_ends(wrapped(curve.nodes, True), True)
+    return bool(np.add.reduce(np.arctan2(np.vecdot(np.cross(a, b), p),
+                                         1.0 + np.vecdot(a, b) - (a + b) @ p)) > 0.0)
 
 
 def enclosed_left_area(curve: ClosedSphereCurve) -> float:
@@ -102,18 +68,6 @@ class AnnulusState:
         return (enclosed_left_area(self.alpha), enclosed_left_area(self.beta))
 
 
-def _side_of(curve: ClosedSphereCurve, other: ClosedSphereCurve) -> bool:
-    # probe along other's first edge; irrational fractions step past probes
-    # whose antipode lands exactly on `curve` (symmetric meshes arrange that)
-    for f in (0.0, 0.3819660112501051, 0.7639320225002102, 0.1458980337503155):
-        try:
-            return _point_in_left(curve, slerp(other.nodes[0], other.nodes[1], f))
-        except DomainError:
-            continue
-    raise DomainError("cannot find a non-degenerate probe point for the "
-                      "annulus orientation test")
-
-
 def make_annulus(alpha: ClosedSphereCurve, beta: ClosedSphereCurve) -> AnnulusState:
     """Orient both boundaries with their off-annulus side on the left and
     compute the enclosed annulus area. alpha = beta (to 1e-7) degenerates to
@@ -126,9 +80,9 @@ def make_annulus(alpha: ClosedSphereCurve, beta: ClosedSphereCurve) -> AnnulusSt
         return AnnulusState(alpha=alpha, beta=beta, area=0.0, degenerate=True)
     if curves_cross(alpha, beta):
         raise NotEmbedded("annulus boundaries intersect")
-    if _side_of(alpha, beta):
+    if _point_in_left(alpha, beta.nodes[0]):
         alpha = alpha.with_nodes(alpha.nodes[::-1])
-    if _side_of(beta, alpha):
+    if _point_in_left(beta, alpha.nodes[0]):
         beta = beta.with_nodes(beta.nodes[::-1])
     area = 4.0 * np.pi - enclosed_left_area(alpha) - enclosed_left_area(beta)
     if area <= 0.0:

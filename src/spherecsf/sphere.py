@@ -33,7 +33,7 @@ def as_point(p, what="point"):
     if p.shape != (3,):
         raise DomainError(f"{what} must be a 3-vector, got shape {p.shape}")
     n = np.linalg.norm(p)
-    if abs(n - 1.0) > UNIT_TOL:
+    if not abs(n - 1.0) <= UNIT_TOL:
         raise DomainError(f"{what} must be unit length, |p| = {n!r}")
     return p / n
 

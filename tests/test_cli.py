@@ -265,12 +265,26 @@ def test_unreadable_config_file(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+# (command, config) runs whose values fail a library domain check; json
+# writes NaN and Infinity, and the config loader reads them back
+RUNTIME_ERRORS = [
+    ("multiplicity", {"curve": {"kind": "Circle", "radius": 1.0, "n": 64},
+                      "pole": [0, 0, 1], "r": -0.1}),
+    ("multiplicity", {"curve": EQUATOR | {"n": 64}, "pole": [0, 0, float("nan")],
+                      "r": 0.1}),
+    ("multiplicity", {"curve": EQUATOR | {"n": 64}, "pole": [0, 0, 2], "r": 0.1}),
+    ("graphflow", {"t": float("nan"), "n": 64}),
+    ("graphflow", {"t": float("inf"), "n": 64}),
+    ("graphflow", {"t": -1, "n": 64}),
+]
+
+
 def test_runtime_errors_exit_one(tmp_path, capsys):
-    cfg = {"curve": {"kind": "Circle", "radius": 1.0, "n": 64},
-           "pole": [0, 0, 1], "r": -0.1}
-    rc, _ = run_cli(tmp_path, "multiplicity", cfg)
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    for command, cfg in RUNTIME_ERRORS:
+        rc, d = run_cli(tmp_path, command, cfg)
+        assert rc == 1, (command, cfg)
+        assert capsys.readouterr().err.startswith("error:")
+        assert not d.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Polyline curve model: validation, discrete curvature, metrics, file IO."""
 
+import ast
 import types
 from pathlib import Path
 
@@ -268,6 +269,24 @@ def test_no_module_takes_neighbours_with_np_roll():
     package = Path(integrals.__code__.co_filename).parent
     assert [p.name for p in sorted(package.glob("*.py"))
             if "np.roll" in p.read_text()] == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export; every other module must use what it imports
+    package = Path(integrals.__code__.co_filename).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
 
 
 # names with no caller outside their own module and tests, kept off the top level

@@ -3,6 +3,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spherecsf import (
     ClosedSphereCurve,
@@ -24,6 +25,7 @@ from spherecsf import (
     sandwich_flow,
 )
 from spherecsf import levelset
+from spherecsf.curves import curve_distance, edge_ends, wrapped
 from spherecsf.levelset import _point_in_left, evolve_annulus
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -72,10 +74,66 @@ def test_point_in_left_rejects_point_on_curve():
         _point_in_left(c, c.nodes[5])
 
 
-def test_point_in_left_rejects_antipode_on_curve():
+def test_point_in_left_answers_at_antipode_of_node():
+    # the fan sum has no probe circle, so a node's antipode is an ordinary point
     c = circle_curve(0.3, n=128)
-    with pytest.raises(DomainError, match="antipode"):
-        _point_in_left(c, -c.nodes[5])
+    assert not _point_in_left(c, -c.nodes[5])
+    assert _point_in_left(reversed_curve(c), -c.nodes[5])
+
+
+def _latitude_nodes(ang, rho):
+    return np.stack([np.sin(rho) * np.cos(ang), np.sin(rho) * np.sin(ang),
+                     np.cos(rho)], axis=1)
+
+
+@st.composite
+def perturbed_latitudes(draw):
+    """A rotated perturbed latitude, reversed or not, with its azimuths, polar
+    distances and rotation: unreversed, it runs east with its pole on the left."""
+    n = draw(st.integers(16, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ang = 2.0 * np.pi * (np.arange(n) + draw(st.floats(0.0, 0.9))
+                         * rng.uniform(-0.5, 0.5, n)) / n
+    rho = (draw(st.floats(0.3, np.pi - 0.5))
+           + draw(st.floats(0.0, 0.2)) * np.sin(draw(st.integers(1, 6)) * ang))
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rot *= np.sign(np.linalg.det(rot))  # a proper rotation keeps left on the left
+    flip = draw(st.booleans())
+    nodes = _latitude_nodes(ang, rho) @ rot.T
+    curve = ClosedSphereCurve(nodes[::-1] if flip else nodes)
+    return curve, ang, rho, rot, flip, rng
+
+
+def _pole_side(ang, rho, q):
+    """Whether q, in the latitude's own frame, lies on its pole's side: nearer
+    the pole than the edge that the meridian through q crosses."""
+    a, b = edge_ends(wrapped(_latitude_nodes(ang, rho), True), True)
+    phi = np.arctan2(q[1], q[0])
+    j = int(np.argmax((phi - ang) % (2.0 * np.pi)
+                      <= (np.append(ang[1:], ang[0]) - ang) % (2.0 * np.pi)))
+    nx, ny, nz = np.cross(a[j], b[j])
+    return np.arccos(q[2]) < np.arctan2(-nz, nx * np.cos(phi) + ny * np.sin(phi)) % np.pi
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_latitudes())
+def test_point_in_left_matches_latitude_oracle(case):
+    curve, ang, rho, rot, flip, rng = case
+    a, b = edge_ends(wrapped(curve.nodes, True), True)
+    for j in rng.choice(curve.n, size=4, replace=False):
+        mid = (a[j] + b[j]) / np.linalg.norm(a[j] + b[j])
+        nu = np.cross(a[j], b[j])
+        nu /= np.linalg.norm(nu)  # the left normal of the edge
+        for d in (2e-9, 1e-6, 1e-2):  # 1e-9 itself is the refusal threshold
+            for side in (1, -1):
+                p = np.cos(d) * mid + np.sin(d) * side * nu
+                assert _point_in_left(curve, p) == (side > 0)
+        with pytest.raises(DomainError, match="lies on the curve"):
+            _point_in_left(curve, np.cos(1e-10) * mid + np.sin(1e-10) * nu)
+    points = rng.normal(size=(40, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    for p in points[curve_distance(points, curve) > 1e-2]:
+        assert _point_in_left(curve, p) == (_pole_side(ang, rho, rot.T @ p) != flip)
 
 
 def test_enclosed_area_matches_cap():
@@ -118,10 +176,17 @@ def test_make_annulus_latitude_band():
 
 
 def test_make_annulus_ignores_input_orientation():
-    a, b = circle_curve(0.8, n=128), circle_curve(1.2, n=128)
-    st = make_annulus(a, b)
-    st_flipped = make_annulus(reversed_curve(a), b)
-    assert st.area == st_flipped.area
+    # the polar caps are c13's: each node of one is the antipode of a node
+    # of the other
+    for radii, n in (((0.8, 1.2), 128), ((0.6, np.pi - 0.6), 256)):
+        a, b = (circle_curve(r, n=n) for r in radii)
+        first = make_annulus(a, b)
+        for alpha in (a, reversed_curve(a)):
+            for beta in (b, reversed_curve(b)):
+                got = make_annulus(alpha, beta)
+                assert np.array_equal(got.alpha.nodes, first.alpha.nodes)
+                assert np.array_equal(got.beta.nodes, first.beta.nodes)
+                assert got.area == first.area
 
 
 def test_make_annulus_degenerate_duplicate():

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from spherecsf import (GreatCircle, Latitude, Wedge, cap_area, fold_angle,
                        geodesic_distance, orthonormal_frame, slerp, unit)
 from spherecsf.errors import DomainError, PoleDegenerate
+from spherecsf.sphere import as_point
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -31,6 +32,13 @@ def test_unit_normalizes():
 def test_unit_rejects_zero():
     with pytest.raises(DomainError):
         unit(np.zeros(3))
+
+
+@pytest.mark.parametrize("v", [[0.0, 0.0, np.nan], [0.0, 0.0, np.inf], [0.0, 0.0, 2.0]],
+                         ids=["nan", "inf", "long"])
+def test_as_point_rejects_non_unit(v):
+    with pytest.raises(DomainError, match="unit length"):
+        as_point(v)
 
 
 def test_geodesic_distance_known_values():
