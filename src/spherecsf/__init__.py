@@ -4,7 +4,8 @@ Closed curves and fixed-endpoint arcs are polygonal node chains on S^2 evolved
 by explicit curvature stepping. The package also provides latitude-band
 barriers, Jordan-style band multiplicity, spaced point sets, wedge leaf
 decompositions, offset sandwiches for weak evolutions, and a periodic graph
-solver over a great circle, plus a built-in verification suite.
+solver over a great circle. The built-in verification suite,
+spherecsf.acceptance, is imported on its own, not with the package.
 """
 
 __version__ = "0.1.0"
@@ -35,7 +36,6 @@ from .levelset import (AnnulusState, AreaOdeReport, ClassifyResult,
                        SandwichResult, annulus_area_law, area_ode_check,
                        classify_long_term, enclosed_left_area, make_annulus,
                        offset_curve, sandwich_flow)
-from .acceptance import CHECKS, CheckResult, run_checks
 
 __all__ = [
     "__version__",
@@ -71,6 +71,4 @@ __all__ = [
     "AnnulusState", "make_annulus", "curves_cross", "enclosed_left_area",
     "offset_curve", "sandwich_flow", "SandwichResult", "area_ode_check", "AreaOdeReport",
     "annulus_area_law", "classify_long_term", "ClassifyResult",
-    # acceptance
-    "CHECKS", "CheckResult", "run_checks",
 ]

@@ -2,7 +2,7 @@
 
 Each check exercises one observable guarantee of the library end to end and
 reports a pass/fail with the measured quantities. The registry order is
-stable; `spherecsf verify` and the test suite both drive `run_checks`.
+stable; `spherecsf verify` and the test suite both run the checks of `CHECKS`.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ExtinctionBeforeEnd
 from .sphere import GreatCircle, geodesic_distance, slerp
 from .curves import (SphereArc, c1_deviation, hausdorff_distance,
                      intersection_count, resample)
@@ -25,8 +26,8 @@ from .jordan import (circle_curve, dirichlet_gamma, fibonacci_sphere,
                      multiplicity_sup, perturbed_latitude)
 from .levelset import (VERDICT_EXTINCT, VERDICT_HEMISPHERE,
                        VERDICT_MEASURE_ZERO, VERDICT_WHOLE_SPHERE,
-                       annulus_area_law, classify_long_term,
-                       evolve_annulus, make_annulus, sandwich_flow)
+                       area_ode_check, classify_long_term, make_annulus,
+                       sandwich_bound, sandwich_flow)
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -185,13 +186,12 @@ def check_area_ode() -> CheckResult:
     horizon = 0.3
     state = make_annulus(circle_curve(0.6, n=256), circle_curve(1.0, n=256))
     mu0 = state.area
-    cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=horizon,
-                     remesh_every=10 ** 9)
-    times, off, (t_inner, t_outer), _ = evolve_annulus(state, cfg)
-    areas = 4.0 * np.pi - off[0] - off[1]
-    model = annulus_area_law(mu0, times,
-                             [t for t in (t_inner, t_outer) if t is not None])
-    residual = float(np.abs(areas / model - 1.0).max())
+    try:
+        report = area_ode_check(state, horizon)
+    except ExtinctionBeforeEnd as exc:
+        return _result("area-ode", False, str(exc))
+    residual, times = report.residual, report.times
+    t_inner, t_outer = report.extinctions
 
     t_star = circle_extinction_time(0.6)
     if t_inner is None:
@@ -325,12 +325,11 @@ def check_levelset_sandwich() -> CheckResult:
                            t_end=t_end, eps0=0.1)
     worst = -np.inf
     skipped = 0
-    for row in result.rows:
+    for row in result.levels:
         if row.skipped is not None:
             skipped += 1
             continue
-        bound = 3.0 * np.arcsin(min(1.0, np.sin(row.eps) * np.exp(t_end)))
-        worst = max(worst, row.gap_final - bound)
+        worst = max(worst, row.gap_final - sandwich_bound(row.eps, t_end))
     ok = (skipped == 0 and worst <= 0.0
           and result.verdict == VERDICT_MEASURE_ZERO)
     return _result("levelset-sandwich", ok,
@@ -443,12 +442,3 @@ CHECKS = {
     "uniform-length-bound": check_uniform_length_bound,
     "initial-continuity": check_initial_continuity,
 }
-
-
-def run_checks(names=None) -> list:
-    if names is None:
-        names = list(CHECKS)
-    unknown = [n for n in names if n not in CHECKS]
-    if unknown:
-        raise KeyError(f"unknown checks: {unknown}; known: {list(CHECKS)}")
-    return [CHECKS[name]() for name in names]

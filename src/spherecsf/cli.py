@@ -20,6 +20,7 @@ import inspect
 import json
 import sys
 import time
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,8 @@ from .flow import FlowConfig, evolve_arc, evolve_closed, straightening_experimen
 from .graphflow import PeriodicGraph, crosscheck, evolve_graph
 from .jordan import (CURVE_KINDS, Spacing, construct_spacing, generate_curve,
                      multiplicity_at, multiplicity_sup, verify_spacing)
-from .levelset import (AnnulusState, area_ode_check, classify_long_term,
-                       make_annulus, sandwich_flow)
+from .levelset import (AnnulusState, SandwichRow, area_ode_check,
+                       classify_long_term, make_annulus, sandwich_flow)
 
 _MISSING = object()
 _TRAJECTORY_FIELDS = ["t", "length", "total_curvature", "bending", "area"]
@@ -345,17 +346,9 @@ def cmd_levelset(args, cfg: dict, run: RunDir) -> int:
         result = sandwich_flow(state, n_levels=_get(cfg, "levels", 4, int),
                                t_end=_get(cfg, "t", kind=float),
                                eps0=_get(cfg, "eps0", 0.1, float))
-        run.write_csv("tables/levels.csv",
-                      ["eps", "gap_initial", "gap_final", "area_final", "skipped"],
-                      ((r.eps, r.gap_initial, r.gap_final, r.area_final,
-                        r.skipped or "") for r in result.rows))
-        run.write_json("report.json", {
-            "verdict": result.verdict, "t_end": result.t_end,
-            "eps0": result.eps0,
-            "levels": [{"eps": r.eps, "gap_initial": r.gap_initial,
-                        "gap_final": r.gap_final, "area_final": r.area_final,
-                        "skipped": r.skipped} for r in result.rows],
-        })
+        run.write_csv("tables/levels.csv", [f.name for f in fields(SandwichRow)],
+                      map(astuple, result.levels))
+        run.write_json("report.json", asdict(result))
         _say(args, f"{run.name}: verdict {result.verdict}")
     elif mode == "area":
         report = area_ode_check(state, _get(cfg, "t", kind=float))
@@ -366,14 +359,7 @@ def cmd_levelset(args, cfg: dict, run: RunDir) -> int:
         _say(args, f"{run.name}: area-law residual {report.residual:.3e}")
     else:
         out = classify_long_term(state, max_time=_get(cfg, "max_time", kind=float))
-        run.write_json("report.json", {
-            "verdict": out.verdict,
-            "expected_verdict": out.expected_verdict,
-            "consistent": out.consistent,
-            "complement_area_max": out.complement_area_max,
-            "extinction_time": out.extinction_time,
-            "final_area": out.final_area,
-        })
+        run.write_json("report.json", asdict(out))
         _say(args, f"{run.name}: verdict {out.verdict} (expected "
                    f"{out.expected_verdict}, consistent={out.consistent})")
     return 0

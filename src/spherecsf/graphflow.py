@@ -56,10 +56,13 @@ class PeriodicGraph:
 
 
 def evolve_graph(initial, t_end: float, dt: float | None = None) -> PeriodicGraph:
-    """Advance the profile to exactly t_end; raises BlowUp at the pole guard."""
+    """Advance the profile to exactly t_end; raises BlowUp at the pole guard.
+    `dt`, when given, caps the stable step and must be positive and finite."""
     g = initial if isinstance(initial, PeriodicGraph) else PeriodicGraph(initial)
     if not 0.0 <= t_end < np.inf:
         raise DomainError(f"t_end must be finite and nonnegative, got {t_end!r}")
+    if dt is not None and not (0.0 < dt < np.inf):
+        raise DomainError(f"dt must be positive and finite, got {dt!r}")
     u = np.array(g.values)
     n = len(u)
     dx = 2.0 * np.pi / n

@@ -4,7 +4,7 @@ classification of weak evolutions.
 An annulus is tracked through the areas of its two complementary caps: each
 boundary is oriented so the region to its LEFT is its off-annulus side, so the
 annulus area is 4*pi minus the two enclosed (left) areas. Under the flow the
-annulus area obeys d(mu)/dt = mu while both boundaries survive.
+region's area obeys d(mu)/dt = mu - 2*pi*k, k the boundaries already extinct.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def offset_curve(curve: ClosedSphereCurve, eps: float, side: int) -> ClosedSpher
     """Node-normal offset by eps to the left (side=+1) or right (side=-1),
     Laplacian-smoothed until embedded. Raises OffsetCollision if smoothing
     cannot exhibit an embedded offset within Hausdorff 2*eps of the curve."""
-    if eps <= 0.0 or eps >= np.pi / 4.0:
+    if not (0.0 < eps < np.pi / 4.0):
         raise DomainError(f"offset must be in (0, pi/4), got {eps!r}")
     if side not in (-1, 1):
         raise DomainError("side must be +1 (left) or -1 (right)")
@@ -143,15 +143,26 @@ class SandwichRow:
 
 @dataclass(frozen=True)
 class SandwichResult:
-    rows: list
+    levels: list
     verdict: str
     t_end: float
     eps0: float
 
 
-def _default_cfg(t_end: float) -> FlowConfig:
-    return FlowConfig(dt=1e-4, snapshot_dt=min(1e-2, t_end), max_time=t_end,
-                      extinction_length=1e-3)
+def _horizon_config(name: str, t_end: float) -> FlowConfig:
+    """The one flow config of the sandwich, the area law and the trichotomy:
+    snapshots every 1e-2 (or at t_end, if sooner, but no sooner than
+    FlowConfig's floor of 1e-9) up to t_end, every other field at its default.
+    Raises DomainError naming `name` unless t_end is positive and finite."""
+    if not (0.0 < t_end < np.inf):
+        raise DomainError(f"{name} must be positive and finite, got {t_end!r}")
+    return FlowConfig(snapshot_dt=min(1e-2, max(t_end, 1e-9)), max_time=t_end)
+
+
+def sandwich_bound(eps: float, t: float) -> float:
+    """Gap allowed at time t between the offsets at eps of a measure-zero
+    curve: three half widths of the band barrier, 3*arcsin(sin(eps)*e^t)."""
+    return 3.0 * np.arcsin(min(1.0, np.sin(eps) * np.exp(t)))
 
 
 def sandwich_flow(initial, n_levels: int, t_end: float,
@@ -161,9 +172,7 @@ def sandwich_flow(initial, n_levels: int, t_end: float,
     `initial` is a closed curve (offsets straddle it) or an AnnulusState
     (offsets push outward into each off-annulus side).
     """
-    if t_end <= 0.0:
-        raise DomainError("t_end must be positive")
-    cfg = _default_cfg(t_end)
+    cfg = _horizon_config("t_end", t_end)
     if isinstance(initial, AnnulusState):
         if initial.degenerate and n_levels > 0:
             raise DomainError("cannot sandwich a degenerate annulus")
@@ -172,7 +181,7 @@ def sandwich_flow(initial, n_levels: int, t_end: float,
     else:
         alpha, beta, beta_side = initial, initial, -1
         mu = lambda ea, eb: eb - ea  # noqa: E731
-    rows = []
+    levels = []
     for n in range(n_levels):
         # level n offsets alpha to its left and beta to beta_side by eps0 * 2^-n;
         # a level whose offset collides is skipped with the collision's message
@@ -181,30 +190,29 @@ def sandwich_flow(initial, n_levels: int, t_end: float,
             alpha_0 = offset_curve(alpha, eps, +1)
             beta_0 = offset_curve(beta, eps, beta_side)
         except OffsetCollision as exc:
-            rows.append(SandwichRow(eps=eps, gap_initial=np.nan, gap_final=np.nan,
-                                    area_final=np.nan, skipped=str(exc)))
+            levels.append(SandwichRow(eps=eps, gap_initial=np.nan, gap_final=np.nan,
+                                      area_final=np.nan, skipped=str(exc)))
             continue
         gap0 = hausdorff_distance(alpha_0, beta_0, refine=1e-3)
         alpha_t = evolve_closed(alpha_0, cfg).final().curve
         beta_t = evolve_closed(beta_0, cfg).final().curve
         gap_t = hausdorff_distance(alpha_t, beta_t, refine=1e-3)
         area_t = mu(enclosed_left_area(alpha_t), enclosed_left_area(beta_t))
-        rows.append(SandwichRow(eps=eps, gap_initial=float(gap0),
-                                gap_final=float(gap_t), area_final=float(area_t)))
+        levels.append(SandwichRow(eps=eps, gap_initial=float(gap0),
+                                  gap_final=float(gap_t), area_final=float(area_t)))
 
-    live = [r for r in rows if r.skipped is None]
+    live = [r for r in levels if r.skipped is None]
     verdict = VERDICT_INCONCLUSIVE
     if len(live) >= 2:
         a_prev, a_fin = live[-2].area_final, live[-1].area_final
         stabilized = (min(a_prev, a_fin) >= AREA_FLOOR
                       and abs(a_fin - a_prev) <= AREA_STABLE_FRACTION * max(a_prev, a_fin))
         finest = live[-1]
-        bound = 3.0 * np.arcsin(min(1.0, np.sin(finest.eps) * np.exp(t_end)))
         if stabilized:
             verdict = VERDICT_POSITIVE_AREA
-        elif finest.gap_final <= bound:
+        elif finest.gap_final <= sandwich_bound(finest.eps, t_end):
             verdict = VERDICT_MEASURE_ZERO
-    return SandwichResult(rows=rows, verdict=verdict, t_end=float(t_end),
+    return SandwichResult(levels=levels, verdict=verdict, t_end=float(t_end),
                           eps0=float(eps0))
 
 
@@ -218,6 +226,7 @@ class AreaOdeReport:
     areas: np.ndarray
     model: np.ndarray
     residual: float
+    extinctions: list  # each boundary's extinction time, or None
 
 
 def evolve_annulus(state: AnnulusState, cfg: FlowConfig):
@@ -249,27 +258,34 @@ def evolve_annulus(state: AnnulusState, cfg: FlowConfig):
 
 
 def area_ode_check(state: AnnulusState, t_end: float) -> AreaOdeReport:
-    """Compare the annulus area against area(0) * e^t on [0, t_end].
+    """Compare the region's area on [0, t_end] against annulus_area_law,
+    switching branch at each measured extinction.
 
-    Raises ExtinctionBeforeEnd if either boundary dies first. The degenerate
-    annulus reports zero residual identically.
+    Raises ExtinctionBeforeEnd if a boundary dies before t_end and its death
+    empties the region (its off side is then the whole sphere), since the
+    area and the law both end near 0 and their ratio means nothing. A death
+    the region survives is checked. The degenerate annulus reports zero
+    residual identically.
     """
-    if t_end <= 0.0:
-        raise DomainError("t_end must be positive")
+    cfg = _horizon_config("t_end", t_end)
     if state.degenerate:
         times = np.array([0.0, t_end])
         zero = np.zeros_like(times)
-        return AreaOdeReport(times=times, areas=zero, model=zero, residual=0.0)
-    times, off, extinctions, _ = evolve_annulus(state, _default_cfg(t_end))
-    for t_ext, name in zip(extinctions, ("alpha", "beta")):
-        if t_ext is not None and t_ext < t_end - 1e-9:
+        return AreaOdeReport(times=times, areas=zero, model=zero, residual=0.0,
+                             extinctions=[None, None])
+    times, off, extinctions, finals = evolve_annulus(state, cfg)
+    for t_ext, final, name in zip(extinctions, finals, ("alpha", "beta")):
+        if (t_ext is not None and t_ext < t_end - 1e-9
+                and extinct_off_area(final.enclosed_area) == 4.0 * np.pi):
             raise ExtinctionBeforeEnd(
                 f"annulus boundary {name} went extinct at t = {t_ext:.6f} "
-                f"< {t_end}")
+                f"< {t_end} and left no region")
     areas = 4.0 * np.pi - off[0] - off[1]
-    model = state.area * np.exp(times)
+    model = annulus_area_law(state.area, times,
+                             [t for t in extinctions if t is not None])
     residual = float(np.abs(areas / model - 1.0).max())
-    return AreaOdeReport(times=times, areas=areas, model=model, residual=residual)
+    return AreaOdeReport(times=times, areas=areas, model=model, residual=residual,
+                         extinctions=extinctions)
 
 
 def extinct_off_area(final_area: float) -> float:
@@ -322,9 +338,7 @@ def classify_long_term(state: AnnulusState, max_time: float) -> ClassifyResult:
     """
     if state.degenerate:
         raise DomainError("cannot classify a degenerate annulus")
-    if max_time <= 0.0:
-        raise DomainError("max_time must be positive")
-    cfg = FlowConfig(dt=1e-4, snapshot_dt=1e-2, max_time=max_time)
+    cfg = _horizon_config("max_time", max_time)
 
     off0 = state.complement_areas
     big_a = float(max(off0))

@@ -7,7 +7,7 @@ order; see spherecsf.acceptance.CHECKS.
 """
 import pytest
 
-from spherecsf.acceptance import CHECKS, run_checks
+from spherecsf.acceptance import CHECKS
 
 ORDER = list(CHECKS)
 assert len(ORDER) == 15
@@ -17,7 +17,7 @@ assert len(ORDER) == 15
     "name", ORDER,
     ids=[f"c{i + 1:02d}-{name}" for i, name in enumerate(ORDER)])
 def test_acceptance(name):
-    result = run_checks([name])[0]
+    result = CHECKS[name]()
     line = f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}"
     print(line)
     assert result.passed, line

@@ -227,11 +227,17 @@ def test_seed_flag_is_the_default_generator_seed():
                           generate_curve("LeafableWiggle", n=64, seed=5).nodes)
 
 
-def test_runtime_imports_numpy_only(tmp_path):
+def run_python(args, timeout):
+    """Run python with `args` in a child process on this checkout's source."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+def test_runtime_imports_numpy_only(tmp_path):
     cfg = tmp_path / "checks.json"
     cfg.write_text(json.dumps({"checks": ["initial-continuity"]}))
     script = ("import sys\n"
@@ -240,10 +246,29 @@ def test_runtime_imports_numpy_only(tmp_path):
               f"{str(tmp_path / 'out')!r}, '--quiet'])\n"
               "print('scipy' in sys.modules)\n"
               "sys.exit(rc)\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=300)
+    proc = run_python(["-c", script], timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_package_import_leaves_out_the_acceptance_suite():
+    proc = run_python(["-c", "import sys, spherecsf\n"
+                             "print('spherecsf.acceptance' in sys.modules)"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("dt", [0, -1, float("nan")])
+def test_graphflow_rejects_bad_dt_in_time(tmp_path, dt):
+    # a dt of 0 or -1 once stepped forever, so the run gets a child process
+    # and a timeout
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"t": 0.01, "n": 64, "dt": dt}))
+    proc = run_python(["-m", "spherecsf.cli", "graphflow", "--config", str(path),
+                       "--out", str(tmp_path / "out"), "--quiet"], timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: dt must be positive and finite")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_flag(tmp_path, capsys):
@@ -277,6 +302,24 @@ RUNTIME_ERRORS = [
     ("graphflow", {"t": float("inf"), "n": 64}),
     ("graphflow", {"t": -1, "n": 64}),
 ]
+
+SMALL_ANNULUS = {"alpha": {"kind": "Circle", "radius": 0.3, "n": 64},
+                 "beta": {"kind": "Circle", "radius": 0.8, "n": 64}}
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("cfg,message", [
+    ({"mode": "sandwich", "curve": EQUATOR | {"n": 64}, "t": NAN}, "t_end must be"),
+    ({"mode": "area", "annulus": SMALL_ANNULUS, "t": NAN}, "t_end must be"),
+    ({"mode": "classify", "annulus": SMALL_ANNULUS, "max_time": NAN}, "max_time must be"),
+    ({"mode": "sandwich", "curve": EQUATOR | {"n": 64}, "t": 0.01, "eps0": NAN},
+     "offset must be"),
+], ids=["sandwich-t", "area-t", "classify-max-time", "sandwich-eps0"])
+def test_levelset_nan_inputs_exit_one(tmp_path, capsys, cfg, message):
+    rc, d = run_cli(tmp_path, "levelset", cfg)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not d.exists()
 
 
 def test_runtime_errors_exit_one(tmp_path, capsys):
@@ -380,6 +423,15 @@ def test_levelset_area_mode(tmp_path):
     assert report["initial_area"] == pytest.approx(exact, abs=1e-4)
     head = (d / "tables" / "areas.csv").read_text().splitlines()[0]
     assert head == "t,area,model"
+
+
+def test_levelset_area_mode_across_inner_death(tmp_path):
+    # the inner cap dies at ln sec 0.3 = 0.0457; the region, now the cap beyond
+    # latitude 0.8, lives on and the area law switches branch
+    cfg = {"mode": "area", "annulus": SMALL_ANNULUS, "t": 0.08}
+    rc, d = run_cli(tmp_path, "levelset", cfg)
+    assert rc == 0
+    assert read_json(d, "report.json")["residual"] <= 2e-2
 
 
 def test_levelset_classify_mode(tmp_path):
