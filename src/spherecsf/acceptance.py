@@ -72,7 +72,7 @@ def _monotone_trajectories():
     # corpus is therefore smooth curves (corner curves cluster nodes without
     # remeshing and stall the CFL step)
     cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=0.19,
-                     remesh_every=10 ** 9, extinction_length=1e-3)
+                     remesh_every=10 ** 9)
     corpus = (
         perturbed_latitude(np.pi / 2, 0.25, 5, n=512),
         perturbed_latitude(np.pi / 2, 0.20, 3, n=512),
@@ -257,7 +257,7 @@ def check_solver_crosscheck() -> CheckResult:
     worst = 0.0
     for heights in profiles:
         out = crosscheck(PeriodicGraph(np.tan(heights)), circle, 0.1,
-                         curve_nodes=512, dt=1e-4)
+                         curve_nodes=512)
         worst = max(worst, out["gap"])
     return _result("solver-crosscheck", worst <= 1e-3,
                    f"max Hausdorff gap between the lifted graph evolution and "
@@ -270,7 +270,7 @@ def check_straightening() -> CheckResult:
     curve = leafable_wiggle()
     dev0 = c1_deviation(curve, g)
     cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=0.2,
-                     remesh_every=10 ** 9, extinction_length=1e-3)
+                     remesh_every=10 ** 9)
     res = straightening_experiment(curve, g, barrier_halfwidth=0.05,
                                    alignment=0.1, cfg=cfg)
     leaf = is_leafable(res.trajectory.final().curve, g, r=0.025,
@@ -374,8 +374,7 @@ def check_uniform_length_bound() -> CheckResult:
     base = koch_like(4)
     r = 0.05
     mult = multiplicity_sup(base, r).count
-    cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=0.05,
-                     extinction_length=1e-3)
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=0.05)
     lengths = []
     approx_ok = True
     for n in range(6):

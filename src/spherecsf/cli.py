@@ -391,16 +391,16 @@ def _graph_initial(cfg: dict) -> PeriodicGraph:
 def cmd_graphflow(args, cfg: dict, run: RunDir) -> int:
     t_end = _get(cfg, "t", kind=float)
     initial = _graph_initial(cfg)
+    dt = _get(cfg, "dt", None, float)
     report = {"t": t_end, "n": initial.n}
     if _get(cfg, "crosscheck", False, bool):
         out = crosscheck(initial, GreatCircle(_pole(cfg)), t_end,
-                         curve_nodes=_get(cfg, "curve_nodes", 512, int),
-                         dt=_get(cfg, "dt", 1e-4, float))
+                         curve_nodes=_get(cfg, "curve_nodes", 512, int), dt=dt)
         final = out["graph"]
         report["gap"] = out["gap"]
         _say(args, f"{run.name}: crosscheck gap {out['gap']:.3e}")
     else:
-        final = evolve_graph(initial, t_end, dt=_get(cfg, "dt", None, float))
+        final = evolve_graph(initial, t_end, dt=dt)
         _say(args, f"{run.name}: evolved to t={t_end}")
     report["max_height"] = float(np.abs(final.heights).max())
     run.write_csv("tables/profile.csv", ["x", "u"], zip(final.x, final.values))

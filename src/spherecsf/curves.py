@@ -116,13 +116,11 @@ class SphereArc(_Polyline):
 SphereCurve = ClosedSphereCurve | SphereArc
 
 
-def _travel_tangents(v, a, b):
-    """(incoming, outgoing) unit tangents at nodes v between prev a and next b."""
-    t_in = (v * np.sum(a * v, axis=-1, keepdims=True)) - a
-    t_in /= np.linalg.norm(t_in, axis=-1, keepdims=True)
-    t_out = b - v * np.sum(b * v, axis=-1, keepdims=True)
-    t_out /= np.linalg.norm(t_out, axis=-1, keepdims=True)
-    return t_in, t_out
+def _tangent_toward(p, q):
+    """Unit tangent at p toward q: q - p (p.q), normalised."""
+    t = q - p * np.sum(p * q, axis=-1, keepdims=True)
+    t /= np.linalg.norm(t, axis=-1, keepdims=True)
+    return t
 
 
 def turning_angles(curve: SphereCurve) -> np.ndarray:
@@ -132,7 +130,7 @@ def turning_angles(curve: SphereCurve) -> np.ndarray:
     """
     ext = wrapped(curve.nodes, curve.closed)
     v = ext[1:-1]
-    t_in, t_out = _travel_tangents(v, ext[:-2], ext[2:])
+    t_in, t_out = -_tangent_toward(v, ext[:-2]), _tangent_toward(v, ext[2:])
     s = np.sum(v * np.cross(t_in, t_out), axis=-1)
     c = np.sum(t_in * t_out, axis=-1)
     return np.arctan2(s, c)
@@ -248,16 +246,13 @@ def _edges(nodes, closed: bool) -> _Edges:
     pole = np.cross(a, b)
     pole /= np.linalg.norm(pole, axis=1, keepdims=True)
     cos_len = np.add.reduce(a * b, axis=1)
-    ta = b - a * cos_len[:, None]  # tangent at a toward b
-    ta /= np.linalg.norm(ta, axis=1, keepdims=True)
-    tb = a - b * cos_len[:, None]  # tangent at b toward a
-    tb /= np.linalg.norm(tb, axis=1, keepdims=True)
     centre = a + b
     norm = np.linalg.norm(centre, axis=1)
     centre /= norm[:, None]
     # c.a, c.b >= cos_len - CROSS_TOL give c.centre >= 2 (cos_len - CROSS_TOL) / |a + b|
     reach = np.arccos(np.clip(2.0 * (cos_len - CROSS_TOL) / norm, -1.0, 1.0))
-    return _Edges(a, b, pole, cos_len, np.stack((ta, tb, pole, a, b), axis=1), centre,
+    frames = np.stack((_tangent_toward(a, b), _tangent_toward(b, a), pole, a, b), axis=1)
+    return _Edges(a, b, pole, cos_len, frames, centre,
                   0.5 * np.arccos(np.clip(cos_len, -1.0, 1.0)), reach)
 
 

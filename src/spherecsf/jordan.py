@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParamDomain, SpacingNotFound
-from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, curve_distance,
-                     edge_ends, edge_slerp, latitude_deviation_angles, resample,
-                     wrapped)
+from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _tangent_toward,
+                     curve_distance, edge_ends, edge_slerp,
+                     latitude_deviation_angles, resample, wrapped)
 from .flow import DirichletArcSpec
 from .sphere import (GreatCircle, Latitude, Wedge, as_point, fold_angle,
                      geodesic_distance, orthonormal_frame, unit)
@@ -441,9 +441,7 @@ def koch_like(depth: int, base_radius: float = 0.8, pole=(0.0, 0.0, 1.0),
         p, q = edge_ends(wrapped(nodes, True), True)
         ell = geodesic_distance(p, q)
         a, mid, b = (edge_slerp(p, q, ell, f) for f in (1.0 / 3.0, 0.5, 2.0 / 3.0))
-        tdir = q - mid * np.sum(q * mid, axis=1, keepdims=True)
-        tdir /= np.linalg.norm(tdir, axis=1, keepdims=True)
-        out = np.cross(tdir, mid)
+        out = np.cross(_tangent_toward(mid, q), mid)
         d = (np.sqrt(3.0) / 6.0) * ell[:, None]
         apex = np.cos(d) * mid + np.sin(d) * out
         nodes = np.stack([p, a, apex, b], axis=1).reshape(-1, 3)

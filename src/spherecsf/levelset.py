@@ -22,7 +22,7 @@ from .curves import (ClosedSphereCurve, curve_distance, curves_cross, edge_ends,
 from .flow import STATUS_EXTINCT, FlowConfig, evolve_closed
 from .sphere import as_point
 
-AREA_FLOOR = 1e-2          # a sandwich area below this is treated as degenerate
+AREA_FLOOR = 1e-2          # a sandwich area below this counts as no area
 AREA_STABLE_FRACTION = 0.25
 TRICHOTOMY_AREA_TOL = 1e-2  # complement-area slack around 2*pi and final-area floor
 SMOOTHING_MAX_PASSES = 60
@@ -61,7 +61,6 @@ class AnnulusState:
     alpha: ClosedSphereCurve
     beta: ClosedSphereCurve
     area: float
-    degenerate: bool = False
 
     @property
     def complement_areas(self) -> tuple:
@@ -70,14 +69,8 @@ class AnnulusState:
 
 def make_annulus(alpha: ClosedSphereCurve, beta: ClosedSphereCurve) -> AnnulusState:
     """Orient both boundaries with their off-annulus side on the left and
-    compute the enclosed annulus area. alpha = beta (to 1e-7) degenerates to
-    the zero-thickness annulus."""
-    # threshold sits above the ~1.5e-8 arccos noise floor of the metric; the
-    # Hausdorff distance is at least the largest node distance (to rounding),
-    # so a node of alpha 1e-6 off beta settles it without densifying
-    if (alpha.n == beta.n and float(curve_distance(alpha.nodes, beta).max()) <= 1e-6
-            and hausdorff_distance(alpha, beta, refine=1e-3) <= 1e-7):
-        return AnnulusState(alpha=alpha, beta=beta, area=0.0, degenerate=True)
+    compute the enclosed annulus area. Boundaries that meet, crossing or
+    coincident, raise NotEmbedded."""
     if curves_cross(alpha, beta):
         raise NotEmbedded("annulus boundaries intersect")
     if _point_in_left(alpha, beta.nodes[0]):
@@ -174,8 +167,6 @@ def sandwich_flow(initial, n_levels: int, t_end: float,
     """
     cfg = _horizon_config("t_end", t_end)
     if isinstance(initial, AnnulusState):
-        if initial.degenerate and n_levels > 0:
-            raise DomainError("cannot sandwich a degenerate annulus")
         alpha, beta, beta_side = initial.alpha, initial.beta, +1
         mu = lambda ea, eb: 4.0 * np.pi - ea - eb  # noqa: E731
     else:
@@ -237,7 +228,8 @@ def evolve_annulus(state: AnnulusState, cfg: FlowConfig):
     which a live boundary has no snapshot within 1e-9; each boundary's
     off-annulus (left) area there, shape (2, len(times)), held at
     `extinct_off_area` strictly after its death; each boundary's extinction
-    time or None; and each boundary's final snapshot.
+    time or None; and each boundary's final snapshot. When both boundaries
+    die before `cfg.max_time`, the times end at that horizon, both held.
     """
     ta, tb = evolve_closed(state.alpha, cfg), evolve_closed(state.beta, cfg)
     finals = [ta.final(), tb.final()]
@@ -254,7 +246,11 @@ def evolve_annulus(state: AnnulusState, cfg: FlowConfig):
         if dead_at is not None:
             row[times > dead_at] = extinct_off_area(final.enclosed_area)
     paired = ~np.isnan(off).any(axis=0)
-    return times[paired], off[:, paired], extinctions, finals
+    times, off = times[paired], off[:, paired]
+    if None not in extinctions and times[-1] < (cfg.max_time or 0.0) - 1e-9:
+        times = np.append(times, cfg.max_time)
+        off = np.c_[off, [extinct_off_area(s.enclosed_area) for s in finals]]
+    return times, off, extinctions, finals
 
 
 def area_ode_check(state: AnnulusState, t_end: float) -> AreaOdeReport:
@@ -264,15 +260,9 @@ def area_ode_check(state: AnnulusState, t_end: float) -> AreaOdeReport:
     Raises ExtinctionBeforeEnd if a boundary dies before t_end and its death
     empties the region (its off side is then the whole sphere), since the
     area and the law both end near 0 and their ratio means nothing. A death
-    the region survives is checked. The degenerate annulus reports zero
-    residual identically.
+    the region survives is checked.
     """
     cfg = _horizon_config("t_end", t_end)
-    if state.degenerate:
-        times = np.array([0.0, t_end])
-        zero = np.zeros_like(times)
-        return AreaOdeReport(times=times, areas=zero, model=zero, residual=0.0,
-                             extinctions=[None, None])
     times, off, extinctions, finals = evolve_annulus(state, cfg)
     for t_ext, final, name in zip(extinctions, finals, ("alpha", "beta")):
         if (t_ext is not None and t_ext < t_end - 1e-9
@@ -336,8 +326,6 @@ def classify_long_term(state: AnnulusState, max_time: float) -> ClassifyResult:
     exhaustion of the whole sphere. Inconclusive outcomes are reported, never
     raised.
     """
-    if state.degenerate:
-        raise DomainError("cannot classify a degenerate annulus")
     cfg = _horizon_config("max_time", max_time)
 
     off0 = state.complement_areas

@@ -4,13 +4,37 @@ Each test runs a single named check from spherecsf.acceptance at its stated
 tolerance and prints one [PASS]/[FAIL] line (visible with pytest -s, and in
 the failure output otherwise). The checks are numbered in their canonical
 order; see spherecsf.acceptance.CHECKS.
+
+Each check's measured values are also pinned to acceptance_measured.json, as
+`spherecsf verify` writes them to report.json. A change that means to move a
+value rewrites that file and records the before and after values.
 """
+import json
+from pathlib import Path
+
 import pytest
 
 from spherecsf.acceptance import CHECKS
+from spherecsf.cli import _json_default
 
 ORDER = list(CHECKS)
 assert len(ORDER) == 15
+MEASURED = json.loads(Path(__file__).with_name("acceptance_measured.json").read_text())
+# c11's gap between the final arc and its sampled geodesic is one arccos
+# quantum (1.49e-8), so rounding moves it by whole quanta
+ABS_TOL = {("dirichlet-scaling", "geodesic_gap"): 1e-7}
+
+
+def _same(got, want, abs_tol=None) -> bool:
+    """Floats to a relative 1e-9 (or to `abs_tol`), lists elementwise, and
+    anything else exactly and of the same type."""
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(_same(g, w, abs_tol) for g, w in zip(got, want)))
+    if isinstance(want, float):
+        bound = 1e-9 * abs(want) if abs_tol is None else abs_tol
+        return isinstance(got, float) and abs(got - want) <= bound
+    return type(got) is type(want) and got == want
 
 
 @pytest.mark.parametrize(
@@ -21,3 +45,17 @@ def test_acceptance(name):
     line = f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}"
     print(line)
     assert result.passed, line
+    got = json.loads(json.dumps(result.measured, default=_json_default))
+    want = MEASURED[name]
+    assert sorted(got) == sorted(want)
+    moved = {k: (want[k], got[k]) for k in want
+             if not _same(got[k], want[k], ABS_TOL.get((name, k)))}
+    assert not moved, f"{name}: measured values moved (pinned, now): {moved}"
+
+
+def test_same_compares_by_kind():
+    assert _same(1.0, 1.0 + 1e-12) and not _same(1.0, 1.0 + 1e-8)
+    assert _same(1.5e-8, 1.49e-8, 1e-7) and not _same(1.5e-8, 1.49e-8)
+    assert not _same(1, 1.0) and not _same(True, 1) and not _same(1.0, None)
+    assert _same(None, None) and _same("MeasureZeroCurve", "MeasureZeroCurve")
+    assert _same([1.0, 2.0], [1.0, 2.0]) and not _same([1.0], [1.0, 2.0])

@@ -177,7 +177,10 @@ def test_non_numeric_fields_are_config_errors(tmp_path, capsys, command, cfg,
     ({"mode": "area", "t": 0.5, "annulus": {
         "alpha": {"kind": "Circle", "radius": 0.3, "n": 64},
         "beta": {"kind": "Circle", "radius": 0.5, "n": 64}}}, 1),
-], ids=["missing-t", "extinct-before-t"])
+    ({"mode": "area", "t": 0.05, "annulus": {
+        "alpha": {"kind": "Circle", "radius": 0.7, "n": 64},
+        "beta": {"kind": "Circle", "radius": 0.7, "n": 64}}}, 1),
+], ids=["missing-t", "extinct-before-t", "coincident-boundaries"])
 def test_failed_levelset_run_leaves_no_directory(tmp_path, cfg, code):
     rc, d = run_cli(tmp_path, "levelset", cfg)
     assert rc == code
@@ -432,6 +435,17 @@ def test_levelset_area_mode_across_inner_death(tmp_path):
     rc, d = run_cli(tmp_path, "levelset", cfg)
     assert rc == 0
     assert read_json(d, "report.json")["residual"] <= 2e-2
+
+
+def test_levelset_area_mode_reaches_the_horizon_after_both_deaths(tmp_path):
+    # c13's polar caps both die at ln sec 0.6 = 0.192; the region is then the
+    # whole sphere, and the last row is at t
+    ann = {"alpha": {"kind": "Circle", "radius": 0.6, "n": 64},
+           "beta": {"kind": "Circle", "radius": np.pi - 0.6, "n": 64}}
+    rc, d = run_cli(tmp_path, "levelset", {"mode": "area", "annulus": ann, "t": 0.25})
+    assert rc == 0
+    last = (d / "tables" / "areas.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == 0.25 and float(last[1]) == 4.0 * np.pi
 
 
 def test_levelset_classify_mode(tmp_path):

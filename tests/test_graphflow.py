@@ -112,3 +112,12 @@ def test_crosscheck_two_solvers_agree():
     res = crosscheck(PeriodicGraph(0.05 * np.sin(2 * x)), GreatCircle(Z), 0.05,
                      curve_nodes=256, dt=2e-4)
     assert res["gap"] < CROSSCHECK_TOL
+
+
+def test_crosscheck_dt_caps_the_graph_step():
+    # at n = 128 the stable step is about 4.8e-4, so a dt of 2e-4 binds
+    g = PeriodicGraph(0.05 * np.sin(2 * grid(128)))
+    res = crosscheck(g, GreatCircle(Z), 0.05, curve_nodes=256, dt=2e-4)
+    capped = evolve_graph(g, 0.05, dt=2e-4).values
+    assert np.array_equal(res["graph"].values, capped)
+    assert not np.array_equal(evolve_graph(g, 0.05).values, capped)

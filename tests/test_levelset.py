@@ -52,11 +52,6 @@ def straddle_annulus(n=192):
                         circle_curve(np.pi / 2 + 0.05, n=n))
 
 
-@functools.lru_cache(maxsize=None)
-def degenerate_annulus():
-    return make_annulus(circle_curve(0.7, n=96), circle_curve(0.7, n=96))
-
-
 # ---------------------------------------------------------------------------
 # point sides and enclosed area
 
@@ -172,7 +167,6 @@ def test_make_annulus_latitude_band():
     off_a, off_b = st.complement_areas
     assert abs(off_a - cap_area(0.8)) < 1e-3
     assert abs(off_b - (4.0 * np.pi - cap_area(1.2))) < 1e-3
-    assert not st.degenerate
 
 
 def test_make_annulus_ignores_input_orientation():
@@ -189,32 +183,29 @@ def test_make_annulus_ignores_input_orientation():
                 assert got.area == first.area
 
 
-def test_make_annulus_degenerate_duplicate():
-    st = degenerate_annulus()
-    assert st.degenerate
-    assert st.area == 0.0
-
-
-def test_make_annulus_degenerate_near_duplicate():
-    # a copy turned by 5e-8 is still the zero-thickness annulus
+def test_make_annulus_rejects_meeting_boundaries():
+    # an identical copy and a copy turned by 5e-8 cross; a latitude copy 1e-8
+    # off does not, but its nodes lie within the side test's 1e-9 of alpha
     c = circle_curve(0.7, n=96)
     tilt = 5e-8
     rot = np.array([[1.0, 0.0, 0.0],
                     [0.0, np.cos(tilt), -np.sin(tilt)],
                     [0.0, np.sin(tilt), np.cos(tilt)]])
-    assert make_annulus(c, c).degenerate
-    assert make_annulus(c, c.with_nodes(c.nodes @ rot.T)).degenerate
+    for beta in (c, c.with_nodes(c.nodes @ rot.T)):
+        with pytest.raises(NotEmbedded, match="intersect"):
+            make_annulus(c, beta)
+    with pytest.raises(DomainError, match="lies on the curve"):
+        make_annulus(c, circle_curve(0.7 + 1e-8, n=96))
 
 
 def test_make_annulus_separated_boundaries_skip_hausdorff(monkeypatch):
-    # c06's circles: their nodes sit 0.4 apart, which already rules out the
-    # degenerate annulus without the densified Hausdorff distance
+    # c06's circles: building the annulus needs no densified Hausdorff distance
     def unreachable(*args, **kwargs):
         raise AssertionError("hausdorff_distance reached")
 
     monkeypatch.setattr(levelset, "hausdorff_distance", unreachable)
     st = make_annulus(circle_curve(0.6, n=256), circle_curve(1.0, n=256))
-    assert not st.degenerate
+    assert st.area > 0.0
 
 
 def test_make_annulus_rejects_crossing_boundaries():
@@ -288,17 +279,12 @@ def test_sandwich_rejects_nonpositive_time():
 
 
 @pytest.mark.parametrize("initial", [lambda: circle_curve(1.0, n=64),
-                                     band_annulus, degenerate_annulus],
-                         ids=["curve", "annulus", "degenerate"])
+                                     band_annulus],
+                         ids=["curve", "annulus"])
 def test_sandwich_with_no_levels_is_inconclusive(initial):
     res = sandwich_flow(initial(), 0, t_end=0.05, eps0=0.08)
     assert res.levels == [] and res.verdict == "Inconclusive"
     assert res.t_end == 0.05 and res.eps0 == 0.08
-
-
-def test_sandwich_rejects_degenerate_annulus():
-    with pytest.raises(DomainError, match="degenerate"):
-        sandwich_flow(degenerate_annulus(), 2, t_end=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +322,12 @@ def test_area_ode_across_a_death_the_region_survives(a, b, horizon, deaths):
     state = make_annulus(circle_curve(a, n=64), circle_curve(b, n=64))
     rep = area_ode_check(state, horizon)
     assert rep.residual <= 2e-2
-    # a boundary that lives on carries the times to the horizon
-    assert rep.times[-1] >= horizon - 1e-9 or None not in deaths
+    # the times reach the horizon, also when both boundaries die before it
+    assert abs(rep.times[-1] - horizon) <= 1e-9
+    if None not in deaths:
+        assert rep.areas[-1] == 4.0 * np.pi
     for got, want in zip(rep.extinctions, deaths):
         assert got == (None if want is None else pytest.approx(want, rel=1e-2))
-
-
-def test_area_ode_degenerate_is_identically_zero():
-    rep = area_ode_check(degenerate_annulus(), 0.4)
-    assert rep.residual == 0.0
-    assert np.all(rep.areas == 0.0)
 
 
 def test_area_ode_rejects_nonpositive_time():
@@ -397,11 +379,6 @@ def test_classify_straddling_band_is_honest_about_short_horizons():
     assert not cls.consistent
     assert cls.extinction_time is None
     assert abs(cls.complement_area_max - cap_area(np.pi / 2 - 0.05)) < 1e-3
-
-
-def test_classify_rejects_degenerate_annulus():
-    with pytest.raises(DomainError, match="degenerate"):
-        classify_long_term(degenerate_annulus(), 0.3)
 
 
 def test_classify_rejects_nonpositive_time():
