@@ -139,7 +139,7 @@ def check_barrier_law() -> CheckResult:
     g = PeriodicGraph(np.full(256, u0))
     graph_err = 0.0
     for t in (0.05, 0.1):
-        got = evolve_graph(g, t, dt=2e-5).values
+        got = evolve_graph(g, t).values
         graph_err = max(graph_err, float(np.abs(got - constant_graph_oracle(u0, t)).max()))
     ok = contained and graph_err <= 1e-6
     return _result("barrier-law", ok,

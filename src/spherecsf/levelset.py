@@ -69,14 +69,17 @@ class AnnulusState:
 
 def make_annulus(alpha: ClosedSphereCurve, beta: ClosedSphereCurve) -> AnnulusState:
     """Orient both boundaries with their off-annulus side on the left and
-    compute the enclosed annulus area. Boundaries that meet, crossing or
-    coincident, raise NotEmbedded."""
+    compute the enclosed annulus area. Boundaries that meet, crossing,
+    coincident or within 1e-9 of each other, raise NotEmbedded."""
     if curves_cross(alpha, beta):
         raise NotEmbedded("annulus boundaries intersect")
-    if _point_in_left(alpha, beta.nodes[0]):
-        alpha = alpha.with_nodes(alpha.nodes[::-1])
-    if _point_in_left(beta, alpha.nodes[0]):
-        beta = beta.with_nodes(beta.nodes[::-1])
+    try:
+        if _point_in_left(alpha, beta.nodes[0]):
+            alpha = alpha.with_nodes(alpha.nodes[::-1])
+        if _point_in_left(beta, alpha.nodes[0]):
+            beta = beta.with_nodes(beta.nodes[::-1])
+    except DomainError:  # a node of one boundary lies on the other
+        raise NotEmbedded("annulus boundaries touch: they lie within 1e-9 of each other") from None
     area = 4.0 * np.pi - enclosed_left_area(alpha) - enclosed_left_area(beta)
     if area <= 0.0:
         raise DomainError("boundaries do not bound a positive-area annulus")

@@ -261,10 +261,11 @@ def test_package_import_leaves_out_the_acceptance_suite():
     assert proc.stdout.split() == ["False"]
 
 
-@pytest.mark.parametrize("dt", [0, -1, float("nan")])
+@pytest.mark.parametrize("dt", [0, -1, float("nan"), 1e-300])
 def test_graphflow_rejects_bad_dt_in_time(tmp_path, dt):
-    # a dt of 0 or -1 once stepped forever, so the run gets a child process
-    # and a timeout
+    # a dt of 0 or -1 once stepped forever, and 1e-300 would need far more
+    # steps than the step budget allows, so the run gets a child process and
+    # a timeout
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"t": 0.01, "n": 64, "dt": dt}))
     proc = run_python(["-m", "spherecsf.cli", "graphflow", "--config", str(path),
@@ -448,6 +449,16 @@ def test_levelset_area_mode_reaches_the_horizon_after_both_deaths(tmp_path):
     assert float(last[0]) == 0.25 and float(last[1]) == 4.0 * np.pi
 
 
+def test_levelset_area_mode_names_touching_boundaries(tmp_path, capsys):
+    # the latitudes do not cross, but a node of one lies within 1e-9 of the other
+    ann = {"alpha": {"kind": "Circle", "radius": 0.7, "n": 64},
+           "beta": {"kind": "Circle", "radius": 0.70000001, "n": 64}}
+    rc, d = run_cli(tmp_path, "levelset", {"mode": "area", "annulus": ann, "t": 0.05})
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: annulus boundaries touch")
+    assert not d.exists()
+
+
 def test_levelset_classify_mode(tmp_path):
     ann = {"alpha": {"kind": "Circle", "radius": 0.3, "n": 128},
            "beta": {"kind": "Circle", "radius": 0.5, "n": 128}}
@@ -479,7 +490,7 @@ def test_levelset_area_mode_needs_annulus(tmp_path, capsys):
 
 
 def test_graphflow_constant_height(tmp_path):
-    cfg = {"t": 0.05, "n": 128, "constant_height": 0.1, "dt": 2e-5}
+    cfg = {"t": 0.05, "n": 128, "constant_height": 0.1}
     rc, d = run_cli(tmp_path, "graphflow", cfg)
     assert rc == 0
     report = read_json(d, "report.json")

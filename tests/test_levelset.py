@@ -185,7 +185,8 @@ def test_make_annulus_ignores_input_orientation():
 
 def test_make_annulus_rejects_meeting_boundaries():
     # an identical copy and a copy turned by 5e-8 cross; a latitude copy 1e-8
-    # off does not, but its nodes lie within the side test's 1e-9 of alpha
+    # off does not, but its nodes lie within the side test's 1e-9 of alpha, so
+    # the boundaries touch
     c = circle_curve(0.7, n=96)
     tilt = 5e-8
     rot = np.array([[1.0, 0.0, 0.0],
@@ -194,7 +195,7 @@ def test_make_annulus_rejects_meeting_boundaries():
     for beta in (c, c.with_nodes(c.nodes @ rot.T)):
         with pytest.raises(NotEmbedded, match="intersect"):
             make_annulus(c, beta)
-    with pytest.raises(DomainError, match="lies on the curve"):
+    with pytest.raises(NotEmbedded, match="annulus boundaries touch"):
         make_annulus(c, circle_curve(0.7 + 1e-8, n=96))
 
 
