@@ -247,6 +247,7 @@ def cmd_simulate(args, cfg: dict, run: RunDir) -> int:
         "final_bending": final.bending,
         "final_area": final.enclosed_area,
         "final_nodes": final.curve.n,
+        "flow": traj.stats.to_json(),
     })
     _say(args, f"{run.name}: {traj.terminal_status} at t={final.t:.6f}, "
                f"length={final.length:.6f}")
@@ -316,6 +317,7 @@ def cmd_straighten(args, cfg: dict, run: RunDir) -> int:
         "first_aligned_time": res.first_aligned_time,
         "initial_deviation": float(res.deviations[0]),
         "final_deviation": float(res.deviations[-1]),
+        "flow": res.trajectory.stats.to_json(),
     })
     _say(args, f"{run.name}: contained={res.containment_ok}, aligned at "
                f"t={res.first_aligned_time}, final deviation "

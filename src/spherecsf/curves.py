@@ -9,11 +9,20 @@ Neighbours come from one padded array, `wrapped(nodes, closed)`: a closed curve 
 last node prepended and its first appended, an arc is left as it is, so on either kind
 chord j runs from row j to row j + 1 and the node at row j has neighbours at rows j - 1
 and j + 1. `edge_ends` picks the edges, in node order, out of that array.
+
+A curve keeps the edge lengths its validation computed, read-only, and every
+consumer of the mesh (length, integrals, resampling, densifying, the flow's
+snapshots and remeshes) reads them instead of measuring the edges again. The
+per-node formulas (validation's norms, turning angles, resampling) run
+component-major, on (3, n) views: a dot product sums the rows of a (3, n) array
+in the order numpy sums a length-3 row and the cross product is written out by
+component as np.cross computes it, so the results are bit-identical to the
+(n, 3) forms the tests keep as their reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
@@ -55,47 +64,60 @@ def wrapped_edges(ext: np.ndarray, closed: bool) -> np.ndarray:
     return geodesic_distance(*edge_ends(ext, closed))
 
 
-def _validated_nodes(nodes, closed: bool) -> np.ndarray:
-    nodes = np.array(nodes, dtype=float)
+def _dot3(a, b):
+    """Column dot products of (3, m) arrays, summed as numpy sums a length-3 row."""
+    p = a * b
+    return p[0] + p[1] + p[2]
+
+
+def _validated_nodes(nodes, closed: bool):
+    """The renormalised (n, 3) C-contiguous nodes and their edge lengths, both
+    read-only; DomainError or TooFewNodes if they cannot form a curve."""
+    nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or nodes.shape[1] != 3:
         raise DomainError(f"nodes must have shape (n, 3), got {nodes.shape}")
     n = len(nodes)
     if n < MIN_NODES:
         raise TooFewNodes(f"need at least {MIN_NODES} nodes, got {n}")
-    if not np.all(np.isfinite(nodes)):
-        raise DomainError("nodes must be finite")
-    norms = np.linalg.norm(nodes, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    norms = np.sqrt(_dot3(nodes.T, nodes.T))
+    if not (np.abs(norms - 1.0) <= 1e-9).all():  # false for a NaN or inf norm too
+        if not np.isfinite(nodes).all():
+            raise DomainError("nodes must be finite")
         raise DomainError("all nodes must be unit vectors (tolerance 1e-9)")
-    nodes = nodes / norms[:, None]
+    nodes = np.divide(nodes, norms[:, None], order="C")
     edges = wrapped_edges(wrapped(nodes, closed), closed)
-    if np.any(edges <= EDGE_MIN) or np.any(edges >= EDGE_MAX):
+    lo, hi = edges.min(), edges.max()
+    if not (EDGE_MIN < lo and hi < EDGE_MAX):
         raise DomainError(
-            f"edge lengths must lie in ({EDGE_MIN}, pi/2); "
-            f"got range [{edges.min():.3e}, {edges.max():.3e}]")
-    nodes.flags.writeable = False
-    return nodes
+            f"edge lengths must lie in ({EDGE_MIN}, pi/2); got range [{lo:.3e}, {hi:.3e}]")
+    nodes.flags.writeable = edges.flags.writeable = False
+    return nodes, edges
 
 
 @dataclass(frozen=True)
 class _Polyline:
-    """Validated read-only nodes; subclasses only say whether the curve closes."""
+    """Validated read-only nodes and their edge lengths; subclasses only say
+    whether the curve closes."""
 
     nodes: np.ndarray
     closed: ClassVar[bool]
+    _edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _validated_nodes(self.nodes, self.closed))
+        nodes, edges = _validated_nodes(self.nodes, self.closed)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_edges", edges)
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
     def edge_lengths(self) -> np.ndarray:
-        return wrapped_edges(wrapped(self.nodes, self.closed), self.closed)
+        """Geodesic edge lengths in node order, read-only."""
+        return self._edges
 
     def length(self) -> float:
-        return float(self.edge_lengths().sum())
+        return float(self._edges.sum())
 
     def with_nodes(self, nodes):
         return type(self)(nodes)
@@ -117,9 +139,10 @@ SphereCurve = ClosedSphereCurve | SphereArc
 
 
 def _tangent_toward(p, q):
-    """Unit tangent at p toward q: q - p (p.q), normalised."""
-    t = q - p * np.sum(p * q, axis=-1, keepdims=True)
-    t /= np.linalg.norm(t, axis=-1, keepdims=True)
+    """Unit tangents at the columns of p toward those of q, (3, m) arrays:
+    q - p (p.q), normalised."""
+    t = q - p * _dot3(p, q)
+    t /= np.sqrt(_dot3(t, t))
     return t
 
 
@@ -128,19 +151,20 @@ def turning_angles(curve: SphereCurve) -> np.ndarray:
 
     Closed: one angle per node. Arc: one per interior node (n - 2 values).
     """
-    ext = wrapped(curve.nodes, curve.closed)
-    v = ext[1:-1]
-    t_in, t_out = -_tangent_toward(v, ext[:-2]), _tangent_toward(v, ext[2:])
-    s = np.sum(v * np.cross(t_in, t_out), axis=-1)
-    c = np.sum(t_in * t_out, axis=-1)
-    return np.arctan2(s, c)
+    ext = wrapped(curve.nodes, curve.closed).T
+    v = ext[:, 1:-1]
+    t_in, t_out = -_tangent_toward(v, ext[:, :-2]), _tangent_toward(v, ext[:, 2:])
+    (x, y, z), (u, w, r) = t_in, t_out  # v . (t_in x t_out), the cross as np.cross takes it
+    s = v[0] * (y * r - z * w) + v[1] * (z * u - x * r) + v[2] * (x * w - y * u)
+    return np.arctan2(s, _dot3(t_in, t_out))
 
 
 def mean_adjacent_edges(curve: SphereCurve) -> np.ndarray:
     """Mean length h of the two edges at each node that has two (the nodes
     turning_angles measures)."""
-    ext = wrapped(curve.nodes, curve.closed)
-    e = geodesic_distance(ext[:-1], ext[1:])
+    e = curve.edge_lengths()
+    if curve.closed:
+        e = np.concatenate((e[-1:], e))
     return 0.5 * (e[:-1] + e[1:])
 
 
@@ -160,12 +184,13 @@ def integrals(curve: SphereCurve) -> CurveDiagnostics:
     left of travel. No node floor or embedding check; diagnostics adds those."""
     e = curve.edge_lengths()
     tau = turning_angles(curve)
+    total = tau.sum()
     hbar = mean_adjacent_edges(curve)
-    area = float(2.0 * np.pi - tau.sum()) if curve.closed else None
+    area = float(2.0 * np.pi - total) if curve.closed else None
     return CurveDiagnostics(
         length=float(e.sum()),
-        total_curvature=float(tau.sum()),
-        bending=float(np.sum(tau * tau / hbar)),
+        total_curvature=float(total),
+        bending=float((tau * tau / hbar).sum()),
         enclosed_area=area,
         max_edge=float(e.max()),
         min_edge=float(e.min()),
@@ -202,24 +227,25 @@ def resample(curve: SphereCurve, n: Optional[int] = None,
         t = np.arange(n) * (total / n)
     else:
         t = np.linspace(0.0, total, n)
-    src_a, src_b = edge_ends(wrapped(curve.nodes, curve.closed), curve.closed)
     idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(e) - 1)
     f = (t - cum[idx]) / e[idx]
     f = np.clip(f, 0.0, 1.0)
-    new = edge_slerp(src_a[idx], src_b[idx], e[idx], f)
-    new /= np.linalg.norm(new, axis=1, keepdims=True)
+    cols = curve.nodes.T  # edge j runs from node j to node j + 1, wrapping on a closed curve
+    new = edge_slerp(cols.take(idx, axis=1), cols.take(idx + 1, axis=1, mode="wrap"),
+                     e[idx], f)
+    new /= np.sqrt(_dot3(new, new))
     if not curve.closed:
-        new[0] = curve.nodes[0]
-        new[-1] = curve.nodes[-1]
-    return curve.with_nodes(new)
+        new[:, 0] = curve.nodes[0]
+        new[:, -1] = curve.nodes[-1]
+    return curve.with_nodes(new.T)
 
 
 def edge_slerp(a, b, ang, f):
-    """Points a fraction f along the geodesic edges from rows a to rows b, of
-    lengths ang, before the final normalisation:
-    (sin((1 - f) ang) a + sin(f ang) b) / sin(ang)."""
-    return (np.sin((1.0 - f) * ang)[:, None] * a
-            + np.sin(f * ang)[:, None] * b) / np.sin(ang)[:, None]
+    """Points a fraction f along the geodesic edges from a to b, of lengths ang,
+    before the final normalisation: (sin((1 - f) ang) a + sin(f ang) b) / sin(ang).
+    ang and f broadcast against a and b: (m,) for (3, m) columns, (m, 1) for
+    (m, 3) rows."""
+    return (np.sin((1.0 - f) * ang) * a + np.sin(f * ang) * b) / np.sin(ang)
 
 
 def nodes_for_spacing(length: float, spacing: float, closed: bool) -> int:
@@ -251,7 +277,8 @@ def _edges(nodes, closed: bool) -> _Edges:
     centre /= norm[:, None]
     # c.a, c.b >= cos_len - CROSS_TOL give c.centre >= 2 (cos_len - CROSS_TOL) / |a + b|
     reach = np.arccos(np.clip(2.0 * (cos_len - CROSS_TOL) / norm, -1.0, 1.0))
-    frames = np.stack((_tangent_toward(a, b), _tangent_toward(b, a), pole, a, b), axis=1)
+    frames = np.stack((_tangent_toward(a.T, b.T).T, _tangent_toward(b.T, a.T).T, pole, a, b),
+                      axis=1)
     return _Edges(a, b, pole, cos_len, frames, centre,
                   0.5 * np.arccos(np.clip(cos_len, -1.0, 1.0)), reach)
 
@@ -401,7 +428,7 @@ def _edge_samples(a, b, e, edges, counts, end=None):
     k, step = _runs(counts)
     f = step / counts[k]
     i = edges[k]
-    pts = edge_slerp(a[i], b[i], e[i], f)
+    pts = edge_slerp(a[i], b[i], e[i][:, None], f[:, None])
     if end is not None:
         pts = np.concatenate((pts, b[edges[end]][None]))
         k = np.append(k, end)

@@ -6,8 +6,9 @@ times; steps that produce NaNs or increase length are retried with halved dt. A 
 whose CFL step falls below DT_FLOOR, or whose mesh fails curve validation where a
 snapshot or remesh is due (it is neither), ends as stalled unless it was singular.
 
-The loop steps a _Workspace, built for the initial mesh and again at each remesh.
-It holds the nodes, component-major in two (3, w) buffers (w = n + 2 for a closed
+The loop steps a _Workspace, built from the initial mesh's curve and again from
+each remesh's: it copies the edge lengths the curve's validation measured. It
+holds the nodes, component-major in two (3, w) buffers (w = n + 2 for a closed
 curve, padded as curves.wrapped pads rows; w = n for an arc), every other array a
 step writes and every view a step reads, so a step is about 30 numpy calls that
 allocate nothing. Differences and products take whole (3, w) arrays flat, one call
@@ -19,6 +20,8 @@ step started from. Each per-node dot product sums the rows of a (3, w) array in 
 order numpy sums a length-3 row, and every other operation is elementwise and in
 the same order, so the results are bit-identical to the (n, 3) form the tests keep
 as their reference. Everything outside the loop sees (n, 3) C-contiguous nodes.
+A snapshot or a remesh validates the workspace's nodes once, from a view of its
+buffer, and then reads the edge lengths that validation measured.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -34,7 +37,7 @@ import numpy as np
 from .errors import (AntipodalEndpoints, ConfigInvalid, DomainError, NeverEnters,
                      ParamDomain)
 from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, c1_deviation,
-                     integrals, nodes_for_spacing, resample, wrapped, wrapped_edges)
+                     integrals, nodes_for_spacing, resample, wrapped)
 from .sphere import GreatCircle, as_point, geodesic_distance
 
 CFL_FACTOR = 0.25
@@ -117,6 +120,11 @@ class FlowStats:
     min_edge: float  # shortest edge of any mesh a step was sized on
     final_n: int  # nodes of the mesh the run ended on
 
+    def to_json(self) -> dict:
+        """The counters as plain JSON values: min_dt is None when no step was
+        accepted."""
+        return {**asdict(self), "min_dt": self.min_dt if self.accepted_steps else None}
+
 
 @dataclass(frozen=True)
 class FlowTrajectory:
@@ -179,12 +187,13 @@ class _Workspace:
     chords j - 1 and j gets the curvature vector 2 (w - v <w, v>) / (c_j + c_{j-1}),
     where w = u_j - u_{j-1}."""
 
-    def __init__(self, nodes: np.ndarray, closed: bool):
-        ext = wrapped(nodes, closed)
-        self.e = wrapped_edges(ext, closed)  # what trial() computes for these nodes
+    def __init__(self, curve: SphereCurve):
+        closed = curve.closed
+        # what trial() computes for these nodes; a copy, as the spare array is written
+        self.e = np.array(curve.edge_lengths())
         self.spare_e = np.empty_like(self.e)
-        ext = ext.T.copy()
-        n, w, k = len(nodes), ext.shape[1], int(closed)
+        ext = wrapped(curve.nodes, closed).T.copy()
+        n, w, k = curve.n, ext.shape[1], int(closed)
         cols = slice(1, -1) if closed else slice(None)
         def views(b):
             f = b.reshape(-1)
@@ -245,7 +254,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     if not closed and cfg.max_time is None:
         raise ConfigInvalid("max_time is required when evolving an arc")
     curve = _initial_mesh(curve, cfg)
-    ws = _Workspace(curve.nodes, closed)
+    ws = _Workspace(curve)
     t = 0.0
     snaps = [_snapshot(0.0, curve.with_nodes(curve.nodes))]
     length = snaps[0].length
@@ -256,7 +265,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
 
     def snapshot() -> bool:  # unless the mesh fails validation (an edge reads 0)
         try:
-            snaps.append(_snapshot(t, curve.with_nodes(ws.cur.nodes.T.copy())))
+            snaps.append(_snapshot(t, curve.with_nodes(ws.cur.nodes.T)))
         except DomainError:
             return False
         return True
@@ -310,11 +319,10 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
             ratio = float(start_e.max() / start_e.min())
             if want != ws.n or ratio >= REMESH_UNIFORMITY:
                 try:  # a mesh that fails validation is not remeshed, as not snapshotted
-                    nodes = resample(curve.with_nodes(ws.cur.nodes.T.copy()), n=want).nodes
+                    ws = _Workspace(resample(curve.with_nodes(ws.cur.nodes.T), n=want))
                 except DomainError:
                     status = STATUS_STALLED
                     break
-                ws = _Workspace(nodes, closed)
                 length = float(np.add.reduce(ws.e))
                 remeshes += 1
 

@@ -439,10 +439,10 @@ def koch_like(depth: int, base_radius: float = 0.8, pole=(0.0, 0.0, 1.0),
     nodes = lat.point(ang)
     for _ in range(depth):
         p, q = edge_ends(wrapped(nodes, True), True)
-        ell = geodesic_distance(p, q)
+        ell = geodesic_distance(p, q)[:, None]
         a, mid, b = (edge_slerp(p, q, ell, f) for f in (1.0 / 3.0, 0.5, 2.0 / 3.0))
-        out = np.cross(_tangent_toward(mid, q), mid)
-        d = (np.sqrt(3.0) / 6.0) * ell[:, None]
+        out = np.cross(_tangent_toward(mid.T, q.T).T, mid)
+        d = (np.sqrt(3.0) / 6.0) * ell
         apex = np.cos(d) * mid + np.sin(d) * out
         nodes = np.stack([p, a, apex, b], axis=1).reshape(-1, 3)
         nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)

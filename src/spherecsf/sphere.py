@@ -40,10 +40,10 @@ def as_point(p, what="point"):
 
 def geodesic_distance(p, q):
     """Great-circle distance in [0, pi]; accepts (3,) or (n, 3) arrays."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    dots = np.minimum(np.maximum(np.add.reduce(p * q, axis=-1), -1.0), 1.0)
-    return np.arccos(dots)
+    pq = np.asarray(p, dtype=float) * np.asarray(q, dtype=float)
+    # the sum np.add.reduce(pq, axis=-1) makes, in its order, without a loop per row
+    dots = pq[..., 0] + pq[..., 1] + pq[..., 2]
+    return np.arccos(np.minimum(np.maximum(dots, -1.0), 1.0))
 
 
 def fold_angle(a):

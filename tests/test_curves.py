@@ -74,7 +74,7 @@ def test_latitude_length_and_turning():
 def test_latitude_pointwise_curvature():
     # geodesic curvature of the r-latitude is cot(r); exact on uniform meshes
     c = circle_curve(np.pi / 4, n=512)
-    ws = _Workspace(c.nodes, True)
+    ws = _Workspace(c)
     ws.curvature()
     mags = np.linalg.norm(ws.kv, axis=0)
     assert np.abs(mags - 1.0).max() < CURVATURE_TOL
@@ -85,6 +85,14 @@ def test_turning_sum_is_area_complement(r):
     c = circle_curve(r, n=256)
     total = float(np.sum(turning_angles(c)))
     assert abs(total - (2 * np.pi - cap_area(r))) < 2e-3
+
+
+@pytest.mark.parametrize("curve", [circle_curve(0.9, n=32), meridian_arc()])
+def test_edge_lengths_are_read_only(curve):
+    e = curve.edge_lengths()
+    with pytest.raises(ValueError):
+        e[0] = 1.0
+    assert curve.length() == float(e.sum())
 
 
 def test_resample_closed_anchor_and_uniformity():

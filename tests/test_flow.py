@@ -1,5 +1,7 @@
 """Curve shortening integrator: oracles, configs, arcs, cap-entry times."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,11 @@ from spherecsf import (ClosedSphereCurve, FlowConfig, SphereArc,
                        circle_oracle, evolve_arc, evolve_closed,
                        leafable_wiggle, perturbed_latitude, straightening_experiment,
                        time_to_enter_cap)
-from spherecsf import flow
+from spherecsf import curves, flow
 from spherecsf.errors import ConfigInvalid, DomainError, NeverEnters
+from spherecsf.curves import wrapped, wrapped_edges
 from spherecsf.flow import _Workspace
+from spherecsf.sphere import geodesic_distance
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -84,7 +88,7 @@ def jittered_polygons(draw, sizes=(8, 300), jitters=(0.0, 0.9)):
 def test_chord_kernel_matches_reference(nodes, closed):
     curve = ClosedSphereCurve(nodes) if closed else SphereArc(nodes)
     nodes = np.array(curve.nodes)
-    ws = _Workspace(nodes, closed)
+    ws = _Workspace(curve)
     ws.curvature()
     assert np.array_equal(ws.kv.T, _kvec_reference(nodes, closed))
     assert np.array_equal(ws.e, _edges_reference(nodes, closed))
@@ -220,7 +224,29 @@ def test_snapshots_own_their_nodes(closed):
         assert nodes.flags.c_contiguous and not nodes.flags.writeable
         # owning its memory, it shares none with the step buffers or the caller
         assert nodes.base is None
+        # the edge lengths validation measured, not a buffer the stepper wrote since
+        edges = s.curve.edge_lengths()
+        assert not edges.flags.writeable
+        assert np.array_equal(edges, wrapped_edges(wrapped(nodes, closed), closed))
     assert np.array_equal(curve.nodes, before) and not curve.nodes.flags.writeable
+
+
+def test_one_edge_pass_per_validated_mesh(monkeypatch):
+    # geodesic_distance measures every edge a curve is validated with; the initial
+    # mesh, each snapshot and each remesh's old and new mesh get one pass each
+    curve = circle_curve(0.9, n=64)
+    calls = []
+
+    def counted(p, q):
+        calls.append(len(p))
+        return geodesic_distance(p, q)
+
+    monkeypatch.setattr(curves, "geodesic_distance", counted)
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=2e-3, max_time=0.02, target_spacing=0.02,
+                     remesh_every=5)
+    traj = evolve_closed(curve, cfg)
+    assert traj.stats.remeshes > 0 and len(traj.snapshots) > 2
+    assert len(calls) == 1 + len(traj.snapshots) + 2 * traj.stats.remeshes
 
 
 class _FadingCFL(float):
@@ -245,6 +271,8 @@ def test_cfl_step_below_floor_stalls(monkeypatch):
     assert at_once.terminal_status == "stalled"
     assert len(at_once.snapshots) == 1
     assert (at_once.stats.accepted_steps, at_once.stats.min_dt) == (0, np.inf)
+    # report.json gets null, not Infinity
+    assert json.loads(json.dumps(at_once.stats.to_json(), allow_nan=False))["min_dt"] is None
     # stalling mid-run keeps every snapshot taken and adds the stalled state
     monkeypatch.setattr(flow, "CFL_FACTOR", _FadingCFL(25))
     traj = evolve_closed(curve, cfg)

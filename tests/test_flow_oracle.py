@@ -2,28 +2,32 @@
 
 `evolve_reference` is the explicit loop as it ran on (n, 3) nodes, with row
 reductions over the length-3 rows, counting what it did the way FlowStats does.
-The stepper in spherecsf.flow keeps its nodes as (3, w) buffers and sums rows of
-those instead; every operation runs in the same order, so each snapshot, the
-terminal status and every counter must come out identical.
+Its snapshots and remeshes validate, measure and resample through the (n, 3)
+forms of test_curve_rows, not through the library's curves. The stepper in
+spherecsf.flow keeps its nodes as (3, w) buffers and sums rows of those
+instead, and its curves keep the edge lengths their validation measured; every
+operation runs in the same order, so each snapshot, the terminal status and
+every counter must come out identical.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherecsf import (ClosedSphereCurve, DirichletArcSpec, FlowConfig, GreatCircle,
-                       SphereArc, circle_curve, dirichlet_gamma, evolve_arc,
-                       evolve_closed)
+from spherecsf import (DirichletArcSpec, FlowConfig, GreatCircle, circle_curve,
+                       dirichlet_gamma, evolve_arc, evolve_closed)
 from spherecsf.errors import DomainError
-from spherecsf.curves import resample, wrapped, wrapped_edges
+from spherecsf.curves import nodes_for_spacing, resample, wrapped
 from spherecsf.flow import (CFL_FACTOR, DT_FLOOR, LENGTH_BACKSTOP, MAX_DT_HALVINGS,
                             REMESH_UNIFORMITY, STATUS_EXTINCT, STATUS_MAX_TIME,
-                            STATUS_SINGULARITY, STATUS_STALLED, FlowStats,
-                            _initial_mesh, _snapshot, _target_n)
+                            STATUS_SINGULARITY, STATUS_STALLED, FlowStats, _target_n)
 
+from test_curve_rows import (curve_of, edges_rows, integrals_rows, needled, resample_rows,
+                             validated_rows)
 from test_flow import Z, jittered_polygon, jittered_polygons, wavy_arc
 
 
@@ -44,15 +48,27 @@ def chord_curvature_rows(ext, closed):
     return out
 
 
+SnapshotRows = namedtuple("SnapshotRows",
+                          "t length total_curvature bending enclosed_area nodes")
+
+
+def snapshot_rows(t, nodes, closed):
+    nodes, edges = validated_rows(nodes, closed)
+    return SnapshotRows(t, *integrals_rows(nodes, edges, closed)[:4], nodes)
+
+
 def evolve_reference(curve, cfg):
-    """(snapshots, terminal status, FlowStats) of the (n, 3) explicit loop."""
+    """(snapshots as snapshot_rows, terminal status, FlowStats) of the (n, 3)
+    explicit loop."""
     closed = curve.closed
-    curve = _initial_mesh(curve, cfg)
     nodes = np.array(curve.nodes)
+    e = edges_rows(nodes, closed)
+    if cfg.target_spacing is not None:
+        want = nodes_for_spacing(float(e.sum()), cfg.target_spacing, closed)
+        nodes, e = resample_rows(nodes, e, closed, want)
     ext = wrapped(nodes, closed)
-    e = wrapped_edges(ext, closed)
     t = 0.0
-    snaps = [_snapshot(0.0, curve.with_nodes(nodes))]
+    snaps = [snapshot_rows(0.0, nodes, closed)]
     length = snaps[0].length
     next_snap = cfg.snapshot_dt
     since_remesh = accepted = rejected = remeshes = 0
@@ -61,7 +77,7 @@ def evolve_reference(curve, cfg):
 
     def snapshot():  # the stepper's policy: a mesh that fails validation is not kept
         try:
-            snaps.append(_snapshot(t, curve.with_nodes(nodes)))
+            snaps.append(snapshot_rows(t, nodes, closed))
         except DomainError:
             return False
         return True
@@ -90,7 +106,7 @@ def evolve_reference(curve, cfg):
             trial += nodes
             trial /= np.sqrt(np.add.reduce(trial * trial, axis=1, keepdims=True))
             trial_ext = wrapped(trial, closed)
-            trial_e = wrapped_edges(trial_ext, closed)
+            trial_e = edges_rows(trial, closed)
             new_len = float(np.add.reduce(trial_e))
             if math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP:
                 break
@@ -120,12 +136,11 @@ def evolve_reference(curve, cfg):
             ratio = float(start_e.max() / start_e.min())
             if want != len(nodes) or ratio >= REMESH_UNIFORMITY:
                 try:  # the snapshot policy holds for a remesh as well
-                    nodes = np.array(resample(curve.with_nodes(nodes), n=want).nodes)
+                    nodes, e = resample_rows(*validated_rows(nodes, closed), closed, want)
                 except DomainError:
                     status = STATUS_STALLED
                     break
                 ext = wrapped(nodes, closed)
-                e = wrapped_edges(ext, closed)
                 length = float(np.add.reduce(e))
                 remeshes += 1
 
@@ -143,26 +158,9 @@ def assert_matches_reference(curve, cfg):
     assert traj.stats == stats
     assert len(traj.snapshots) == len(snaps)
     for a, b in zip(traj.snapshots, snaps):
-        assert (a.t, a.length, a.total_curvature, a.bending, a.enclosed_area) == \
-               (b.t, b.length, b.total_curvature, b.bending, b.enclosed_area)
-        assert np.array_equal(a.curve.nodes, b.curve.nodes)
+        assert (a.t, a.length, a.total_curvature, a.bending, a.enclosed_area) == b[:5]
+        assert np.array_equal(a.curve.nodes, b.nodes)
     return traj
-
-
-def needled(nodes, delta, side):
-    """nodes with one more node inserted delta after node 0, turned by the angle
-    side off the edge to node 1. The short edge collapses within a few hundred
-    steps, which takes a run through dt halvings to a singularity or a stall."""
-    p, q = nodes[0], nodes[1]
-    t = q - p * (p @ q)
-    t /= np.linalg.norm(t)
-    d = np.cos(side) * t + np.sin(side) * np.cross(p, t)
-    return np.concatenate([nodes[:1], [np.cos(delta) * p + np.sin(delta) * d],
-                           nodes[1:]])
-
-
-def _curve(nodes, closed):
-    return ClosedSphereCurve(nodes) if closed else SphereArc(nodes)
 
 
 NO_REMESH = 10 ** 9
@@ -185,7 +183,7 @@ def needled_polygons(draw):
 @settings(max_examples=30)
 @given(needled_polygons(), st.booleans())
 def test_needled_polygons_match_reference(nodes, closed):
-    assert_matches_reference(_curve(nodes, closed), NEEDLE_CFG)
+    assert_matches_reference(curve_of(nodes, closed), NEEDLE_CFG)
 
 
 # (delta, side, closed, status, base polygon seed, remesh_every); the seed-0
@@ -209,7 +207,7 @@ NEEDLE_ROWS = [
     + ("-remesh1" if row[5] == 1 else "") for row in NEEDLE_ROWS])
 def test_needle_statuses_match_reference(delta, side, closed, status, seed, every):
     base = jittered_polygon(100, 0.8, 0.6, np.random.default_rng(seed))
-    traj = assert_matches_reference(_curve(needled(base, delta, side), closed),
+    traj = assert_matches_reference(curve_of(needled(base, delta, side), closed),
                                     replace(NEEDLE_CFG, remesh_every=every))
     assert traj.terminal_status == status
     assert traj.stats.accepted_steps > 0
@@ -222,7 +220,7 @@ def test_needle_statuses_match_reference(delta, side, closed, status, seed, ever
 def test_remeshing_runs_match_reference(nodes, closed, spacing, every):
     cfg = FlowConfig(dt=1e-3, snapshot_dt=3e-3, max_time=1e-2,
                      target_spacing=spacing, remesh_every=every)
-    assert_matches_reference(_curve(nodes, closed), cfg)
+    assert_matches_reference(curve_of(nodes, closed), cfg)
 
 
 @pytest.mark.parametrize("curve, max_time, status", [

@@ -1,12 +1,13 @@
 """README's examples run as written: the quick start, and each JSON config of
 the "Command line" section through the command line that follows it."""
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from spherecsf import cli
+from spherecsf import cli, evolve_closed
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 SECTION = README.split("\n## Command line\n")[1].split("\n## ")[0]
@@ -16,11 +17,34 @@ EXAMPLES = re.findall(r"^```json\n(.*?)^```\n\n```sh\nspherecsf (\w+) --config (
 assert len(EXAMPLES) == SECTION.count("```json\n") > 0, "a README config has no command"
 
 
-@pytest.mark.parametrize("config, command, file", EXAMPLES, ids=[e[2] for e in EXAMPLES])
-def test_readme_config_runs(tmp_path, config, command, file):
+FLOW_EXAMPLES = [e for e in EXAMPLES if e[1] in ("simulate", "straighten")]
+
+
+def run_example(tmp_path, config, command, file):
     (tmp_path / file).write_text(config)
     argv = [command, "--config", str(tmp_path / file), "--out", str(tmp_path), "--quiet"]
-    assert cli.main(argv) == 0
+    return cli.main(argv)
+
+
+@pytest.mark.parametrize("config, command, file", EXAMPLES, ids=[e[2] for e in EXAMPLES])
+def test_readme_config_runs(tmp_path, config, command, file):
+    assert run_example(tmp_path, config, command, file) == 0
+
+
+@pytest.mark.parametrize("config, command, file", FLOW_EXAMPLES,
+                         ids=[e[2] for e in FLOW_EXAMPLES])
+def test_readme_flow_report_counts_the_run(tmp_path, config, command, file):
+    assert run_example(tmp_path, config, command, file) == 0
+    cfg = json.loads(config)
+    report = json.loads((tmp_path / cfg.get("name", command) / "report.json").read_text())
+    counts, fcfg = report["flow"], cli._flow_config(cfg)
+    assert set(counts) == {"accepted_steps", "rejected_trials", "remeshes", "min_dt",
+                           "max_dt", "min_edge", "final_n"}
+    # both examples are closed curves run to max_time at most dt apart
+    assert counts["accepted_steps"] >= fcfg.max_time / fcfg.dt
+    assert 0.0 < counts["min_dt"] <= counts["max_dt"] <= fcfg.dt
+    assert counts == evolve_closed(cli._build_curve(cfg["curve"], "curve", 0),
+                                   fcfg).stats.to_json()
 
 
 def test_readme_quick_start_runs():
