@@ -14,8 +14,8 @@ from .errors import (AntipodalEndpoints, BlowUp, ConfigInvalid, DomainError,
                      ExtinctionBeforeEnd, NeverEnters, NotEmbedded,
                      OffsetCollision, ParamDomain, PoleDegenerate,
                      SpacingNotFound, SphereCSFError, TooFewNodes)
-from .sphere import (GreatCircle, Latitude, Wedge, cap_area, fold_angle,
-                     geodesic_distance, orthonormal_frame, slerp, unit)
+from .sphere import (GreatCircle, Wedge, cap_area, fold_angle, geodesic_distance,
+                     orthonormal_frame, slerp, unit)
 from .curves import (ClosedSphereCurve, CurveDiagnostics, SphereArc,
                      SphereCurve, c1_deviation, curve_distance, curves_cross,
                      densify, diagnostics, hausdorff_distance,
@@ -45,7 +45,7 @@ __all__ = [
     "SpacingNotFound", "ParamDomain", "OffsetCollision",
     "ExtinctionBeforeEnd", "NeverEnters",
     # sphere
-    "GreatCircle", "Latitude", "Wedge", "unit", "geodesic_distance",
+    "GreatCircle", "Wedge", "unit", "geodesic_distance",
     "fold_angle", "orthonormal_frame", "slerp", "cap_area",
     # curves
     "ClosedSphereCurve", "SphereArc", "SphereCurve", "CurveDiagnostics",

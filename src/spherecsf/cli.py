@@ -30,7 +30,8 @@ from .errors import (ConfigInvalid, DomainError, ParamDomain, SphereCSFError,
                      TooFewNodes)
 from .sphere import GreatCircle
 from .curves import SphereArc, load_curve, save_curve
-from .flow import FlowConfig, evolve_arc, evolve_closed, straightening_experiment
+from .flow import (FlowConfig, _is_number, evolve_arc, evolve_closed,
+                   straightening_experiment)
 from .graphflow import PeriodicGraph, crosscheck, evolve_graph
 from .jordan import (CURVE_KINDS, Spacing, construct_spacing, generate_curve,
                      multiplicity_at, multiplicity_sup, verify_spacing)
@@ -38,6 +39,9 @@ from .levelset import (AnnulusState, SandwichRow, area_ode_check,
                        classify_long_term, make_annulus, sandwich_flow)
 
 _MISSING = object()
+# the JSON type each kind of _get takes, as named in its error message
+_JSON_KINDS = {int: "an integer", float: "a real number", bool: "true or false",
+               str: "a string", dict: "an object", list: "a list"}
 _TRAJECTORY_FIELDS = ["t", "length", "total_curvature", "bending", "area"]
 
 
@@ -105,12 +109,13 @@ def _load_config(args, required: bool) -> dict:
 
 
 def _get(cfg: dict, name: str, default=_MISSING, kind=None):
-    """Field `name` of `cfg` converted by `kind` (e.g. float, int), or
-    `default` as given when the field is absent. A null stands for an absent
-    field whose default is None. An int field takes only a JSON integer and a
-    bool field only true or false, as FlowConfig's counts do. A missing
-    required field, or a value `kind` cannot take, raises ConfigInvalid naming
-    the field."""
+    """Field `name` of `cfg` checked or converted by `kind`, or `default` as
+    given when the field is absent. A null stands for an absent field whose
+    default is None. The kinds int, float, bool, str, dict and list take only
+    their JSON type: int a JSON integer, float any JSON number (returned as a
+    float), and neither of them a bool, by FlowConfig's rule. Any other kind
+    (e.g. _floats) converts the value. A missing required field, or a value
+    `kind` does not take, raises ConfigInvalid naming the field."""
     if name not in cfg:
         if default is _MISSING:
             raise ConfigInvalid(f"{name}: required field is missing")
@@ -118,12 +123,12 @@ def _get(cfg: dict, name: str, default=_MISSING, kind=None):
     value = cfg[name]
     if kind is None or (value is None and default is None):
         return value
-    if kind is int or kind is bool:
-        if type(value) is not kind:
-            raise ConfigInvalid(f"{name}: must be "
-                                f"{'an integer' if kind is int else 'true or false'}, "
-                                f"got {value!r}")
-        return value
+    if kind in _JSON_KINDS:
+        if not (_is_number(value, kind is int) if kind in (int, float)
+                else type(value) is kind):
+            raise ConfigInvalid(f"{name}: must be {_JSON_KINDS[kind]}, got {value!r}")
+        if kind is not float:
+            return value
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -135,8 +140,8 @@ def _floats(value) -> np.ndarray:
 
 
 def _run_name(cfg: dict, fallback: str) -> str:
-    name = cfg.get("name", fallback)
-    if not isinstance(name, str) or not name or "/" in name or name in (".", ".."):
+    name = _get(cfg, "name", fallback, str)
+    if not name or "/" in name or name in (".", ".."):
         raise ConfigInvalid(f"name: must be a plain directory name, got {name!r}")
     return name
 
@@ -151,8 +156,6 @@ def _pole(cfg: dict) -> np.ndarray:
 def _build_curve(spec, field: str, seed: int):
     """A curve from {"file": path} or {"kind": name, **maker keyword arguments};
     --seed is the default of a maker's `seed`."""
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(f"{field}: must be an object")
     params = dict(spec)
     try:
         if "file" in params:
@@ -174,9 +177,7 @@ def _build_curve(spec, field: str, seed: int):
 
 
 def _flow_config(cfg: dict, field: str = "flow") -> FlowConfig:
-    raw = cfg.get(field, {})
-    if not isinstance(raw, dict):
-        raise ConfigInvalid(f"{field}: must be an object")
+    raw = _get(cfg, field, {}, dict)
     allowed = set(FlowConfig.__dataclass_fields__)
     for key in raw:
         if key not in allowed:
@@ -226,7 +227,7 @@ def _write_trajectory(run: RunDir, args, traj, include_nodes: bool) -> None:
 
 
 def cmd_simulate(args, cfg: dict, run: RunDir) -> int:
-    curve = _build_curve(_get(cfg, "curve"), "curve", args.seed)
+    curve = _build_curve(_get(cfg, "curve", kind=dict), "curve", args.seed)
     fcfg = _flow_config(cfg)
     if isinstance(curve, SphereArc):
         if fcfg.max_time is None:
@@ -255,7 +256,7 @@ def cmd_simulate(args, cfg: dict, run: RunDir) -> int:
 
 
 def cmd_multiplicity(args, cfg: dict, run: RunDir) -> int:
-    curve = _build_curve(_get(cfg, "curve"), "curve", args.seed)
+    curve = _build_curve(_get(cfg, "curve", kind=dict), "curve", args.seed)
     r = _get(cfg, "r", kind=float)
     if "pole" in cfg:
         report = multiplicity_at(curve, GreatCircle(_pole(cfg)), r)
@@ -270,12 +271,16 @@ def cmd_multiplicity(args, cfg: dict, run: RunDir) -> int:
 
 
 def cmd_spacing(args, cfg: dict, run: RunDir) -> int:
-    curve = _build_curve(_get(cfg, "curve"), "curve", args.seed)
+    curve = _build_curve(_get(cfg, "curve", kind=dict), "curve", args.seed)
     theta = _get(cfg, "theta", kind=float)
     x_samples = _get(cfg, "x_samples", 1000, int)
     if "points" in cfg:
-        spacing = Spacing(points=_get(cfg, "points", kind=_floats),
-                          clearance=_get(cfg, "C", kind=float), theta=theta)
+        points = _get(cfg, "points", kind=_floats)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ConfigInvalid(f"points: must be a list of 3-vectors, "
+                                f"got shape {points.shape}")
+        spacing = Spacing(points=points, clearance=_get(cfg, "C", kind=float),
+                          theta=theta)
         check = verify_spacing(curve, spacing, x_samples=x_samples)
         report = {"mode": "verify", "ok": check.ok, "reason": check.reason}
         summary = (f"verification {'passed' if check.ok else 'failed'}"
@@ -296,7 +301,7 @@ def cmd_spacing(args, cfg: dict, run: RunDir) -> int:
 
 
 def cmd_straighten(args, cfg: dict, run: RunDir) -> int:
-    curve = _build_curve(_get(cfg, "curve"), "curve", args.seed)
+    curve = _build_curve(_get(cfg, "curve", kind=dict), "curve", args.seed)
     if isinstance(curve, SphereArc):
         raise ConfigInvalid("curve: straighten needs a closed curve")
     g = GreatCircle(_pole(cfg))
@@ -327,13 +332,11 @@ def cmd_straighten(args, cfg: dict, run: RunDir) -> int:
 
 def _levelset_state(cfg: dict, seed: int):
     if "annulus" in cfg:
-        ann = cfg["annulus"]
-        if not isinstance(ann, dict):
-            raise ConfigInvalid("annulus: must be an object")
-        alpha = _build_curve(_get(ann, "alpha"), "annulus.alpha", seed)
-        beta = _build_curve(_get(ann, "beta"), "annulus.beta", seed)
+        ann = _get(cfg, "annulus", kind=dict)
+        alpha = _build_curve(_get(ann, "alpha", kind=dict), "annulus.alpha", seed)
+        beta = _build_curve(_get(ann, "beta", kind=dict), "annulus.beta", seed)
         return make_annulus(alpha, beta)
-    return _build_curve(_get(cfg, "curve"), "curve", seed)
+    return _build_curve(_get(cfg, "curve", kind=dict), "curve", seed)
 
 
 def cmd_levelset(args, cfg: dict, run: RunDir) -> int:
@@ -373,10 +376,7 @@ def _graph_initial(cfg: dict) -> PeriodicGraph:
     n = _get(cfg, "n", 256, int)
     x = 2.0 * np.pi * np.arange(n) / n
     h = np.full(n, _get(cfg, "constant_height", 0.0, float))
-    terms = cfg.get("harmonics", [])
-    if not isinstance(terms, list):
-        raise ConfigInvalid("harmonics: must be a list of objects")
-    for i, term in enumerate(terms):
+    for i, term in enumerate(_get(cfg, "harmonics", [], list)):
         if not isinstance(term, dict):
             raise ConfigInvalid(f"harmonics[{i}]: must be an object")
         try:
@@ -412,17 +412,15 @@ def cmd_graphflow(args, cfg: dict, run: RunDir) -> int:
 
 def cmd_verify(args, cfg: dict, run: RunDir) -> int:
     from .acceptance import CHECKS
-    names = cfg.get("checks")
+    known = list(CHECKS)
+    names = _get(cfg, "checks", None, list)
     if names is not None:
-        if (not isinstance(names, list)
-                or any(not isinstance(x, str) for x in names)):
-            raise ConfigInvalid("checks: must be a list of check names")
-        unknown = [x for x in names if x not in CHECKS]
+        # list membership compares by ==, so a non-string entry is unknown
+        unknown = [x for x in names if x not in known]
         if unknown:
-            raise ConfigInvalid(f"checks: unknown names {unknown} "
-                                f"(known: {list(CHECKS)})")
+            raise ConfigInvalid(f"checks: unknown names {unknown} (known: {known})")
     results = []
-    for check_name in (names if names is not None else list(CHECKS)):
+    for check_name in (known if names is None else names):
         result = CHECKS[check_name]()
         results.append(result)
         _say(args, f"{'PASS' if result.passed else 'FAIL'} "

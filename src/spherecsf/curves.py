@@ -70,6 +70,12 @@ def _dot3(a, b):
     return p[0] + p[1] + p[2]
 
 
+def _check_positive(value, name: str) -> None:
+    """Raise DomainError naming `name` unless value is positive and finite."""
+    if not (0.0 < value < np.inf):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _validated_nodes(nodes, closed: bool):
     """The renormalised (n, 3) C-contiguous nodes and their edge lengths, both
     read-only; DomainError or TooFewNodes if they cannot form a curve."""
@@ -217,8 +223,7 @@ def resample(curve: SphereCurve, n: Optional[int] = None,
     e = curve.edge_lengths()
     total = float(e.sum())
     if n is None:
-        if spacing <= 0:
-            raise DomainError("spacing must be positive")
+        _check_positive(spacing, "spacing")
         n = nodes_for_spacing(total, spacing, curve.closed)
     if n < MIN_NODES:
         raise TooFewNodes(f"cannot resample to {n} < {MIN_NODES} nodes")
@@ -438,6 +443,7 @@ def _edge_samples(a, b, e, edges, counts, end=None):
 def densify(curve: SphereCurve, spacing: float) -> np.ndarray:
     """Sample points along the polyline at most `spacing` apart (includes nodes):
     ceil(h / spacing) slerp steps per edge of length h, and an arc's last node."""
+    _check_positive(spacing, "spacing")
     e = curve.edge_lengths()
     a, b = edge_ends(wrapped(curve.nodes, curve.closed), curve.closed)
     m = len(e)
@@ -496,8 +502,7 @@ def hausdorff_distance(a: SphereCurve, b: SphereCurve, refine: float = 1e-4) -> 
     and a point is measured only against edges whose caps can hold its nearest
     point; neither changes the max.
     """
-    if refine <= 0:
-        raise DomainError("refine must be positive")
+    _check_positive(refine, "refine")
     return float(max(_directed_hausdorff(a, b, refine), _directed_hausdorff(b, a, refine)))
 
 

@@ -60,6 +60,13 @@ STATUS_SINGULARITY = "singularity"
 STATUS_STALLED = "stalled"
 
 
+def _is_number(value, count: bool) -> bool:
+    """The one rule for numeric settings: a count is an integer, a real is any
+    real number, and a bool is neither."""
+    return not isinstance(value, bool) and isinstance(
+        value, numbers.Integral if count else numbers.Real)
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     dt: float = 1e-4
@@ -75,8 +82,7 @@ class FlowConfig:
             if value is None and f.default is None:
                 continue
             count = f.name in _COUNT_FIELDS
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Integral if count else numbers.Real):
+            if not _is_number(value, count):
                 raise ConfigInvalid(f"{f.name} must be "
                                     f"{'an integer' if count else 'a real number'}, "
                                     f"got {value!r}")

@@ -19,8 +19,8 @@ from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _tangent_toward,
                      curve_distance, edge_ends, edge_slerp,
                      latitude_deviation_angles, resample, wrapped)
 from .flow import DirichletArcSpec
-from .sphere import (GreatCircle, Latitude, Wedge, as_point, fold_angle,
-                     geodesic_distance, orthonormal_frame, unit)
+from .sphere import (GreatCircle, Wedge, as_point, fold_angle, geodesic_distance,
+                     orthonormal_frame, unit)
 
 TOUCH_TOL = 1e-9
 MAX_SPACING_ADDITIONS = 64  # transverse companions construct_spacing may add
@@ -243,6 +243,8 @@ def verify_spacing(curve: SphereCurve, spacing: Spacing,
     """
     _check_x_samples(x_samples)
     pts = np.atleast_2d(spacing.points)
+    for i, y in enumerate(pts):
+        as_point(y, f"spacing point {i}")
     c, theta = spacing.clearance, spacing.theta
     bad = np.nonzero(_clearance(pts, curve) <= c)[0]
     if len(bad):
@@ -375,12 +377,27 @@ def is_leafable(ell: ClosedSphereCurve, g: GreatCircle, r: float, cap_radius: fl
 # generators
 
 
+def _polar_nodes(pole, rho, angle) -> np.ndarray:
+    """cos(rho) pole + sin(rho) rim: the points at polar distance rho from
+    `pole` at the longitudes `angle` of GreatCircle(pole)'s frame; rho is one
+    value or one per angle."""
+    g = GreatCircle(pole)
+    return (np.multiply.outer(np.cos(rho), g.pole)
+            + np.sin(rho)[..., None] * g.point(angle))
+
+
+def _latitude_radius(radius) -> float:
+    r = float(radius)
+    if not (0.0 < r < np.pi):
+        raise DomainError(f"latitude radius must be in (0, pi), got {r!r}")
+    return r
+
+
 def circle_curve(radius: float, pole=(0.0, 0.0, 1.0), n: int = 256,
                  phase: float = 0.0) -> ClosedSphereCurve:
     """Uniform polygon on a latitude circle, counterclockwise about the pole."""
-    lat = Latitude(np.asarray(pole, dtype=float), radius)
     ang = phase + 2.0 * np.pi * np.arange(n) / n
-    return ClosedSphereCurve(lat.point(ang))
+    return ClosedSphereCurve(_polar_nodes(pole, _latitude_radius(radius), ang))
 
 
 def perturbed_latitude(radius: float, amplitude: float, mode: int, n: int = 512,
@@ -388,15 +405,11 @@ def perturbed_latitude(radius: float, amplitude: float, mode: int, n: int = 512,
     """Polar-distance profile radius + amplitude * sin(mode * angle + phase)."""
     if mode < 1 or int(mode) != mode:
         raise DomainError(f"mode must be a positive integer, got {mode!r}")
-    pole = as_point(np.asarray(pole, dtype=float), "pole")
     ang = 2.0 * np.pi * np.arange(n) / n
     rho = radius + amplitude * np.sin(mode * ang + phase)
     if np.any(rho <= 0.0) or np.any(rho >= np.pi):
         raise DomainError("profile leaves (0, pi); reduce amplitude")
-    e1, e2 = orthonormal_frame(pole)
-    rim = np.multiply.outer(np.cos(ang), e1) + np.multiply.outer(np.sin(ang), e2)
-    nodes = np.multiply.outer(np.cos(rho), pole) + np.sin(rho)[:, None] * rim
-    return ClosedSphereCurve(nodes)
+    return ClosedSphereCurve(_polar_nodes(pole, rho, ang))
 
 
 def _cap_window(lon: np.ndarray, inner: float, ramp: float) -> np.ndarray:
@@ -434,9 +447,8 @@ def koch_like(depth: int, base_radius: float = 0.8, pole=(0.0, 0.0, 1.0),
     too few nodes to be a curve, so depth >= 1."""
     if not (1 <= depth <= MAX_KOCH_DEPTH) or int(depth) != depth:
         raise DomainError(f"depth must be an integer in [1, {MAX_KOCH_DEPTH}]")
-    lat = Latitude(np.asarray(pole, dtype=float), base_radius)
     ang = 2.0 * np.pi * np.arange(base_nodes) / base_nodes
-    nodes = lat.point(ang)
+    nodes = _polar_nodes(pole, _latitude_radius(base_radius), ang)
     for _ in range(depth):
         p, q = edge_ends(wrapped(nodes, True), True)
         ell = geodesic_distance(p, q)[:, None]

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import (DomainError, ExtinctionBeforeEnd, NotEmbedded,
                      OffsetCollision)
-from .curves import (ClosedSphereCurve, curve_distance, curves_cross, edge_ends,
-                     hausdorff_distance, integrals, node_tangents, resample,
-                     self_intersects, wrapped)
+from .curves import (ClosedSphereCurve, _check_positive, curve_distance,
+                     curves_cross, edge_ends, hausdorff_distance, integrals,
+                     node_tangents, resample, self_intersects, wrapped)
 from .flow import STATUS_EXTINCT, FlowConfig, evolve_closed
 from .sphere import as_point
 
@@ -150,8 +150,7 @@ def _horizon_config(name: str, t_end: float) -> FlowConfig:
     snapshots every 1e-2 (or at t_end, if sooner, but no sooner than
     FlowConfig's floor of 1e-9) up to t_end, every other field at its default.
     Raises DomainError naming `name` unless t_end is positive and finite."""
-    if not (0.0 < t_end < np.inf):
-        raise DomainError(f"{name} must be positive and finite, got {t_end!r}")
+    _check_positive(t_end, name)
     return FlowConfig(snapshot_dt=min(1e-2, max(t_end, 1e-9)), max_time=t_end)
 
 

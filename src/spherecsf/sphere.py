@@ -1,4 +1,4 @@
-"""Spherical primitives: unit points, great circles, latitudes, wedges.
+"""Spherical primitives: unit points, great circles, caps, wedges.
 
 Angles are radians; points are unit 3-vectors (numpy arrays of shape (3,) or (n, 3)).
 """
@@ -138,29 +138,6 @@ class GreatCircle:
         if np.any(nn < POLE_EPS):
             raise PoleDegenerate("latitude direction undefined at the poles")
         return d / nn
-
-
-@dataclass(frozen=True)
-class Latitude:
-    """Circle at constant distance `radius` from `pole`; radius pi/2 is the great circle."""
-
-    pole: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "pole", as_point(self.pole, "pole"))
-        self.pole.flags.writeable = False
-        r = float(self.radius)
-        if not (0.0 < r < np.pi):
-            raise DomainError(f"latitude radius must be in (0, pi), got {r!r}")
-        object.__setattr__(self, "radius", r)
-
-    def point(self, angle):
-        e1, e2 = orthonormal_frame(self.pole)
-        angle = np.asarray(angle, dtype=float)
-        rim = (np.multiply.outer(np.cos(angle), e1)
-               + np.multiply.outer(np.sin(angle), e2))
-        return np.cos(self.radius) * self.pole + np.sin(self.radius) * rim
 
 
 def cap_area(r):

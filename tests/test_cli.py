@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spherecsf import SphereArc, acceptance, circle_curve, generate_curve, save_curve
-from spherecsf.cli import _build_curve, main
+from spherecsf import (FlowConfig, SphereArc, acceptance, circle_curve, generate_curve,
+                       save_curve)
+from spherecsf.cli import _build_curve, _get, main
+from spherecsf.errors import ConfigInvalid
 from spherecsf.jordan import CURVE_KINDS
 
 EQUATOR = {"kind": "Circle", "radius": 1.5707963267948966, "n": 192}
@@ -159,9 +161,20 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
      "harmonics[0].mode"),
     ("simulate", {**SIM_CFG, "record_nodes": "yes"}, "record_nodes"),
     ("simulate --nodes", {**SIM_CFG, "record_nodes": "yes"}, "record_nodes"),
+    # a real field takes any JSON number, but not a bool or a numeric string
+    ("graphflow", {"t": True, "n": 64}, "t"),
+    ("graphflow", {"t": "0.05", "n": 64}, "t"),
+    ("multiplicity", {"curve": EQUATOR, "r": True, "pole_samples": 100}, "r"),
+    ("straighten", {"curve": {"kind": "LeafableWiggle", "n": 128},
+                    "barrier_halfwidth": 0.08, "alignment": "0.1",
+                    "flow": {"max_time": 0.01}}, "alignment"),
+    # spacing points are rows of three coordinates, as pole is one
+    ("spacing", {"curve": EQUATOR, "theta": 0.3, "C": 0.1,
+                 "points": [[1, 0], [0, 1]]}, "points"),
 ], ids=["r", "t", "levels", "values", "sin_height", "bool-string", "bool-number",
         "int-fraction", "int-bool", "int-string", "int-float", "bool-string-nodes",
-        "bool-string-nodes-flag"])
+        "bool-string-nodes-flag", "real-bool", "real-string", "r-bool",
+        "alignment-string", "points-shape"])
 def test_non_numeric_fields_are_config_errors(tmp_path, capsys, command, cfg,
                                               field):
     command, *flags = command.split()
@@ -170,6 +183,24 @@ def test_non_numeric_fields_are_config_errors(tmp_path, capsys, command, cfg,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}:")
     assert not d.exists()
+
+
+@pytest.mark.parametrize("field,kind,value", [
+    ("dt", float, 1), ("dt", float, 0.5), ("dt", float, True), ("dt", float, "0.5"),
+    ("dt", float, [0.5]), ("remesh_every", int, 3), ("remesh_every", int, 3.0),
+    ("remesh_every", int, True), ("remesh_every", int, "3"),
+])
+def test_fields_follow_flow_config_number_rule(field, kind, value):
+    # a top-level real or count takes what FlowConfig takes for its own fields
+    def accepts(read):
+        try:
+            read()
+        except ConfigInvalid:
+            return False
+        return True
+
+    assert (accepts(lambda: _get({field: value}, field, kind=kind))
+            == accepts(lambda: FlowConfig(**{field: value})))
 
 
 @pytest.mark.parametrize("cfg,code", [
@@ -305,6 +336,8 @@ RUNTIME_ERRORS = [
     ("graphflow", {"t": float("nan"), "n": 64}),
     ("graphflow", {"t": float("inf"), "n": 64}),
     ("graphflow", {"t": -1, "n": 64}),
+    ("spacing", {"curve": EQUATOR | {"n": 64}, "theta": 0.3, "C": 0.1,
+                 "points": [[0, 0, 2], [0, 0.8, 0.6]]}),
 ]
 
 SMALL_ANNULUS = {"alpha": {"kind": "Circle", "radius": 0.3, "n": 64},
@@ -553,3 +586,12 @@ def test_verify_unknown_check_name(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "verify", {"checks": ["nope"]})
     assert rc == 2
     assert "checks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks", ["initial-continuity", [1], [["initial-continuity"]],
+                                    {"initial-continuity": True}])
+def test_verify_checks_is_a_list_of_names(tmp_path, capsys, checks):
+    rc, d = run_cli(tmp_path, "verify", {"checks": checks})
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: checks:")
+    assert not d.exists()

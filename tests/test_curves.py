@@ -1,6 +1,7 @@
 """Polyline curve model: validation, discrete curvature, metrics, file IO."""
 
 import ast
+import sys
 import types
 from pathlib import Path
 
@@ -186,6 +187,19 @@ def test_load_rejects_bad_files(tmp_path):
         load_curve(r)
 
 
+@pytest.mark.parametrize("value", [0.0, -0.02, np.nan, np.inf])
+def test_spacing_arguments_are_positive_and_finite(value):
+    # each once returned the nodes alone, skipped densification, resampled to
+    # MIN_NODES or raised numpy's ValueError
+    c = circle_curve(1.1, n=64)
+    with pytest.raises(DomainError, match="spacing must be positive and finite"):
+        densify(c, value)
+    with pytest.raises(DomainError, match="spacing must be positive and finite"):
+        resample(c, spacing=value)
+    with pytest.raises(DomainError, match="refine must be positive and finite"):
+        hausdorff_distance(c, c, refine=value)
+
+
 def test_densify_stays_on_curve():
     c = circle_curve(1.1, n=64)
     d = densify(c, 0.02)
@@ -295,6 +309,24 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # the runtime dependency is numpy alone; scipy may be installed beside it,
+    # so only this scan catches a stray import of it
+    package = Path(integrals.__code__.co_filename).parent
+    allowed = {"numpy", "spherecsf", *sys.stdlib_module_names}
+    foreign = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{path.name}: {root}" for root in roots if root not in allowed]
+    assert foreign == []
 
 
 # names with no caller outside their own module and tests, and the acceptance

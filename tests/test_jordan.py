@@ -89,6 +89,19 @@ def test_spacing_rejects_point_on_curve():
     assert "clearance" in check.reason
 
 
+def test_spacing_rejects_non_unit_points():
+    eq = circle_curve(np.pi / 2, n=128)
+    sp = construct_spacing(eq, 0.3)
+    # the verified set scaled or perturbed off the sphere; each was once used
+    # as given
+    for k, scale in ((0, 2.0), (5, 1.0 + 1e-6), (47, np.nan)):
+        points = sp.points.copy()
+        points[k] *= scale
+        bad = Spacing(points=points, clearance=sp.clearance, theta=sp.theta)
+        with pytest.raises(DomainError, match=f"spacing point {k} must be unit length"):
+            verify_spacing(eq, bad)
+
+
 def test_spacing_sample_floor():
     eq = circle_curve(np.pi / 2, n=128)
     sp = construct_spacing(eq, 0.3)

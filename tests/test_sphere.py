@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spherecsf import (GreatCircle, Latitude, Wedge, cap_area, fold_angle,
+from spherecsf import (GreatCircle, Wedge, cap_area, circle_curve, fold_angle,
                        geodesic_distance, orthonormal_frame, slerp, unit)
 from spherecsf.errors import DomainError, PoleDegenerate
 from spherecsf.sphere import as_point
@@ -111,11 +111,14 @@ def test_signed_height_sign():
 
 def test_latitude_disjoint_from_circle_unless_equatorial():
     g = GreatCircle(Z)
-    lat = Latitude(g.pole, float(geodesic_distance(g.pole, unit([0.4, 0.1, 0.9]))))
-    # latitude about +-pole(g) misses g when its radius is not pi/2
-    assert abs(lat.radius - np.pi / 2) > 1e-6
-    closest = min(geodesic_distance(lat.pole, g.point(t)) for t in np.linspace(0, 6.28, 64))
-    assert abs(closest - np.pi / 2) < 1e-9  # g sits at distance pi/2 from the pole
+    radius = float(geodesic_distance(g.pole, unit([0.4, 0.1, 0.9])))
+    # a latitude about pole(g) sits at band coordinate pi/2 - radius, so it
+    # misses g unless its radius is pi/2
+    lat = circle_curve(radius, pole=g.pole, n=64).nodes
+    assert np.abs(g.band_coordinate(lat) - (np.pi / 2 - radius)).max() < ANGLE_TOL
+    assert abs(radius - np.pi / 2) > 1e-6
+    equator = circle_curve(np.pi / 2, pole=g.pole, n=64).nodes
+    assert np.abs(g.signed_height(equator)).max() < EXACT_TOL
 
 
 def test_signed_band_coordinate_matches_height():
