@@ -18,8 +18,9 @@ from .sphere import GreatCircle, geodesic_distance, slerp
 from .curves import (SphereArc, c1_deviation, hausdorff_distance,
                      intersection_count, resample)
 from .flow import (STATUS_EXTINCT, DirichletArcSpec, FlowConfig,
-                   circle_extinction_time, circle_oracle, evolve_arc,
-                   evolve_closed, straightening_experiment, time_to_enter_cap)
+                   barrier_radius_oracle, circle_extinction_time, circle_oracle,
+                   evolve_arc, evolve_closed, straightening_experiment,
+                   time_to_enter_cap)
 from .graphflow import PeriodicGraph, constant_graph_oracle, evolve_graph, crosscheck
 from .jordan import (circle_curve, dirichlet_gamma, fibonacci_sphere,
                      is_leafable, koch_like, leafable_wiggle, multiplicity_at,
@@ -131,7 +132,7 @@ def check_barrier_law() -> CheckResult:
     margin = np.inf
     for snap in traj.snapshots:
         height = np.abs(np.arcsin(np.clip(snap.curve.nodes @ Z, -1.0, 1.0)))
-        bound = np.arcsin(min(1.0, np.sin(halfwidth) * np.exp(snap.t))) + 1e-3
+        bound = barrier_radius_oracle(halfwidth, snap.t) + 1e-3
         margin = min(margin, bound - float(height.max()))
     contained = margin >= 0.0
 

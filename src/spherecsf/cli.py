@@ -33,12 +33,13 @@ from .curves import SphereArc, load_curve, save_curve
 from .flow import (FlowConfig, _is_number, evolve_arc, evolve_closed,
                    straightening_experiment)
 from .graphflow import PeriodicGraph, crosscheck, evolve_graph
-from .jordan import (CURVE_KINDS, Spacing, construct_spacing, generate_curve,
-                     multiplicity_at, multiplicity_sup, verify_spacing)
+from .jordan import (CURVE_KINDS, Spacing, construct_spacing, multiplicity_at,
+                     multiplicity_sup, verify_spacing)
 from .levelset import (AnnulusState, SandwichRow, area_ode_check,
                        classify_long_term, make_annulus, sandwich_flow)
 
-_MISSING = object()
+# inspect's marker of a parameter without a default: maker defaults pass to _get as is
+_MISSING = inspect.Parameter.empty
 # the JSON type each kind of _get takes, as named in its error message
 _JSON_KINDS = {int: "an integer", float: "a real number", bool: "true or false",
                str: "a string", dict: "an object", list: "a list"}
@@ -108,17 +109,20 @@ def _load_config(args, required: bool) -> dict:
     return cfg
 
 
-def _get(cfg: dict, name: str, default=_MISSING, kind=None):
+def _get(cfg: dict, name: str, default=_MISSING, kind=None, where: str = ""):
     """Field `name` of `cfg` checked or converted by `kind`, or `default` as
     given when the field is absent. A null stands for an absent field whose
     default is None. The kinds int, float, bool, str, dict and list take only
     their JSON type: int a JSON integer, float any JSON number (returned as a
     float), and neither of them a bool, by FlowConfig's rule. Any other kind
-    (e.g. _floats) converts the value. A missing required field, or a value
-    `kind` does not take, raises ConfigInvalid naming the field."""
+    (_floats(...), FlowConfig) converts the value; a ConfigInvalid it raises
+    names a field inside this one. A missing required field, or a value `kind`
+    does not take, raises ConfigInvalid naming the field after the prefix
+    `where`, the path of `cfg` ("", "curve.", "harmonics[0].")."""
+    path = where + name
     if name not in cfg:
         if default is _MISSING:
-            raise ConfigInvalid(f"{name}: required field is missing")
+            raise ConfigInvalid(f"{path}: required field is missing")
         return default
     value = cfg[name]
     if kind is None or (value is None and default is None):
@@ -126,17 +130,36 @@ def _get(cfg: dict, name: str, default=_MISSING, kind=None):
     if kind in _JSON_KINDS:
         if not (_is_number(value, kind is int) if kind in (int, float)
                 else type(value) is kind):
-            raise ConfigInvalid(f"{name}: must be {_JSON_KINDS[kind]}, got {value!r}")
+            raise ConfigInvalid(f"{path}: must be {_JSON_KINDS[kind]}, got {value!r}")
         if kind is not float:
             return value
     try:
         return kind(value)
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{path}.{exc}")
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigInvalid(f"{name}: cannot read {value!r} ({exc})")
+        raise ConfigInvalid(f"{path}: cannot read {value!r} ({exc})")
 
 
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+def _only(obj: dict, known, where: str = "") -> dict:
+    """`obj`, if it is an object with no key outside `known`; `where` as in _get."""
+    if type(obj) is not dict:
+        raise TypeError("must be an object")
+    for key in obj:
+        if key not in known:
+            raise ConfigInvalid(f"{where}{key}: unknown field (known: {sorted(known)})")
+    return obj
+
+
+def _floats(*shape):
+    """The kind of an array of reals of this shape; None is any length."""
+    def read(value) -> np.ndarray:
+        arr = np.asarray(value, dtype=float)
+        if arr.ndim != len(shape) or any(
+                want not in (None, got) for want, got in zip(shape, arr.shape)):
+            raise ValueError(f"shape {arr.shape} is not {shape} (None: any length)")
+        return arr
+    return read
 
 
 def _run_name(cfg: dict, fallback: str) -> str:
@@ -147,46 +170,43 @@ def _run_name(cfg: dict, fallback: str) -> str:
 
 
 def _pole(cfg: dict) -> np.ndarray:
-    p = _get(cfg, "pole", np.array([0.0, 0.0, 1.0]), _floats)
-    if p.shape != (3,):
-        raise ConfigInvalid(f"pole: must be a 3-vector, got {cfg['pole']!r}")
-    return p
+    return _get(cfg, "pole", np.array([0.0, 0.0, 1.0]), _floats(3))
 
 
-def _build_curve(spec, field: str, seed: int):
-    """A curve from {"file": path} or {"kind": name, **maker keyword arguments};
-    --seed is the default of a maker's `seed`."""
-    params = dict(spec)
-    try:
-        if "file" in params:
-            if len(params) > 1:
-                raise ConfigInvalid(f"{field}: a file spec holds only 'file', "
-                                    f"got {sorted(params)}")
-            return load_curve(params["file"])
-        kind = params.pop("kind", None)
+# the kind of each maker keyword of jordan.CURVE_KINDS that is not a real
+_CURVE_KEYS = {"pole": _floats(3), **dict.fromkeys(("n", "mode", "seed", "depth",
+                                                    "base_nodes"), int)}
+
+
+def _build_curve(spec: dict, field: str, seed: int):
+    """A curve from {"file": path} or {"kind": name, **maker keyword arguments},
+    each keyword read by its kind in _CURVE_KEYS (else a real), at the maker's
+    default when absent; --seed is the default of a maker's `seed`."""
+    where = field + "."
+    if "file" in spec:
+        _only(spec, ("file",), where)
+        make, params = load_curve, {"path": _get(spec, "file", kind=str, where=where)}
+    else:
+        kind = _get(spec, "kind", kind=str, where=where)
         if kind not in CURVE_KINDS:
-            raise ConfigInvalid(f"{field}.kind: unknown curve kind {kind!r} "
+            raise ConfigInvalid(f"{where}kind: unknown curve kind {kind!r} "
                                 f"(known: {', '.join(CURVE_KINDS)})")
-        if "seed" in inspect.signature(CURVE_KINDS[kind]).parameters:
-            params.setdefault("seed", seed)
-        return generate_curve(kind, **params)
-    except ConfigInvalid:
-        raise
-    except (DomainError, ParamDomain, TooFewNodes, TypeError, ValueError) as exc:
+        make = CURVE_KINDS[kind]
+        keys = inspect.signature(make).parameters
+        _only(spec, ("kind", *keys), where)
+        params = {key: _get(spec, key, seed if key == "seed" else p.default,
+                            _CURVE_KEYS.get(key, float), where)
+                  for key, p in keys.items()}
+    try:
+        return make(**params)
+    except (DomainError, ParamDomain, TooFewNodes, OSError) as exc:
         raise ConfigInvalid(f"{field}: {exc}")
 
 
-def _flow_config(cfg: dict, field: str = "flow") -> FlowConfig:
-    raw = _get(cfg, field, {}, dict)
-    allowed = set(FlowConfig.__dataclass_fields__)
-    for key in raw:
-        if key not in allowed:
-            raise ConfigInvalid(f"{field}.{key}: unknown field "
-                                f"(known: {sorted(allowed)})")
-    try:
-        return FlowConfig(**raw)
-    except ConfigInvalid as exc:
-        raise ConfigInvalid(f"{field}.{exc}")
+def _flow_config(cfg: dict) -> FlowConfig:
+    # FlowConfig checks and names its own fields
+    return _get(cfg, "flow", FlowConfig(), lambda raw: FlowConfig(
+        **_only(raw, FlowConfig.__dataclass_fields__)))
 
 
 def _say(args, message: str) -> None:
@@ -275,10 +295,7 @@ def cmd_spacing(args, cfg: dict, run: RunDir) -> int:
     theta = _get(cfg, "theta", kind=float)
     x_samples = _get(cfg, "x_samples", 1000, int)
     if "points" in cfg:
-        points = _get(cfg, "points", kind=_floats)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ConfigInvalid(f"points: must be a list of 3-vectors, "
-                                f"got shape {points.shape}")
+        points = _get(cfg, "points", kind=_floats(None, 3))
         spacing = Spacing(points=points, clearance=_get(cfg, "C", kind=float),
                           theta=theta)
         check = verify_spacing(curve, spacing, x_samples=x_samples)
@@ -332,7 +349,7 @@ def cmd_straighten(args, cfg: dict, run: RunDir) -> int:
 
 def _levelset_state(cfg: dict, seed: int):
     if "annulus" in cfg:
-        ann = _get(cfg, "annulus", kind=dict)
+        ann = _only(_get(cfg, "annulus", kind=dict), ("alpha", "beta"), "annulus.")
         alpha = _build_curve(_get(ann, "alpha", kind=dict), "annulus.alpha", seed)
         beta = _build_curve(_get(ann, "beta", kind=dict), "annulus.beta", seed)
         return make_annulus(alpha, beta)
@@ -372,19 +389,18 @@ def cmd_levelset(args, cfg: dict, run: RunDir) -> int:
 
 def _graph_initial(cfg: dict) -> PeriodicGraph:
     if "values" in cfg:
-        return PeriodicGraph(_get(cfg, "values", kind=_floats))
+        return PeriodicGraph(_get(cfg, "values", kind=_floats(None)))
     n = _get(cfg, "n", 256, int)
     x = 2.0 * np.pi * np.arange(n) / n
     h = np.full(n, _get(cfg, "constant_height", 0.0, float))
     for i, term in enumerate(_get(cfg, "harmonics", [], list)):
+        where = f"harmonics[{i}]."
         if not isinstance(term, dict):
             raise ConfigInvalid(f"harmonics[{i}]: must be an object")
-        try:
-            k = _get(term, "mode", kind=int)
-            h += _get(term, "sin_height", 0.0, float) * np.sin(k * x)
-            h += _get(term, "cos_height", 0.0, float) * np.cos(k * x)
-        except ConfigInvalid as exc:
-            raise ConfigInvalid(f"harmonics[{i}].{exc}")
+        _only(term, ("mode", "sin_height", "cos_height"), where)
+        k = _get(term, "mode", kind=int, where=where)
+        h += _get(term, "sin_height", 0.0, float, where) * np.sin(k * x)
+        h += _get(term, "cos_height", 0.0, float, where) * np.cos(k * x)
     if np.abs(h).max() >= np.pi / 2:
         raise ConfigInvalid("harmonics: heights must stay below pi/2")
     return PeriodicGraph(np.tan(h))
@@ -442,16 +458,24 @@ def cmd_verify(args, cfg: dict, run: RunDir) -> int:
 
 # ---------------------------------------------------------------------------
 
-# name: (function, help, whether --config is required)
+# name: (function, help, whether --config is required, its config fields
+# besides `name`)
 _COMMANDS = {
-    "simulate": (cmd_simulate, "evolve a curve and record its trajectory", True),
-    "multiplicity": (cmd_multiplicity, "band multiplicity of a curve", True),
-    "spacing": (cmd_spacing, "construct or verify a spaced point set", True),
-    "straighten": (cmd_straighten, "band-confined straightening run", True),
-    "levelset": (cmd_levelset, "offset sandwich, area law, or trichotomy", True),
+    "simulate": (cmd_simulate, "evolve a curve and record its trajectory", True,
+                 ("curve", "flow", "record_nodes")),
+    "multiplicity": (cmd_multiplicity, "band multiplicity of a curve", True,
+                     ("curve", "r", "pole", "pole_samples")),
+    "spacing": (cmd_spacing, "construct or verify a spaced point set", True,
+                ("curve", "theta", "x_samples", "points", "C", "margin")),
+    "straighten": (cmd_straighten, "band-confined straightening run", True,
+                   ("curve", "pole", "flow", "barrier_halfwidth", "alignment",
+                    "record_nodes")),
+    "levelset": (cmd_levelset, "offset sandwich, area law, or trichotomy", True,
+                 ("mode", "curve", "annulus", "t", "levels", "eps0", "max_time")),
     "graphflow": (cmd_graphflow, "periodic graph evolution over a great circle",
-                  True),
-    "verify": (cmd_verify, "run the built-in acceptance checks", False),
+                  True, ("t", "values", "n", "constant_height", "harmonics", "dt",
+                         "crosscheck", "pole", "curve_nodes")),
+    "verify": (cmd_verify, "run the built-in acceptance checks", False, ("checks",)),
 }
 
 
@@ -461,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="curve shortening flow on the unit sphere")
     sub = parser.add_subparsers(dest="command", required=True)
     extra_flags = {"simulate": [("--nodes", "record node positions in the trajectory")]}
-    for cmd, (func, help_text, needs_config) in _COMMANDS.items():
+    for cmd, (func, help_text, needs_config, _) in _COMMANDS.items():
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", help="path to a JSON config file")
         p.add_argument("--out", default="out", help="output root directory")
@@ -481,7 +505,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        cfg = _load_config(args, args.needs_config)
+        cfg = _only(_load_config(args, args.needs_config),
+                    ("name", *_COMMANDS[args.command][3]))
         run = RunDir(args.out, _run_name(cfg, args.command))
         rc = args.func(args, cfg, run)
         _write_manifest(run, args, cfg, round(time.monotonic() - started, 3))

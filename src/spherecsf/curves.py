@@ -452,10 +452,10 @@ def densify(curve: SphereCurve, spacing: float) -> np.ndarray:
     return pts
 
 
-def _directed_hausdorff(x: SphereCurve, y: SphereCurve, refine: float) -> float:
-    """max over densify(x, refine) of curve_distance(., y), evaluated only on the
-    x-edges that can hold the max and, for each, the y-edges that can be nearest."""
-    ex, ey = _edges(x.nodes, x.closed), _edges(y.nodes, y.closed)
+def _directed_hausdorff(x: SphereCurve, ex: _Edges, ey: _Edges, refine: float) -> float:
+    """max over densify(x, refine) of curve_distance(., y), for the curve y whose
+    edges are ey (ex are x's), evaluated only on the x-edges that can hold the max
+    and, for each, the y-edges that can be nearest."""
     e = 2.0 * ex.half
     d_node = _distances(x.nodes, ey)
     # distance to y is 1-Lipschitz, so no point of edge i is further than ub[i]
@@ -503,7 +503,9 @@ def hausdorff_distance(a: SphereCurve, b: SphereCurve, refine: float = 1e-4) -> 
     point; neither changes the max.
     """
     _check_positive(refine, "refine")
-    return float(max(_directed_hausdorff(a, b, refine), _directed_hausdorff(b, a, refine)))
+    ea, eb = _edges(a.nodes, a.closed), _edges(b.nodes, b.closed)
+    return float(max(_directed_hausdorff(a, ea, eb, refine),
+                     _directed_hausdorff(b, eb, ea, refine)))
 
 
 def node_tangents(curve: SphereCurve) -> np.ndarray:

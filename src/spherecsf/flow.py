@@ -379,13 +379,11 @@ def circle_oracle(r0: float, t: float) -> float:
 
 
 def barrier_radius_oracle(halfwidth: float, t: float) -> float:
-    """Halfwidth at time t of the widening band barrier B_{R_t}(g)."""
+    """Halfwidth at time t of the widening band barrier B_{R_t}(g),
+    arcsin(sin(halfwidth) e^t): pi/2 once the band covers the sphere."""
     if not (0.0 < halfwidth < np.pi / 2.0):
         raise DomainError(f"band halfwidth must be in (0, pi/2), got {halfwidth!r}")
-    u = np.sin(halfwidth) * np.exp(t)
-    if u > 1.0:
-        raise DomainError(f"band barrier saturates before t = {t!r}")
-    return float(np.arcsin(u))
+    return float(np.arcsin(min(1.0, np.sin(halfwidth) * np.exp(t))))
 
 
 def time_to_enter_cap(traj: FlowTrajectory, center, radius: float) -> float:

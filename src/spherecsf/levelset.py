@@ -19,7 +19,7 @@ from .errors import (DomainError, ExtinctionBeforeEnd, NotEmbedded,
 from .curves import (ClosedSphereCurve, _check_positive, curve_distance,
                      curves_cross, edge_ends, hausdorff_distance, integrals,
                      node_tangents, resample, self_intersects, wrapped)
-from .flow import STATUS_EXTINCT, FlowConfig, evolve_closed
+from .flow import STATUS_EXTINCT, FlowConfig, barrier_radius_oracle, evolve_closed
 from .sphere import as_point
 
 AREA_FLOOR = 1e-2          # a sandwich area below this counts as no area
@@ -157,7 +157,7 @@ def _horizon_config(name: str, t_end: float) -> FlowConfig:
 def sandwich_bound(eps: float, t: float) -> float:
     """Gap allowed at time t between the offsets at eps of a measure-zero
     curve: three half widths of the band barrier, 3*arcsin(sin(eps)*e^t)."""
-    return 3.0 * np.arcsin(min(1.0, np.sin(eps) * np.exp(t)))
+    return 3.0 * barrier_radius_oracle(eps, t)
 
 
 def sandwich_flow(initial, n_levels: int, t_end: float,

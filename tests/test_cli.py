@@ -1,6 +1,9 @@
 """End-to-end command line tests, run in process through cli.main."""
+import ast
+import inspect
 import json
 import os
+import typing
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +13,8 @@ import pytest
 
 from spherecsf import (FlowConfig, SphereArc, acceptance, circle_curve, generate_curve,
                        save_curve)
-from spherecsf.cli import _build_curve, _get, main
+from spherecsf import cli
+from spherecsf.cli import _CURVE_KEYS, _COMMANDS, _build_curve, _get, main
 from spherecsf.errors import ConfigInvalid
 from spherecsf.jordan import CURVE_KINDS
 
@@ -136,13 +140,23 @@ def test_simulate_arc_requires_horizon(tmp_path, capsys):
      "flow.max_dt_halvings"),
     ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"snapshot_dt": 2e-13}},
      "flow.snapshot_dt"),
+    # curve-spec keys follow the typing rule of every other field
+    ({"curve": {"kind": "Circle", "radius": 1.0, "n": 64.5}}, "curve.n"),
+    ({"curve": {"kind": "KochLike", "depth": 2, "base_nodes": 6.5}}, "curve.base_nodes"),
+    ({"curve": {"kind": "Circle", "radius": "1.0"}}, "curve.radius"),
+    ({"curve": {"kind": "Circle", "radius": True}}, "curve.radius"),
+    ({"curve": {"kind": "Circle"}}, "curve.radius"),
+    ({"curve": {"file": "curve.csv", "n": 64}}, "curve.n"),
+    ({"curve": {"file": "no-such-curve.csv"}}, "curve"),
+    ({"curve": {"kind": "Circle", "radius": 1.0}, "flw": {"max_time": 0.1}}, "flw"),
 ])
 def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
-    rc, _ = run_cli(tmp_path, "simulate", cfg)
+    rc, d = run_cli(tmp_path, "simulate", cfg)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert field in err
+    assert not d.exists()
 
 
 @pytest.mark.parametrize("command,cfg,field", [
@@ -171,10 +185,33 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
     # spacing points are rows of three coordinates, as pole is one
     ("spacing", {"curve": EQUATOR, "theta": 0.3, "C": 0.1,
                  "points": [[1, 0], [0, 1]]}, "points"),
+    # graph values are one row of numbers
+    ("graphflow", {"t": 0.05, "values": [[1, 2], [3, 4]]}, "values"),
+    ("graphflow", {"t": 0.05, "values": 5}, "values"),
+    # curve-spec keys are typed, also inside an annulus
+    ("multiplicity", {"curve": EQUATOR | {"n": 64.5}, "r": 0.1}, "curve.n"),
+    ("multiplicity", {"curve": {"kind": "KochLike", "depth": 2, "base_nodes": 6.5},
+                      "r": 0.1}, "curve.base_nodes"),
+    ("levelset", {"mode": "area", "t": 0.05, "annulus": {
+        "alpha": {"kind": "Circle", "radius": "0.8"}, "beta": EQUATOR}},
+     "annulus.alpha.radius"),
+    # an unknown key is refused at any depth
+    ("graphflow", {"t": 0.05, "harmonics": [{"mode": 2, "sin_hight": 0.3}]},
+     "harmonics[0].sin_hight"),
+    ("graphflow", {"t": 0.05, "harmonic": [{"mode": 2, "sin_height": 0.3}]},
+     "harmonic"),
+    ("levelset", {"mode": "area", "t": 0.05, "annulus": BAND_ANNULUS | {"gamma": EQUATOR}},
+     "annulus.gamma"),
+    ("spacing", {"curve": {"file": "curve.csv", "kind": "Circle"}, "theta": 0.3},
+     "curve.kind"),
+    ("verify", {"check": ["initial-continuity"]}, "check"),
 ], ids=["r", "t", "levels", "values", "sin_height", "bool-string", "bool-number",
         "int-fraction", "int-bool", "int-string", "int-float", "bool-string-nodes",
         "bool-string-nodes-flag", "real-bool", "real-string", "r-bool",
-        "alignment-string", "points-shape"])
+        "alignment-string", "points-shape", "values-2d", "values-scalar",
+        "curve-n-fraction", "koch-base-nodes-fraction", "annulus-radius-string",
+        "harmonic-typo", "top-level-typo", "annulus-extra", "file-spec-extra",
+        "verify-typo"])
 def test_non_numeric_fields_are_config_errors(tmp_path, capsys, command, cfg,
                                               field):
     command, *flags = command.split()
@@ -253,6 +290,52 @@ def test_cli_curve_spec_is_generator_call(kind):
     params = CURVE_SPECS[kind]
     built = _build_curve({"kind": kind, **params}, "curve", seed=5)
     assert np.array_equal(built.nodes, generate_curve(kind, **params).nodes)
+
+
+def test_curve_key_kinds_cover_every_maker_keyword():
+    # each keyword reads as its annotated type, and a numeric default as its own
+    for kind, make in CURVE_KINDS.items():
+        hints = typing.get_type_hints(make)
+        for key, param in inspect.signature(make).parameters.items():
+            read = _CURVE_KEYS.get(key, float)
+            if key == "pole":
+                assert read([0, 0, 1]).shape == (3,)
+                continue
+            hint = hints[key]
+            assert read is (int if int in (hint, *typing.get_args(hint)) else float), \
+                (kind, key)
+            if type(param.default) in (int, float):
+                assert read is type(param.default), (kind, key)
+
+
+def _fields_read_by_commands():
+    """{command function: the field names that _get reads from its top-level
+    `cfg`, directly or in the cli functions it calls}, by an AST scan."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def reads(name, seen):
+        seen.add(name)
+        found = set()
+        for node in ast.walk(funcs[name]):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            callee, args = node.func.id, node.args
+            if (callee == "_get" and isinstance(args[0], ast.Name)
+                    and args[0].id == "cfg"):
+                found.add(args[1].value)
+            elif callee in funcs and callee not in seen:
+                found |= reads(callee, seen)
+        return found
+
+    return {name: reads(name, set()) for name in funcs if name.startswith("cmd_")}
+
+
+def test_commands_declare_the_fields_they_read():
+    read = _fields_read_by_commands()
+    assert set(read) == {func.__name__ for func, *_ in _COMMANDS.values()}
+    for func, _, _, fields in _COMMANDS.values():
+        assert read[func.__name__] == set(fields), func.__name__
 
 
 def test_seed_flag_is_the_default_generator_seed():
@@ -423,6 +506,20 @@ def test_straighten_run(tmp_path):
     assert report["final_deviation"] < report["initial_deviation"]
     head = (d / "tables" / "deviations.csv").read_text().splitlines()[0]
     assert head == "t,deviation,max_height,barrier_height"
+
+
+def test_straighten_runs_past_band_saturation(tmp_path):
+    # sin(0.5) e^0.8 > 1: the band covers the sphere before max_time, so the
+    # barrier height saturates at pi/2 and the run still writes its report
+    cfg = {"curve": {"kind": "LeafableWiggle", "n": 128},
+           "barrier_halfwidth": 0.5, "alignment": 0.1,
+           "flow": {"dt": 1e-3, "snapshot_dt": 0.1, "max_time": 0.8}}
+    rc, d = run_cli(tmp_path, "straighten", cfg)
+    assert rc == 0
+    assert read_json(d, "report.json")["containment_ok"] is True
+    rows = (d / "tables" / "deviations.csv").read_text().splitlines()
+    assert float(rows[-1].split(",")[0]) == pytest.approx(0.8)
+    assert float(rows[-1].split(",")[3]) == np.pi / 2
 
 
 def test_straighten_requires_horizon(tmp_path, capsys):

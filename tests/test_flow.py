@@ -143,8 +143,9 @@ def test_extinction_time_formula():
 def test_barrier_oracle():
     assert abs(barrier_radius_oracle(0.2, 0.1)
                - np.arcsin(np.sin(0.2) * np.exp(0.1))) < 1e-12
-    with pytest.raises(DomainError):
-        barrier_radius_oracle(1.0, 1.0)  # sin(R) e^t >= 1
+    # once sin(R) e^t >= 1 the band covers the sphere: the halfwidth saturates
+    assert barrier_radius_oracle(1.0, 1.0) == np.pi / 2
+    assert barrier_radius_oracle(0.5, 0.8) == np.pi / 2
 
 
 def test_shrinking_circle_tracks_oracle():
