@@ -41,8 +41,8 @@ DIAG_MIN_NODES = 32
 # the arccos noise floor (about 2.6e-8 near zero) of the distances and edge
 # lengths the bounds are built from, so pruning never drops a deciding pair.
 BOUND_SLACK = 1e-7
-# Point-edge pairs in the first batch of hausdorff_distance; each batch doubles.
-_FIRST_BATCH = 4096
+# Point-edge pairs the Hausdorff search measures at once, about 200 bytes each.
+_PAIR_CHUNK = 2 ** 16
 
 
 def wrapped(nodes: np.ndarray, closed: bool) -> np.ndarray:
@@ -427,17 +427,12 @@ def _sample_counts(e: np.ndarray, spacing: float) -> np.ndarray:
     return np.maximum(1, np.ceil(e / spacing).astype(int))
 
 
-def _edge_samples(a, b, e, edges, counts, end=None):
-    """densify's points on edges[k], counts[k] of them from its start, each with
-    its k; `end`, the k of an arc's last edge, adds the arc's last node there."""
-    k, step = _runs(counts)
-    f = step / counts[k]
-    i = edges[k]
-    pts = edge_slerp(a[i], b[i], e[i][:, None], f[:, None])
-    if end is not None:
-        pts = np.concatenate((pts, b[edges[end]][None]))
-        k = np.append(k, end)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True), k
+def _lattice(a, b, e, i, s, count):
+    """densify's points: step s of count along each edge i, from a[i] to b[i] of
+    length e[i], and b[i] itself where s == count; normalised."""
+    pts = edge_slerp(a[i], b[i], e[i][:, None], (s / count)[:, None])
+    pts[s == count] = b[i[s == count]]
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def densify(curve: SphereCurve, spacing: float) -> np.ndarray:
@@ -445,50 +440,60 @@ def densify(curve: SphereCurve, spacing: float) -> np.ndarray:
     ceil(h / spacing) slerp steps per edge of length h, and an arc's last node."""
     _check_positive(spacing, "spacing")
     e = curve.edge_lengths()
-    a, b = edge_ends(wrapped(curve.nodes, curve.closed), curve.closed)
-    m = len(e)
-    pts, _ = _edge_samples(a, b, e, np.arange(m), _sample_counts(e, spacing),
-                           None if curve.closed else m - 1)
-    return pts
+    counts = _sample_counts(e, spacing)
+    i, s = _runs(counts)
+    if not curve.closed:
+        i, s = np.append(i, len(e) - 1), np.append(s, counts[-1])
+    return _lattice(*edge_ends(wrapped(curve.nodes, curve.closed), curve.closed),
+                    e, i, s, counts[i])
 
 
-def _directed_hausdorff(x: SphereCurve, ex: _Edges, ey: _Edges, refine: float) -> float:
+def _directed_hausdorff(x: SphereCurve, ex: _Edges, ey: _Edges, refine: float,
+                        above: float = -np.inf) -> float:
     """max over densify(x, refine) of curve_distance(., y), for the curve y whose
-    edges are ey (ex are x's), evaluated only on the x-edges that can hold the max
-    and, for each, the y-edges that can be nearest."""
+    edges are ey (ex are x's), when it exceeds `above`; else at most `above`.
+
+    Distance to y is 1-Lipschitz: no lattice point between steps lo and hi of an
+    edge, h apart, is further than (d_lo + d_hi + (hi - lo) h) / 2. Each edge the
+    nodes' bound keeps, from its step-0 point to its end node, is bisected until
+    no interval can beat max(best, above); a point is measured only against the
+    y-edges whose caps can hold its nearest point, _PAIR_CHUNK pairs at a time.
+    """
     e = 2.0 * ex.half
     d_node = _distances(x.nodes, ey)
-    # distance to y is 1-Lipschitz, so no point of edge i is further than ub[i]
     da, db = edge_ends(wrapped(d_node, x.closed), x.closed)
     ub = 0.5 * (da + db + e)
-    floor = float(d_node.max())  # densified nodes reach it, to rounding
-    order = np.argsort(-ub, kind="stable")
-    order = order[ub[order] >= floor - BOUND_SLACK]
-    # a point of edge i is within e_i / 2 of its cap centre and within ub[i] of
-    # its nearest point, which is within e_j / 2 of the centre of its edge j
-    owner, cand = _cap_pairs(ex.centre[order], ub[order] + ex.half[order],
-                             ey.centre, ey.half)
-    ncand = np.bincount(owner, minlength=len(order))
+    kept = np.flatnonzero(ub >= max(float(d_node.max()), above) - BOUND_SLACK)
+    # the nearest point to a point of edge i lies within ub[i] + e_i / 2 of its centre
+    owner, cand = _cap_pairs(ex.centre[kept], ub[kept] + ex.half[kept], ey.centre, ey.half)
+    ncand = np.bincount(owner, minlength=len(kept))
     first = np.cumsum(ncand) - ncand
-    counts = _sample_counts(e[order], refine)
-    cost = np.concatenate(([0], np.cumsum(counts * ncand)))
-    last = len(order)  # the position of an arc's last edge, which ends in its last node
-    if not x.closed and len(e) - 1 in order:
-        last = int(np.flatnonzero(order == len(e) - 1)[0])
-    best = -np.inf
-    start, budget = 0, _FIRST_BATCH
-    # edges by descending bound, in batches that double in size, until the
-    # next bound cannot beat the running max
-    while start < len(order) and ub[order[start]] >= max(best, floor) - BOUND_SLACK:
-        stop = max(start + 1, int(np.searchsorted(cost, cost[start] + budget, "right")) - 1)
-        tail = last - start if start <= last < stop else None
-        pts, k = _edge_samples(ex.a, ex.b, e, order[start:stop], counts[start:stop], tail)
-        pos = start + k
-        p, step = _runs(ncand[pos])
-        j = cand[first[pos[p]] + step]
-        d = _edge_distance(*np.vecdot(pts[p, None], ey.frames[j]).T)
-        best = max(best, float(_group_min(d, ncand[pos]).max()))
-        start, budget = stop, 2 * budget
+    count = _sample_counts(e[kept], refine)
+
+    def measure(k, s):
+        p, j = _runs(ncand[k])
+        pts = _lattice(ex.a, ex.b, e, kept[k], s, count[k])
+        d = _edge_distance(*np.vecdot(pts[p, None], ey.frames[cand[first[k[p]] + j]]).T)
+        return _group_min(d, ncand[k])
+
+    k = np.arange(len(kept))
+    tail = k[kept == len(e) - 1] if not x.closed else k[:0]  # ends in the arc's last node
+    d0 = measure(np.concatenate((k, tail)), np.concatenate((0 * k, count[tail])))
+    best = float(d0.max(initial=-np.inf))
+    stack = [np.stack((k, e[kept] / count, 0 * k, count, d0[:len(k)], db[kept]))]
+    while stack:
+        k, h, lo, hi, dlo, dhi = iv = stack.pop()
+        iv = iv[:, (hi - lo > 1) & (0.5 * (dlo + dhi + (hi - lo) * h)
+                                    >= max(best, above) - BOUND_SLACK)]
+        if iv.size:  # halve the last _PAIR_CHUNK pairs' worth; the rest wait below
+            pairs = np.cumsum(ncand[iv[0].astype(int)][::-1])
+            cut = len(pairs) - max(1, int(np.searchsorted(pairs, _PAIR_CHUNK, "right")))
+            k, h, lo, hi, dlo, dhi = iv[:, cut:]
+            mid = (lo + hi) // 2
+            dm = measure(k.astype(int), mid)
+            best = max(best, float(dm.max()))
+            stack += [iv[:, :cut], np.hstack((np.stack((k, h, lo, mid, dlo, dm)),
+                                              np.stack((k, h, mid, hi, dm, dhi))))]
     return best
 
 
@@ -496,16 +501,21 @@ def hausdorff_distance(a: SphereCurve, b: SphereCurve, refine: float = 1e-4) -> 
     """Symmetric Hausdorff distance between two curves.
 
     Each way it is the max, over densify(., refine), of the exact point-to-polyline
-    distance (curve_distance) to the other curve, so the result is accurate to
-    refine/2. Distance to a curve is 1-Lipschitz, so an edge whose endpoint
-    distances and length bound all its points below the running max is skipped,
-    and a point is measured only against edges whose caps can hold its nearest
-    point; neither changes the max.
+    distance (curve_distance) to the other curve, so it is accurate to refine/2. A
+    bisection of the lattice finds it bit for bit, the second way above the first's max.
     """
     _check_positive(refine, "refine")
     ea, eb = _edges(a.nodes, a.closed), _edges(b.nodes, b.closed)
-    return float(max(_directed_hausdorff(a, ea, eb, refine),
-                     _directed_hausdorff(b, eb, ea, refine)))
+    d = _directed_hausdorff(a, ea, eb, refine)
+    return float(max(d, _directed_hausdorff(b, eb, ea, refine, d)))
+
+
+def _hausdorff_exceeds(a: SphereCurve, b: SphereCurve, bound: float, refine: float) -> bool:
+    """hausdorff_distance(a, b, refine) > bound, skipping every point at or below it."""
+    _check_positive(refine, "refine")
+    ea, eb = _edges(a.nodes, a.closed), _edges(b.nodes, b.closed)
+    return bool(_directed_hausdorff(a, ea, eb, refine, bound) > bound
+                or _directed_hausdorff(b, eb, ea, refine, bound) > bound)
 
 
 def node_tangents(curve: SphereCurve) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DomainError, ExtinctionBeforeEnd, NotEmbedded,
                      OffsetCollision)
-from .curves import (ClosedSphereCurve, _check_positive, curve_distance,
+from .curves import (ClosedSphereCurve, _check_positive, _hausdorff_exceeds, curve_distance,
                      curves_cross, edge_ends, hausdorff_distance, integrals,
                      node_tangents, resample, self_intersects, wrapped)
 from .flow import STATUS_EXTINCT, FlowConfig, barrier_radius_oracle, evolve_closed
@@ -113,7 +113,7 @@ def offset_curve(curve: ClosedSphereCurve, eps: float, side: int) -> ClosedSpher
     out = resample(ClosedSphereCurve(q), n=curve.n)
     if self_intersects(out.nodes, closed=True):
         raise OffsetCollision(f"offset {eps!r} on side {side} cannot be embedded")
-    if hausdorff_distance(out, curve, refine=min(1e-3, eps / 4)) > 2.0 * eps:
+    if _hausdorff_exceeds(out, curve, 2.0 * eps, refine=min(1e-3, eps / 4)):
         raise OffsetCollision(f"offset {eps!r} drifted beyond 2*eps after smoothing")
     gap = curve_distance(out.nodes, curve)
     # a true one-sided offset sits near eps from the base; far-off clearance

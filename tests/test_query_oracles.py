@@ -6,14 +6,19 @@ answer. Each brute-force form below evaluates everything, and the queries must
 agree with it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, circle_curve,
                        curve_distance, curves_cross, densify, hausdorff_distance,
-                       multiplicity_at, multiplicity_sup, self_intersects)
-from spherecsf.curves import CROSS_TOL, _edge_distance, edge_ends, wrapped
+                       multiplicity_at, multiplicity_sup, offset_curve,
+                       perturbed_latitude, self_intersects)
+from spherecsf import curves
+from spherecsf.curves import (CROSS_TOL, _edge_distance, _hausdorff_exceeds, edge_ends,
+                              wrapped)
 from spherecsf.jordan import (_band_geometry, _cap_lattice, _components,
                               _height_extrema, fibonacci_sphere)
 
@@ -266,20 +271,145 @@ def test_curve_distance_matches_dense(curve, nudge, seed):
 
 
 @settings(max_examples=60)
-@given(curve_pairs(), st.sampled_from([1e-2, 3e-3, 1e-3]))
+@given(curve_pairs(), st.sampled_from([1e-2, 3e-3, 1e-3, 3e-4, 2.0]))
 def test_hausdorff_matches_brute_force(pair, refine):
+    # at 3e-4 intervals split over several levels; 2.0 is longer than every
+    # edge, so each edge has one lattice point and nothing to split
     a, b = pair
     assert hausdorff_distance(a, b, refine) == hausdorff_brute(a, b, refine)
 
 
 @settings(max_examples=30)
-@given(wavy_curves(), st.floats(0.01, 0.2), st.integers(0, 2 ** 32 - 1))
-def test_hausdorff_to_a_moved_copy(curve, shift, seed):
-    # the same polygon nudged: the max can sit inside an edge
+@given(wavy_curves(), st.floats(0.01, 0.2), st.integers(0, 2 ** 32 - 1), st.integers(0, 20))
+def test_hausdorff_to_a_moved_copy(curve, shift, seed, half):
+    # the same polygon nudged: the max can sit inside an edge. The longest edge
+    # gets the odd lattice count 2 half + 1, so bisection rounds its midpoints.
     rng = np.random.default_rng(seed)
     moved = curve.nodes + shift * 0.1 * rng.normal(size=(1, 3))
     other = curve.with_nodes(moved / np.linalg.norm(moved, axis=1, keepdims=True))
-    assert hausdorff_distance(curve, other, 1e-3) == hausdorff_brute(curve, other, 1e-3)
+    refine = curve.edge_lengths().max() / (2 * half + 0.5)
+    assert hausdorff_distance(curve, other, refine) == hausdorff_brute(curve, other, refine)
+
+
+@pytest.mark.parametrize("refine", [1e-2, 1e-3, 3e-4, 2.0])
+def test_hausdorff_to_an_arc_whose_last_node_is_farthest(refine):
+    # an arc along a latitude whose last node turns 0.05 off it: the max of
+    # both ways is that node, a lattice point no edge's steps reach
+    lon = np.linspace(0.0, 1.5, 40)
+    arcs = []
+    for lift in (0.0, 0.05):
+        rho = np.full(40, 1.0)
+        rho[-1] -= lift
+        arcs.append(SphereArc(np.stack([np.sin(rho) * np.cos(lon), np.sin(rho) * np.sin(lon),
+                                        np.cos(rho)], axis=1)))
+    latitude, arc = arcs
+    far = curve_distance_dense(densify_loop(arc, refine)[-1:], latitude)[0]
+    assert hausdorff_distance(arc, latitude, refine) == hausdorff_brute(arc, latitude, refine)
+    assert hausdorff_distance(arc, latitude, refine) == far
+
+
+def _thresholds(h):
+    return (h, np.nextafter(h, 0.0), np.nextafter(h, np.inf), h / 2, 2 * h)
+
+
+@settings(max_examples=40)
+@given(curve_pairs(), st.sampled_from([1e-2, 1e-3, 2.0]))
+def test_hausdorff_exceeds_matches_brute_force(pair, refine):
+    a, b = pair
+    h = hausdorff_brute(a, b, refine)
+    for bound in _thresholds(h):
+        assert _hausdorff_exceeds(a, b, bound, refine) == (h > bound)
+
+
+@pytest.mark.parametrize("eps, side", [(0.01, 1), (0.05, 1), (0.05, -1)])
+def test_hausdorff_exceeds_on_an_offset_circle(eps, side):
+    # every point of the offset sits about eps from the circle, so no bound
+    # on an edge's points falls below the max until the stretch is short
+    circle = circle_curve(np.pi / 3, n=512)
+    out = offset_curve(circle, eps, side)
+    refine = min(1e-3, eps / 4)
+    h = hausdorff_brute(out, circle, refine)
+    assert abs(h - eps) < 1e-3
+    for bound in _thresholds(h) + (2 * eps,):
+        assert _hausdorff_exceeds(out, circle, bound, refine) == (h > bound)
+
+
+def _c09_pair():
+    return perturbed_latitude(1.1, 0.12, 5, n=512), circle_curve(1.1, n=512)
+
+
+@pytest.fixture
+def measured(monkeypatch):
+    """Row counts of every batch of lattice points the Hausdorff search measures."""
+    rows = []
+    lattice = curves._lattice
+
+    def counted(a, b, e, i, s, count):
+        rows.append(len(i))
+        return lattice(a, b, e, i, s, count)
+
+    monkeypatch.setattr(curves, "_lattice", counted)
+    return rows
+
+
+@pytest.mark.parametrize("refine", [1e-4, 1e-6])
+def test_hausdorff_measures_a_fraction_of_the_lattice(measured, refine):
+    # point counts are exact on every machine. Densifying every edge the node
+    # bounds keep would measure 17% and 14% of the 1e-4 lattices.
+    pert, base = _c09_pair()
+    for x, y in ((pert, base), (base, pert)):
+        measured.clear()
+        curves._directed_hausdorff(x, curves._edges(x.nodes, True),
+                                   curves._edges(y.nodes, True), refine)
+        size = int(curves._sample_counts(x.edge_lengths(), refine).sum())  # len(densify(x))
+        assert sum(measured) <= size / 16
+
+
+def test_hausdorff_exceeds_stops_at_its_bound(measured):
+    # the offset sits about eps from the circle, so the node bounds rule out
+    # every edge below 2 eps and no lattice point is measured
+    circle = circle_curve(np.pi / 3, n=512)
+    assert not _hausdorff_exceeds(offset_curve(circle, 0.05, 1), circle, 0.1, 1e-3)
+    assert sum(measured) == 0
+
+
+def _arc_over_chord(lift):
+    """14 nodes at heights `lift` over the 0.26-long geodesic from (1, 0, 0),
+    like c11's final arc, and that geodesic's 64-node chord."""
+    s = np.broadcast_arrays(np.linspace(0.0, 0.26, 14), lift)
+    arc = SphereArc(np.stack([np.cos(s[0]) * np.cos(s[1]), np.sin(s[0]) * np.cos(s[1]),
+                              np.sin(s[1])], axis=1))
+    t = np.linspace(0.0, 0.26, 64)
+    return arc, SphereArc(np.stack([np.cos(t), np.sin(t), np.zeros(64)], axis=1))
+
+
+@pytest.mark.parametrize("refine", [1e-4, 1.05e-4])
+@pytest.mark.parametrize("lift", [5e-4, 1e-3, 1.9e-3])
+def test_hausdorff_finds_a_max_within_the_slack_of_the_nodes(lift, refine):
+    # the nodes at one height: the farthest points are edge midpoints, which a
+    # geodesic bows above the nodes by less than BOUND_SLACK (5e-8 per 1e-3 of
+    # lift). At 1.05e-4 an edge has 191 steps, so the first midpoint measured
+    # is not the farthest.
+    arc, chord = _arc_over_chord(lift)
+    h = hausdorff_brute(arc, chord, refine)
+    assert 0.0 < h - curve_distance_dense(arc.nodes, chord).max() < curves.BOUND_SLACK
+    assert hausdorff_distance(arc, chord, refine) == h
+    assert _hausdorff_exceeds(arc, chord, np.nextafter(h, 0.0), refine)
+
+
+def test_hausdorff_memory_is_bounded_when_every_point_is_live():
+    # c11's final arc sits within 8e-7 of its chord: on a 1e-6 lattice no
+    # stretch's bound falls below the max until it is about a step long
+    lift = 8e-7 * np.sin(np.pi * np.linspace(0.0, 1.0, 14))
+    arc, chord = _arc_over_chord(lift)
+    tracemalloc.start()
+    try:
+        d = hausdorff_distance(arc, chord, refine=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(d - lift.max()) < 1e-10  # an edge between lifted nodes bulges
+    assert peak < 40 * 2 ** 20
 
 
 @settings(max_examples=150)
