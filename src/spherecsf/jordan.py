@@ -4,7 +4,9 @@ The r-multiplicity of a curve relative to a great circle g counts the components
 of the curve inside the open band B_{2r}(g) that touch the closed band B_r(g)
 (touch tolerance 1e-9). The supremum over g is estimated on a deterministic
 Fibonacci pole lattice with one local refinement pass, so it is a certified
-lower bound for the true supremum.
+lower bound for the true supremum. Each lattice runs in blocks of poles of
+about _HEIGHT_BLOCK heights, so its memory is flat in the node count and the
+number of poles.
 """
 
 from __future__ import annotations
@@ -18,17 +20,24 @@ from .errors import DomainError, ParamDomain, SpacingNotFound
 from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _tangent_toward,
                      curve_distance, edge_ends, edge_slerp,
                      latitude_deviation_angles, resample, wrapped)
-from .flow import DirichletArcSpec
+from .flow import DirichletArcSpec, _is_number
 from .sphere import (GreatCircle, Wedge, as_point, fold_angle, geodesic_distance,
                      orthonormal_frame, unit)
 
 TOUCH_TOL = 1e-9
 MAX_SPACING_ADDITIONS = 64  # transverse companions construct_spacing may add
 MAX_KOCH_DEPTH = 6
+_HEIGHT_BLOCK = 2 ** 18  # heights per pole block of multiplicity_sup, about 2 MiB
+
+
+def _check_count(name: str, value) -> None:
+    if not _is_number(value, True):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
     """Deterministic near-uniform lattice of n unit vectors."""
+    _check_count("n", n)
     if n < 1:
         raise DomainError("need at least one sample")
     i = np.arange(n)
@@ -163,15 +172,27 @@ def multiplicity_sup(curve: SphereCurve, r: float,
 
     Fibonacci lattice over poles plus one refinement pass around the best pole;
     ties resolve to the lexicographically smallest pole. Every pole's count
-    and the winner's components come from one call of multiplicity_at's
-    component rule, _components, on all the poles' heights.
+    and the winner's components come from multiplicity_at's component rule,
+    _components, run on each lattice in blocks of poles holding about
+    _HEIGHT_BLOCK heights each.
     """
+    _check_count("pole_samples", pole_samples)
     if pole_samples < 100:
         raise DomainError(f"pole_samples must be >= 100, got {pole_samples!r}")
     band = _band_geometry(curve, r)
+    # at least two poles a block: numpy sends a one-column product to gemv,
+    # whose heights can differ in the last bit from the whole lattice's gemm
+    block = max(2, _HEIGHT_BLOCK // curve.n)
 
     def evaluate(poles):
-        counts, rows = _components(curve.nodes @ poles.T, *band)
+        counts, rows, first = [], [], 0
+        for part in np.array_split(poles, max(1, len(poles) // block)):
+            c, w = _components(curve.nodes @ part.T, *band)
+            w[:, 0] += first
+            counts.append(c)
+            rows.append(w)
+            first += len(part)
+        counts, rows = np.concatenate(counts), np.concatenate(rows)
         k = np.lexsort((poles[:, 2], poles[:, 1], poles[:, 0], -counts))[0]
         return (-counts[k], tuple(poles[k])), _report(poles[k], r, counts, rows, k)
 
@@ -222,6 +243,7 @@ def _circles_through(x, pts):
 
 
 def _check_x_samples(x_samples: int) -> None:
+    _check_count("x_samples", x_samples)
     if x_samples < 1000:
         raise DomainError(f"x_samples must be >= 1000, got {x_samples!r}")
 

@@ -71,6 +71,23 @@ def test_multiplicity_sup_koch():
     assert multiplicity_sup(koch_like(4), 0.05).count == 6
 
 
+@pytest.mark.parametrize("depth", [3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_multiplicity_sup_pole_attains_its_count(depth, seed):
+    rot = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+    curve = ClosedSphereCurve(koch_like(depth).nodes @ rot.T)
+    for r in (0.05, 0.02):
+        sup = multiplicity_sup(curve, r)
+        at = multiplicity_at(curve, GreatCircle(sup.pole), r)
+        assert (at.count, at.components) == (sup.count, sup.components)
+
+
+@pytest.mark.parametrize("bad", [150.5, 150.0, True, "150"])
+def test_multiplicity_sup_rejects_a_non_integral_pole_count(bad):
+    with pytest.raises(DomainError, match="pole_samples must be an integer"):
+        multiplicity_sup(circle_curve(1.0, n=64), 0.1, pole_samples=bad)
+
+
 def test_spacing_construct_and_verify():
     eq = circle_curve(np.pi / 2, n=128)
     sp = construct_spacing(eq, 0.3)
@@ -110,6 +127,8 @@ def test_spacing_sample_floor():
     # construction stops on the same check before its greedy search
     with pytest.raises(DomainError, match="x_samples must be >= 1000, got 100"):
         construct_spacing(eq, 0.3, margin=10.0, x_samples=100)
+    with pytest.raises(DomainError, match="x_samples must be an integer, got 2000.0"):
+        verify_spacing(eq, sp, x_samples=2000.0)
 
 
 def test_wiggle_is_leafable_and_wiggly():
@@ -287,6 +306,19 @@ def test_fibonacci_lattice():
     assert np.array_equal(f1, f2)
     assert np.abs(np.linalg.norm(f1, axis=1) - 1.0).max() < 1e-12
     assert len(f1) == 64
+    assert np.array_equal(fibonacci_sphere(np.int64(64)), f1)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 150.5])
+def test_fibonacci_lattice_rejects_a_non_integral_count(bad):
+    with pytest.raises(DomainError, match="n must be an integer"):
+        fibonacci_sphere(bad)
+
+
+def test_multiplicity_sup_takes_a_numpy_pole_count():
+    curve = circle_curve(1.0, n=64)
+    got = multiplicity_sup(curve, 0.1, pole_samples=np.int64(150))
+    assert got.to_json() == multiplicity_sup(curve, 0.1, pole_samples=150).to_json()
 
 
 def test_circle_curve_phase():

@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, circle_curve,
                        curve_distance, curves_cross, densify, hausdorff_distance,
-                       multiplicity_at, multiplicity_sup, offset_curve,
+                       koch_like, multiplicity_at, multiplicity_sup, offset_curve,
                        perturbed_latitude, self_intersects)
-from spherecsf import curves
+from spherecsf import curves, jordan
 from spherecsf.curves import (CROSS_TOL, _edge_distance, _hausdorff_exceeds, edge_ends,
                               wrapped)
 from spherecsf.jordan import (_band_geometry, _cap_lattice, _components,
@@ -169,6 +169,7 @@ def multiplicity_counts_loop(curve, r, poles):
 
 
 def multiplicity_sup_loop(curve, r, pole_samples):
+    """The sup's count, pole and ranges, and the coarse and fine lattices searched."""
     def evaluate(poles):
         best = None
         for k, (count, ranges) in enumerate(multiplicity_counts_loop(curve, r, poles)):
@@ -177,10 +178,12 @@ def multiplicity_sup_loop(curve, r, pole_samples):
                 best = (key, count, poles[k], ranges)
         return best
 
-    coarse = evaluate(fibonacci_sphere(pole_samples))
-    fine = evaluate(_cap_lattice(coarse[2], np.sqrt(4.0 * np.pi / pole_samples), 64))
+    lattices = [fibonacci_sphere(pole_samples)]
+    coarse = evaluate(lattices[0])
+    lattices.append(_cap_lattice(coarse[2], np.sqrt(4.0 * np.pi / pole_samples), 64))
+    fine = evaluate(lattices[1])
     _, count, pole, ranges = min([coarse, fine], key=lambda b: b[0])
-    return count, pole, ranges
+    return count, pole, ranges, lattices
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +415,19 @@ def test_hausdorff_memory_is_bounded_when_every_point_is_live():
     assert peak < 40 * 2 ** 20
 
 
+def test_multiplicity_sup_memory_is_bounded_in_depth():
+    # the whole 6144 x 2000 height matrix and its temporaries peaked at 238 MiB
+    curve = koch_like(5)
+    tracemalloc.start()
+    try:
+        sup = multiplicity_sup(curve, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sup.count == 6
+    assert peak < 16 * 2 ** 20
+
+
 @settings(max_examples=150)
 @given(curve_pairs())
 def test_curves_cross_matches_dense(pair):
@@ -486,17 +502,35 @@ def test_multiplicity_at_matches_per_pole_loop(curve, r, seed):
         assert [(m.count, m.components) for m in got] == multiplicity_counts_loop(c, r, poles)
 
 
-@settings(max_examples=25)
-@given(wavy_curves(), st.sampled_from([0.02, 0.05, 0.1]), st.sampled_from([100, 400]))
-def test_multiplicity_sup_matches_per_pole_loop(curve, r, pole_samples):
-    got = multiplicity_sup(curve, r, pole_samples=pole_samples)
-    count, pole, ranges = multiplicity_sup_loop(curve, r, pole_samples)
+@settings(max_examples=40)
+@given(wavy_curves(), st.sampled_from([0.02, 0.05, 0.1]), st.sampled_from([100, 400]),
+       st.sampled_from(["default", "2**9 heights", "three poles", "half a pole"]))
+def test_multiplicity_sup_matches_per_pole_loop(curve, r, pole_samples, blocks):
+    # 2**9 heights cut each lattice into blocks of 2 to 64 poles; blocks of three
+    # poles leave a remainder of one in every lattice length (100, 400 and 64);
+    # half a pole's heights still make blocks of two
+    height_block = {"default": jordan._HEIGHT_BLOCK, "2**9 heights": 2 ** 9,
+                    "three poles": 3 * curve.n, "half a pole": curve.n // 2}[blocks]
+    seen = []
+
+    def recorded(heights, *band):
+        seen.append(heights)
+        return _components(heights, *band)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jordan, "_HEIGHT_BLOCK", height_block)
+        mp.setattr(jordan, "_components", recorded)
+        got = multiplicity_sup(curve, r, pole_samples=pole_samples)
+    count, pole, ranges, lattices = multiplicity_sup_loop(curve, r, pole_samples)
     assert (got.count, tuple(got.pole), got.components) == (count, tuple(pole), ranges)
+    # a one-pole block goes to gemv, whose heights can differ in the last bit
+    assert np.array_equal(np.concatenate(seen, axis=1),
+                          np.concatenate([curve.nodes @ p.T for p in lattices], axis=1))
 
 
 def test_multiplicity_sup_ties_go_to_the_smallest_pole():
     # a great circle meets every band once, so every pole ties
     curve = circle_curve(np.pi / 2, n=128)
     got = multiplicity_sup(curve, 0.05, pole_samples=100)
-    count, pole, ranges = multiplicity_sup_loop(curve, 0.05, 100)
+    count, pole, ranges, _ = multiplicity_sup_loop(curve, 0.05, 100)
     assert (got.count, tuple(got.pole), got.components) == (count, tuple(pole), ranges)
