@@ -28,7 +28,7 @@ from typing import ClassVar, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, NotEmbedded, PoleDegenerate, TooFewNodes
-from .sphere import GreatCircle, geodesic_distance
+from .sphere import GreatCircle, edge_slerp, geodesic_distance
 
 MIN_NODES = 8
 EDGE_MIN = 1e-8
@@ -243,14 +243,6 @@ def resample(curve: SphereCurve, n: Optional[int] = None,
         new[:, 0] = curve.nodes[0]
         new[:, -1] = curve.nodes[-1]
     return curve.with_nodes(new.T)
-
-
-def edge_slerp(a, b, ang, f):
-    """Points a fraction f along the geodesic edges from a to b, of lengths ang,
-    before the final normalisation: (sin((1 - f) ang) a + sin(f ang) b) / sin(ang).
-    ang and f broadcast against a and b: (m,) for (3, m) columns, (m, 1) for
-    (m, 3) rows."""
-    return (np.sin((1.0 - f) * ang) * a + np.sin(f * ang) * b) / np.sin(ang)
 
 
 def nodes_for_spacing(length: float, spacing: float, closed: bool) -> int:

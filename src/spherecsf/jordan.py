@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import DomainError, ParamDomain, SpacingNotFound
 from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _tangent_toward,
-                     curve_distance, edge_ends, edge_slerp,
-                     latitude_deviation_angles, resample, wrapped)
+                     curve_distance, edge_ends, latitude_deviation_angles,
+                     resample, wrapped)
 from .flow import DirichletArcSpec, _is_number
-from .sphere import (GreatCircle, Wedge, as_point, fold_angle, geodesic_distance,
-                     orthonormal_frame, unit)
+from .sphere import (GreatCircle, Wedge, as_point, edge_slerp, fold_angle,
+                     geodesic_distance, orthonormal_frame, unit)
 
 TOUCH_TOL = 1e-9
 MAX_SPACING_ADDITIONS = 64  # transverse companions construct_spacing may add
@@ -36,20 +36,18 @@ def _check_count(name: str, value) -> None:
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic near-uniform lattice of n unit vectors."""
+    """Deterministic near-uniform lattice of n unit vectors: the cap lattice of
+    radius pi about z, whose heights 1 - (2i + 1)/n are exact since cos(pi) = -1."""
     _check_count("n", n)
     if n < 1:
         raise DomainError("need at least one sample")
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    lon = np.pi * (3.0 - np.sqrt(5.0)) * i
-    return np.column_stack([rho * np.cos(lon), rho * np.sin(lon), z])
+    return _cap_lattice(np.eye(3), np.pi, n)
 
 
-def _cap_lattice(center: np.ndarray, radius: float, n: int) -> np.ndarray:
-    """Fibonacci-style lattice inside the cap B_radius(center)."""
-    e1, e2 = orthonormal_frame(center)
+def _cap_lattice(frame, radius: float, n: int) -> np.ndarray:
+    """Fibonacci-style lattice inside the cap B_radius(center), in the
+    right-handed frame (e1, e2, center)."""
+    e1, e2, center = frame
     i = np.arange(n)
     z = 1.0 - (1.0 - np.cos(radius)) * (i + 0.5) / n
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -198,7 +196,8 @@ def multiplicity_sup(curve: SphereCurve, r: float,
 
     coarse = evaluate(fibonacci_sphere(pole_samples))
     spacing = np.sqrt(4.0 * np.pi / pole_samples)
-    fine = evaluate(_cap_lattice(coarse[1].pole, spacing, 64))
+    best = coarse[1].pole
+    fine = evaluate(_cap_lattice((*orthonormal_frame(best), best), spacing, 64))
     return min([coarse, fine], key=lambda b: b[0])[1]
 
 

@@ -165,34 +165,29 @@ def sandwich_flow(initial, n_levels: int, t_end: float,
     """Evolve nested offset pairs and report gap and area per level.
 
     `initial` is a closed curve (offsets straddle it) or an AnnulusState
-    (offsets push outward into each off-annulus side).
+    (offsets push outward into each off-annulus side); evolve_annulus
+    evolves each level's pair, so a dead boundary counts its extinct area.
     """
     cfg = _horizon_config("t_end", t_end)
-    if isinstance(initial, AnnulusState):
-        alpha, beta, beta_side = initial.alpha, initial.beta, +1
-        mu = lambda ea, eb: 4.0 * np.pi - ea - eb  # noqa: E731
-    else:
-        alpha, beta, beta_side = initial, initial, -1
-        mu = lambda ea, eb: eb - ea  # noqa: E731
+    closed = not isinstance(initial, AnnulusState)
+    alpha, beta = (initial, initial) if closed else (initial.alpha, initial.beta)
     levels = []
     for n in range(n_levels):
-        # level n offsets alpha to its left and beta to beta_side by eps0 * 2^-n;
-        # a level whose offset collides is skipped with the collision's message
+        # level n offsets by eps0 * 2^-n; a level whose offsets collide or
+        # meet is skipped with the error's message
         eps = eps0 * 2.0 ** (-n)
         try:
-            alpha_0 = offset_curve(alpha, eps, +1)
-            beta_0 = offset_curve(beta, eps, beta_side)
-        except OffsetCollision as exc:
+            state = make_annulus(offset_curve(alpha, eps, +1),
+                                 offset_curve(beta, eps, -1 if closed else +1))
+        except (OffsetCollision, NotEmbedded) as exc:
             levels.append(SandwichRow(eps=eps, gap_initial=np.nan, gap_final=np.nan,
                                       area_final=np.nan, skipped=str(exc)))
             continue
-        gap0 = hausdorff_distance(alpha_0, beta_0, refine=1e-3)
-        alpha_t = evolve_closed(alpha_0, cfg).final().curve
-        beta_t = evolve_closed(beta_0, cfg).final().curve
-        gap_t = hausdorff_distance(alpha_t, beta_t, refine=1e-3)
-        area_t = mu(enclosed_left_area(alpha_t), enclosed_left_area(beta_t))
-        levels.append(SandwichRow(eps=eps, gap_initial=float(gap0),
-                                  gap_final=float(gap_t), area_final=float(area_t)))
+        gap0 = hausdorff_distance(state.alpha, state.beta, refine=1e-3)
+        _, off, _, finals = evolve_annulus(state, cfg)
+        gap_t = hausdorff_distance(finals[0].curve, finals[1].curve, refine=1e-3)
+        levels.append(SandwichRow(eps=eps, gap_initial=float(gap0), gap_final=float(gap_t),
+                                  area_final=float(4.0 * np.pi - off[:, -1].sum())))
 
     live = [r for r in levels if r.skipped is None]
     verdict = VERDICT_INCONCLUSIVE
@@ -339,10 +334,8 @@ def classify_long_term(state: AnnulusState, max_time: float) -> ClassifyResult:
     else:
         expected = VERDICT_WHOLE_SPHERE
 
-    _, _, extinctions, finals = evolve_annulus(state, cfg)
-    c0, c1 = (s.enclosed_area if t_ext is None else extinct_off_area(s.enclosed_area)
-              for s, t_ext in zip(finals, extinctions))
-    final_area = 4.0 * np.pi - c0 - c1
+    _, off, extinctions, finals = evolve_annulus(state, cfg)
+    final_area = 4.0 * np.pi - off[:, -1].sum()
     both_dead = None not in extinctions
 
     if both_dead and final_area <= TRICHOTOMY_AREA_TOL:

@@ -78,10 +78,16 @@ def slerp(p, q, f):
         return out if f.ndim else p.copy()
     if ang > np.pi - 1e-9:
         raise DomainError("slerp between near-antipodal points is not unique")
-    s = np.sin(ang)
-    out = (np.multiply.outer(np.sin((1.0 - f) * ang), p)
-           + np.multiply.outer(np.sin(f * ang), q)) / s
+    out = edge_slerp(p, q, ang, f[..., None])
     return out / np.linalg.norm(out, axis=-1, keepdims=True)
+
+
+def edge_slerp(a, b, ang, f):
+    """Points a fraction f along the geodesic edges from a to b, of lengths ang,
+    before the final normalisation: (sin((1 - f) ang) a + sin(f ang) b) / sin(ang).
+    ang and f broadcast against a and b: (m,) for (3, m) columns, (m, 1) for
+    (m, 3) rows."""
+    return (np.sin((1.0 - f) * ang) * a + np.sin(f * ang) * b) / np.sin(ang)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spherecsf import (FlowConfig, SphereArc, acceptance, circle_curve, generate_curve,
-                       save_curve)
+from spherecsf import (FlowConfig, SphereArc, acceptance, circle_curve, evolve_arc,
+                       generate_curve, save_curve)
 from spherecsf import cli
 from spherecsf.cli import _CURVE_KEYS, _COMMANDS, _build_curve, _get, main
 from spherecsf.errors import ConfigInvalid
@@ -102,6 +102,26 @@ def test_simulate_nodes_flag_records_positions(tmp_path):
     assert rc == 0
     first = json.loads((d / "trajectory.jsonl").read_text().splitlines()[0])
     assert np.asarray(first["nodes"]).shape == (128, 3)
+
+
+def test_simulate_evolves_an_arc(tmp_path):
+    cfg = {"name": "arc",
+           "curve": {"kind": "DirichletGamma", **CURVE_SPECS["DirichletGamma"]},
+           "flow": {"snapshot_dt": 0.005, "max_time": 0.01}}
+    rc, d1 = run_cli(tmp_path, "simulate", cfg, out="a")
+    assert rc == 0
+    report = read_json(d1, "report.json")
+    assert report["terminal_status"] == "reached_max_time"
+    assert report["final_time"] == pytest.approx(0.01)
+    # the report counts the arc solver's run
+    arc = _build_curve(cfg["curve"], "curve", 0)
+    assert isinstance(arc, SphereArc)
+    assert report["flow"] == evolve_arc(arc, cli._flow_config(cfg)).stats.to_json()
+    assert report["flow"]["accepted_steps"] > 0
+    _, d2 = run_cli(tmp_path, "simulate", cfg, out="b")
+    for rel in ("trajectory.jsonl", "tables/trajectory.csv",
+                "tables/final_curve.csv", "report.json"):
+        assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), rel
 
 
 def test_simulate_arc_requires_horizon(tmp_path, capsys):

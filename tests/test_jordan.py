@@ -11,7 +11,7 @@ from spherecsf import (ClosedSphereCurve, DirichletArcSpec, GreatCircle, Spacing
                        multiplicity_sup, self_intersects, turning_angles, unit,
                        verify_spacing)
 from spherecsf.curves import mean_adjacent_edges
-from spherecsf.errors import DomainError, ParamDomain
+from spherecsf.errors import DomainError, ParamDomain, SpacingNotFound
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -94,6 +94,35 @@ def test_spacing_construct_and_verify():
     assert len(sp.points) == 48
     assert 0.3 < sp.clearance < 0.5
     assert verify_spacing(eq, sp).ok
+
+
+def test_spacing_adds_transverse_companions():
+    # the 48 greedy points cluster near the equator's poles at theta = 0.1,
+    # so 4 companions are added to give every x a transverse pair
+    eq = circle_curve(np.pi / 2)
+    sp = construct_spacing(eq, 0.1)
+    assert len(sp.points) == 52
+    assert verify_spacing(eq, sp).ok
+
+
+def test_spacing_without_a_clearing_companion_raises():
+    with pytest.raises(SpacingNotFound, match="no clearing companion"):
+        construct_spacing(koch_like(3, base_radius=1.2), 0.1, margin=0.4)
+
+
+def test_spacing_verification_failure_reasons():
+    cap = circle_curve(0.3)
+    x0, x1 = fibonacci_sphere(1000)[:2]  # the first sampled x's
+    # one point spans no pair; at x0 itself it spans every circle through x0
+    check = verify_spacing(cap, Spacing(points=x0[None], clearance=0.01, theta=0.1))
+    assert (check.ok, check.reason) == (False, "single degenerate point")
+    assert np.array_equal(check.witness, x0)
+    # an antipodal pair: x0 is one of two points, so it is passed over, and
+    # every other x sees both on one great circle
+    check = verify_spacing(cap, Spacing(points=np.array([x0, -x0]), clearance=0.01,
+                                        theta=0.1))
+    assert (check.ok, check.reason) == (False, "no transverse pair")
+    assert np.array_equal(check.witness, x1)
 
 
 def test_spacing_rejects_point_on_curve():
@@ -307,6 +336,17 @@ def test_fibonacci_lattice():
     assert np.abs(np.linalg.norm(f1, axis=1) - 1.0).max() < 1e-12
     assert len(f1) == 64
     assert np.array_equal(fibonacci_sphere(np.int64(64)), f1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 64, 100, 101, 401, 1000, 2000, 4097])
+def test_fibonacci_lattice_is_the_whole_sphere_cap(n):
+    # the cap lattice of radius pi, bit for bit the spiral written out
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    lon = np.pi * (3.0 - np.sqrt(5.0)) * i
+    assert np.array_equal(fibonacci_sphere(n),
+                          np.column_stack([rho * np.cos(lon), rho * np.sin(lon), z]))
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, 150.5])

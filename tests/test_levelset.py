@@ -1,5 +1,8 @@
 """Side tests, annulus construction, offsets, and the area law checks."""
+import ast
 import functools
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +23,13 @@ from spherecsf import (
     curves_cross,
     enclosed_left_area,
     hausdorff_distance,
+    koch_like,
     make_annulus,
     offset_curve,
     sandwich_flow,
 )
 from spherecsf import levelset
-from spherecsf.curves import curve_distance, edge_ends, wrapped
+from spherecsf.curves import curve_distance, edge_ends, self_intersects, wrapped
 from spherecsf.levelset import _point_in_left, evolve_annulus
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -253,6 +257,29 @@ def test_offset_focal_overrun_raises():
     assert abs(np.arccos(out.nodes[:, 2]).mean() - 0.4) < 1e-6
 
 
+def test_offset_smoothing_embeds_a_rough_offset(monkeypatch):
+    # the node-normal push of Koch d = 2 into its right side crosses itself;
+    # two smoothing passes embed it within the 2*eps drift bound
+    koch, verdicts = koch_like(2), []
+
+    def spy(q, closed):
+        verdicts.append(self_intersects(q, closed=closed))
+        return verdicts[-1]
+
+    monkeypatch.setattr(levelset, "self_intersects", spy)
+    out = offset_curve(koch, 0.1, -1)
+    assert verdicts == [True, True, False, False]
+    assert not self_intersects(out.nodes, closed=True)
+    assert hausdorff_distance(out, koch, refine=1e-3) <= 0.2
+
+
+def test_offset_that_smoothing_cannot_embed_raises():
+    # Koch d = 4's push still crosses itself after every smoothing pass; the
+    # sandwich test below meets the drift and focal-overrun refusals
+    with pytest.raises(OffsetCollision, match="cannot be embedded"):
+        offset_curve(koch_like(4), 0.1, +1)
+
+
 # ---------------------------------------------------------------------------
 # the sandwich
 
@@ -272,6 +299,35 @@ def test_sandwich_band_reports_positive_area():
     assert res.verdict == "PositiveAreaAnnulus"
     # the finest level brackets the evolving annulus area
     assert res.levels[-1].area_final > band_annulus().area
+
+
+def test_sandwich_skips_levels_whose_offsets_collide():
+    # Koch d = 3's left offsets overrun a focal point at 0.1 and 0.05 and
+    # drift beyond 2*eps at 0.0125
+    res = sandwich_flow(koch_like(3), 4, t_end=0.01, eps0=0.1)
+    assert [row.skipped is None for row in res.levels] == [False, False, True, False]
+    assert "focal overrun" in res.levels[0].skipped
+    assert "drifted beyond 2*eps" in res.levels[3].skipped
+    assert all(np.isnan(v) for v in astuple(res.levels[0])[1:4])
+    # one live level cannot show a trend
+    assert res.verdict == "Inconclusive"
+
+
+def test_sandwich_skips_levels_whose_offsets_meet(monkeypatch):
+    # offsets that cross cannot bound an annulus; the level reports why
+    monkeypatch.setattr(levelset, "offset_curve",
+                        lambda curve, eps, side: curve if side > 0 else meridian_circle())
+    res = sandwich_flow(circle_curve(np.pi / 2, n=64), 2, t_end=0.01, eps0=0.08)
+    assert [row.skipped for row in res.levels] == ["annulus boundaries intersect"] * 2
+    assert res.verdict == "Inconclusive"
+
+
+def test_sandwich_counts_the_area_of_dead_boundaries():
+    # both offsets of the radius-0.3 circle die before t = 0.2: the inner one
+    # leaves nothing to its off side, the outer one the whole sphere
+    res = sandwich_flow(circle_curve(0.3, n=128), 1, t_end=0.2, eps0=0.05)
+    assert res.levels[0].skipped is None
+    assert res.levels[0].area_final == 0.0
 
 
 def test_sandwich_rejects_nonpositive_time():
@@ -400,3 +456,14 @@ def test_horizons_must_be_positive_and_finite(horizon):
                       (lambda t: classify_long_term(band_annulus(), t), "max_time")):
         with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
             run(horizon)
+
+
+def test_levelset_evolves_only_through_evolve_annulus():
+    # the sandwich, the area law and classify share one evolution: no other
+    # function in levelset.py may call evolve_closed
+    tree = ast.parse(Path(levelset.__file__).read_text())
+    callers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "evolve_closed"}
+    assert callers == {"evolve_annulus"}

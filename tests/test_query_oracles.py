@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, circle_curve,
                        curve_distance, curves_cross, densify, hausdorff_distance,
                        koch_like, multiplicity_at, multiplicity_sup, offset_curve,
-                       perturbed_latitude, self_intersects)
+                       orthonormal_frame, perturbed_latitude, self_intersects)
 from spherecsf import curves, jordan
 from spherecsf.curves import (CROSS_TOL, _edge_distance, _hausdorff_exceeds, edge_ends,
                               wrapped)
@@ -180,7 +180,8 @@ def multiplicity_sup_loop(curve, r, pole_samples):
 
     lattices = [fibonacci_sphere(pole_samples)]
     coarse = evaluate(lattices[0])
-    lattices.append(_cap_lattice(coarse[2], np.sqrt(4.0 * np.pi / pole_samples), 64))
+    frame = (*orthonormal_frame(coarse[2]), coarse[2])
+    lattices.append(_cap_lattice(frame, np.sqrt(4.0 * np.pi / pole_samples), 64))
     fine = evaluate(lattices[1])
     _, count, pole, ranges = min([coarse, fine], key=lambda b: b[0])
     return count, pole, ranges, lattices

@@ -88,6 +88,20 @@ def test_slerp_stays_unit(a, b, f):
     assert abs(np.linalg.norm(m) - 1.0) < 1e-10
 
 
+def test_slerp_matches_its_inline_form():
+    # slerp combines through edge_slerp: bit for bit the outer-product form
+    rng = np.random.default_rng(7)
+    for k in range(200):
+        p, q = unit(rng.normal(size=(2, 3)))
+        f = rng.uniform() if k % 2 else rng.uniform(size=5)
+        ang = float(np.arctan2(np.linalg.norm(np.cross(p, q)), p @ q))
+        want = (np.multiply.outer(np.sin((1.0 - np.asarray(f)) * ang), p)
+                + np.multiply.outer(np.sin(np.asarray(f) * ang), q)) / np.sin(ang)
+        want /= np.linalg.norm(want, axis=-1, keepdims=True)
+        got = slerp(p, q, f)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_slerp_antipodal_raises():
     with pytest.raises(DomainError):
         slerp(Z, -Z, 0.5)
