@@ -47,6 +47,9 @@ LENGTH_BACKSTOP = 1e-12
 MAX_DT_HALVINGS = 8
 # A remesh check resamples when the longest edge exceeds the shortest by this ratio.
 REMESH_UNIFORMITY = 1.1
+# With no target_spacing, a remesh check resamples to the starting mean edge h0 once
+# the mean edge is below h0 / REMESH_FOLLOW.
+REMESH_FOLLOW = 1.5
 # The smallest step: landing steps are raised to it, and a run whose CFL step falls
 # below it has stalled (an arccos-measured edge under about 1.5e-8 reads 0).
 DT_FLOOR = 1e-16
@@ -164,9 +167,11 @@ def _initial_mesh(curve: SphereCurve, cfg: FlowConfig) -> SphereCurve:
     return curve
 
 
-def _target_n(length: float, curve_n: int, cfg: FlowConfig, closed: bool) -> int:
+def _target_n(length: float, curve_n: int, cfg: FlowConfig, closed: bool, h0: float) -> int:
     if cfg.target_spacing is not None:
         return nodes_for_spacing(length, cfg.target_spacing, closed)
+    if length / (curve_n - 1 + closed) < h0 / REMESH_FOLLOW:
+        return nodes_for_spacing(length, h0, closed)
     return curve_n
 
 
@@ -264,6 +269,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     t = 0.0
     snaps = [_snapshot(0.0, curve.with_nodes(curve.nodes))]
     length = snaps[0].length
+    h0 = length / (curve.n - 1 + closed)  # the starting mean edge
     status = None
     next_snap = cfg.snapshot_dt
     since_remesh = accepted = rejected = remeshes = 0
@@ -321,7 +327,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
 
         if since_remesh >= cfg.remesh_every:
             since_remesh = 0
-            want = _target_n(length, ws.n, cfg, closed)
+            want = _target_n(length, ws.n, cfg, closed, h0)
             ratio = float(start_e.max() / start_e.min())
             if want != ws.n or ratio >= REMESH_UNIFORMITY:
                 try:  # a mesh that fails validation is not remeshed, as not snapshotted

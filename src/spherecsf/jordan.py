@@ -27,7 +27,7 @@ from .sphere import (GreatCircle, Wedge, as_point, edge_slerp, fold_angle,
 TOUCH_TOL = 1e-9
 MAX_SPACING_ADDITIONS = 64  # transverse companions construct_spacing may add
 MAX_KOCH_DEPTH = 6
-_HEIGHT_BLOCK = 2 ** 18  # heights per pole block of multiplicity_sup, about 2 MiB
+_HEIGHT_BLOCK = 2 ** 18  # heights per pole block of _evaluate, about 2 MiB
 
 
 def _check_count(name: str, value) -> None:
@@ -158,10 +158,26 @@ def _report(pole, r, counts, rows, k) -> MultiplicityReport:
                               components=ranges)
 
 
+def _evaluate(curve: SphereCurve, r: float, poles: np.ndarray):
+    """_components' counts and rows for the (k, 3) poles: the only place that
+    forms heights, one gemm per block of about _HEIGHT_BLOCK heights."""
+    band = _band_geometry(curve, r)
+    step = max(1, _HEIGHT_BLOCK // curve.n)
+    counts, rows = [], []
+    for first in range(0, len(poles), step):
+        part = poles[first:first + step]
+        # a lone pole goes in twice: numpy sends a one-column product to gemv,
+        # whose heights can differ in the last bit from the whole lattice's gemm
+        heights = curve.nodes @ (part if len(part) > 1 else part.repeat(2, axis=0)).T
+        c, w = _components(heights[:, :len(part)], *band)
+        counts.append(c)
+        rows.append(w + [first, 0, 0])
+    return np.concatenate(counts), np.concatenate(rows)
+
+
 def multiplicity_at(curve: SphereCurve, g: GreatCircle, r: float) -> MultiplicityReport:
     """Components of curve inside B_{2r}(g) that touch the closed band B_r(g)."""
-    band = _band_geometry(curve, r)
-    return _report(g.pole, r, *_components((curve.nodes @ g.pole)[:, None], *band), 0)
+    return _report(g.pole, r, *_evaluate(curve, r, g.pole[None]), 0)
 
 
 def multiplicity_sup(curve: SphereCurve, r: float,
@@ -170,27 +186,14 @@ def multiplicity_sup(curve: SphereCurve, r: float,
 
     Fibonacci lattice over poles plus one refinement pass around the best pole;
     ties resolve to the lexicographically smallest pole. Every pole's count
-    and the winner's components come from multiplicity_at's component rule,
-    _components, run on each lattice in blocks of poles holding about
-    _HEIGHT_BLOCK heights each.
+    and the winner's components come from _evaluate, as multiplicity_at's do.
     """
     _check_count("pole_samples", pole_samples)
     if pole_samples < 100:
         raise DomainError(f"pole_samples must be >= 100, got {pole_samples!r}")
-    band = _band_geometry(curve, r)
-    # at least two poles a block: numpy sends a one-column product to gemv,
-    # whose heights can differ in the last bit from the whole lattice's gemm
-    block = max(2, _HEIGHT_BLOCK // curve.n)
 
     def evaluate(poles):
-        counts, rows, first = [], [], 0
-        for part in np.array_split(poles, max(1, len(poles) // block)):
-            c, w = _components(curve.nodes @ part.T, *band)
-            w[:, 0] += first
-            counts.append(c)
-            rows.append(w)
-            first += len(part)
-        counts, rows = np.concatenate(counts), np.concatenate(rows)
+        counts, rows = _evaluate(curve, r, poles)
         k = np.lexsort((poles[:, 2], poles[:, 1], poles[:, 0], -counts))[0]
         return (-counts[k], tuple(poles[k])), _report(poles[k], r, counts, rows, k)
 

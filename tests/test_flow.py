@@ -167,6 +167,27 @@ def test_small_circle_goes_extinct_on_time():
     assert abs(traj.final().t - circle_extinction_time(0.5)) < EXTINCTION_TOL
 
 
+def test_shrinking_circle_follows_its_starting_spacing():
+    # no target_spacing: a remesh check goes back to the first mean edge once the
+    # mean edge is 1.5 times shorter; on its 256 starting nodes this run took
+    # 40,270 steps
+    cfg = FlowConfig(snapshot_dt=1e-2, max_time=0.5)
+    traj = evolve_closed(circle_curve(0.6, n=256), cfg)
+    assert traj.terminal_status == "extinct"
+    assert traj.stats.remeshes >= 1 and traj.stats.final_n < 256
+    assert traj.stats.accepted_steps <= 5824 * 1.02
+
+
+@pytest.mark.parametrize("closed, h0, want", [
+    (True, 0.0149, 100), (True, 0.0151, 66), (False, 0.0149, 101), (False, 0.0151, 67)])
+def test_follow_rule_compares_mean_edges(closed, h0, want):
+    # 100 edges of mean 0.01: 101 nodes for an arc, 100 for a closed curve
+    n = 100 + (not closed)
+    assert flow._target_n(1.0, n, FlowConfig(), closed, h0) == want
+    spaced = FlowConfig(target_spacing=0.02)
+    assert flow._target_n(1.0, n, spaced, closed, h0) == (50 if closed else 51)
+
+
 def test_evolution_is_deterministic():
     cfg = FlowConfig(dt=2e-4, snapshot_dt=2e-2, max_time=0.1)
     t1 = evolve_closed(circle_curve(np.pi / 3, n=128), cfg)

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherecsf import (DirichletArcSpec, FlowConfig, GreatCircle, circle_curve,
-                       dirichlet_gamma, evolve_arc, evolve_closed)
+from spherecsf import (DirichletArcSpec, FlowConfig, GreatCircle, SphereArc,
+                       circle_curve, dirichlet_gamma, evolve_arc, evolve_closed)
 from spherecsf.errors import DomainError
 from spherecsf.curves import nodes_for_spacing, resample, wrapped
 from spherecsf.flow import (CFL_FACTOR, DT_FLOOR, LENGTH_BACKSTOP, MAX_DT_HALVINGS,
@@ -70,6 +70,7 @@ def evolve_reference(curve, cfg):
     t = 0.0
     snaps = [snapshot_rows(0.0, nodes, closed)]
     length = snaps[0].length
+    h0 = length / (len(nodes) - 1 + closed)
     next_snap = cfg.snapshot_dt
     since_remesh = accepted = rejected = remeshes = 0
     min_dt = min_edge = math.inf
@@ -132,7 +133,7 @@ def evolve_reference(curve, cfg):
 
         if since_remesh >= cfg.remesh_every:
             since_remesh = 0
-            want = _target_n(length, len(nodes), cfg, closed)
+            want = _target_n(length, len(nodes), cfg, closed, h0)
             ratio = float(start_e.max() / start_e.min())
             if want != len(nodes) or ratio >= REMESH_UNIFORMITY:
                 try:  # the snapshot policy holds for a remesh as well
@@ -234,6 +235,18 @@ def test_shrinking_remesh_matches_reference(curve, max_time, status):
     assert traj.terminal_status == status
     assert traj.stats.remeshes > 0
     assert traj.stats.final_n < traj.snapshots[0].curve.n
+
+
+@pytest.mark.parametrize("curve, max_time, status", [
+    (circle_curve(0.3, n=64), None, STATUS_EXTINCT),
+    (SphereArc(circle_curve(0.3, n=64).nodes), 0.05, STATUS_MAX_TIME),
+], ids=["closed", "arc"])
+def test_follow_remesh_matches_reference(curve, max_time, status):
+    # no target_spacing: the mesh follows its starting mean edge as it shrinks
+    cfg = FlowConfig(dt=1e-3, snapshot_dt=5e-3, max_time=max_time, remesh_every=5)
+    traj = assert_matches_reference(curve, cfg)
+    assert traj.terminal_status == status
+    assert traj.stats.remeshes > 0 and traj.stats.final_n < curve.n
 
 
 def _c11_arc():

@@ -71,7 +71,7 @@ def test_multiplicity_sup_koch():
     assert multiplicity_sup(koch_like(4), 0.05).count == 6
 
 
-@pytest.mark.parametrize("depth", [3, 4])
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_multiplicity_sup_pole_attains_its_count(depth, seed):
     rot = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]

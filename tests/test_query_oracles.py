@@ -6,7 +6,9 @@ answer. Each brute-force form below evaluates everything, and the queries must
 agree with it.
 """
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -507,9 +509,9 @@ def test_multiplicity_at_matches_per_pole_loop(curve, r, seed):
 @given(wavy_curves(), st.sampled_from([0.02, 0.05, 0.1]), st.sampled_from([100, 400]),
        st.sampled_from(["default", "2**9 heights", "three poles", "half a pole"]))
 def test_multiplicity_sup_matches_per_pole_loop(curve, r, pole_samples, blocks):
-    # 2**9 heights cut each lattice into blocks of 2 to 64 poles; blocks of three
+    # 2**9 heights cut each lattice into blocks of 1 to 64 poles; blocks of three
     # poles leave a remainder of one in every lattice length (100, 400 and 64);
-    # half a pole's heights still make blocks of two
+    # half a pole's heights make blocks of one
     height_block = {"default": jordan._HEIGHT_BLOCK, "2**9 heights": 2 ** 9,
                     "three poles": 3 * curve.n, "half a pole": curve.n // 2}[blocks]
     seen = []
@@ -524,7 +526,7 @@ def test_multiplicity_sup_matches_per_pole_loop(curve, r, pole_samples, blocks):
         got = multiplicity_sup(curve, r, pole_samples=pole_samples)
     count, pole, ranges, lattices = multiplicity_sup_loop(curve, r, pole_samples)
     assert (got.count, tuple(got.pole), got.components) == (count, tuple(pole), ranges)
-    # a one-pole block goes to gemv, whose heights can differ in the last bit
+    # a one-pole block is padded for gemm, as gemv's heights can differ in the last bit
     assert np.array_equal(np.concatenate(seen, axis=1),
                           np.concatenate([curve.nodes @ p.T for p in lattices], axis=1))
 
@@ -535,3 +537,29 @@ def test_multiplicity_sup_ties_go_to_the_smallest_pole():
     got = multiplicity_sup(curve, 0.05, pole_samples=100)
     count, pole, ranges, _ = multiplicity_sup_loop(curve, 0.05, 100)
     assert (got.count, tuple(got.pole), got.components) == (count, tuple(pole), ranges)
+
+
+def test_multiplicity_at_reads_its_poles_lattice_column():
+    # a one-pole gemv reads (1488, 521) here: its heights differ in the last
+    # bit from the lattice's gemm next to the band's edge
+    curve, poles, r = koch_like(4), fibonacci_sphere(2000), 0.31658152159801384
+    counts, rows = _components(curve.nodes @ poles.T, *_band_geometry(curve, r))
+    at = multiplicity_at(curve, GreatCircle(poles[56]), r)
+    assert rows[rows[:, 0] == 56, 1:].tolist() == [[1486, 521]]
+    assert (at.count, at.components) == (counts[56], [(1486, 521)])
+
+
+def test_only_evaluate_forms_heights():
+    # multiplicity_at, multiplicity_sup and c07 read every height from one
+    # product: no other function in jordan.py multiplies nodes by poles
+    tree = ast.parse(Path(jordan.__file__).read_text())
+
+    def is_nodes(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "nodes"
+                or isinstance(node, ast.Name) and node.id == "nodes")
+
+    formers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+               and (is_nodes(node.left) or is_nodes(node.right))}
+    assert formers == {"_evaluate"}
