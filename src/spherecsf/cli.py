@@ -10,7 +10,7 @@ subcommand its `RunDir`, and writes manifest.json once the subcommand returns.
 A run that raises leaves no directory behind.
 
 Data files are byte-deterministic for a fixed config; only manifest.json
-(wall time) may differ between runs.
+(wall times) may differ between runs.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ class RunDir:
     def __init__(self, out: str, name: str):
         self.name = name
         self.path = Path(out) / name
+        self.manifest = {}  # the command's own manifest.json fields
 
     def file(self, rel: str) -> Path:
         (self.path / "tables").mkdir(parents=True, exist_ok=True)
@@ -227,6 +228,7 @@ def _write_manifest(run: RunDir, args, cfg: dict, wall_time_s: float) -> None:
             "spherecsf": __version__,
         },
         "wall_time_s": wall_time_s,
+        **run.manifest,
     })
 
 
@@ -435,9 +437,11 @@ def cmd_verify(args, cfg: dict, run: RunDir) -> int:
         unknown = [x for x in names if x not in known]
         if unknown:
             raise ConfigInvalid(f"checks: unknown names {unknown} (known: {known})")
-    results = []
+    results, run.manifest["check_wall_s"] = [], {}
     for check_name in (known if names is None else names):
+        started = time.monotonic()
         result = CHECKS[check_name]()
+        run.manifest["check_wall_s"][check_name] = round(time.monotonic() - started, 3)
         results.append(result)
         _say(args, f"{'PASS' if result.passed else 'FAIL'} "
                    f"{result.name}: {result.detail}")

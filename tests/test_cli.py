@@ -65,6 +65,7 @@ def test_simulate_manifest_echoes_config(tmp_path):
     assert manifest["seed"] == 0
     assert set(manifest["versions"]) == {"python", "numpy", "spherecsf"}
     assert manifest["wall_time_s"] >= 0.0
+    assert "check_wall_s" not in manifest  # verify's alone
 
 
 def test_simulate_outputs_are_byte_deterministic(tmp_path):
@@ -697,6 +698,24 @@ def test_verify_failing_check_exits_one(tmp_path, monkeypatch):
     assert report["checks"][0]["measured"] == {"value": 1.0}
     lines = (d / "tables" / "checks.csv").read_text().splitlines()
     assert lines == ["name,passed", "always-fails,False"]
+
+
+def test_verify_manifest_times_each_check_that_ran(tmp_path, monkeypatch):
+    # the wall times go to manifest.json only: report.json and checks.csv of
+    # two runs stay byte-identical
+    monkeypatch.setitem(acceptance.CHECKS, "quick", lambda: acceptance.CheckResult(
+        name="quick", passed=True, detail="no work", measured={}))
+    cfg = {"checks": ["quick", "initial-continuity"]}
+    _, d1 = run_cli(tmp_path, "verify", cfg, out="a")
+    rc, d2 = run_cli(tmp_path, "verify", cfg, out="b")
+    assert rc == 0
+    for d in (d1, d2):
+        walls = read_json(d, "manifest.json")["check_wall_s"]
+        assert sorted(walls) == ["initial-continuity", "quick"]
+        assert all(isinstance(s, float) and s >= 0.0 for s in walls.values())
+    for rel in ("report.json", "tables/checks.csv"):
+        assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), rel
+        assert "wall" not in (d1 / rel).read_text()
 
 
 def test_verify_unknown_check_name(tmp_path, capsys):

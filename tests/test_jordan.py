@@ -12,6 +12,9 @@ from spherecsf import (ClosedSphereCurve, DirichletArcSpec, GreatCircle, Spacing
                        verify_spacing)
 from spherecsf.curves import mean_adjacent_edges
 from spherecsf.errors import DomainError, ParamDomain, SpacingNotFound
+from spherecsf.jordan import TOUCH_TOL
+
+from test_query_oracles import multiplicity_counts_loop
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -47,6 +50,39 @@ def test_component_across_the_seam():
     assert (rep.count, rep.components) == (2, [(120, 136), (248, 8)])
     rep = multiplicity_at(SphereArc(mer.nodes), GreatCircle(Z), 0.1)
     assert (rep.count, rep.components) == (3, [(0, 8), (120, 136), (248, 255)])
+
+
+def test_an_edge_that_bulges_out_of_the_band_splits_its_component():
+    # a loop up through the band and back; its top edge, about 0.3 rad long,
+    # joins two nodes at 0.99 sin 2r but its midpoint leaves the band
+    r = 0.1
+    top = np.arcsin(0.99 * np.sin(2.0 * r))
+    lat = [-0.5, -0.3, -0.12, 0.12, top, top, 0.12, -0.12, -0.3, -0.5]
+    loop = ClosedSphereCurve(GreatCircle(Z).chart_point([-0.15] * 5 + [0.15] * 5, lat))
+    assert abs(loop.edge_lengths()[4] - 0.3) < 0.01
+    assert unit(loop.nodes[4] + loop.nodes[5]) @ Z > np.sin(2.0 * r)
+    # by hand: each side crosses the equator on its edge from -0.12 to 0.12
+    # (no node is within r of it), and the top edge parts the sides
+    rep = multiplicity_at(loop, GreatCircle(Z), r)
+    assert (rep.count, rep.components) == (2, [(2, 4), (5, 7)])
+    assert [(rep.count, rep.components)] == multiplicity_counts_loop(loop, r, Z[None])
+    # linking every edge between in-band nodes would make one component
+    in_band = np.abs(loop.nodes @ Z) < np.sin(2.0 * r)
+    assert np.flatnonzero(in_band).tolist() == [2, 3, 4, 5, 6, 7]
+
+
+def test_a_node_within_the_touch_band_counts_its_component():
+    # an arc dips into the band without crossing the equator: no edge changes
+    # sign, and only node 4, on the edges from 3 and to 5, is within r of it
+    r = 0.1
+    lat = [0.5, 0.4, 0.3, 0.15, r + 0.5 * TOUCH_TOL, 0.15, 0.3, 0.4, 0.5]
+    dip = SphereArc(GreatCircle(Z).chart_point(0.05 * np.arange(9), lat))
+    h = dip.nodes @ Z
+    assert np.all(h > 0.0)
+    assert np.flatnonzero(h <= np.sin(r + TOUCH_TOL)).tolist() == [4]
+    rep = multiplicity_at(dip, GreatCircle(Z), r)
+    assert (rep.count, rep.components) == (1, [(3, 5)])
+    assert [(rep.count, rep.components)] == multiplicity_counts_loop(dip, r, Z[None])
 
 
 def test_far_latitude_misses_band():

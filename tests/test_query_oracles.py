@@ -21,8 +21,7 @@ from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, circle_curve,
 from spherecsf import curves, jordan
 from spherecsf.curves import (CROSS_TOL, _edge_distance, _hausdorff_exceeds, edge_ends,
                               wrapped)
-from spherecsf.jordan import (_band_geometry, _cap_lattice, _components,
-                              _height_extrema, fibonacci_sphere)
+from spherecsf.jordan import _band_geometry, _cap_lattice, _components, fibonacci_sphere
 
 from test_curves import wavy_curves
 
@@ -123,13 +122,28 @@ def curves_cross_dense(p, q):
                        lambda i, j: np.ones(i.shape, dtype=bool))
 
 
+def height_extrema(ha, hb, cos_edge, sin_edge):
+    """(min |height|, max |height|) of the sinusoidal height profile along edges
+    whose ends have heights ha, hb: the ends' unless the profile has an
+    extremum inside the edge (its amplitude) or a zero there."""
+    amp_sq = (ha * ha + hb * hb - 2.0 * ha * hb * cos_edge) / (sin_edge * sin_edge)
+    amp = np.sqrt(np.maximum(amp_sq, 0.0))
+    crit_inside = (hb - ha * cos_edge) * (hb * cos_edge - ha) < 0.0
+    abs_max = np.where(crit_inside, amp, np.maximum(np.abs(ha), np.abs(hb)))
+    abs_min = np.where(ha * hb <= 0.0, 0.0, np.minimum(np.abs(ha), np.abs(hb)))
+    return abs_min, abs_max
+
+
 def _multiplicity_from_heights(h, cos_edge, sin_edge, sin_band, sin_touch, closed):
-    """Component count and index ranges given node heights against one pole."""
+    """Component count and index ranges given node heights against one pole:
+    an edge between in-band nodes links them if its max |height| is below
+    sin_band, and a component counts if a node or a linked edge has min
+    |height| <= sin_touch."""
     n = len(h)
     in_band = np.abs(h) < sin_band
     if not in_band.any():
         return 0, []
-    emin, emax = _height_extrema(*edge_ends(wrapped(h, closed), closed), cos_edge, sin_edge)
+    emin, emax = height_extrema(*edge_ends(wrapped(h, closed), closed), cos_edge, sin_edge)
     band_a, band_b = edge_ends(wrapped(in_band, closed), closed)
     link = band_a & band_b & (emax < sin_band)
 
@@ -429,6 +443,29 @@ def test_multiplicity_sup_memory_is_bounded_in_depth():
         tracemalloc.stop()
     assert sup.count == 6
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("rho, n, count", [
+    (np.pi / 2, 1024, 1),  # every edge bulges toward the pole and stays in band
+    (np.pi / 2 - np.arcsin(0.99 * np.sin(0.2)), 21, 0),  # every edge leaves the band
+])
+def test_components_memory_per_height_when_every_height_is_in_band(rho, n, count):
+    # the most _components holds per height: 90 bytes here in both blocks; 124
+    # when the full height extrema were formed on every edge, and 134 in the
+    # second block while the dead edge arrays and every run's row were kept
+    curve = circle_curve(rho, n=n)
+    heights = curve.nodes @ np.tile([0.0, 0.0, 1.0], (2 ** 18 // n, 1)).T
+    band = _band_geometry(curve, 0.1)
+    assert np.all(np.abs(heights) < band[2])
+    tracemalloc.start()
+    try:
+        counts, rows = _components(heights, *band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == [count] * heights.shape[1]
+    assert rows[:, 1:].tolist() == [[0, n - 1]] * (count * heights.shape[1])
+    assert peak < 100 * heights.size
 
 
 @settings(max_examples=150)
