@@ -17,7 +17,7 @@ per-node formulas (validation's norms, turning angles, resampling) run
 component-major, on (3, n) views: a dot product sums the rows of a (3, n) array
 in the order numpy sums a length-3 row and the cross product is written out by
 component as np.cross computes it, so the results are bit-identical to the
-(n, 3) forms the tests keep as their reference.
+(n, 3) forms the tests keep as their reference; so are the cap-pair search's chords.
 """
 
 from __future__ import annotations
@@ -323,7 +323,9 @@ def _cap_pairs(ca, ra, cb, rb):
     A coordinate moves no further than the angle, so overlapping caps have
     overlapping shadows [c - r, c + r] on the axis where the cb spread most:
     either the b shadow starts inside the a shadow or the a shadow starts
-    strictly inside the b shadow. The chord between the centres then decides.
+    strictly inside the b shadow. The chord between the centres then decides,
+    its sine taken only within the bound chord <= s = min(ra + rb, pi), to a
+    relative 1e-9: the exact test's 2 sin(s/2) <= s, so the bound drops no pair.
     """
     axis = int(np.argmax(np.ptp(cb, axis=0)))
     ra = ra + BOUND_SLACK
@@ -331,11 +333,12 @@ def _cap_pairs(ca, ra, cb, rb):
     i1, j1 = _starts_inside(lo_a, ca[:, axis] + ra, lo_b, strict=False)
     j2, i2 = _starts_inside(lo_b, cb[:, axis] + rb, lo_a, strict=True)
     i, j = np.concatenate((i1, i2)), np.concatenate((j1, j2))
-    d = ca[i] - cb[j]
-    half = 0.5 * np.minimum(ra[i] + rb[j], np.pi)
-    keep = np.add.reduce(d * d, axis=1) <= 4.0 * np.sin(half) ** 2
-    i, j = i[keep], j[keep]
-    by_i = np.argsort(i, kind="stable")
+    d0, d1, d2 = (a[i] - b[j] for a, b in zip(ca.T, cb.T))
+    chord2 = d0 * d0 + d1 * d1 + d2 * d2  # in _dot3's order, as the row sums round
+    s = np.minimum(ra[i] + rb[j], np.pi)
+    near = np.flatnonzero(chord2 <= s * s * (1.0 + 1e-9))
+    keep = near[chord2[near] <= 4.0 * np.sin(0.5 * s[near]) ** 2]
+    by_i = keep[np.argsort(i[keep], kind="stable")]
     return i[by_i], j[by_i]
 
 

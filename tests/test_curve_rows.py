@@ -139,7 +139,12 @@ def raw_nodes(draw):
 @given(raw_nodes(), st.integers(MIN_NODES, 400))
 def test_component_major_forms_match_rows(drawn, m):
     raw, closed = drawn
-    nodes, edges = validated_rows(raw, closed)
+    try:  # a needle near the arccos noise floor can measure as a zero edge
+        nodes, edges = validated_rows(raw, closed)
+    except DomainError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            curve_of(raw, closed)
+        return
     curve = curve_of(raw, closed)
     assert np.array_equal(curve.nodes, nodes) and np.array_equal(curve.edge_lengths(), edges)
     assert curve.nodes.flags.c_contiguous

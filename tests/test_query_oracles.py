@@ -19,8 +19,8 @@ from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, circle_curve,
                        koch_like, multiplicity_at, multiplicity_sup, offset_curve,
                        orthonormal_frame, perturbed_latitude, self_intersects)
 from spherecsf import curves, jordan
-from spherecsf.curves import (CROSS_TOL, _edge_distance, _hausdorff_exceeds, edge_ends,
-                              wrapped)
+from spherecsf.curves import (BOUND_SLACK, CROSS_TOL, _cap_pairs, _edge_distance,
+                              _hausdorff_exceeds, edge_ends, wrapped)
 from spherecsf.jordan import _band_geometry, _cap_lattice, _components, fibonacci_sphere
 
 from test_curves import wavy_curves
@@ -66,6 +66,15 @@ def curve_distance_dense(points, curve):
         dot = np.vecdot(points[i0:i0 + chunk, None, None], frames[None])
         out[i0:i0 + chunk] = _edge_distance(*np.moveaxis(dot, -1, 0)).min(axis=1)
     return out
+
+
+def cap_pairs_dense(ca, ra, cb, rb):
+    """Every (i, j) whose caps overlap to BOUND_SLACK by the exact chord test
+    alone, each squared chord the row sum of an (m, k, 3) array."""
+    d = ca[:, None] - cb[None]
+    half = 0.5 * np.minimum((ra + BOUND_SLACK)[:, None] + rb, np.pi)
+    i, j = np.nonzero(np.add.reduce(d * d, axis=2) <= 4.0 * np.sin(half) ** 2)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def hausdorff_brute(a, b, refine):
@@ -234,6 +243,39 @@ def curve_pairs(draw):
         pair.append(ClosedSphereCurve(nodes) if draw(st.booleans())
                     else SphereArc(nodes[: len(nodes) // 2 + 4]))
     return tuple(pair)
+
+
+def _at_threshold(rng, ca, ra, rb, i):
+    """For each radius rb_j, a centre at exactly the threshold angle
+    min(ra_i + BOUND_SLACK + rb_j, pi) from a cap i[j], in a random direction."""
+    angle = np.minimum(ra[i] + BOUND_SLACK + rb, np.pi)
+    t = rng.normal(size=(len(rb), 3))
+    t -= ca[i] * np.sum(t * ca[i], axis=1, keepdims=True)
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    return np.cos(angle)[:, None] * ca[i] + np.sin(angle)[:, None] * t
+
+
+@st.composite
+def cap_sets(draw):
+    """Two sets of caps with radii from 1e-9 to 2 rad, the centres in a
+    cluster about as wide as the radii; the a side may be empty. The b caps
+    may instead all sit at exactly the threshold angle from some a cap, or
+    copy the a caps grown by BOUND_SLACK, so that their shadows start level."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m, k = draw(st.integers(0, 40)), draw(st.integers(1, 40))
+    scale = 10.0 ** draw(st.floats(-9.0, 0.3))  # typical radius; 2 rad at most
+    ra, rb = (np.clip(scale * 10.0 ** rng.uniform(-1.0, 1.0, size), 1e-9, 2.0)
+              for size in (m, k))
+    centre = rng.normal(size=3)
+    ca, cb = (centre / np.linalg.norm(centre) + 3.0 * scale * rng.normal(size=(size, 3))
+              for size in (m, k))
+    ca, cb = (c / np.linalg.norm(c, axis=1, keepdims=True) for c in (ca, cb))
+    place = draw(st.sampled_from(["cluster", "threshold", "copy"])) if m else "cluster"
+    if place == "threshold":
+        cb = _at_threshold(rng, ca, ra, rb, rng.integers(m, size=k))
+    elif place == "copy":
+        cb, rb = ca, ra + BOUND_SLACK
+    return ca, ra, cb, rb
 
 
 @st.composite
@@ -466,6 +508,31 @@ def test_components_memory_per_height_when_every_height_is_in_band(rho, n, count
     assert counts.tolist() == [count] * heights.shape[1]
     assert rows[:, 1:].tolist() == [[0, n - 1]] * (count * heights.shape[1])
     assert peak < 100 * heights.size
+
+
+@settings(max_examples=300)
+@given(cap_sets())
+def test_cap_pairs_matches_dense(caps):
+    i, j = _cap_pairs(*caps)
+    assert sorted(zip(i.tolist(), j.tolist())) == cap_pairs_dense(*caps)
+    assert np.all(np.diff(i) >= 0)
+
+
+def test_cap_pairs_keeps_the_pairs_at_exactly_the_threshold():
+    # b cap j sits at the threshold angle from a cap j: a few of these pairs
+    # round to a squared chord equal to its threshold, the rest fall either side
+    rng = np.random.default_rng(3)
+    ca = rng.normal(size=(400, 3))
+    ca /= np.linalg.norm(ca, axis=1, keepdims=True)
+    ra, rb = 10.0 ** rng.uniform(-9.0, 0.3, (2, 400))
+    cb = _at_threshold(rng, ca, ra, rb, np.arange(400))
+    d = ca - cb
+    threshold = 4.0 * np.sin(0.5 * np.minimum(ra + BOUND_SLACK + rb, np.pi)) ** 2
+    chord2 = np.add.reduce(d * d, axis=1)
+    assert np.any(chord2 == threshold) and np.any(chord2 > threshold)
+    i, j = _cap_pairs(ca, ra, cb, rb)
+    assert sorted(zip(i.tolist(), j.tolist())) == cap_pairs_dense(ca, ra, cb, rb)
+    assert np.all(np.diff(i) >= 0)
 
 
 @settings(max_examples=150)
