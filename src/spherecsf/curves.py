@@ -392,26 +392,28 @@ def curves_cross(a: ClosedSphereCurve, b: ClosedSphereCurve) -> bool:
 
 
 def _distances(points: np.ndarray, edges: _Edges) -> np.ndarray:
-    """curve_distance to the polyline with these _edges.
-
-    A point's distance to the nearest edge start, a node, bounds its distance
-    to the polyline, so the edge that holds its nearest point has a cap within
-    that reach of it; one _cap_pairs round finds it.
+    """curve_distance to the polyline with these _edges, one row block at a time.
+    A point's distance to its nearest node bounds its distance to the polyline,
+    so one _cap_pairs round finds the edge that holds its nearest point. A block
+    holds at most 2**20 node products and 2**20 shadow pairs (a point pairs with
+    an edge once), so memory does not grow with the number of points.
     """
-    near = np.empty(len(points))
+    out = np.empty(len(points))
     rows = max(1, 2 ** 20 // len(edges.a))
     for i in range(0, len(points), rows):
-        near[i:i + rows] = np.max(points[i:i + rows] @ edges.a.T, axis=1)
-    owner, cand = _cap_pairs(points, np.arccos(np.clip(near, -1.0, 1.0)),
-                             edges.centre, edges.half)
-    d = _edge_distance(*np.vecdot(points[owner, None], edges.frames[cand]).T)
-    return _group_min(d, np.bincount(owner, minlength=len(points)))
+        block = points[i:i + rows]
+        near = np.max(block @ edges.a.T, axis=1)
+        owner, cand = _cap_pairs(block, np.arccos(np.clip(near, -1.0, 1.0)),
+                                 edges.centre, edges.half)
+        d = _edge_distance(*np.vecdot(block[owner, None], edges.frames[cand]).T)
+        out[i:i + rows] = _group_min(d, np.bincount(owner, minlength=len(block)))
+    return out
 
 
 def curve_distance(points: np.ndarray, curve: SphereCurve) -> np.ndarray:
-    """Exact geodesic distance from each point to the curve polyline.
-
-    Valid for distances below pi/2 (enough for band/clearance work).
+    """Exact geodesic distance from each point to the polyline, valid below pi/2,
+    in row blocks of at most 2**20 node products and shadow pairs: memory does
+    not grow with the number of points.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return _distances(points, _edges(curve.nodes, curve.closed))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, circle_curve,
                        curve_distance, curves_cross, densify, hausdorff_distance,
@@ -318,9 +318,10 @@ def test_densify_matches_loop(curve, spacing):
 
 @settings(max_examples=100)
 @given(wavy_curves(), st.sampled_from([1e-9, 1e-4, 1e-2]), st.integers(0, 2 ** 32 - 1))
+@example(perturbed_latitude(1.0, 0.1, 5, n=640), 1e-4, 0)  # 5248 points: 3.2 row blocks
 def test_curve_distance_matches_dense(curve, nudge, seed):
     # points on the curve (nodes and densified points), nudged off it, spread
-    # over the sphere, and the antipodes of all of them
+    # over the sphere, and the antipodes of all of them; and no points
     rng = np.random.default_rng(seed)
     on = np.concatenate((curve.nodes, densify(curve, 0.05)))
     pts = np.concatenate((on, on + nudge * rng.normal(size=on.shape),
@@ -330,6 +331,8 @@ def test_curve_distance_matches_dense(curve, nudge, seed):
     assert np.array_equal(curve_distance(pts, curve), curve_distance_dense(pts, curve))
     k = rng.integers(len(pts))
     assert np.array_equal(curve_distance(pts[k], curve), curve_distance_dense(pts[k], curve))
+    none = np.empty((0, 3))
+    assert np.array_equal(curve_distance(none, curve), curve_distance_dense(none, curve))
 
 
 @settings(max_examples=60)
@@ -472,6 +475,23 @@ def test_hausdorff_memory_is_bounded_when_every_point_is_live():
         tracemalloc.stop()
     assert abs(d - lift.max()) < 1e-10  # an edge between lifted nodes bulges
     assert peak < 40 * 2 ** 20
+
+
+def test_curve_distance_memory_is_flat_in_the_point_count():
+    # every lattice point is far from this small curve, so the first row block
+    # of 2**20 // 1536 points already holds nearly its 2**20 shadow pairs: 88
+    # MiB at 700 points, 104 MiB at 7000 (ten blocks); a search over all the
+    # points at once peaked at 875 MiB at 7000
+    curve = koch_like(4, base_radius=0.1)
+    peaks = []
+    for pts in (fibonacci_sphere(700), fibonacci_sphere(7000)):
+        tracemalloc.start()
+        try:
+            curve_distance(pts, curve)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_multiplicity_sup_memory_is_bounded_in_depth():
