@@ -413,9 +413,10 @@ def _distances(points: np.ndarray, edges: _Edges) -> np.ndarray:
 def curve_distance(points: np.ndarray, curve: SphereCurve) -> np.ndarray:
     """Exact geodesic distance from each point to the polyline, valid below pi/2,
     in row blocks of at most 2**20 node products and shadow pairs: memory does
-    not grow with the number of points.
+    not grow with the number of points; no points give an empty array.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
+    points = np.atleast_2d(points) if points.size else points.reshape(0, 3)
     return _distances(points, _edges(curve.nodes, curve.closed))
 
 

@@ -3,7 +3,7 @@
 Nodes move by p <- normalize(p + dt * k), k the discrete geodesic-curvature vector.
 The effective step obeys dt <= 0.25 * (min edge)^2 and lands exactly on snapshot
 times; steps that produce NaNs or increase length are retried with halved dt. A run
-whose CFL step falls below DT_FLOOR, or whose mesh fails curve validation where a
+whose step would fall below DT_FLOOR, or whose mesh fails curve validation where a
 snapshot or remesh is due (it is neither), ends as stalled unless it was singular.
 
 The loop steps a _Workspace, built from the initial mesh's curve and again from
@@ -50,8 +50,7 @@ REMESH_UNIFORMITY = 1.1
 # With no target_spacing, a remesh check resamples to the starting mean edge h0 once
 # the mean edge is below h0 / REMESH_FOLLOW.
 REMESH_FOLLOW = 1.5
-# The smallest step: landing steps are raised to it, and a run whose CFL step falls
-# below it has stalled (an arccos-measured edge under about 1.5e-8 reads 0).
+# No step, CFL or halved, is tried below this: the run stalls (lengths read noise).
 DT_FLOOR = 1e-16
 
 # FlowConfig's count fields; every other field is a real number.
@@ -293,16 +292,15 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
             break
 
         dt = min(cfg.dt, CFL_FACTOR * min_e ** 2)
-        if dt < DT_FLOOR:
-            status = STATUS_STALLED
-            break
         if cfg.max_time is not None:
             dt = min(dt, cfg.max_time - t)
         dt = min(dt, next_snap - t)
-        dt = max(dt, DT_FLOOR)
 
         ws.curvature()
         for _ in range(MAX_DT_HALVINGS + 1):
+            if dt < DT_FLOOR:
+                status = STATUS_STALLED
+                break
             new_len = ws.trial(dt)
             if math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP:
                 break
@@ -310,6 +308,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
             dt *= 0.5
         else:
             status = STATUS_SINGULARITY
+        if status is not None:
             break
 
         start_e, length = ws.accept(), new_len
