@@ -38,8 +38,9 @@ CROSS_TOL = 1e-12
 # diagnostics() needs at least this many nodes to mean anything.
 DIAG_MIN_NODES = 32
 # Radians added to every cap and Lipschitz bound of the pruned queries. It covers
-# the arccos noise floor (about 2.6e-8 near zero) of the distances and edge
-# lengths the bounds are built from, so pruning never drops a deciding pair.
+# the arccos noise floor (about 2.6e-8 near zero) of the distances the bounds are
+# built from (edge lengths come from chords, wrapped_edges), so pruning never
+# drops a deciding pair.
 BOUND_SLACK = 1e-7
 # Point-edge pairs the Hausdorff search measures at once, about 200 bytes each.
 _PAIR_CHUNK = 2 ** 16
@@ -60,8 +61,14 @@ def edge_ends(ext: np.ndarray, closed: bool):
 
 
 def wrapped_edges(ext: np.ndarray, closed: bool) -> np.ndarray:
-    """Geodesic edge lengths, in node order, of the curve whose wrapped nodes are ext."""
-    return geodesic_distance(*edge_ends(ext, closed))
+    """Geodesic edge lengths, in node order, of the curve whose wrapped nodes are
+    ext: 2 asin(c / 2) of each chord length c, exact to the nodes' own rounding
+    (arccos of the ends' dot product errs by up to about 1.1e-16 / h on an edge
+    h), and pi for a chord that rounds above 2. The flow's step measures its
+    edges in the same arithmetic."""
+    a, b = edge_ends(ext, closed)
+    d = (b - a).T
+    return 2.0 * np.arcsin(np.minimum(0.5 * np.sqrt(_dot3(d, d)), 1.0))
 
 
 def _dot3(a, b):
@@ -265,7 +272,8 @@ class _Edges(NamedTuple):
 
 
 def _edges(nodes, closed: bool) -> _Edges:
-    a, b = edge_ends(wrapped(np.asarray(nodes, dtype=float), closed), closed)
+    ext = wrapped(np.asarray(nodes, dtype=float), closed)
+    a, b = edge_ends(ext, closed)
     pole = np.cross(a, b)
     pole /= np.linalg.norm(pole, axis=1, keepdims=True)
     cos_len = np.add.reduce(a * b, axis=1)
@@ -277,7 +285,7 @@ def _edges(nodes, closed: bool) -> _Edges:
     frames = np.stack((_tangent_toward(a.T, b.T).T, _tangent_toward(b.T, a.T).T, pole, a, b),
                       axis=1)
     return _Edges(a, b, pole, cos_len, frames, centre,
-                  0.5 * np.arccos(np.clip(cos_len, -1.0, 1.0)), reach)
+                  0.5 * wrapped_edges(ext, closed), reach)
 
 
 def _edge_distance(to_a, to_b, height, cos_a, cos_b):

@@ -1,22 +1,25 @@
 """Curvature flow of sphere curves: explicit stepping, snapshots, closed-form oracles.
 
 Nodes move by p <- normalize(p + dt * k), k the discrete geodesic-curvature vector.
-The effective step obeys dt <= 0.25 * (min edge)^2 and lands exactly on snapshot
-times; steps that produce NaNs or increase length are retried with halved dt. A run
-whose step would fall below DT_FLOOR, or whose mesh fails curve validation where a
-snapshot or remesh is due (it is neither), ends as stalled unless it was singular.
+The effective step obeys dt <= 0.25 * (min edge)^2 and lands exactly on the
+snapshot times k * snapshot_dt and on max_time; steps that produce NaNs or
+increase length are retried with halved dt. A run whose step would fall below
+DT_FLOOR, or whose mesh fails curve validation where a snapshot or remesh is due
+(it is neither), ends as stalled unless it was singular.
 
 The loop steps a _Workspace, built from the initial mesh's curve and again from
-each remesh's: it copies the edge lengths the curve's validation measured. It
-holds the nodes, component-major in two (3, w) buffers (w = n + 2 for a closed
-curve, padded as curves.wrapped pads rows; w = n for an arc), every other array a
-step writes and every view a step reads, so a step is about 30 numpy calls that
-allocate nothing. Differences and products take whole (3, w) arrays flat, one call
-on contiguous memory each; what they leave in end columns mixes two rows, stays
-finite and reaches no node (pads are copied over it, an arc's end curvature is
-zeroed). A trial and its edges go into the spare buffer and edge array, which swap
-in when it is accepted; the remesh uniformity ratio uses the edges of the mesh the
-step started from. Each per-node dot product sums the rows of a (3, w) array in the
+each remesh's. It holds the nodes, component-major in two (3, w) buffers (w = n + 2
+for a closed curve, padded as curves.wrapped pads rows; w = n for an arc), every
+other array a step writes and every view a step reads, so a step is 26 numpy
+calls that allocate nothing. Edges come from chords, as in curves.wrapped_edges:
+edge j is 2 asin(c_j / 2) of its chord length c_j. A trial measures its chords
+once, for its length, and the next step's curvature divides by those same chords.
+Differences and products take whole (3, w) arrays flat, one call on contiguous
+memory each; what they leave in end columns mixes two rows, stays finite and
+reaches no node (pads are copied over it, an arc's end curvature is zeroed). A
+trial and its half edges go into the spare buffer and array, which swap in when
+it is accepted; the remesh uniformity ratio uses the edges of the mesh the step
+started from. Each per-node dot product sums the rows of a (3, w) array in the
 order numpy sums a length-3 row, and every other operation is elementwise and in
 the same order, so the results are bit-identical to the (n, 3) form the tests keep
 as their reference. Everything outside the loop sees (n, 3) C-contiguous nodes.
@@ -52,6 +55,10 @@ REMESH_UNIFORMITY = 1.1
 REMESH_FOLLOW = 1.5
 # No step, CFL or halved, is tried below this: the run stalls (lengths read noise).
 DT_FLOOR = 1e-16
+# A step that would end within this fraction of itself (or within DT_FLOOR) of
+# the next snapshot time or max_time ends on it instead, so no shorter step is
+# left to take before it.
+LANDING_SLACK = 1e-6
 
 # FlowConfig's count fields; every other field is a real number.
 _COUNT_FIELDS = ("remesh_every",)
@@ -90,7 +97,7 @@ class FlowConfig:
                                     f"got {value!r}")
         if not (0.0 < self.dt <= 1.0):
             raise ConfigInvalid(f"dt must be in (0, 1], got {self.dt!r}")
-        # 1000 times the landing tolerance, so snapshot times cannot fall behind t
+        # below it every step would be a landing step, capped near DT_FLOOR
         if not (1e-9 <= self.snapshot_dt <= 1.0):
             raise ConfigInvalid(f"snapshot_dt must be in [1e-9, 1], got {self.snapshot_dt!r}")
         if self.max_time is not None and not (0.0 < self.max_time < math.inf):
@@ -174,8 +181,8 @@ def _target_n(length: float, curve_n: int, cfg: FlowConfig, closed: bool, h0: fl
     return curve_n
 
 
-# The step's constant operands: numpy takes 0-d float64 arrays faster than floats.
-_ONE, _TWO, _MINUS_ONE = np.array(1.0), np.array(2.0), np.array(-1.0)
+# The step's constant operand: numpy takes 0-d float64 arrays faster than floats.
+_HALF = np.array(0.5)
 
 
 def _dot(a, b, prod, out):
@@ -193,15 +200,15 @@ _Views = namedtuple("_Views", "flat ahead behind inner nodes pads wraps")
 
 class _Workspace:
     """The step's arrays and views for one mesh (module docstring). With u_j the
-    unit chord from column j to column j + 1 and c_j its length, the node v between
-    chords j - 1 and j gets the curvature vector 2 (w - v <w, v>) / (c_j + c_{j-1}),
-    where w = u_j - u_{j-1}."""
+    unit chord from column j to column j + 1, c_j its length and h_j = c_j / 2,
+    the node v between chords j - 1 and j gets the curvature vector
+    (w - v <w, v>) / (h_j + h_{j-1}), where w = u_j - u_{j-1}: the chord form's
+    2 (w - v <w, v>) / (c_j + c_{j-1}), bit for bit, as halving is exact. Edge j
+    is 2 asin(h_j), as curves.wrapped_edges measures it; the workspace keeps the
+    half edges asin(h_j), in node order."""
 
     def __init__(self, curve: SphereCurve):
         closed = curve.closed
-        # what trial() computes for these nodes; a copy, as the spare array is written
-        self.e = np.array(curve.edge_lengths())
-        self.spare_e = np.empty_like(self.e)
         ext = wrapped(curve.nodes, closed).T.copy()
         n, w, k = curve.n, ext.shape[1], int(closed)
         cols = slice(1, -1) if closed else slice(None)
@@ -212,34 +219,42 @@ class _Workspace:
         self.closed, self.n = closed, n
         self.cur, self.nxt = views(ext), views(np.empty_like(ext))
         # chords (j in column j), curvature and _dot's products; what no step writes is 0
-        d, kv, kn, dd, tt, pq = np.zeros((6, 3, w))
+        d, kv, kn, dd, tt = np.zeros((5, 3, w))
         self.d, self.d_chords = d.reshape(-1), d[:, :-1]
         self.d_ahead, self.d_behind = self.d[1:], self.d[:-1]
         self.kf, self.k_ahead, self.kv, self.k_inner, self.k_ends = (
             kv.reshape(-1), kv.reshape(-1)[1:], kv[:, cols], kv[:, 1:-1], kv[:, ::w - 1])
         self.kn, self.kn_inner = (kn.reshape(-1), *kn[:, 1:-1]), kn[:, 1:-1]
         self.dd, self.tt = (dd.reshape(-1), *dd[:, :-1]), (tt.reshape(-1), *tt[:, cols])
-        self.pq = (pq.reshape(-1)[:-1], *pq[:, k:-1])
-        self.c, self.c2, self.dot, self.norm = (np.empty(m) for m in (w - 1, w - 2, w - 2, n))
-        self.c_ahead, self.c_behind = self.c[1:], self.c[:-1]
+        self.c, self.h, self.h2, self.dot, self.norm = (
+            np.empty(m) for m in (w - 1, w - 1, w - 2, w - 2, n))
+        self.h_ahead, self.h_behind, self.h_edges = self.h[1:], self.h[:-1], self.h[k:]
+        self.half, self.spare_half = np.empty((2, n - 1 + k))
+        self.chords(self.cur, self.half)
+
+    def chords(self, v, half) -> float:
+        """The chords of the nodes in v into d, c and h, their half edges into
+        half, and the length."""
+        np.subtract(v.ahead, v.behind, self.d_behind)
+        np.sqrt(_dot(self.d, self.d, self.dd, self.c), self.c)
+        np.multiply(self.c, _HALF, self.h)
+        return 2.0 * float(np.add.reduce(np.arcsin(self.h_edges, half)))
 
     def curvature(self):
-        """The current nodes' curvature vectors, into kv."""
-        v, d, c, kf, k = self.cur, self.d, self.c, self.kf, self.k_inner
-        np.subtract(v.ahead, v.behind, self.d_behind)
-        np.sqrt(_dot(d, d, self.dd, c), c)
-        np.divide(self.d_chords, c, self.d_chords)
+        """The current nodes' curvature vectors, into kv, from the chords that
+        the last chords() call measured on them; it leaves unit chords in d."""
+        v, kf, k = self.cur, self.kf, self.k_inner
+        np.divide(self.d_chords, self.c, self.d_chords)
         np.subtract(self.d_ahead, self.d_behind, self.k_ahead)
         np.multiply(v.inner, _dot(kf, v.flat, self.kn, self.dot), self.kn_inner)
         np.subtract(kf, self.kn[0], kf)
-        np.multiply(kf, _TWO, kf)
-        np.divide(k, np.add(self.c_behind, self.c_ahead, self.c2), k)
+        np.divide(k, np.add(self.h_behind, self.h_ahead, self.h2), k)
         if not self.closed:
             np.copyto(self.k_ends, 0.0)
 
     def trial(self, dt: float) -> float:
-        """Move the current nodes by dt along kv into the spare buffer, its edge
-        lengths into spare_e, and return its length."""
+        """Move the current nodes by dt along kv into the spare buffer, its chords
+        and half edges into d, c, h and spare_half, and return its length."""
         nxt = self.nxt
         np.multiply(self.kf, dt, nxt.flat)
         np.add(nxt.flat, self.cur.flat, nxt.flat)
@@ -247,16 +262,23 @@ class _Workspace:
         np.divide(nxt.nodes, np.sqrt(norm, norm), nxt.nodes)
         if self.closed:
             np.copyto(nxt.pads, nxt.wraps)
-        e = _dot(nxt.behind, nxt.ahead, self.pq, self.spare_e)  # geodesic_distance
-        np.maximum(e, _MINUS_ONE, out=e)
-        np.minimum(e, _ONE, out=e)
-        return float(np.add.reduce(np.arccos(e, e)))
+        return self.chords(nxt, self.spare_half)
 
     def accept(self) -> np.ndarray:
-        """Swap in the trial; return the edges of the mesh the step started from."""
+        """Swap in the trial; return the half edges of the mesh the step started
+        from."""
         self.cur, self.nxt = self.nxt, self.cur
-        self.e, self.spare_e = self.spare_e, self.e
-        return self.spare_e
+        self.half, self.spare_half = self.spare_half, self.half
+        return self.spare_half
+
+
+def _snapshot_time(k: int, cfg: FlowConfig) -> float:
+    """The k-th snapshot time k * snapshot_dt, or max_time where it rounds to
+    within 1e-12 of it."""
+    s = k * cfg.snapshot_dt
+    if cfg.max_time is not None and abs(s - cfg.max_time) <= 1e-12 * cfg.max_time:
+        return cfg.max_time
+    return s
 
 
 def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
@@ -270,11 +292,13 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     length = snaps[0].length
     h0 = length / (curve.n - 1 + closed)  # the starting mean edge
     status = None
-    next_snap = cfg.snapshot_dt
+    end = math.inf if cfg.max_time is None else cfg.max_time
+    landed = 1
+    next_snap = _snapshot_time(landed, cfg)
     since_remesh = accepted = rejected = remeshes = 0
     min_dt, max_dt, min_edge = math.inf, 0.0, math.inf
 
-    def snapshot() -> bool:  # unless the mesh fails validation (an edge reads 0)
+    def snapshot() -> bool:  # unless the mesh fails validation (an edge below EDGE_MIN)
         try:
             snaps.append(_snapshot(t, curve.with_nodes(ws.cur.nodes.T)))
         except DomainError:
@@ -282,19 +306,20 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
         return True
 
     while True:
-        min_e = float(np.minimum.reduce(ws.e))
+        min_e = 2.0 * float(np.minimum.reduce(ws.half))
         min_edge = min(min_edge, min_e)
         if length < cfg.extinction_length and closed:
             status = STATUS_EXTINCT
             break
-        if cfg.max_time is not None and t >= cfg.max_time - 1e-13:
+        if t >= end:
             status = STATUS_MAX_TIME
             break
 
         dt = min(cfg.dt, CFL_FACTOR * min_e ** 2)
-        if cfg.max_time is not None:
-            dt = min(dt, cfg.max_time - t)
-        dt = min(dt, next_snap - t)
+        target = min(next_snap, end)
+        lands = target - t <= dt + max(LANDING_SLACK * dt, DT_FLOOR)
+        if lands:
+            dt = target - t
 
         ws.curvature()
         for _ in range(MAX_DT_HALVINGS + 1):
@@ -306,38 +331,40 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
                 break
             rejected += 1
             dt *= 0.5
+            lands = False
         else:
             status = STATUS_SINGULARITY
         if status is not None:
             break
 
-        start_e, length = ws.accept(), new_len
-        t += dt
+        start_half, length = ws.accept(), new_len
+        t = target if lands else t + dt
         accepted += 1
         min_dt = min(min_dt, dt)
         max_dt = max(max_dt, dt)
         since_remesh += 1
 
-        if t >= next_snap - 1e-12:
+        if t == next_snap:
             if not snapshot():
                 status = STATUS_STALLED
                 break
-            next_snap += cfg.snapshot_dt
+            landed += 1
+            next_snap = _snapshot_time(landed, cfg)
 
         if since_remesh >= cfg.remesh_every:
             since_remesh = 0
             want = _target_n(length, ws.n, cfg, closed, h0)
-            ratio = float(start_e.max() / start_e.min())
+            ratio = float(start_half.max() / start_half.min())
             if want != ws.n or ratio >= REMESH_UNIFORMITY:
                 try:  # a mesh that fails validation is not remeshed, as not snapshotted
                     ws = _Workspace(resample(curve.with_nodes(ws.cur.nodes.T), n=want))
                 except DomainError:
                     status = STATUS_STALLED
                     break
-                length = float(np.add.reduce(ws.e))
+                length = 2.0 * float(np.add.reduce(ws.half))
                 remeshes += 1
 
-    if snaps[-1].t < t - 1e-12 or len(snaps) == 1 and t > 0:
+    if snaps[-1].t < t:
         if not snapshot() and status != STATUS_SINGULARITY:
             status = STATUS_STALLED
     stats = FlowStats(accepted_steps=accepted, rejected_trials=rejected,

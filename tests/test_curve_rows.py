@@ -20,7 +20,7 @@ from spherecsf.curves import EDGE_MAX, EDGE_MIN, MIN_NODES, integrals, wrapped
 from spherecsf.errors import DomainError, SphereCSFError, TooFewNodes
 from spherecsf.sphere import geodesic_distance
 
-from test_flow import jittered_polygons, wavy_arc
+from test_flow import jittered_polygon, jittered_polygons, wavy_arc
 
 
 def distance_rows(p, q):
@@ -28,9 +28,17 @@ def distance_rows(p, q):
     return np.arccos(np.minimum(np.maximum(np.add.reduce(p * q, axis=-1), -1.0), 1.0))
 
 
+def chord_edges_rows(p, q):
+    """Edge lengths 2 asin(c / 2) from chord lengths c, each squared chord a row
+    reduction over the length-3 rows."""
+    d = q - p
+    h = 0.5 * np.sqrt(np.add.reduce(d * d, axis=-1))
+    return 2.0 * np.arcsin(np.minimum(h, 1.0))
+
+
 def edges_rows(nodes, closed):
     ends = np.concatenate((nodes[1:], nodes[:1])) if closed else nodes[1:]
-    return distance_rows(nodes[:len(ends)], ends)
+    return chord_edges_rows(nodes[:len(ends)], ends)
 
 
 def validated_rows(nodes, closed):
@@ -73,7 +81,7 @@ def integrals_rows(nodes, edges, closed):
     """(length, total_curvature, bending, enclosed_area, max_edge, min_edge)."""
     tau = turning_rows(nodes, closed)
     ext = wrapped(nodes, closed)
-    e = distance_rows(ext[:-1], ext[1:])
+    e = chord_edges_rows(ext[:-1], ext[1:])
     hbar = 0.5 * (e[:-1] + e[1:])
     area = float(2.0 * np.pi - tau.sum()) if closed else None
     return (float(edges.sum()), float(tau.sum()), float(np.sum(tau * tau / hbar)),
@@ -101,8 +109,8 @@ def resample_rows(nodes, edges, closed, n):
 
 def needled(nodes, delta, side):
     """nodes with one more node inserted delta after node 0, turned by the angle
-    side off the edge to node 1. The short edge collapses within a few hundred
-    steps, which takes a run through dt halvings to a singularity or a stall."""
+    side off the edge to node 1. The short edge holds a run's CFL step near
+    0.25 delta^2."""
     p, q = nodes[0], nodes[1]
     t = q - p * (p @ q)
     t /= np.linalg.norm(t)
@@ -139,7 +147,7 @@ def raw_nodes(draw):
 @given(raw_nodes(), st.integers(MIN_NODES, 400))
 def test_component_major_forms_match_rows(drawn, m):
     raw, closed = drawn
-    try:  # a needle near the arccos noise floor can measure as a zero edge
+    try:  # an input that validation rejects is rejected alike
         nodes, edges = validated_rows(raw, closed)
     except DomainError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
@@ -175,6 +183,18 @@ def test_geodesic_distance_matches_row_reduction(nodes, seed):
     assert geodesic_distance(nodes[0], other[0]) == distance_rows(nodes[0], other[0])
 
 
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("delta", [1.2e-8, 2.5e-8, 5e-8, 1e-7])
+def test_needle_edges_read_their_length(delta, closed):
+    # as chords, to the nodes' own rounding; arccos of a dot read the 2.5e-8
+    # needle 3% long and the 1.2e-8 one as 0, which validation rejects
+    curve = curve_of(needled(jittered_polygon(100, 0.8, 0.6, np.random.default_rng(0)),
+                             delta, 2.0), closed)
+    again = curve.with_nodes(curve.nodes)  # renormalised once more, moved by ulps
+    for c in (curve, again):
+        assert abs(c.edge_lengths()[0] - delta) <= 1e-8 * delta
+
+
 def _off_unit(nodes):
     nodes = np.array(nodes)
     nodes[3] *= 1.0 + 1.5e-9
@@ -194,7 +214,7 @@ BAD_INPUTS = {
     "huge": _with(BASE, 5, [1e200, 0.0, 0.0]),
     "norm-1e-9-off": _off_unit(BASE),
     "short-edge": needled(BASE, 5e-9, 1.0),
-    "edge-at-floor": needled(BASE, EDGE_MIN, 1.0),
+    "edge-at-floor": needled(BASE, (1.0 - 1e-7) * EDGE_MIN, 1.0),
     "long-edge": np.concatenate((BASE[:8], -BASE[:1])),
     "too-few": BASE[:MIN_NODES - 1],
     "flat": BASE.reshape(-1),

@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 import spherecsf
 from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, c1_deviation,
                        cap_area, circle_curve, curve_distance, densify, diagnostics,
-                       enclosed_left_area, geodesic_distance,
-                       hausdorff_distance, intersection_count, load_curve,
-                       perturbed_latitude, resample, save_curve,
+                       enclosed_left_area, hausdorff_distance, intersection_count,
+                       load_curve, perturbed_latitude, resample, save_curve,
                        self_intersects, turning_angles)
 from spherecsf.curves import integrals, mean_adjacent_edges
 from spherecsf.errors import DomainError, TooFewNodes
@@ -224,7 +223,7 @@ def test_diagnostics_latitude():
 def _edges_reference(nodes, closed):
     q = np.roll(nodes, -1, axis=0) if closed else nodes[1:]
     p = nodes if closed else nodes[:-1]
-    return geodesic_distance(p, q)
+    return 2.0 * np.arcsin(0.5 * np.linalg.norm(q - p, axis=-1))
 
 
 def _turning_reference(nodes, closed):
@@ -357,10 +356,9 @@ def test_integrals_invariant_under_rotation(curve, seed):
     rot, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
     turned = curve.with_nodes(curve.nodes @ rot.T)
     a, b = integrals(curve), integrals(turned)
-    # Edges come from arccos(<p, q>), which resolves an edge h only to about
-    # eps / h (1e-14 at h = 0.01), and tangents from differences of nodes h
-    # apart, so each integral gets 1e-12 plus that slack summed over the edges;
-    # bending divides by h once more.
+    # Tangents come from differences of nodes h apart, which resolve a turning
+    # angle only to about eps / h (1e-14 at h = 0.01), so each integral gets
+    # 1e-12 plus that slack summed over the edges; bending divides by h once more.
     inv_e = 1.0 / curve.edge_lengths()
     slack = 1e-12 + 4.0 * np.finfo(float).eps * inv_e.sum()
     assert abs(a.length - b.length) <= slack

@@ -1,6 +1,7 @@
 """Curve shortening integrator: oracles, configs, arcs, cap-entry times."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from spherecsf import curves, flow
 from spherecsf.errors import ConfigInvalid, DomainError, NeverEnters
 from spherecsf.curves import wrapped, wrapped_edges
 from spherecsf.flow import _Workspace
-from spherecsf.sphere import geodesic_distance
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -33,8 +33,8 @@ def wavy_arc(n=65):
 
 
 # Reference kernel: curvature vectors from rolled (n, 3) neighbour arrays and
-# edges from a separate dot-product pass. The component-major chord kernel
-# reorders only IEEE-exact arithmetic, so it must match these bit for bit.
+# edges from a separate chord pass. The component-major chord kernel reorders
+# only IEEE-exact arithmetic, so it must match these bit for bit.
 def _kvec_reference(nodes: np.ndarray, closed: bool) -> np.ndarray:
     if closed:
         prv = np.roll(nodes, 1, axis=0)
@@ -59,7 +59,7 @@ def _kvec_reference(nodes: np.ndarray, closed: bool) -> np.ndarray:
 def _edges_reference(nodes: np.ndarray, closed: bool) -> np.ndarray:
     q = np.roll(nodes, -1, axis=0) if closed else nodes[1:]
     p = nodes if closed else nodes[:-1]
-    return np.arccos(np.clip(np.sum(p * q, axis=1), -1.0, 1.0))
+    return 2.0 * np.arcsin(0.5 * np.sqrt(np.sum((q - p) ** 2, axis=1)))
 
 
 def jittered_polygon(n, radius, jitter, rng):
@@ -81,19 +81,26 @@ def jittered_polygons(draw, sizes=(8, 300), jitters=(0.0, 0.9)):
     return jittered_polygon(n, radius, jitter, rng)
 
 
-# "error": the entries the flat kernel leaves in end columns must stay finite
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=200)
 @given(jittered_polygons(), st.booleans())
 def test_chord_kernel_matches_reference(nodes, closed):
     curve = ClosedSphereCurve(nodes) if closed else SphereArc(nodes)
     nodes = np.array(curve.nodes)
-    ws = _Workspace(curve)
-    ws.curvature()
-    assert np.array_equal(ws.kv.T, _kvec_reference(nodes, closed))
-    assert np.array_equal(ws.e, _edges_reference(nodes, closed))
-    ws.trial(0.25 * float(ws.e.min()) ** 2)  # the trial's edges, computed in place
-    assert np.array_equal(ws.spare_e, _edges_reference(ws.nxt.nodes.T.copy(), closed))
+    # the entries the flat kernel leaves in end columns must stay finite
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        ws = _Workspace(curve)
+        ws.curvature()
+        assert np.array_equal(ws.kv.T, _kvec_reference(nodes, closed))
+        assert np.array_equal(2.0 * ws.half, _edges_reference(nodes, closed))
+        assert np.array_equal(2.0 * ws.half, curve.edge_lengths())
+        # the trial's chords, measured in place, feed the next curvature
+        length = ws.trial(float(ws.half.min()) ** 2)
+        trial = ws.nxt.nodes.T.copy()
+        assert np.array_equal(2.0 * ws.spare_half, _edges_reference(trial, closed))
+        assert length == float(np.add.reduce(_edges_reference(trial, closed)))
+        ws.accept()
+        ws.curvature()
+        assert np.array_equal(ws.kv.T, _kvec_reference(trial, closed))
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -254,16 +261,16 @@ def test_snapshots_own_their_nodes(closed):
 
 
 def test_one_edge_pass_per_validated_mesh(monkeypatch):
-    # geodesic_distance measures every edge a curve is validated with; the initial
+    # wrapped_edges measures every edge a curve is validated with; the initial
     # mesh, each snapshot and each remesh's old and new mesh get one pass each
     curve = circle_curve(0.9, n=64)
     calls = []
 
-    def counted(p, q):
-        calls.append(len(p))
-        return geodesic_distance(p, q)
+    def counted(ext, closed):
+        calls.append(len(ext))
+        return wrapped_edges(ext, closed)
 
-    monkeypatch.setattr(curves, "geodesic_distance", counted)
+    monkeypatch.setattr(curves, "wrapped_edges", counted)
     cfg = FlowConfig(dt=1e-4, snapshot_dt=2e-3, max_time=0.02, target_spacing=0.02,
                      remesh_every=5)
     traj = evolve_closed(curve, cfg)
@@ -301,6 +308,60 @@ def test_cfl_step_below_floor_stalls(monkeypatch):
     assert traj.terminal_status == "stalled"
     assert traj.stats.accepted_steps == 25
     assert np.allclose(traj.times, [0.0, 1e-3, 2e-3, 2.5e-3], rtol=0, atol=1e-12)
+    for a, b in zip(traj.snapshots[:3], full.snapshots):
+        assert a.t == b.t and np.array_equal(a.curve.nodes, b.curve.nodes)
+
+
+@pytest.mark.parametrize("n, max_time", [(64, 0.2), (128, 0.6), (64, 0.0105)])
+def test_runs_land_on_snapshot_and_end_times(n, max_time):
+    # sums of 1e-4 steps drift off k * snapshot_dt (by 5.2e-14 at n = 128 by
+    # t = 0.6); every snapshot and the end land on their times exactly
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=0.002, max_time=max_time)
+    traj = evolve_closed(circle_curve(np.pi / 3, n=n), cfg)
+    assert traj.terminal_status == "reached_max_time"
+    k = np.arange(len(traj.snapshots) - 1)
+    assert traj.times.tolist() == (k * 0.002).tolist() + [max_time]
+
+
+def _failing_trials(monkeypatch, nan):
+    """Make _Workspace.trial return NaN on the trials numbered in `nan` (from 0);
+    returns the list of every trial's dt."""
+    trial, dts = _Workspace.trial, []
+
+    def failing(ws, dt):
+        dts.append(dt)
+        return math.nan if len(dts) - 1 in nan else trial(ws, dt)
+
+    monkeypatch.setattr(_Workspace, "trial", failing)
+    return dts
+
+
+HALVING_CFG = FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=3e-3)
+
+
+@pytest.mark.parametrize("k", [1, 3, flow.MAX_DT_HALVINGS])
+def test_rejected_trials_halve_the_step(monkeypatch, k):
+    dts = _failing_trials(monkeypatch, range(k))
+    traj = evolve_closed(circle_curve(0.9, n=64), HALVING_CFG)
+    assert traj.terminal_status == "reached_max_time"
+    assert traj.stats.rejected_trials == k
+    assert dts[:k + 1] == [1e-4 * 0.5 ** i for i in range(k + 1)]
+    # the halved step is accepted; a landing step may take an ulp less
+    assert traj.stats.min_dt == pytest.approx(1e-4 * 0.5 ** k, rel=1e-12)
+
+
+def test_a_step_no_halving_saves_is_a_singularity(monkeypatch):
+    curve = circle_curve(0.9, n=64)
+    full = evolve_closed(curve, HALVING_CFG)
+    dts = _failing_trials(monkeypatch, range(25, 10 ** 6))  # all after 25 steps of 1e-4
+    traj = evolve_closed(curve, HALVING_CFG)
+    assert traj.terminal_status == "singularity"
+    assert len(dts) == 25 + flow.MAX_DT_HALVINGS + 1
+    assert (traj.stats.accepted_steps, traj.stats.rejected_trials) == (
+        25, flow.MAX_DT_HALVINGS + 1)
+    # the snapshots taken are kept, and the state the run ended in is added
+    assert traj.times.tolist() == [0.0, 1e-3, 2e-3, traj.snapshots[-1].t]
+    assert abs(traj.snapshots[-1].t - 2.5e-3) < 1e-15
     for a, b in zip(traj.snapshots[:3], full.snapshots):
         assert a.t == b.t and np.array_equal(a.curve.nodes, b.curve.nodes)
 

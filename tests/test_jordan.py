@@ -309,8 +309,8 @@ def check_dirichlet_gamma(arc: SphereArc, spec: DirichletArcSpec, info: dict) ->
         np.all(d_far[low] <= spec.closeness * spec.cap_radius + 1e-9))
 
     dlam = np.diff(lon)
-    peak = int(np.argmax(lon))
-    checks["double_graph"] = bool(np.all(dlam[:peak] > 0) and np.all(dlam[peak:] < 0))
+    peak = int(np.argmax(lon))  # the tip's mirrored pair of nodes may share it
+    checks["double_graph"] = bool(np.all(dlam[:peak] > 0) and np.all(dlam[peak + 1:] < 0))
     sign_changes = int(np.count_nonzero(np.sign(s[1:]) != np.sign(s[:-1])))
     tip = int(np.argmin(np.abs(s)))
     checks["single_crossing_at_tip"] = (
