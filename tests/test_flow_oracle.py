@@ -228,11 +228,20 @@ NEEDLE_ROWS = [
     (2.5e-8, 2.0, True, STATUS_MAX_TIME, 0, 1),
     (1.5e-8, 2.0, True, STATUS_STALLED, 1, NO_REMESH),
 ]
+# The closed seed-0 rows keep the ids they had when they stalled under the
+# arccos reading; the status they assert is the row's.
+KEPT_NEEDLE_IDS = {(2.5e-8, 2.0, True, 0, NO_REMESH): "2.5e-08-2.0-True-stalled-seed0",
+                   (2.5e-8, 2.0, True, 0, 1): "2.5e-08-2.0-True-stalled-seed0-remesh1"}
 
 
-@pytest.mark.parametrize("delta, side, closed, status, seed, every", NEEDLE_ROWS, ids=[
-    "-".join(map(str, row[:4])) + ("-seed0" if row[4] == 0 else "")
-    + ("-remesh1" if row[5] == 1 else "") for row in NEEDLE_ROWS])
+def needle_id(row):
+    delta, side, closed, status, seed, every = row
+    return KEPT_NEEDLE_IDS.get((delta, side, closed, seed, every), "-".join(
+        map(str, row[:4])) + ("-seed0" if seed == 0 else "") + ("-remesh1" if every == 1 else ""))
+
+
+@pytest.mark.parametrize("delta, side, closed, status, seed, every", NEEDLE_ROWS,
+                         ids=[needle_id(row) for row in NEEDLE_ROWS])
 def test_needle_statuses_match_reference(delta, side, closed, status, seed, every):
     base = jittered_polygon(100, 0.8, 0.6, np.random.default_rng(seed))
     traj = assert_matches_reference(curve_of(needled(base, delta, side), closed),
