@@ -13,11 +13,12 @@ and j + 1. `edge_ends` picks the edges, in node order, out of that array.
 A curve keeps the edge lengths its validation computed, read-only, and every
 consumer of the mesh (length, integrals, resampling, densifying, the flow's
 snapshots and remeshes) reads them instead of measuring the edges again. The
-per-node formulas (validation's norms, turning angles, resampling) run
-component-major, on (3, n) views: a dot product sums the rows of a (3, n) array
-in the order numpy sums a length-3 row and the cross product is written out by
-component as np.cross computes it, so the results are bit-identical to the
-(n, 3) forms the tests keep as their reference; so are the cap-pair search's chords.
+per-node formulas (validation's norms, turning angles, tangents and the normal
+push, resampling) run component-major, on (3, n) views: a dot product sums the
+rows of a (3, n) array in the order numpy sums a length-3 row and the cross
+product is written out by component as np.cross computes it, so the results are
+bit-identical to the (n, 3) forms the tests keep as their reference; so are the
+cap-pair search's chords.
 """
 
 from __future__ import annotations
@@ -524,18 +525,37 @@ def _hausdorff_exceeds(a: SphereCurve, b: SphereCurve, bound: float, refine: flo
                 or _directed_hausdorff(b, eb, ea, refine, bound) > bound)
 
 
-def node_tangents(curve: SphereCurve) -> np.ndarray:
-    """Unit travel tangents at nodes (central differences, projected)."""
-    nodes = curve.nodes
-    ext = wrapped(nodes, curve.closed)
-    diff = ext[2:] - ext[:-2]
+def _tangent_cols(curve: SphereCurve) -> np.ndarray:
+    """node_tangents as (3, n) columns."""
+    p, ext = curve.nodes.T, wrapped(curve.nodes, curve.closed).T
+    d = ext[:, 2:] - ext[:, :-2]
     if not curve.closed:  # one-sided at the endpoints
-        diff = np.concatenate((nodes[1:2] - nodes[:1], diff, nodes[-1:] - nodes[-2:-1]))
-    diff -= nodes * np.sum(diff * nodes, axis=1, keepdims=True)
-    nrm = np.linalg.norm(diff, axis=1, keepdims=True)
+        d = np.concatenate((p[:, 1:2] - p[:, :1], d, p[:, -1:] - p[:, -2:-1]), axis=1)
+    d -= p * _dot3(d, p)
+    nrm = np.sqrt(_dot3(d, d))
     if np.any(nrm < 1e-14):
         raise DomainError("degenerate tangent (coincident neighbor nodes)")
-    return diff / nrm
+    d /= nrm
+    return d
+
+
+def node_tangents(curve: SphereCurve) -> np.ndarray:
+    """Unit travel tangents at nodes (central differences, projected)."""
+    return _tangent_cols(curve).T.copy()
+
+
+def _normal_push(curve: SphereCurve, s: float) -> np.ndarray:
+    """The nodes moved a geodesic distance s along their unit left normals
+    nu = p x t (t from node_tangents), p cos s + nu sin s, as (n, 3) rows; the
+    cross is written out by component as np.cross computes it."""
+    p = curve.nodes.T
+    (x, y, z), (u, w, r) = p, _tangent_cols(curve)
+    nu = np.array((y * r - z * w, z * u - x * r, x * w - y * u))
+    out = np.empty_like(curve.nodes)
+    q = out.T
+    np.multiply(np.cos(s), p, q)
+    q += np.multiply(np.sin(s), nu, nu)
+    return out
 
 
 def latitude_deviation_angles(curve: SphereCurve, g: GreatCircle) -> np.ndarray:

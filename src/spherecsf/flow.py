@@ -3,9 +3,12 @@
 Nodes move by p <- normalize(p + dt * k), k the discrete geodesic-curvature vector.
 The effective step obeys dt <= 0.25 * (min edge)^2 and lands exactly on the
 snapshot times k * snapshot_dt and on max_time; steps that produce NaNs or
-increase length are retried with halved dt. A run whose step would fall below
-DT_FLOOR, or whose mesh fails curve validation where a snapshot or remesh is due
-(it is neither), ends as stalled unless it was singular.
+increase length are retried with halved dt. A remesh resamples the curve; a
+closed curve's resample, whose nodes lie on its old edges, is then pushed once
+along its left normals to give back the area its chords cut (_remesh). A run
+whose step would fall below DT_FLOOR, or whose mesh fails curve validation where
+a snapshot or remesh is due (it is neither), ends as stalled unless it was
+singular. Snapshot 0 is the (validated) initial mesh itself.
 
 The loop steps a _Workspace, built from the initial mesh's curve and again from
 each remesh's. It holds the nodes, component-major in two (3, w) buffers (w = n + 2
@@ -39,8 +42,8 @@ import numpy as np
 
 from .errors import (AntipodalEndpoints, ConfigInvalid, DomainError, NeverEnters,
                      ParamDomain)
-from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, c1_deviation,
-                     integrals, nodes_for_spacing, resample, wrapped)
+from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _normal_push, c1_deviation,
+                     integrals, nodes_for_spacing, resample, turning_angles, wrapped)
 from .sphere import GreatCircle, as_point, geodesic_distance
 
 CFL_FACTOR = 0.25
@@ -173,6 +176,20 @@ def _initial_mesh(curve: SphereCurve, cfg: FlowConfig) -> SphereCurve:
     return curve
 
 
+def _remesh(curve: SphereCurve, n: int) -> SphereCurve:
+    """curve resampled to n nodes. A closed curve's resample has its nodes on
+    the old edges, and its chords change its left area A = 2 pi - sum(turning)
+    (a convex curve loses area); it is then pushed once along its left normals
+    by s = (A_resampled - A) / L, L the resampled length, which restores A to
+    first order: a push by s changes A by about -s L."""
+    new = resample(curve, n=n)
+    if not curve.closed:
+        return new
+    # A_resampled - A, in which the 2 pi cancels
+    s = (float(turning_angles(curve).sum()) - float(turning_angles(new).sum())) / new.length()
+    return new.with_nodes(_normal_push(new, s))
+
+
 def _target_n(length: float, curve_n: int, cfg: FlowConfig, closed: bool, h0: float) -> int:
     if cfg.target_spacing is not None:
         return nodes_for_spacing(length, cfg.target_spacing, closed)
@@ -288,7 +305,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     curve = _initial_mesh(curve, cfg)
     ws = _Workspace(curve)
     t = 0.0
-    snaps = [_snapshot(0.0, curve.with_nodes(curve.nodes))]
+    snaps = [_snapshot(0.0, curve)]
     length = snaps[0].length
     h0 = length / (curve.n - 1 + closed)  # the starting mean edge
     status = None
@@ -357,7 +374,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
             ratio = float(start_half.max() / start_half.min())
             if want != ws.n or ratio >= REMESH_UNIFORMITY:
                 try:  # a mesh that fails validation is not remeshed, as not snapshotted
-                    ws = _Workspace(resample(curve.with_nodes(ws.cur.nodes.T), n=want))
+                    ws = _Workspace(_remesh(curve.with_nodes(ws.cur.nodes.T), want))
                 except DomainError:
                     status = STATUS_STALLED
                     break

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import (DomainError, ExtinctionBeforeEnd, NotEmbedded,
                      OffsetCollision)
-from .curves import (ClosedSphereCurve, _check_positive, _hausdorff_exceeds, curve_distance,
-                     curves_cross, edge_ends, hausdorff_distance, integrals,
-                     node_tangents, resample, self_intersects, wrapped)
+from .curves import (ClosedSphereCurve, _check_positive, _hausdorff_exceeds, _normal_push,
+                     curve_distance, curves_cross, edge_ends, hausdorff_distance,
+                     integrals, resample, self_intersects, wrapped)
 from .flow import STATUS_EXTINCT, FlowConfig, barrier_radius_oracle, evolve_closed
 from .sphere import as_point
 
@@ -98,9 +98,7 @@ def offset_curve(curve: ClosedSphereCurve, eps: float, side: int) -> ClosedSpher
         raise DomainError(f"offset must be in (0, pi/4), got {eps!r}")
     if side not in (-1, 1):
         raise DomainError("side must be +1 (left) or -1 (right)")
-    nodes = curve.nodes
-    nu = np.cross(nodes, node_tangents(curve))
-    q = np.cos(eps) * nodes + np.sin(eps) * side * nu
+    q = _normal_push(curve, side * eps)
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     for _ in range(SMOOTHING_MAX_PASSES):
         if not self_intersects(q, closed=True):

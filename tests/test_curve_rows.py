@@ -1,10 +1,11 @@
 """The component-major curve forms against the (n, 3) forms they replaced.
 
-The functions below are validation, turning angles, integrals and resampling
-as they ran on (n, 3) rows, with row reductions over the length-3 rows and
-np.cross. The library now validates each mesh once, keeps the edge lengths it
-measured, and computes the rest on (3, n) views; every result must come out
-bit-identical, and every rejected input must raise the same error.
+The functions below are validation, turning angles, tangents, the normal push,
+integrals and resampling as they ran on (n, 3) rows, with row reductions over
+the length-3 rows and np.cross. The library now validates each mesh once,
+keeps the edge lengths it measured, and computes the rest on (3, n) views;
+every result must come out bit-identical, and every rejected input must raise
+the same error.
 `evolve_reference` in test_flow_oracle steps through these forms, so the
 flow's snapshots and remeshes are compared with an independent computation.
 """
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherecsf import ClosedSphereCurve, SphereArc, koch_like, resample, turning_angles
-from spherecsf.curves import EDGE_MAX, EDGE_MIN, MIN_NODES, integrals, wrapped
+from spherecsf.curves import (EDGE_MAX, EDGE_MIN, MIN_NODES, _normal_push, integrals,
+                              node_tangents, wrapped)
 from spherecsf.errors import DomainError, SphereCSFError, TooFewNodes
 from spherecsf.sphere import geodesic_distance
 
@@ -75,6 +77,22 @@ def turning_rows(nodes, closed):
     t_in, t_out = -_tangent_rows(v, ext[:-2]), _tangent_rows(v, ext[2:])
     return np.arctan2(np.sum(v * np.cross(t_in, t_out), axis=-1),
                       np.sum(t_in * t_out, axis=-1))
+
+
+def tangent_rows(nodes, closed):
+    """Unit travel tangents at the nodes: central differences, one-sided at an
+    arc's ends, projected and normalised."""
+    ext = wrapped(nodes, closed)
+    diff = ext[2:] - ext[:-2]
+    if not closed:
+        diff = np.concatenate((nodes[1:2] - nodes[:1], diff, nodes[-1:] - nodes[-2:-1]))
+    diff -= nodes * np.sum(diff * nodes, axis=1, keepdims=True)
+    return diff / np.linalg.norm(diff, axis=1, keepdims=True)
+
+
+def normal_push_rows(nodes, closed, s):
+    """The nodes moved by s along their unit left normals p x t."""
+    return np.cos(s) * nodes + np.sin(s) * np.cross(nodes, tangent_rows(nodes, closed))
 
 
 def integrals_rows(nodes, edges, closed):
@@ -160,6 +178,9 @@ def test_component_major_forms_match_rows(drawn, m):
     view = curve.with_nodes(np.array(raw.T).T)
     assert np.array_equal(view.nodes, nodes) and view.nodes.flags.c_contiguous
     assert np.array_equal(turning_angles(curve), turning_rows(nodes, closed))
+    assert np.array_equal(node_tangents(curve), tangent_rows(nodes, closed))
+    s = 1e-3 * (m - 200)  # either side, up to 0.2
+    assert np.array_equal(_normal_push(curve, s), normal_push_rows(nodes, closed, s))
     d = integrals(curve)
     assert (d.length, d.total_curvature, d.bending, d.enclosed_area, d.max_edge,
             d.min_edge) == integrals_rows(nodes, edges, closed)

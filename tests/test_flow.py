@@ -14,7 +14,7 @@ from spherecsf import (ClosedSphereCurve, FlowConfig, SphereArc,
                        time_to_enter_cap)
 from spherecsf import curves, flow
 from spherecsf.errors import ConfigInvalid, DomainError, NeverEnters
-from spherecsf.curves import wrapped, wrapped_edges
+from spherecsf.curves import integrals, resample, wrapped, wrapped_edges
 from spherecsf.flow import _Workspace
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -174,6 +174,31 @@ def test_small_circle_goes_extinct_on_time():
     assert abs(traj.final().t - circle_extinction_time(0.5)) < EXTINCTION_TOL
 
 
+@pytest.mark.parametrize("spacing, tol", [(0.03, 2e-3), (0.06, 5e-3)])
+def test_remeshed_circle_dies_on_time(spacing, tol):
+    # c02's run at coarser spacings, about 7,000 steps each. A resample that
+    # kept its nodes on chords, with no push, cut area at every remesh and
+    # died 1.42e-2 and 3.16e-2 early (relative); pushed, it dies 8.5e-4 and
+    # 2.2e-3 late
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=1e-2, target_spacing=spacing, remesh_every=20)
+    traj = evolve_closed(circle_curve(np.pi / 3, n=512), cfg)
+    exact = circle_extinction_time(np.pi / 3)
+    assert traj.terminal_status == "extinct"
+    assert abs(traj.final().t - exact) / exact <= tol
+
+
+@pytest.mark.parametrize("curve, n", [(circle_curve(np.pi / 3, n=64), 40),
+                                      (perturbed_latitude(1.0, 0.18, 4, n=256), 90)])
+def test_remesh_restores_the_area_resampling_cuts(curve, n):
+    # measured: the resample cuts 4.8e-3 and 1.3e-3, the push leaves 4.9e-6 and 3.1e-6
+    area = integrals(curve).enclosed_area
+    cut = integrals(resample(curve, n=n)).enclosed_area - area
+    left = integrals(flow._remesh(curve, n)).enclosed_area - area
+    assert abs(left) <= 1e-2 * abs(cut)
+    arc = SphereArc(curve.nodes)  # an arc is resampled only
+    assert np.array_equal(flow._remesh(arc, n).nodes, resample(arc, n=n).nodes)
+
+
 def test_shrinking_circle_follows_its_starting_spacing():
     # no target_spacing: a remesh check goes back to the first mean edge once the
     # mean edge is 1.5 times shorter; on its 256 starting nodes this run took
@@ -228,6 +253,16 @@ def test_snapshot_fields():
     assert abs(rev.enclosed_area + s.enclosed_area - 4.0 * np.pi) < 1e-9
 
 
+@pytest.mark.parametrize("closed", [True, False])
+def test_snapshot_zero_is_the_validated_curve(closed):
+    # validating its nodes again would divide them by their norms once more,
+    # which moves most polygons by an ulp
+    curve = perturbed_latitude(1.1, 0.12, 5, n=128) if closed else wavy_arc()
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=1e-3)
+    traj = (evolve_closed if closed else evolve_arc)(curve, cfg)
+    assert traj.snapshots[0].curve is curve
+
+
 def test_arc_endpoints_pinned():
     arc = wavy_arc()
     cfg = FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=0.05)
@@ -262,7 +297,8 @@ def test_snapshots_own_their_nodes(closed):
 
 def test_one_edge_pass_per_validated_mesh(monkeypatch):
     # wrapped_edges measures every edge a curve is validated with; the initial
-    # mesh, each snapshot and each remesh's old and new mesh get one pass each
+    # mesh (which is snapshot 0), each later snapshot and each closed remesh's
+    # old, resampled and pushed mesh get one pass each
     curve = circle_curve(0.9, n=64)
     calls = []
 
@@ -275,7 +311,7 @@ def test_one_edge_pass_per_validated_mesh(monkeypatch):
                      remesh_every=5)
     traj = evolve_closed(curve, cfg)
     assert traj.stats.remeshes > 0 and len(traj.snapshots) > 2
-    assert len(calls) == 1 + len(traj.snapshots) + 2 * traj.stats.remeshes
+    assert len(calls) == len(traj.snapshots) + 3 * traj.stats.remeshes
 
 
 class _FadingCFL(float):

@@ -2,9 +2,9 @@
 
 `evolve_reference` is the explicit loop as it ran on (n, 3) nodes, with row
 reductions over the length-3 rows, counting what it did the way FlowStats does.
-Its snapshots and remeshes validate, measure and resample through the (n, 3)
-forms of test_curve_rows, not through the library's curves. The stepper in
-spherecsf.flow keeps its nodes as (3, w) buffers and sums rows of those
+Its snapshots and remeshes validate, measure, resample and push through the
+(n, 3) forms of test_curve_rows, not through the library's curves. The stepper
+in spherecsf.flow keeps its nodes as (3, w) buffers and sums rows of those
 instead, and its curves keep the edge lengths their validation measured; every
 operation runs in the same order, so each snapshot, the terminal status and
 every counter must come out identical.
@@ -27,8 +27,8 @@ from spherecsf.flow import (CFL_FACTOR, DT_FLOOR, LANDING_SLACK, LENGTH_BACKSTOP
                             STATUS_MAX_TIME, STATUS_SINGULARITY, STATUS_STALLED, FlowStats,
                             _snapshot_time, _target_n)
 
-from test_curve_rows import (curve_of, edges_rows, integrals_rows, needled, resample_rows,
-                             validated_rows)
+from test_curve_rows import (curve_of, edges_rows, integrals_rows, needled, normal_push_rows,
+                             resample_rows, turning_rows, validated_rows)
 from test_flow import Z, jittered_polygon, jittered_polygons, wavy_arc
 
 
@@ -58,6 +58,18 @@ def snapshot_rows(t, nodes, closed):
     return SnapshotRows(t, *integrals_rows(nodes, edges, closed)[:4], nodes)
 
 
+def remesh_rows(nodes, closed, n):
+    """validated_rows of the n-node resampling of nodes; a closed one pushed
+    along its left normals by (A_resampled - A) / L, A = 2 pi - sum(turning)."""
+    nodes, e = validated_rows(nodes, closed)
+    new, new_e = resample_rows(nodes, e, closed, n)
+    if not closed:
+        return new, new_e
+    s = (float(turning_rows(nodes, closed).sum())
+         - float(turning_rows(new, closed).sum())) / float(new_e.sum())
+    return validated_rows(normal_push_rows(new, closed, s), closed)
+
+
 def evolve_reference(curve, cfg):
     """(snapshots as snapshot_rows, terminal status, FlowStats) of the (n, 3)
     explicit loop."""
@@ -69,7 +81,8 @@ def evolve_reference(curve, cfg):
         nodes, e = resample_rows(nodes, e, closed, want)
     ext = wrapped(nodes, closed)
     t = 0.0
-    snaps = [snapshot_rows(0.0, nodes, closed)]
+    # snapshot 0 is the validated curve itself, not validated again
+    snaps = [SnapshotRows(0.0, *integrals_rows(nodes, e, closed)[:4], nodes)]
     length = snaps[0].length
     h0 = length / (len(nodes) - 1 + closed)
     status = None
@@ -143,7 +156,7 @@ def evolve_reference(curve, cfg):
             ratio = float(start_e.max() / start_e.min())
             if want != len(nodes) or ratio >= REMESH_UNIFORMITY:
                 try:  # the snapshot policy holds for a remesh as well
-                    nodes, e = resample_rows(*validated_rows(nodes, closed), closed, want)
+                    nodes, e = remesh_rows(nodes, closed, want)
                 except DomainError:
                     status = STATUS_STALLED
                     break
@@ -172,8 +185,18 @@ def assert_matches_reference(curve, cfg):
 
 
 NO_REMESH = 10 ** 9
-NEEDLE_CFG = FlowConfig(dt=1e-2, snapshot_dt=1e-2, max_time=1e-12,
-                        remesh_every=NO_REMESH)
+# A needle run lasts about this many CFL steps of its own needle, whatever its
+# length: a fixed horizon of 1e-12 gave a 2.5e-8 needle 6,400 steps and a 4e-7
+# one 26.
+NEEDLE_STEPS = 300
+
+
+def needle_cfg(curve, every=NO_REMESH):
+    """Steps sized by the CFL bound of the curve's shortest edge h (its needle),
+    no snapshot before max_time = NEEDLE_STEPS such steps."""
+    h = float(curve.edge_lengths().min())
+    return FlowConfig(dt=1e-2, snapshot_dt=1e-2, max_time=NEEDLE_STEPS * CFL_FACTOR * h * h,
+                      remesh_every=every)
 
 
 @st.composite
@@ -185,9 +208,10 @@ def needled_polygons(draw):
 
 # Needles of 2.5e-8 (the shortest of the pinned rows below) to 5e-7, turned at
 # least 0.5 off the edge. Their edges are measured as chords, so a step's length
-# change is not noise: on 200 draws every run reached max_time with no rejected
-# trial. The example is a draw whose needle read 0 when the stepper's first
-# snapshot validated the nodes again, while edges came from arccos of a dot.
+# change is not noise: on 200 draws every run reached max_time in 300 to 303
+# steps with no rejected trial. The example is a draw whose needle read 0 once
+# its validated nodes were validated again (as the stepper's first snapshot
+# once did), while edges came from arccos of a dot.
 @settings(max_examples=30)
 @given(needled_polygons(), st.booleans())
 @example(needled(jittered_polygon(130, 0.2, 0.5, np.random.default_rng(0)),
@@ -197,7 +221,7 @@ def test_needled_polygons_match_reference(nodes, closed):
         curve = curve_of(nodes, closed)
     except DomainError:  # an edge reads below EDGE_MIN
         assume(False)
-    assert_matches_reference(curve, NEEDLE_CFG)
+    assert_matches_reference(curve, needle_cfg(curve))
 
 
 def test_needled_arc_reaches_max_time():
@@ -206,7 +230,8 @@ def test_needled_arc_reaches_max_time():
     # 17 steps and 29 rejections. Read as chords, its length falls at every step.
     nodes = needled(jittered_polygon(104, 0.93505, 0.56408, np.random.default_rng(4)),
                     1.0734e-7, 0.11061)
-    traj = assert_matches_reference(SphereArc(nodes), replace(NEEDLE_CFG, max_time=5e-13))
+    arc = SphereArc(nodes)
+    traj = assert_matches_reference(arc, replace(needle_cfg(arc), max_time=5e-13))
     assert traj.terminal_status == STATUS_MAX_TIME
     assert traj.stats.rejected_trials == 0 and 0 < traj.stats.accepted_steps <= 200
 
@@ -244,8 +269,8 @@ def needle_id(row):
                          ids=[needle_id(row) for row in NEEDLE_ROWS])
 def test_needle_statuses_match_reference(delta, side, closed, status, seed, every):
     base = jittered_polygon(100, 0.8, 0.6, np.random.default_rng(seed))
-    traj = assert_matches_reference(curve_of(needled(base, delta, side), closed),
-                                    replace(NEEDLE_CFG, remesh_every=every))
+    curve = curve_of(needled(base, delta, side), closed)
+    traj = assert_matches_reference(curve, needle_cfg(curve, every))
     assert traj.terminal_status == status
     if status == STATUS_STALLED:
         assert traj.stats.accepted_steps == 0 and len(traj.snapshots) == 1
