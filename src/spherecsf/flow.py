@@ -3,12 +3,12 @@
 Nodes move by p <- normalize(p + dt * k), k the discrete geodesic-curvature vector.
 The effective step obeys dt <= 0.25 * (min edge)^2 and lands exactly on the
 snapshot times k * snapshot_dt and on max_time; steps that produce NaNs or
-increase length are retried with halved dt. A remesh resamples the curve; a
-closed curve's resample, whose nodes lie on its old edges, is then pushed once
-along its left normals to give back the area its chords cut (_remesh). A run
-whose step would fall below DT_FLOOR, or whose mesh fails curve validation where
-a snapshot or remesh is due (it is neither), ends as stalled unless it was
-singular. Snapshot 0 is the (validated) initial mesh itself.
+increase length are retried with halved dt. A remesh resamples an uneven mesh, or one
+whose mean edge left its band (_target_n); a closed curve's resample, whose nodes lie
+on its old edges, is then pushed once along its left normals to give back the area
+its chords cut (_remesh). A run whose step would fall below DT_FLOOR, or whose mesh
+fails validation where a snapshot or remesh is due (it is neither), ends as stalled
+unless it was singular. Snapshot 0 is the (validated) initial mesh itself.
 
 The loop steps a _Workspace, built from the initial mesh's curve and again from
 each remesh's. It holds the nodes, component-major in two (3, w) buffers (w = n + 2
@@ -51,10 +51,10 @@ CFL_FACTOR = 0.25
 LENGTH_BACKSTOP = 1e-12
 # A rejected step is retried with dt halved, at most this many times.
 MAX_DT_HALVINGS = 8
-# A remesh check resamples when the longest edge exceeds the shortest by this ratio.
+# A remesh check resamples when the longest edge exceeds the shortest by this ratio U,
+# or to spacing s * sqrt(U) once the mean edge is below s / sqrt(U), s target_spacing;
 REMESH_UNIFORMITY = 1.1
-# With no target_spacing, a remesh check resamples to the starting mean edge h0 once
-# the mean edge is below h0 / REMESH_FOLLOW.
+# with none, to the starting mean edge h0 once the mean edge is below h0 / REMESH_FOLLOW.
 REMESH_FOLLOW = 1.5
 # No step, CFL or halved, is tried below this: the run stalls (lengths read noise).
 DT_FLOOR = 1e-16
@@ -191,11 +191,11 @@ def _remesh(curve: SphereCurve, n: int) -> SphereCurve:
 
 
 def _target_n(length: float, curve_n: int, cfg: FlowConfig, closed: bool, h0: float) -> int:
-    if cfg.target_spacing is not None:
-        return nodes_for_spacing(length, cfg.target_spacing, closed)
-    if length / (curve_n - 1 + closed) < h0 / REMESH_FOLLOW:
-        return nodes_for_spacing(length, h0, closed)
-    return curve_n
+    """curve_n, or the node count for spacing top once the mean edge is below bottom."""
+    s, u = cfg.target_spacing, math.sqrt(REMESH_UNIFORMITY)
+    top, bottom = (h0, h0 / REMESH_FOLLOW) if s is None else (s * u, s / u)
+    shrunk = length / (curve_n - 1 + closed) < bottom
+    return nodes_for_spacing(length, top, closed) if shrunk else curve_n
 
 
 # The step's constant operand: numpy takes 0-d float64 arrays faster than floats.

@@ -179,12 +179,16 @@ def test_remeshed_circle_dies_on_time(spacing, tol):
     # c02's run at coarser spacings, about 7,000 steps each. A resample that
     # kept its nodes on chords, with no push, cut area at every remesh and
     # died 1.42e-2 and 3.16e-2 early (relative); pushed, it dies 8.5e-4 and
-    # 2.2e-3 late
+    # 2.2e-3 late. Remeshing whenever the node count moved took 141 and 80
+    # remeshes in 6,956 and 6,966 steps; keeping the mean edge within sqrt(1.1)
+    # of the spacing takes 22 and 22
     cfg = FlowConfig(dt=1e-4, snapshot_dt=1e-2, target_spacing=spacing, remesh_every=20)
     traj = evolve_closed(circle_curve(np.pi / 3, n=512), cfg)
     exact = circle_extinction_time(np.pi / 3)
     assert traj.terminal_status == "extinct"
     assert abs(traj.final().t - exact) / exact <= tol
+    assert traj.stats.remeshes <= 30
+    assert traj.stats.accepted_steps <= 1.01 * {0.03: 6956, 0.06: 6966}[spacing]
 
 
 @pytest.mark.parametrize("curve, n", [(circle_curve(np.pi / 3, n=64), 40),
@@ -216,8 +220,19 @@ def test_follow_rule_compares_mean_edges(closed, h0, want):
     # 100 edges of mean 0.01: 101 nodes for an arc, 100 for a closed curve
     n = 100 + (not closed)
     assert flow._target_n(1.0, n, FlowConfig(), closed, h0) == want
-    spaced = FlowConfig(target_spacing=0.02)
-    assert flow._target_n(1.0, n, spaced, closed, h0) == (50 if closed else 51)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("shift, edges", [(1e-12, 100), (-1e-12, 91)])
+def test_spacing_band_compares_mean_edges(closed, shift, edges):
+    # target_spacing s: 100 edges of mean s / sqrt(1.1) + shift stay, and below
+    # it they become round(100 / 1.1) = 91 edges of about s * sqrt(1.1); h0 is
+    # not read
+    s, u = 0.02, math.sqrt(flow.REMESH_UNIFORMITY)
+    n = 100 + (not closed)
+    length = 100 * (s / u + shift)
+    got = flow._target_n(length, n, FlowConfig(target_spacing=s), closed, h0=1.0)
+    assert got == edges + (not closed)
 
 
 def test_evolution_is_deterministic():
@@ -276,7 +291,8 @@ def test_arc_endpoints_pinned():
 
 @pytest.mark.parametrize("closed", [True, False])
 def test_snapshots_own_their_nodes(closed):
-    curve = circle_curve(0.9, n=64) if closed else wavy_arc()
+    # both shrink past the spacing band in 0.02: 1 and 4 remeshes
+    curve = circle_curve(0.4, n=64) if closed else SphereArc(circle_curve(0.3, n=64).nodes)
     before = np.array(curve.nodes)
     cfg = FlowConfig(dt=1e-4, snapshot_dt=2e-3, max_time=0.02, target_spacing=0.02,
                      remesh_every=5)
@@ -299,7 +315,7 @@ def test_one_edge_pass_per_validated_mesh(monkeypatch):
     # wrapped_edges measures every edge a curve is validated with; the initial
     # mesh (which is snapshot 0), each later snapshot and each closed remesh's
     # old, resampled and pushed mesh get one pass each
-    curve = circle_curve(0.9, n=64)
+    curve = circle_curve(0.4, n=64)
     calls = []
 
     def counted(ext, closed):

@@ -23,13 +23,13 @@ from spherecsf import (DirichletArcSpec, FlowConfig, GreatCircle, SphereArc,
 from spherecsf.errors import DomainError
 from spherecsf.curves import nodes_for_spacing, resample, wrapped
 from spherecsf.flow import (CFL_FACTOR, DT_FLOOR, LANDING_SLACK, LENGTH_BACKSTOP,
-                            MAX_DT_HALVINGS, REMESH_UNIFORMITY, STATUS_EXTINCT,
-                            STATUS_MAX_TIME, STATUS_SINGULARITY, STATUS_STALLED, FlowStats,
-                            _snapshot_time, _target_n)
+                            MAX_DT_HALVINGS, REMESH_FOLLOW, REMESH_UNIFORMITY,
+                            STATUS_EXTINCT, STATUS_MAX_TIME, STATUS_SINGULARITY,
+                            STATUS_STALLED, FlowStats, _snapshot_time)
 
 from test_curve_rows import (curve_of, edges_rows, integrals_rows, needled, normal_push_rows,
                              resample_rows, turning_rows, validated_rows)
-from test_flow import Z, jittered_polygon, jittered_polygons, wavy_arc
+from test_flow import Z, jittered_polygon, jittered_polygons
 
 
 def chord_curvature_rows(ext, closed):
@@ -68,6 +68,20 @@ def remesh_rows(nodes, closed, n):
     s = (float(turning_rows(nodes, closed).sum())
          - float(turning_rows(new, closed).sum())) / float(new_e.sum())
     return validated_rows(normal_push_rows(new, closed, s), closed)
+
+
+def target_n_reference(length, n, cfg, closed, h0):
+    """The remesh rule: resample to spacing top once the mean edge is below
+    bottom, where (top, bottom) is s * sqrt(U) and s / sqrt(U) for
+    target_spacing s and uniformity ratio U, else h0 and h0 / REMESH_FOLLOW."""
+    if cfg.target_spacing is None:
+        top, bottom = h0, h0 / REMESH_FOLLOW
+    else:
+        top = cfg.target_spacing * math.sqrt(REMESH_UNIFORMITY)
+        bottom = cfg.target_spacing / math.sqrt(REMESH_UNIFORMITY)
+    if length / (n - 1 + closed) < bottom:
+        return nodes_for_spacing(length, top, closed)
+    return n
 
 
 def evolve_reference(curve, cfg):
@@ -152,7 +166,7 @@ def evolve_reference(curve, cfg):
 
         if since_remesh >= cfg.remesh_every:
             since_remesh = 0
-            want = _target_n(length, len(nodes), cfg, closed, h0)
+            want = target_n_reference(length, len(nodes), cfg, closed, h0)
             ratio = float(start_e.max() / start_e.min())
             if want != len(nodes) or ratio >= REMESH_UNIFORMITY:
                 try:  # the snapshot policy holds for a remesh as well
@@ -289,7 +303,7 @@ def test_remeshing_runs_match_reference(nodes, closed, spacing, every):
 
 @pytest.mark.parametrize("curve, max_time, status", [
     (circle_curve(0.3, n=64), None, STATUS_EXTINCT),
-    (wavy_arc(), 0.05, STATUS_MAX_TIME),
+    (SphereArc(circle_curve(0.3, n=64).nodes), 0.05, STATUS_MAX_TIME),
 ])
 def test_shrinking_remesh_matches_reference(curve, max_time, status):
     cfg = FlowConfig(dt=1e-3, snapshot_dt=5e-3, max_time=max_time,
