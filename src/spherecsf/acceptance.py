@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
+from . import flow
 from .errors import ExtinctionBeforeEnd
 from .sphere import GreatCircle, geodesic_distance, slerp
 from .curves import (SphereArc, _hausdorff_exceeds, c1_deviation, hausdorff_distance,
@@ -51,10 +52,46 @@ def _mean_radius(nodes, pole) -> float:
 
 
 # ---------------------------------------------------------------------------
-# shared, memoized runs
+# the step ledger and the shared, memoized runs
+
+_READ = []  # the flow runs the running check has read, each once
 
 
-@lru_cache(maxsize=None)
+def _note(runs):
+    """runs, recorded as read by the running check unless it read them already."""
+    _READ.extend([r for r in runs if all(r is not s for s in _READ)])
+    return runs
+
+
+def _shared(make):
+    """make(), run once; every call records its runs as read."""
+    once = lru_cache(maxsize=None)(make)
+    return wraps(make)(lambda: _note(once()))
+
+
+def _ledger(check):
+    """check, with the accepted steps, rejected trials and remeshes of the flow
+    runs it reads summed into its measured. flow._evolve is wrapped while it
+    runs, so the runs that levelset and graphflow make count too; a shared run
+    counts in every check that reads it."""
+    @wraps(check)
+    def counted():
+        evolve = flow._evolve
+        _READ.clear()
+        flow._evolve = lambda curve, cfg: _note([evolve(curve, cfg)])[0]
+        try:
+            result = check()
+            stats = [r.stats for r in _READ]
+        finally:
+            flow._evolve = evolve
+            _READ.clear()
+        result.measured.update({k: sum(getattr(s, k) for s in stats) for k in
+                                ("accepted_steps", "rejected_trials", "remeshes")})
+        return result
+    return counted
+
+
+@_shared
 def _residual_trajectories():
     # snapshot_dt enters the residuals quadratically via the central
     # difference; the fastest transient here decays at rate ~ 2(mode^2 - 1)
@@ -67,7 +104,7 @@ def _residual_trajectories():
     return tuple(runs)
 
 
-@lru_cache(maxsize=None)
+@_shared
 def _monotone_trajectories():
     # remesh disabled so sampled counts ride smooth node trajectories; the
     # corpus is therefore smooth curves (corner curves cluster nodes without
@@ -434,3 +471,4 @@ CHECKS = {
     "uniform-length-bound": check_uniform_length_bound,
     "initial-continuity": check_initial_continuity,
 }
+CHECKS = {name: _ledger(check) for name, check in CHECKS.items()}

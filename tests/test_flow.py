@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spherecsf import (ClosedSphereCurve, FlowConfig, SphereArc,
                        barrier_radius_oracle, circle_curve, circle_extinction_time,
-                       circle_oracle, evolve_arc, evolve_closed,
+                       circle_oracle, evolve_arc, evolve_closed, koch_like,
                        leafable_wiggle, perturbed_latitude, straightening_experiment,
                        time_to_enter_cap)
 from spherecsf import curves, flow
@@ -206,12 +206,12 @@ def test_remesh_restores_the_area_resampling_cuts(curve, n):
 def test_shrinking_circle_follows_its_starting_spacing():
     # no target_spacing: a remesh check goes back to the first mean edge once the
     # mean edge is 1.5 times shorter; on its 256 starting nodes this run took
-    # 40,270 steps
+    # 40,270 steps. It takes 4,171 at CFL_FACTOR 0.35 (5,824 at 0.25)
     cfg = FlowConfig(snapshot_dt=1e-2, max_time=0.5)
     traj = evolve_closed(circle_curve(0.6, n=256), cfg)
     assert traj.terminal_status == "extinct"
     assert traj.stats.remeshes >= 1 and traj.stats.final_n < 256
-    assert traj.stats.accepted_steps <= 5824 * 1.02
+    assert traj.stats.accepted_steps <= 4171 * 1.02
 
 
 @pytest.mark.parametrize("closed, h0, want", [
@@ -331,10 +331,12 @@ def test_one_edge_pass_per_validated_mesh(monkeypatch):
 
 
 class _FadingCFL(float):
-    """A CFL factor of 0.25 for the first `steps` step sizes, then 1e-20."""
+    """flow.CFL_FACTOR (as imported) for the first `steps` step sizes, then 1e-20."""
+
+    FACTOR = flow.CFL_FACTOR
 
     def __new__(cls, steps):
-        factor = super().__new__(cls, 0.25)
+        factor = super().__new__(cls, cls.FACTOR)
         factor.steps = steps
         return factor
 
@@ -362,6 +364,32 @@ def test_cfl_step_below_floor_stalls(monkeypatch):
     assert np.allclose(traj.times, [0.0, 1e-3, 2e-3, 2.5e-3], rtol=0, atol=1e-12)
     for a, b in zip(traj.snapshots[:3], full.snapshots):
         assert a.t == b.t and np.array_equal(a.curve.nodes, b.curve.nodes)
+
+
+# CFL_FACTOR is 70% of the chord scheme's stability limit dt = 0.5 h^2, where the
+# factor 1 - 4 dt / h^2 of the top mode reaches -1: past it trials are rejected
+# (the pi/3 circle at n = 512 to t = 0.02 rejects 0 at 0.5, 13 at 0.55, 40 at 0.6).
+@pytest.mark.parametrize("make, max_time, every", [
+    (lambda: circle_curve(np.pi / 3, n=512), 0.02, 20),
+    (lambda: koch_like(3), 5e-3, 10 ** 9),
+    (lambda: koch_like(4), 2e-3, 10 ** 9),
+    (lambda: perturbed_latitude(1.1, 0.12, 5, n=512), 0.02, 20),
+], ids=["circle", "koch3", "koch4", "perturbed"])
+def test_cfl_steps_are_never_rejected(make, max_time, every):
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=max_time, max_time=max_time,
+                     remesh_every=every)
+    traj = evolve_closed(make(), cfg)
+    assert traj.terminal_status == "reached_max_time"
+    assert traj.stats.rejected_trials == 0
+    # the CFL bound, not the dt cap, sized the steps on the shortest edges
+    assert flow.CFL_FACTOR * traj.stats.min_edge ** 2 < cfg.dt
+
+
+def test_cfl_factor_past_the_limit_rejects_trials(monkeypatch):
+    monkeypatch.setattr(flow, "CFL_FACTOR", 0.6)
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=0.02, max_time=0.02)
+    traj = evolve_closed(circle_curve(np.pi / 3, n=512), cfg)
+    assert traj.stats.rejected_trials >= 1
 
 
 @pytest.mark.parametrize("n, max_time", [(64, 0.2), (128, 0.6), (64, 0.0105)])

@@ -337,7 +337,7 @@ def _c11_arc():
 # at 515 nodes, remeshed every 20 steps.
 @pytest.mark.parametrize("make, cfg, n", [
     (lambda: circle_curve(np.pi / 3, n=2048),
-     FlowConfig(dt=1e-4, snapshot_dt=3e-5, max_time=9e-5), 2048),
+     FlowConfig(dt=1e-4, snapshot_dt=4e-5, max_time=1.2e-4), 2048),
     (_c11_arc, FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=0.01,
                           target_spacing=0.01, remesh_every=20), 515),
 ], ids=["circle-n2048", "c11-arc-n515"])
