@@ -2,9 +2,9 @@
 
 Closed curves and fixed-endpoint arcs are polygonal node chains on S^2 evolved
 by explicit curvature stepping. The package also provides latitude-band
-barriers, Jordan-style band multiplicity, spaced point sets, wedge leaf
-decompositions, offset sandwiches for weak evolutions, and a periodic graph
-solver over a great circle. The built-in verification suite,
+barriers, Jordan-style band multiplicity, spaced point sets, offset
+sandwiches for weak evolutions, and a periodic graph solver over a great
+circle. The built-in verification suite,
 spherecsf.acceptance, is imported on its own, not with the package.
 """
 
@@ -14,11 +14,11 @@ from .errors import (AntipodalEndpoints, BlowUp, ConfigInvalid, DomainError,
                      ExtinctionBeforeEnd, NeverEnters, NotEmbedded,
                      OffsetCollision, ParamDomain, PoleDegenerate,
                      SpacingNotFound, SphereCSFError, TooFewNodes)
-from .sphere import (GreatCircle, Wedge, cap_area, fold_angle, geodesic_distance,
-                     orthonormal_frame, slerp, unit)
+from .sphere import (GreatCircle, fold_angle, geodesic_distance, orthonormal_frame,
+                     slerp, unit)
 from .curves import (ClosedSphereCurve, CurveDiagnostics, SphereArc,
                      SphereCurve, c1_deviation, curve_distance, curves_cross,
-                     densify, diagnostics, hausdorff_distance,
+                     diagnostics, hausdorff_distance,
                      intersection_count, latitude_deviation_angles, load_curve,
                      resample, save_curve, self_intersects, turning_angles)
 from .flow import (DirichletArcSpec, FlowConfig, FlowStats, FlowTrajectory, Snapshot,
@@ -26,10 +26,10 @@ from .flow import (DirichletArcSpec, FlowConfig, FlowStats, FlowTrajectory, Snap
                    circle_extinction_time, circle_oracle, evolve_arc,
                    evolve_closed, straightening_experiment, time_to_enter_cap)
 from .graphflow import (PeriodicGraph, constant_graph_oracle, crosscheck,
-                        evolve_graph, linear_mode_decay)
+                        evolve_graph)
 from .jordan import (LeafableReport, MultiplicityReport, Spacing, SpacingCheck,
                      circle_curve, construct_spacing, dirichlet_gamma,
-                     fibonacci_sphere, generate_curve, is_leafable, koch_like,
+                     fibonacci_sphere, is_leafable, koch_like,
                      leafable_wiggle, multiplicity_at, multiplicity_sup,
                      perturbed_latitude, verify_spacing)
 from .levelset import (AnnulusState, AreaOdeReport, ClassifyResult,
@@ -45,12 +45,12 @@ __all__ = [
     "SpacingNotFound", "ParamDomain", "OffsetCollision",
     "ExtinctionBeforeEnd", "NeverEnters",
     # sphere
-    "GreatCircle", "Wedge", "unit", "geodesic_distance",
-    "fold_angle", "orthonormal_frame", "slerp", "cap_area",
+    "GreatCircle", "unit", "geodesic_distance",
+    "fold_angle", "orthonormal_frame", "slerp",
     # curves
     "ClosedSphereCurve", "SphereArc", "SphereCurve", "CurveDiagnostics",
     "turning_angles", "diagnostics", "self_intersects",
-    "resample", "densify", "curve_distance", "hausdorff_distance",
+    "resample", "curve_distance", "hausdorff_distance",
     "latitude_deviation_angles", "c1_deviation", "intersection_count",
     "save_curve", "load_curve",
     # flow
@@ -60,13 +60,12 @@ __all__ = [
     "straightening_experiment",
     # graphflow
     "PeriodicGraph", "evolve_graph", "constant_graph_oracle",
-    "linear_mode_decay", "crosscheck",
+    "crosscheck",
     # jordan
     "MultiplicityReport", "multiplicity_at", "multiplicity_sup", "Spacing",
     "SpacingCheck", "verify_spacing", "construct_spacing", "LeafableReport",
     "is_leafable", "circle_curve", "perturbed_latitude", "leafable_wiggle",
-    "koch_like", "dirichlet_gamma", "generate_curve",
-    "fibonacci_sphere",
+    "koch_like", "dirichlet_gamma", "fibonacci_sphere",
     # levelset
     "AnnulusState", "make_annulus", "curves_cross", "enclosed_left_area",
     "offset_curve", "sandwich_flow", "SandwichResult", "area_ode_check", "AreaOdeReport",

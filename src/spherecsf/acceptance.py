@@ -55,6 +55,7 @@ def _mean_radius(nodes, pole) -> float:
 # the step ledger and the shared, memoized runs
 
 _READ = []  # the flow runs the running check has read, each once
+LEDGER = ("accepted_steps", "rejected_trials", "remeshes")  # FlowStats fields each check sums
 
 
 def _note(runs):
@@ -85,8 +86,7 @@ def _ledger(check):
         finally:
             flow._evolve = evolve
             _READ.clear()
-        result.measured.update({k: sum(getattr(s, k) for s in stats) for k in
-                                ("accepted_steps", "rejected_trials", "remeshes")})
+        result.measured.update({k: sum(getattr(s, k) for s in stats) for k in LEDGER})
         return result
     return counted
 

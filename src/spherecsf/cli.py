@@ -46,16 +46,6 @@ _JSON_KINDS = {int: "an integer", float: "a real number", bool: "true or false",
 _TRAJECTORY_FIELDS = ["t", "length", "total_curvature", "bending", "area"]
 
 
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _fmt_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
@@ -78,13 +68,13 @@ class RunDir:
         return self.path / rel
 
     def write_json(self, rel: str, obj) -> None:
-        text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+        text = json.dumps(obj, indent=2, sort_keys=True)
         self.file(rel).write_text(text + "\n")
 
     def write_jsonl(self, rel: str, rows) -> None:
         with open(self.file(rel), "w") as fh:
             for row in rows:
-                fh.write(json.dumps(row, default=_json_default) + "\n")
+                fh.write(json.dumps(row) + "\n")
 
     def write_csv(self, rel: str, header, rows) -> None:
         with open(self.file(rel), "w") as fh:
@@ -429,7 +419,7 @@ def cmd_graphflow(args, cfg: dict, run: RunDir) -> int:
 
 
 def cmd_verify(args, cfg: dict, run: RunDir) -> int:
-    from .acceptance import CHECKS
+    from .acceptance import CHECKS, LEDGER
     known = list(CHECKS)
     names = _get(cfg, "checks", None, list)
     if names is not None:
@@ -437,14 +427,18 @@ def cmd_verify(args, cfg: dict, run: RunDir) -> int:
         unknown = [x for x in names if x not in known]
         if unknown:
             raise ConfigInvalid(f"checks: unknown names {unknown} (known: {known})")
+        repeated = [x for i, x in enumerate(names) if x in names[:i]]
+        if repeated:
+            raise ConfigInvalid(f"checks: repeated names {repeated}")
     results, run.manifest["check_wall_s"] = [], {}
     for check_name in (known if names is None else names):
         started = time.monotonic()
         result = CHECKS[check_name]()
         run.manifest["check_wall_s"][check_name] = round(time.monotonic() - started, 3)
         results.append(result)
+        ledger = " ".join(f"{k}={result.measured[k]}" for k in LEDGER)
         _say(args, f"{'PASS' if result.passed else 'FAIL'} "
-                   f"{result.name}: {result.detail}")
+                   f"{result.name}: {result.detail} [{ledger}]")
     run.write_json("report.json", {
         "all_passed": all(r.passed for r in results),
         "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail,

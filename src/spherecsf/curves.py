@@ -11,7 +11,7 @@ chord j runs from row j to row j + 1 and the node at row j has neighbours at row
 and j + 1. `edge_ends` picks the edges, in node order, out of that array.
 
 A curve keeps the edge lengths its validation computed, read-only, and every
-consumer of the mesh (length, integrals, resampling, densifying, the flow's
+consumer of the mesh (length, integrals, resampling, distances, the flow's
 snapshots and remeshes) reads them instead of measuring the edges again. The
 per-node formulas (validation's norms, turning angles, tangents and the normal
 push, resampling) run component-major, on (3, n) views: a dot product sums the
@@ -430,35 +430,25 @@ def curve_distance(points: np.ndarray, curve: SphereCurve) -> np.ndarray:
 
 
 def _sample_counts(e: np.ndarray, spacing: float) -> np.ndarray:
-    """densify's slerp steps on edges of lengths e."""
+    """The lattice's slerp steps, ceil(h / spacing), on edges of lengths h = e."""
     return np.maximum(1, np.ceil(e / spacing).astype(int))
 
 
 def _lattice(a, b, e, i, s, count):
-    """densify's points: step s of count along each edge i, from a[i] to b[i] of
-    length e[i], and b[i] itself where s == count; normalised."""
+    """The lattice's points: step s of count along each edge i, from a[i] to b[i]
+    of length e[i], and b[i] itself where s == count; normalised."""
     pts = edge_slerp(a[i], b[i], e[i][:, None], (s / count)[:, None])
     pts[s == count] = b[i[s == count]]
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def densify(curve: SphereCurve, spacing: float) -> np.ndarray:
-    """Sample points along the polyline at most `spacing` apart (includes nodes):
-    ceil(h / spacing) slerp steps per edge of length h, and an arc's last node."""
-    _check_positive(spacing, "spacing")
-    e = curve.edge_lengths()
-    counts = _sample_counts(e, spacing)
-    i, s = _runs(counts)
-    if not curve.closed:
-        i, s = np.append(i, len(e) - 1), np.append(s, counts[-1])
-    return _lattice(*edge_ends(wrapped(curve.nodes, curve.closed), curve.closed),
-                    e, i, s, counts[i])
-
-
 def _directed_hausdorff(x: SphereCurve, ex: _Edges, ey: _Edges, refine: float,
                         above: float = -np.inf) -> float:
-    """max over densify(x, refine) of curve_distance(., y), for the curve y whose
+    """max over x's refine-lattice of curve_distance(., y), for the curve y whose
     edges are ey (ex are x's), when it exceeds `above`; else at most `above`.
+    The lattice is the steps 0 .. count - 1 of each edge, count = ceil(h / refine)
+    on an edge of length h, and an arc's last node: every node and points at
+    most `refine` apart.
 
     Distance to y is 1-Lipschitz: no lattice point between steps lo and hi of an
     edge, h apart, is further than (d_lo + d_hi + (hi - lo) h) / 2. Each edge the
@@ -507,9 +497,10 @@ def _directed_hausdorff(x: SphereCurve, ex: _Edges, ey: _Edges, refine: float,
 def hausdorff_distance(a: SphereCurve, b: SphereCurve, refine: float = 1e-4) -> float:
     """Symmetric Hausdorff distance between two curves.
 
-    Each way it is the max, over densify(., refine), of the exact point-to-polyline
-    distance (curve_distance) to the other curve, so it is accurate to refine/2. A
-    bisection of the lattice finds it bit for bit, the second way above the first's max.
+    Each way it is the max, over the curve's refine-lattice (_directed_hausdorff),
+    of the exact point-to-polyline distance (curve_distance) to the other curve,
+    so it is accurate to refine/2. A bisection of the lattice finds it bit for
+    bit, the second way above the first's max.
     """
     _check_positive(refine, "refine")
     ea, eb = _edges(a.nodes, a.closed), _edges(b.nodes, b.closed)

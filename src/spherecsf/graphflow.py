@@ -96,11 +96,6 @@ def constant_graph_oracle(u0: float, t: float) -> float:
     return float(np.tan(np.arcsin(s)))
 
 
-def linear_mode_decay(k: int, t: float) -> float:
-    """Amplitude factor e^{(1-k^2) t} of mode k in the linearization about 0."""
-    return float(np.exp((1.0 - k * k) * t))
-
-
 def _lift_to_sphere(g: PeriodicGraph, circle: GreatCircle) -> ClosedSphereCurve:
     """The graph as a closed curve: longitude x, band coordinate arctan(u(x))."""
     return ClosedSphereCurve(circle.chart_point(g.x, g.heights))

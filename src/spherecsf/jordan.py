@@ -21,7 +21,7 @@ from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _dot3, _tangent_
                      curve_distance, edge_ends, latitude_deviation_angles,
                      resample, wrapped)
 from .flow import DirichletArcSpec, _is_number
-from .sphere import (GreatCircle, Wedge, as_point, edge_slerp, fold_angle,
+from .sphere import (GreatCircle, as_point, edge_slerp, fold_angle,
                      geodesic_distance, orthonormal_frame, unit)
 
 TOUCH_TOL = 1e-9
@@ -503,7 +503,6 @@ def dirichlet_gamma(spec: DirichletArcSpec, spacing: Optional[float] = None):
     """
     g, r = spec.circle, spec.band_halfwidth
     a_c = spec.closeness * spec.cap_radius
-    x = spec.vertex
     if spacing is None:
         spacing = r / 12.0
 
@@ -557,7 +556,6 @@ def dirichlet_gamma(spec: DirichletArcSpec, spacing: Optional[float] = None):
 
     info = {
         "theta": theta,
-        "wedge": Wedge(g, x, theta),
         "endpoint_a0": arc.nodes[0],
         "endpoint_a1": arc.nodes[-1],
         "lam0": float(lam0),
@@ -590,10 +588,3 @@ CURVE_KINDS = {
     "KochLike": koch_like,
     "DirichletGamma": _dirichlet_gamma_arc,
 }
-
-
-def generate_curve(kind: str, **params):
-    """The curve of family `kind` built from the maker's keyword arguments."""
-    if kind not in CURVE_KINDS:
-        raise DomainError(f"unknown curve kind {kind!r} (known: {', '.join(CURVE_KINDS)})")
-    return CURVE_KINDS[kind](**params)

@@ -1,4 +1,4 @@
-"""Spherical primitives: unit points, great circles, caps, wedges.
+"""Spherical primitives: unit points, great circles, latitude charts.
 
 Angles are radians; points are unit 3-vectors (numpy arrays of shape (3,) or (n, 3)).
 """
@@ -144,46 +144,3 @@ class GreatCircle:
         if np.any(nn < POLE_EPS):
             raise PoleDegenerate("latitude direction undefined at the poles")
         return d / nn
-
-
-def cap_area(r):
-    """Area of a geodesic ball of radius r in (0, pi)."""
-    r = float(r)
-    if not (0.0 < r < np.pi):
-        raise DomainError(f"cap radius must be in (0, pi), got {r!r}")
-    return 2.0 * np.pi * (1.0 - np.cos(r))
-
-
-@dataclass(frozen=True)
-class Wedge:
-    """Union of the rotated circles R_psi(circle), |psi| <= halfangle, R_psi fixing vertex."""
-
-    circle: GreatCircle
-    vertex: np.ndarray
-    halfangle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertex", as_point(self.vertex, "vertex"))
-        self.vertex.flags.writeable = False
-        if abs(float(self.vertex @ self.circle.pole)) > 1e-9:
-            raise DomainError("wedge vertex must lie on the circle")
-        a = float(self.halfangle)
-        if not (0.0 < a < np.pi / 2.0):
-            raise DomainError(f"wedge halfangle must be in (0, pi/2), got {a!r}")
-        object.__setattr__(self, "halfangle", a)
-
-    def leaf_angle(self, p):
-        """Rotation angle psi in (-pi/2, pi/2] whose leaf contains p.
-
-        The vertex and its antipode lie on every leaf; PoleDegenerate there.
-        """
-        p = np.asarray(p, dtype=float)
-        m = self.circle.pole
-        u = p @ m
-        w = p @ np.cross(self.vertex, m)
-        if np.any(np.hypot(u, w) < 1e-12):
-            raise PoleDegenerate("every leaf passes through the wedge axis")
-        psi = np.arctan2(-u, w)
-        psi = np.where(psi > np.pi / 2.0, psi - np.pi, psi)
-        psi = np.where(psi <= -np.pi / 2.0, psi + np.pi, psi)
-        return psi if psi.ndim else float(psi)

@@ -17,7 +17,6 @@ import pytest
 
 from spherecsf import FlowConfig, acceptance, circle_curve, evolve_closed, flow
 from spherecsf.acceptance import CHECKS
-from spherecsf.cli import _json_default
 
 ORDER = list(CHECKS)
 assert len(ORDER) == 15
@@ -73,7 +72,7 @@ def test_acceptance(name):
     line = f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}"
     print(line)
     assert result.passed, line
-    got = json.loads(json.dumps(result.measured, default=_json_default))
+    got = json.loads(json.dumps(result.measured))
     want = MEASURED[name]
     assert sorted(got) == sorted(want)
     moved = {k: (want[k], got[k]) for k in want

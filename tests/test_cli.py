@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from spherecsf import (FlowConfig, SphereArc, acceptance, circle_curve, evolve_arc,
-                       generate_curve, save_curve)
+                       save_curve)
 from spherecsf import cli
 from spherecsf.cli import _CURVE_KEYS, _COMMANDS, _build_curve, _get, main
 from spherecsf.errors import ConfigInvalid
@@ -310,7 +310,7 @@ CURVE_SPECS = {
 def test_cli_curve_spec_is_generator_call(kind):
     params = CURVE_SPECS[kind]
     built = _build_curve({"kind": kind, **params}, "curve", seed=5)
-    assert np.array_equal(built.nodes, generate_curve(kind, **params).nodes)
+    assert np.array_equal(built.nodes, CURVE_KINDS[kind](**params).nodes)
 
 
 def test_curve_key_kinds_cover_every_maker_keyword():
@@ -362,7 +362,7 @@ def test_commands_declare_the_fields_they_read():
 def test_seed_flag_is_the_default_generator_seed():
     built = _build_curve({"kind": "LeafableWiggle", "n": 64}, "curve", seed=5)
     assert np.array_equal(built.nodes,
-                          generate_curve("LeafableWiggle", n=64, seed=5).nodes)
+                          CURVE_KINDS["LeafableWiggle"](n=64, seed=5).nodes)
 
 
 def run_python(args, timeout):
@@ -683,19 +683,21 @@ def test_verify_single_check_passes(tmp_path):
 
 def test_verify_failing_check_exits_one(tmp_path, monkeypatch):
     # a failing check is reported, not raised: the command exits 1 and carries
-    # the check's own detail into report.json
+    # the check's own detail into report.json. Like every CHECKS entry it is
+    # wrapped in the step ledger, which counts no run here.
     def always_fails():
         return acceptance.CheckResult(name="always-fails", passed=False,
                                       detail="deliberate failure",
                                       measured={"value": 1.0})
 
-    monkeypatch.setitem(acceptance.CHECKS, "always-fails", always_fails)
+    monkeypatch.setitem(acceptance.CHECKS, "always-fails", acceptance._ledger(always_fails))
     rc, d = run_cli(tmp_path, "verify", {"checks": ["always-fails"]})
     assert rc == 1
     report = read_json(d, "report.json")
     assert report["all_passed"] is False
     assert report["checks"][0]["detail"] == "deliberate failure"
-    assert report["checks"][0]["measured"] == {"value": 1.0}
+    assert report["checks"][0]["measured"] == {"value": 1.0, "accepted_steps": 0,
+                                               "rejected_trials": 0, "remeshes": 0}
     lines = (d / "tables" / "checks.csv").read_text().splitlines()
     assert lines == ["name,passed", "always-fails,False"]
 
@@ -703,8 +705,8 @@ def test_verify_failing_check_exits_one(tmp_path, monkeypatch):
 def test_verify_manifest_times_each_check_that_ran(tmp_path, monkeypatch):
     # the wall times go to manifest.json only: report.json and checks.csv of
     # two runs stay byte-identical
-    monkeypatch.setitem(acceptance.CHECKS, "quick", lambda: acceptance.CheckResult(
-        name="quick", passed=True, detail="no work", measured={}))
+    monkeypatch.setitem(acceptance.CHECKS, "quick", acceptance._ledger(
+        lambda: acceptance.CheckResult(name="quick", passed=True, detail="no work")))
     cfg = {"checks": ["quick", "initial-continuity"]}
     _, d1 = run_cli(tmp_path, "verify", cfg, out="a")
     rc, d2 = run_cli(tmp_path, "verify", cfg, out="b")
@@ -718,6 +720,20 @@ def test_verify_manifest_times_each_check_that_ran(tmp_path, monkeypatch):
         assert "wall" not in (d1 / rel).read_text()
 
 
+def test_verify_prints_each_checks_step_ledger(tmp_path, capsys):
+    # the counts go to stdout as well; report.json stays the record
+    cfg = tmp_path / "checks.json"
+    cfg.write_text(json.dumps({"checks": ["initial-continuity"]}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    measured = read_json(tmp_path / "verify", "report.json")["checks"][0]["measured"]
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("PASS initial-continuity: ")
+    assert measured["accepted_steps"] > 0
+    assert line.endswith(f"[accepted_steps={measured['accepted_steps']} "
+                         f"rejected_trials={measured['rejected_trials']} "
+                         f"remeshes={measured['remeshes']}]")
+
+
 def test_verify_unknown_check_name(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "verify", {"checks": ["nope"]})
     assert rc == 2
@@ -725,7 +741,8 @@ def test_verify_unknown_check_name(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("checks", ["initial-continuity", [1], [["initial-continuity"]],
-                                    {"initial-continuity": True}])
+                                    {"initial-continuity": True},
+                                    ["initial-continuity", "initial-continuity"]])
 def test_verify_checks_is_a_list_of_names(tmp_path, capsys, checks):
     rc, d = run_cli(tmp_path, "verify", {"checks": checks})
     assert rc == 2

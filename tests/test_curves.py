@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import spherecsf
 from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, c1_deviation,
-                       cap_area, circle_curve, curve_distance, densify, diagnostics,
+                       circle_curve, curve_distance, diagnostics,
                        enclosed_left_area, hausdorff_distance, intersection_count,
                        load_curve, perturbed_latitude, resample, save_curve,
                        self_intersects, turning_angles)
@@ -23,6 +23,11 @@ Z = np.array([0.0, 0.0, 1.0])
 
 LENGTH_TOL = 1e-4
 CURVATURE_TOL = 1e-3
+
+
+def cap_area(r):
+    """Area of the geodesic cap of radius r."""
+    return 2.0 * np.pi * (1.0 - np.cos(r))
 
 
 def meridian_arc(n=64, lo=0.2, hi=np.pi - 0.2):
@@ -188,23 +193,13 @@ def test_load_rejects_bad_files(tmp_path):
 
 @pytest.mark.parametrize("value", [0.0, -0.02, np.nan, np.inf])
 def test_spacing_arguments_are_positive_and_finite(value):
-    # each once returned the nodes alone, skipped densification, resampled to
-    # MIN_NODES or raised numpy's ValueError
+    # each once skipped its sample lattice, resampled to MIN_NODES or raised
+    # numpy's ValueError
     c = circle_curve(1.1, n=64)
-    with pytest.raises(DomainError, match="spacing must be positive and finite"):
-        densify(c, value)
     with pytest.raises(DomainError, match="spacing must be positive and finite"):
         resample(c, spacing=value)
     with pytest.raises(DomainError, match="refine must be positive and finite"):
         hausdorff_distance(c, c, refine=value)
-
-
-def test_densify_stays_on_curve():
-    c = circle_curve(1.1, n=64)
-    d = densify(c, 0.02)
-    assert d.shape[0] > 4 * c.n
-    far = float(curve_distance(d, c).max())
-    assert far < 1e-7
 
 
 def test_diagnostics_latitude():
@@ -312,9 +307,10 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_package_imports_only_numpy_and_the_standard_library():
     # the runtime dependency is numpy alone; scipy may be installed beside it,
-    # so only this scan catches a stray import of it
+    # so only this scan catches a stray import of it. The package's own modules
+    # import each other relatively.
     package = Path(integrals.__code__.co_filename).parent
-    allowed = {"numpy", "spherecsf", *sys.stdlib_module_names}
+    allowed = {"numpy", *sys.stdlib_module_names}
     foreign = []
     for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -332,17 +328,19 @@ def test_package_imports_only_numpy_and_the_standard_library():
 # suite's, which the package import leaves out; all kept off the top level
 REMOVED_NAMES = ("Rotation", "Band", "antipode", "reflect_across", "curvature_vectors",
                  "approximate_boundaries", "point_in_left", "lift_to_sphere",
-                 "check_dirichlet_gamma", "CHECKS", "CheckResult", "run_checks")
+                 "check_dirichlet_gamma", "CHECKS", "CheckResult", "run_checks",
+                 "generate_curve", "densify", "linear_mode_decay", "cap_area", "Wedge")
 
 
 def test_public_surface_is_all():
-    # __all__ and the import block of the package name the same set of names
+    # __all__ and the import block of the package name the same set of names,
+    # each once, so a deletion cannot leave a stale export behind
     names = spherecsf.__all__
     assert len(names) == len(set(names))
     assert all(hasattr(spherecsf, name) for name in names)
     public = {name for name, value in vars(spherecsf).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert public <= set(names)
+    assert public | {"__version__"} == set(names)
     assert [name for name in REMOVED_NAMES if hasattr(spherecsf, name)] == []
 
 

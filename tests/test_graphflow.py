@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spherecsf import (GreatCircle, PeriodicGraph, constant_graph_oracle,
-                       crosscheck, evolve_graph, intersection_count,
-                       linear_mode_decay)
+                       crosscheck, evolve_graph, intersection_count)
 from spherecsf.curves import wrapped
 from spherecsf.graphflow import POLE_GUARD, STEP_BUDGET, _lift_to_sphere
 from spherecsf.errors import BlowUp, DomainError
@@ -79,7 +78,7 @@ def test_small_mode_decays_at_linear_rate():
     for k in (2, 3):
         out = evolve_graph(PeriodicGraph(1e-3 * np.sin(k * x)), 0.05)
         amp = 2.0 * np.abs(np.fft.rfft(out.values)[k]) / 256
-        pred = 1e-3 * linear_mode_decay(k, 0.05)
+        pred = 1e-3 * np.exp((1 - k * k) * 0.05)  # mode k's linearized decay
         assert abs(amp / pred - 1.0) < MODE_DECAY_TOL
 
 
@@ -115,11 +114,6 @@ def test_spectral_and_finite_difference_solvers_agree_to_dx_squared():
         gaps.append(np.abs(evolve_fd(u, 0.1) - evolve_graph(PeriodicGraph(u), 0.1).values).max())
     assert gaps[1] < 2e-6
     assert 3.5 < gaps[0] / gaps[1] < 4.5
-
-
-def test_linear_mode_decay_formula():
-    assert abs(linear_mode_decay(3, 0.05) - np.exp(-8 * 0.05)) < 1e-15
-    assert linear_mode_decay(1, 0.7) == 1.0  # the translation mode persists
 
 
 def test_lift_constant_profile():

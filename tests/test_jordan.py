@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spherecsf import (ClosedSphereCurve, DirichletArcSpec, GreatCircle, Spacing,
-                       SphereArc, Wedge, circle_curve, construct_spacing,
-                       dirichlet_gamma, fibonacci_sphere, generate_curve,
-                       geodesic_distance, is_leafable, koch_like,
+                       SphereArc, circle_curve, construct_spacing,
+                       dirichlet_gamma, fibonacci_sphere, geodesic_distance,
+                       is_leafable, koch_like,
                        latitude_deviation_angles, leafable_wiggle, multiplicity_at,
                        multiplicity_sup, self_intersects, turning_angles, unit,
                        verify_spacing)
@@ -15,6 +15,7 @@ from spherecsf.errors import DomainError, ParamDomain, SpacingNotFound
 from spherecsf.jordan import TOUCH_TOL
 
 from test_query_oracles import multiplicity_counts_loop
+from test_sphere import leaf_angle
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -284,15 +285,14 @@ def check_dirichlet_gamma(arc: SphereArc, spec: DirichletArcSpec, info: dict) ->
     """Property checks for the hairpin construction; all values should be True."""
     g, r = spec.circle, spec.band_halfwidth
     x = spec.vertex
-    wedge: Wedge = info["wedge"]
     theta = info["theta"]
     lon, s = g.chart_coords(arc.nodes)
     e = arc.edge_lengths()
     hbar = mean_adjacent_edges(arc)
     checks = {}
 
-    psi_ends = [float(wedge.leaf_angle(arc.nodes[0])),
-                float(wedge.leaf_angle(arc.nodes[-1]))]
+    psi_ends = [float(leaf_angle(g, x, arc.nodes[0])),
+                float(leaf_angle(g, x, arc.nodes[-1]))]
     mirrored = reflect_across(g, arc.nodes[0])
     checks["endpoints_on_extreme_leaves"] = (
         abs(abs(psi_ends[0]) - theta) <= 1e-9
@@ -300,7 +300,7 @@ def check_dirichlet_gamma(arc: SphereArc, spec: DirichletArcSpec, info: dict) ->
         and float(geodesic_distance(mirrored, arc.nodes[-1])) <= 1e-7)
 
     checks["band_containment"] = bool(np.abs(s).max() <= 2.0 * r + 1e-9)
-    psi = wedge.leaf_angle(arc.nodes)
+    psi = leaf_angle(g, x, arc.nodes)
     checks["wedge_containment"] = bool(np.abs(psi).max() <= theta + 1e-9)
 
     d_far = geodesic_distance(arc.nodes, -x)
@@ -351,19 +351,6 @@ def test_dirichlet_gamma_properties():
     a_c = spec.closeness * spec.cap_radius
     for end in (arc.nodes[0], arc.nodes[-1]):
         assert geodesic_distance(end, spec.vertex) < a_c
-
-
-def test_generate_curve_dispatch():
-    assert generate_curve("Circle", radius=0.7, n=128).n == 128
-    assert generate_curve("PerturbedLatitude", radius=1.0, amplitude=0.1,
-                          mode=3, n=64).n == 64
-    assert generate_curve("KochLike", depth=1).n == 24
-    assert generate_curve("LeafableWiggle", seed=1).n >= 8
-    arc = generate_curve("DirichletGamma", band_halfwidth=0.08, pole=Z,
-                         cap_radius=1.3, closeness=0.25)
-    assert isinstance(arc, SphereArc)
-    with pytest.raises(DomainError):
-        generate_curve("Nonsense")
 
 
 def test_fibonacci_lattice():

@@ -17,7 +17,6 @@ from spherecsf import (
     OffsetCollision,
     annulus_area_law,
     area_ode_check,
-    cap_area,
     circle_curve,
     classify_long_term,
     curves_cross,
@@ -34,6 +33,11 @@ from spherecsf.levelset import _point_in_left, evolve_annulus
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
+
+
+def cap_area(r):
+    """Area of the geodesic cap of radius r."""
+    return 2.0 * np.pi * (1.0 - np.cos(r))
 
 
 def reversed_curve(curve):

@@ -1,7 +1,7 @@
 """The pruned geometry queries against the brute-force forms they replaced.
 
-curve_distance, curves_cross, hausdorff_distance, self_intersects, densify and
-the multiplicity rule skip the parts of a curve that cannot change their
+curve_distance, curves_cross, hausdorff_distance, self_intersects and the
+multiplicity rule skip the parts of a curve that cannot change their
 answer. Each brute-force form below evaluates everything, and the queries must
 agree with it.
 """
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spherecsf import (ClosedSphereCurve, GreatCircle, SphereArc, circle_curve,
-                       curve_distance, curves_cross, densify, hausdorff_distance,
+                       curve_distance, curves_cross, hausdorff_distance,
                        koch_like, multiplicity_at, multiplicity_sup, offset_curve,
                        orthonormal_frame, perturbed_latitude, self_intersects)
 from spherecsf import curves, jordan
@@ -31,6 +31,9 @@ from test_curves import wavy_curves
 
 
 def densify_loop(curve, spacing):
+    """The lattice hausdorff_distance searches at refine = spacing: every node
+    and ceil(h / spacing) slerp steps on each edge of length h, and an arc's
+    last node."""
     e = curve.edge_lengths()
     a, b = edge_ends(wrapped(curve.nodes, curve.closed), curve.closed)
     pieces = []
@@ -311,19 +314,13 @@ def tangles(draw):
 
 
 @settings(max_examples=100)
-@given(wavy_curves(), st.sampled_from([0.1, 0.01, 1e-3]))
-def test_densify_matches_loop(curve, spacing):
-    assert np.array_equal(densify(curve, spacing), densify_loop(curve, spacing))
-
-
-@settings(max_examples=100)
 @given(wavy_curves(), st.sampled_from([1e-9, 1e-4, 1e-2]), st.integers(0, 2 ** 32 - 1))
 @example(perturbed_latitude(1.0, 0.1, 5, n=640), 1e-4, 0)  # 5248 points: 3.2 row blocks
 def test_curve_distance_matches_dense(curve, nudge, seed):
     # points on the curve (nodes and densified points), nudged off it, spread
     # over the sphere, and the antipodes of all of them; and no points
     rng = np.random.default_rng(seed)
-    on = np.concatenate((curve.nodes, densify(curve, 0.05)))
+    on = np.concatenate((curve.nodes, densify_loop(curve, 0.05)))
     pts = np.concatenate((on, on + nudge * rng.normal(size=on.shape),
                           rng.normal(size=(64, 3))))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -426,7 +423,7 @@ def test_hausdorff_measures_a_fraction_of_the_lattice(measured, refine):
         measured.clear()
         curves._directed_hausdorff(x, curves._edges(x.nodes, True),
                                    curves._edges(y.nodes, True), refine)
-        size = int(curves._sample_counts(x.edge_lengths(), refine).sum())  # len(densify(x))
+        size = int(curves._sample_counts(x.edge_lengths(), refine).sum())  # the lattice's
         assert sum(measured) <= size / 16
 
 

@@ -1,12 +1,12 @@
-"""Exact spherical primitives: frames, circles, caps, wedges."""
+"""Exact spherical primitives: frames, circles, charts; the wedge leaf angle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spherecsf import (GreatCircle, Wedge, cap_area, circle_curve, fold_angle,
-                       geodesic_distance, orthonormal_frame, slerp, unit)
-from spherecsf.errors import DomainError, PoleDegenerate
+from spherecsf import (GreatCircle, circle_curve, fold_angle, geodesic_distance,
+                       orthonormal_frame, slerp, unit)
+from spherecsf.errors import DomainError
 from spherecsf.sphere import as_point
 
 X = np.array([1.0, 0.0, 0.0])
@@ -141,47 +141,35 @@ def test_signed_band_coordinate_matches_height():
     assert abs(g.band_coordinate(p) - 0.25) < 1e-12
 
 
-def test_cap_area_complement_identity():
-    for r in (0.1, 0.7, np.pi / 2, 2.0):
-        assert abs(cap_area(r) + cap_area(np.pi - r) - 4 * np.pi) < 1e-12
-    assert abs(cap_area(np.pi / 2) - 2 * np.pi) < 1e-12
+def leaf_angle(circle, vertex, p):
+    """The leaf of p in the wedge of great circles through `vertex`: the angle
+    psi in (-pi/2, pi/2] of the rotation about `vertex` that carries `circle`
+    onto the great circle through p."""
+    m = circle.pole
+    psi = np.arctan2(-(p @ m), p @ np.cross(vertex, m))
+    psi = np.where(psi > np.pi / 2.0, psi - np.pi, psi)
+    return np.where(psi <= -np.pi / 2.0, psi + np.pi, psi)
 
 
 def test_wedge_leaf_angle_matches_construction():
     # with the vertex at chart longitude 0, points on the leaf at angle psi
     # have heights tan(s) = tan(psi) sin(lam)
     g = GreatCircle(Z)
-    w = Wedge(g, g.point(0.0), 0.5)
     for psi in (-0.4, -0.1, 0.2, 0.45):
         for lam in (0.3, 1.0, 2.2):
             s = np.arctan(np.tan(psi) * np.sin(lam))
             p = g.chart_point(lam, s)
-            assert abs(w.leaf_angle(p) - psi) < 1e-9
-
-
-def test_wedge_axis_degenerate():
-    g = GreatCircle(Z)
-    w = Wedge(g, g.point(0.0), 0.5)
-    with pytest.raises(PoleDegenerate):
-        w.leaf_angle(w.vertex)
+            assert abs(leaf_angle(g, g.point(0.0), p) - psi) < 1e-9
 
 
 def test_wedge_membership_reflection_invariant():
     # the wedge is symmetric across its spine circle: mirroring a point
     # across the plane of g negates its leaf angle
     g = GreatCircle(Z)
-    w = Wedge(g, g.point(0.0), 0.5)
     pts = [g.chart_point(lam, np.arctan(np.tan(psi) * np.sin(lam)))
            for lam in (0.4, 1.3) for psi in (-0.45, 0.1, 0.3)]
+    x = g.point(0.0)
     for p in pts:
-        psi = w.leaf_angle(p)
-        assert abs(psi) <= w.halfangle + 1e-9
-        assert abs(w.leaf_angle(p * np.array([1.0, 1.0, -1.0])) + psi) < 1e-9
-
-
-def test_wedge_validation():
-    g = GreatCircle(Z)
-    with pytest.raises(DomainError):
-        Wedge(g, Z, 0.3)  # vertex off the circle
-    with pytest.raises(DomainError):
-        Wedge(g, g.point(0.0), np.pi / 2)
+        psi = leaf_angle(g, x, p)
+        assert abs(psi) <= 0.45 + 1e-9
+        assert abs(leaf_angle(g, x, p * np.array([1.0, 1.0, -1.0])) + psi) < 1e-9
