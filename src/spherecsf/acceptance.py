@@ -8,7 +8,7 @@ stable; `spherecsf verify` and the test suite both run the checks of `CHECKS`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -40,6 +40,7 @@ class CheckResult:
     passed: bool
     detail: str
     measured: dict = field(default_factory=dict)
+    runs: tuple = ()  # the FlowStats of the flow runs it read (a shared run's own)
 
 
 def _result(name, passed, detail, **measured):
@@ -55,7 +56,8 @@ def _mean_radius(nodes, pole) -> float:
 # the step ledger and the shared, memoized runs
 
 _READ = []  # the flow runs the running check has read, each once
-LEDGER = ("accepted_steps", "rejected_trials", "remeshes")  # FlowStats fields each check sums
+# FlowStats fields each check sums
+LEDGER = ("accepted_steps", "evaluations", "rejected_trials", "remeshes")
 
 
 def _note(runs):
@@ -71,8 +73,8 @@ def _shared(make):
 
 
 def _ledger(check):
-    """check, with the accepted steps, rejected trials and remeshes of the flow
-    runs it reads summed into its measured. flow._evolve is wrapped while it
+    """check, with the LEDGER counters of the flow runs it reads summed into its
+    measured and their FlowStats in its runs. flow._evolve is wrapped while it
     runs, so the runs that levelset and graphflow make count too; a shared run
     counts in every check that reads it."""
     @wraps(check)
@@ -87,7 +89,7 @@ def _ledger(check):
             flow._evolve = evolve
             _READ.clear()
         result.measured.update({k: sum(getattr(s, k) for s in stats) for k in LEDGER})
-        return result
+        return replace(result, runs=tuple(stats))
     return counted
 
 

@@ -447,11 +447,12 @@ def cmd_verify(args, cfg: dict, run: RunDir) -> int:
     run.write_csv("tables/checks.csv", ["name", "passed"],
                   ((r.name, r.passed) for r in results))
     failed = [r.name for r in results if not r.passed]
-    if failed:
-        _say(args, f"{len(failed)} of {len(results)} checks failed: {failed}")
-        return 1
-    _say(args, f"all {len(results)} checks passed")
-    return 0
+    _say(args, f"{len(failed)} of {len(results)} checks failed: {failed}" if failed
+         else f"all {len(results)} checks passed")
+    runs = {id(s): s for r in results for s in r.runs}.values()  # a shared run once
+    _say(args, f"totals over {len(runs)} distinct runs: "
+               + " ".join(f"{k}={sum(getattr(s, k) for s in runs)}" for k in LEDGER))
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

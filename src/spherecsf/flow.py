@@ -1,33 +1,37 @@
-"""Curvature flow of sphere curves: explicit stepping, snapshots, closed-form oracles.
+"""Curvature flow of sphere curves: explicit and RKL2 steps, snapshots, closed-form oracles.
 
-Nodes move by p <- normalize(p + dt * k), k the discrete geodesic-curvature vector.
-The effective step obeys dt <= CFL_FACTOR * (min edge)^2 and lands exactly on the
-snapshot times k * snapshot_dt and on max_time; steps that produce NaNs or
-increase length are retried with halved dt. A remesh resamples an uneven mesh, or one
-whose mean edge left its band (_target_n); a closed curve's resample, whose nodes lie
-on its old edges, is then pushed once along its left normals to give back the area
-its chords cut (_remesh). A run whose step would fall below DT_FLOOR, or whose mesh
-fails validation where a snapshot or remesh is due (it is neither), ends as stalled
-unless it was singular. Snapshot 0 is the (validated) initial mesh itself.
+An explicit step moves nodes by p <- normalize(p + dt * k), k the discrete
+geodesic-curvature vector, with dt <= c = CFL_FACTOR * (min edge)^2. Where dt and the
+next landing are 16 c away or more, it gives way to an RKL2 super-step (_super_size),
+unless a stage is not finite, the length grows or the end mesh needs more stages;
+each stage counts towards remesh_every. Steps land exactly on the snapshot times k *
+snapshot_dt and on max_time; explicit steps that produce NaNs or increase length are
+retried with halved dt. A remesh resamples an uneven mesh, or one whose mean edge
+left its band (_target_n); a closed curve's resample, whose nodes lie on its old
+edges, is then pushed once along its left normals to give back the area its chords
+cut (_remesh). A run whose step would fall below DT_FLOOR, or whose mesh fails
+validation where a snapshot or remesh is due (it is neither), ends as stalled unless
+it was singular. Snapshot 0 is the (validated) initial mesh itself.
 
-The loop steps a _Workspace, built from the initial mesh's curve and again from
-each remesh's. It holds the nodes, component-major in two (3, w) buffers (w = n + 2
-for a closed curve, padded as curves.wrapped pads rows; w = n for an arc), every
-other array a step writes and every view a step reads, so a step is 26 numpy
-calls that allocate nothing. Edges come from chords, as in curves.wrapped_edges:
-edge j is 2 asin(c_j / 2) of its chord length c_j. A trial measures its chords
-once, for its length, and the next step's curvature divides by those same chords.
-Differences and products take whole (3, w) arrays flat, one call on contiguous
-memory each; what they leave in end columns mixes two rows, stays finite and
-reaches no node (pads are copied over it, an arc's end curvature is zeroed). A
-trial and its half edges go into the spare buffer and array, which swap in when
-it is accepted; the remesh uniformity ratio uses the edges of the mesh the step
-started from. Each per-node dot product sums the rows of a (3, w) array in the
-order numpy sums a length-3 row, and every other operation is elementwise and in
-the same order, so the results are bit-identical to the (n, 3) form the tests keep
-as their reference. Everything outside the loop sees (n, 3) C-contiguous nodes.
-A snapshot or a remesh validates the workspace's nodes once, from a view of its
-buffer, and then reads the edge lengths that validation measured.
+The loop steps a _Workspace, built from the initial mesh's curve and again from each
+remesh's. It holds the nodes, component-major in three (3, w) buffers (w = n + 2 for
+a closed curve, padded as curves.wrapped pads rows; w = n for an arc), every other
+array a step writes and every view a step reads, so an explicit step is 26 numpy
+calls and a stage 32, none of which allocates. Edges come from chords, as in
+curves.wrapped_edges: edge j is 2 asin(c_j / 2) of its chord length c_j. A trial
+measures its chords once, for its length, and the next step's curvature divides by
+those same chords. Differences and products take whole (3, w) arrays flat, one call
+on contiguous memory each; what they leave in end columns mixes two rows, stays
+finite and reaches no node (pads are copied over it, an arc's end curvature is
+zeroed). A trial and its half edges go into the spare buffer and array, which swap in
+when it is accepted (a super-step's stages take turns in the spare and third
+buffers); the remesh uniformity ratio uses the edges of the mesh the step started
+from. Each per-node dot product sums the rows of a (3, w) array in the order numpy
+sums a length-3 row, and every other operation is elementwise and in the same order,
+so the results are bit-identical to the (n, 3) form the tests keep as their
+reference. Everything outside the loop sees (n, 3) C-contiguous nodes. A snapshot or
+a remesh validates the workspace's nodes once, from a view of its buffer, and then
+reads the edge lengths that validation measured.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ DT_FLOOR = 1e-16
 # the next snapshot time or max_time ends on it instead, so no shorter step is
 # left to take before it.
 LANDING_SLACK = 1e-6
+RKL2_CURVATURE_GUARD = 0.05  # an RKL2 super-step is at most this / max |k|^2
+RKL2_MAX_STAGES = 64  # and takes at most this many stages
 
 # FlowConfig's count fields; every other field is a real number.
 _COUNT_FIELDS = ("remesh_every",)
@@ -131,6 +137,7 @@ class FlowStats:
     """What a run did, as deterministic counters."""
 
     accepted_steps: int
+    evaluations: int  # of curvature: one per explicit step, s per super-step
     rejected_trials: int  # each one halved dt
     remeshes: int
     min_dt: float  # smallest accepted step; inf when none was accepted
@@ -234,7 +241,7 @@ class _Workspace:
             return _Views(f, f[1:], f[:-1], b[:, 1:-1], b[:, cols], b[:, ::w - 1],
                           b[:, w - 2:0:-(w - 3)])
         self.closed, self.n = closed, n
-        self.cur, self.nxt = views(ext), views(np.empty_like(ext))
+        self.cur, self.nxt, self.third = (views(b) for b in (ext, *np.empty((2, *ext.shape))))
         # chords (j in column j), curvature and _dot's products; what no step writes is 0
         d, kv, kn, dd, tt = np.zeros((5, 3, w))
         self.d, self.d_chords = d.reshape(-1), d[:, :-1]
@@ -247,6 +254,7 @@ class _Workspace:
             np.empty(m) for m in (w - 1, w - 1, w - 2, w - 2, n))
         self.h_ahead, self.h_behind, self.h_edges = self.h[1:], self.h[:-1], self.h[k:]
         self.half, self.spare_half = np.empty((2, n - 1 + k))
+        self.k0 = np.empty(3 * w)  # a super-step's starting curvature
         self.chords(self.cur, self.half)
 
     def chords(self, v, half) -> float:
@@ -281,6 +289,34 @@ class _Workspace:
             np.copyto(nxt.pads, nxt.wraps)
         return self.chords(nxt, self.spare_half)
 
+    def super_step(self, tau: float, s: int):
+        """An RKL2 super-step (Meyer, Balsara & Aslam 2014) of length tau in s
+        stages into the spare buffer, as trial() leaves a step: stage 1 is
+        trial(w tau / 3), w = 4 / (s^2 + s - 2), each later one is renormalised
+        (an arc's ends kept), and k0 keeps the start's curvature. Stops after the
+        first stage whose length is not finite; returns (length, stages run)."""
+        start, spare, tmp, k0 = self.cur, self.third, self.tt[0], self.k0
+        np.copyto(k0, self.kf)
+        w = 4.0 / (s * s + s - 2)
+        b = [1.0 / 3.0] * 2 + [(j * j + j - 2) / (2 * j * (j + 1)) for j in range(2, s + 1)]
+        length, j, prev, older = self.trial(w * tau / 3.0), 1, self.nxt, start
+        while j < s and math.isfinite(length):
+            j += 1
+            self.cur = prev
+            self.curvature()
+            out = spare if older is start else older
+            mu, nu = (2 * j - 1) / j * b[j] / b[j - 1], -(j - 1) / j * b[j] / b[j - 2]
+            f = np.multiply(older.flat, nu, out.flat)
+            for y, a in ((prev.flat, mu), (start.flat, 1.0 - mu - nu), (self.kf, w * mu * tau),
+                         (k0, -(1.0 - b[j - 1]) * w * mu * tau)):
+                np.add(f, np.multiply(y, a, tmp), f)
+            norm = _dot(f, f, self.tt, self.norm)
+            np.divide(out.nodes, np.sqrt(norm, norm), out.nodes)
+            np.copyto(out.pads, out.wraps if self.closed else start.pads)
+            length, prev, older = self.chords(out, self.spare_half), out, prev
+        self.cur, self.nxt, self.third = start, prev, spare if older is start else older
+        return length, j
+
     def accept(self) -> np.ndarray:
         """Swap in the trial; return the half edges of the mesh the step started
         from."""
@@ -298,6 +334,30 @@ def _snapshot_time(k: int, cfg: FlowConfig) -> float:
     return s
 
 
+def _reach(s: int, step: float) -> float:
+    """The longest super-step that s stages keep stable where `step` is stable."""
+    return (s * s + s - 2) / 4 * step
+
+
+def _stages(tau: float, step: float) -> int:
+    """The least s >= 2 with _reach(s, step) >= tau."""
+    s = max(2, math.ceil(math.sqrt(4.0 * tau / step + 2.25) - 0.5))
+    return s if _reach(s, step) >= tau else s + 1
+
+
+def _super_size(ws: _Workspace, c: float, cap: float, gap: float):
+    """(tau, s) of this step's RKL2 super-step: tau = min(cap, RKL2_CURVATURE_GUARD
+    / max |k|^2, what RKL2_MAX_STAGES stages reach), or gap where it lands, in the
+    least s stages stable at c = CFL_FACTOR * h_min^2; (0, 0) unless s <= tau / (2 c),
+    half the explicit steps or fewer. gap is the time to the next landing."""
+    k2 = float(np.maximum.reduce(_dot(ws.kf, ws.kf, ws.tt, ws.norm)))  # max |k|^2
+    tau = min(cap, _reach(RKL2_MAX_STAGES, c), RKL2_CURVATURE_GUARD / max(k2, 1e-300))
+    if gap <= tau + max(LANDING_SLACK * tau, DT_FLOOR):
+        tau = gap
+    s = _stages(tau, c)
+    return (tau, s) if s <= min(RKL2_MAX_STAGES, tau / (2.0 * c)) else (0.0, 0)
+
+
 def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     closed = curve.closed
     if not closed and cfg.max_time is None:
@@ -312,7 +372,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     end = math.inf if cfg.max_time is None else cfg.max_time
     landed = 1
     next_snap = _snapshot_time(landed, cfg)
-    since_remesh = accepted = rejected = remeshes = 0
+    since_remesh = accepted = evaluations = rejected = remeshes = 0
     min_dt, max_dt, min_edge = math.inf, 0.0, math.inf
 
     def snapshot() -> bool:  # unless the mesh fails validation (an edge below EDGE_MIN)
@@ -332,34 +392,52 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
             status = STATUS_MAX_TIME
             break
 
-        dt = min(cfg.dt, CFL_FACTOR * min_e ** 2)
+        c = CFL_FACTOR * min_e ** 2
+        dt = min(cfg.dt, c)
         target = min(next_snap, end)
         lands = target - t <= dt + max(LANDING_SLACK * dt, DT_FLOOR)
         if lands:
             dt = target - t
 
         ws.curvature()
-        for _ in range(MAX_DT_HALVINGS + 1):
-            if dt < DT_FLOOR:
-                status = STATUS_STALLED
+        s = 0
+        # no step is tried below DT_FLOOR, and s <= tau / (2 c) holds for no tau
+        # below 16 c: the sizing, which reads the curvature, is skipped there
+        if DT_FLOOR <= c and 16.0 * c <= min(cfg.dt, target - t):
+            tau, s = _super_size(ws, c, cfg.dt, target - t)
+        if s:  # rejected where a stage or the length is off, or the end mesh needs more stages
+            new_len, done = ws.super_step(tau, s)
+            evaluations += done - 1
+            h_end = 2.0 * float(np.minimum.reduce(ws.spare_half))
+            if (math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP
+                    and _reach(s, 0.5 * h_end ** 2) >= tau):
+                dt, lands = tau, tau == target - t
+            else:
+                s = 0
+                np.copyto(ws.kf, ws.k0)
+        if not s:
+            for _ in range(MAX_DT_HALVINGS + 1):
+                if dt < DT_FLOOR:
+                    status = STATUS_STALLED
+                    break
+                new_len = ws.trial(dt)
+                if math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP:
+                    break
+                rejected += 1
+                dt *= 0.5
+                lands = False
+            else:
+                status = STATUS_SINGULARITY
+            if status is not None:
                 break
-            new_len = ws.trial(dt)
-            if math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP:
-                break
-            rejected += 1
-            dt *= 0.5
-            lands = False
-        else:
-            status = STATUS_SINGULARITY
-        if status is not None:
-            break
 
         start_half, length = ws.accept(), new_len
         t = target if lands else t + dt
         accepted += 1
+        evaluations += 1
         min_dt = min(min_dt, dt)
         max_dt = max(max_dt, dt)
-        since_remesh += 1
+        since_remesh += s or 1
 
         if t == next_snap:
             if not snapshot():
@@ -384,8 +462,8 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     if snaps[-1].t < t:
         if not snapshot() and status != STATUS_SINGULARITY:
             status = STATUS_STALLED
-    stats = FlowStats(accepted_steps=accepted, rejected_trials=rejected,
-                      remeshes=remeshes, min_dt=min_dt, max_dt=max_dt,
+    stats = FlowStats(accepted_steps=accepted, evaluations=evaluations,
+                      rejected_trials=rejected, remeshes=remeshes, min_dt=min_dt, max_dt=max_dt,
                       min_edge=min_edge, final_n=ws.n)
     return FlowTrajectory(snapshots=snaps, terminal_status=status, stats=stats)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from spherecsf import (FlowConfig, SphereArc, acceptance, circle_curve, evolve_arc,
-                       save_curve)
+                       evolve_closed, save_curve)
 from spherecsf import cli
 from spherecsf.cli import _CURVE_KEYS, _COMMANDS, _build_curve, _get, main
 from spherecsf.errors import ConfigInvalid
@@ -697,7 +697,8 @@ def test_verify_failing_check_exits_one(tmp_path, monkeypatch):
     assert report["all_passed"] is False
     assert report["checks"][0]["detail"] == "deliberate failure"
     assert report["checks"][0]["measured"] == {"value": 1.0, "accepted_steps": 0,
-                                               "rejected_trials": 0, "remeshes": 0}
+                                               "evaluations": 0, "rejected_trials": 0,
+                                               "remeshes": 0}
     lines = (d / "tables" / "checks.csv").read_text().splitlines()
     assert lines == ["name,passed", "always-fails,False"]
 
@@ -730,8 +731,39 @@ def test_verify_prints_each_checks_step_ledger(tmp_path, capsys):
     assert line.startswith("PASS initial-continuity: ")
     assert measured["accepted_steps"] > 0
     assert line.endswith(f"[accepted_steps={measured['accepted_steps']} "
+                         f"evaluations={measured['evaluations']} "
                          f"rejected_trials={measured['rejected_trials']} "
                          f"remeshes={measured['remeshes']}]")
+
+
+def test_verify_ends_with_totals_over_distinct_runs(tmp_path, capsys, monkeypatch):
+    # two checks read one shared run, as c04 and c05 do, and one reads its own:
+    # each check's ledger counts the shared run, the totals line counts it once
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=2e-3)
+    shared = acceptance._shared(lambda: (evolve_closed(circle_curve(0.5, n=64), cfg),))
+
+    def reads_shared(name, own=False):
+        def check():
+            runs = shared() + ((evolve_closed(circle_curve(0.9, n=64), cfg),) if own else ())
+            return acceptance.CheckResult(name=name, passed=True, detail="",
+                                          measured={"runs": len(runs)})
+        return acceptance._ledger(check)
+
+    monkeypatch.setitem(acceptance.CHECKS, "first", reads_shared("first"))
+    monkeypatch.setitem(acceptance.CHECKS, "second", reads_shared("second", own=True))
+    path = tmp_path / "checks.json"
+    path.write_text(json.dumps({"checks": ["first", "second"]}))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    report = read_json(tmp_path / "verify", "report.json")
+    first, second = (c["measured"] for c in report["checks"])
+    assert second["accepted_steps"] == 2 * first["accepted_steps"] > 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "all 2 checks passed"
+    assert lines[-1] == (f"totals over 2 distinct runs: "
+                         f"accepted_steps={second['accepted_steps']} "
+                         f"evaluations={second['evaluations']} "
+                         f"rejected_trials={second['rejected_trials']} "
+                         f"remeshes={second['remeshes']}")
 
 
 def test_verify_unknown_check_name(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """The component-major stepper against the (n, 3) stepper it replaced.
 
-`evolve_reference` is the explicit loop as it ran on (n, 3) nodes, with row
-reductions over the length-3 rows, counting what it did the way FlowStats does.
+`evolve_reference` is the stepping loop as it runs on (n, 3) nodes, explicit
+steps and RKL2 super-steps alike, with row reductions over the length-3 rows,
+counting what it did the way FlowStats does.
 Its snapshots and remeshes validate, measure, resample and push through the
 (n, 3) forms of test_curve_rows, not through the library's curves. The stepper
 in spherecsf.flow keeps its nodes as (3, w) buffers and sums rows of those
@@ -19,13 +20,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spherecsf import (DirichletArcSpec, FlowConfig, GreatCircle, SphereArc,
-                       circle_curve, dirichlet_gamma, evolve_arc, evolve_closed)
+                       circle_curve, dirichlet_gamma, evolve_arc, evolve_closed,
+                       perturbed_latitude)
 from spherecsf.errors import DomainError
 from spherecsf.curves import nodes_for_spacing, resample, wrapped
 from spherecsf.flow import (CFL_FACTOR, DT_FLOOR, LANDING_SLACK, LENGTH_BACKSTOP,
                             MAX_DT_HALVINGS, REMESH_FOLLOW, REMESH_UNIFORMITY,
-                            STATUS_EXTINCT, STATUS_MAX_TIME, STATUS_SINGULARITY,
-                            STATUS_STALLED, FlowStats, _snapshot_time)
+                            RKL2_CURVATURE_GUARD, RKL2_MAX_STAGES, STATUS_EXTINCT,
+                            STATUS_MAX_TIME, STATUS_SINGULARITY, STATUS_STALLED, FlowStats,
+                            _reach, _snapshot_time, _stages)
 
 from test_curve_rows import (curve_of, edges_rows, integrals_rows, needled, normal_push_rows,
                              resample_rows, turning_rows, validated_rows)
@@ -47,6 +50,50 @@ def chord_curvature_rows(ext, closed):
     out = np.zeros_like(ext)
     out[1:-1] = lap
     return out
+
+
+def super_size_reference(kv, c, cap, gap):
+    """(tau, s) of the RKL2 super-step: tau = min(cap, what RKL2_MAX_STAGES
+    stages reach, RKL2_CURVATURE_GUARD / max |k|^2), or gap where it lands, and
+    s the least stage count that reaches tau at step c; (0, 0) unless
+    s <= tau / (2 c) and s <= RKL2_MAX_STAGES."""
+    if c < DT_FLOOR or min(cap, gap) < 16.0 * c:
+        return 0.0, 0
+    k2 = float(np.maximum.reduce(np.add.reduce(kv * kv, axis=1)))
+    tau = min(cap, _reach(RKL2_MAX_STAGES, c), RKL2_CURVATURE_GUARD / max(k2, 1e-300))
+    if gap <= tau + max(LANDING_SLACK * tau, DT_FLOOR):
+        tau = gap
+    s = _stages(tau, c)
+    return (tau, s) if s <= min(RKL2_MAX_STAGES, tau / (2.0 * c)) else (0.0, 0)
+
+
+def super_step_rows(nodes, kv0, tau, s, closed):
+    """(nodes, edges, length, stages evaluated) of an RKL2 super-step of length
+    tau in s stages from nodes, whose curvature is kv0, stopping after the first
+    stage whose length is not finite (Meyer, Balsara & Aslam 2014, with
+    Y_1 = Y_0 + tau w / 3 L(Y_0), w = 4 / (s^2 + s - 2), and each stage
+    renormalised; an arc's later stages keep its ends)."""
+    w = 4.0 / (s * s + s - 2)
+    b = [1.0 / 3.0] * 2 + [(j * j + j - 2) / (2 * j * (j + 1)) for j in range(2, s + 1)]
+    older, prev = nodes, w * tau / 3.0 * kv0
+    prev += nodes
+    prev /= np.sqrt(np.add.reduce(prev * prev, axis=1, keepdims=True))
+    e = edges_rows(prev, closed)
+    j = 1
+    while j < s and math.isfinite(float(np.add.reduce(e))):
+        j += 1
+        kv = chord_curvature_rows(wrapped(prev, closed), closed)
+        mu, nu = (2 * j - 1) / j * b[j] / b[j - 1], -(j - 1) / j * b[j] / b[j - 2]
+        y = nu * older
+        y += mu * prev
+        y += (1.0 - mu - nu) * nodes
+        y += (w * mu * tau) * kv
+        y += (-(1.0 - b[j - 1]) * w * mu * tau) * kv0
+        y /= np.sqrt(np.add.reduce(y * y, axis=1, keepdims=True))
+        if not closed:
+            y[[0, -1]] = nodes[[0, -1]]
+        older, prev, e = prev, y, edges_rows(y, closed)
+    return prev, e, float(np.add.reduce(e)), j
 
 
 SnapshotRows = namedtuple("SnapshotRows",
@@ -102,7 +149,7 @@ def evolve_reference(curve, cfg):
     status = None
     landed = 1
     next_snap = _snapshot_time(landed, cfg)
-    since_remesh = accepted = rejected = remeshes = 0
+    since_remesh = accepted = evaluations = rejected = remeshes = 0
     min_dt = min_edge = math.inf
     max_dt = 0.0
 
@@ -122,40 +169,52 @@ def evolve_reference(curve, cfg):
         if cfg.max_time is not None and t >= cfg.max_time:
             status = STATUS_MAX_TIME
             break
-        dt = min(cfg.dt, CFL_FACTOR * min_e ** 2)
+        c = CFL_FACTOR * min_e ** 2
+        dt = min(cfg.dt, c)
         target = next_snap if cfg.max_time is None else min(next_snap, cfg.max_time)
         lands = target - t <= dt + max(LANDING_SLACK * dt, DT_FLOOR)
         if lands:  # the step ends on the target, not short of it
             dt = target - t
 
         kv = chord_curvature_rows(ext, closed)
-        for _ in range(MAX_DT_HALVINGS + 1):
-            if dt < DT_FLOOR:  # no trial below the floor
-                status = STATUS_STALLED
+        tau, s = super_size_reference(kv, c, cfg.dt, target - t)
+        if s:  # kept unless a stage or the length is off, or the end mesh needs more stages
+            trial, trial_e, new_len, done = super_step_rows(nodes, kv, tau, s, closed)
+            evaluations += done - 1
+            if (math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP
+                    and _reach(s, 0.5 * float(np.minimum.reduce(trial_e)) ** 2) >= tau):
+                dt, lands, trial_ext = tau, tau == target - t, wrapped(trial, closed)
+            else:
+                s = 0
+        if not s:
+            for _ in range(MAX_DT_HALVINGS + 1):
+                if dt < DT_FLOOR:  # no trial below the floor
+                    status = STATUS_STALLED
+                    break
+                trial = dt * kv
+                trial += nodes
+                trial /= np.sqrt(np.add.reduce(trial * trial, axis=1, keepdims=True))
+                trial_ext = wrapped(trial, closed)
+                trial_e = edges_rows(trial, closed)
+                new_len = float(np.add.reduce(trial_e))
+                if math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP:
+                    break
+                rejected += 1
+                dt *= 0.5
+                lands = False
+            else:
+                status = STATUS_SINGULARITY
+            if status is not None:
                 break
-            trial = dt * kv
-            trial += nodes
-            trial /= np.sqrt(np.add.reduce(trial * trial, axis=1, keepdims=True))
-            trial_ext = wrapped(trial, closed)
-            trial_e = edges_rows(trial, closed)
-            new_len = float(np.add.reduce(trial_e))
-            if math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP:
-                break
-            rejected += 1
-            dt *= 0.5
-            lands = False
-        else:
-            status = STATUS_SINGULARITY
-        if status is not None:
-            break
 
         start_e = e
         nodes, ext, e, length = trial, trial_ext, trial_e, new_len
         t = target if lands else t + dt
         accepted += 1
+        evaluations += 1
         min_dt = min(min_dt, dt)
         max_dt = max(max_dt, dt)
-        since_remesh += 1
+        since_remesh += s or 1
 
         if t == next_snap:
             if not snapshot():
@@ -181,8 +240,8 @@ def evolve_reference(curve, cfg):
     if snaps[-1].t < t:
         if not snapshot() and status != STATUS_SINGULARITY:
             status = STATUS_STALLED
-    return snaps, status, FlowStats(accepted, rejected, remeshes, min_dt, max_dt,
-                                    min_edge, len(nodes))
+    return snaps, status, FlowStats(accepted, evaluations, rejected, remeshes, min_dt,
+                                    max_dt, min_edge, len(nodes))
 
 
 def assert_matches_reference(curve, cfg):
@@ -205,12 +264,14 @@ NO_REMESH = 10 ** 9
 NEEDLE_STEPS = 300
 
 
-def needle_cfg(curve, every=NO_REMESH):
-    """Steps sized by the CFL bound of the curve's shortest edge h (its needle),
-    no snapshot before max_time = NEEDLE_STEPS such steps."""
+def needle_cfg(curve, every=NO_REMESH, explicit=False):
+    """No snapshot before max_time = NEEDLE_STEPS CFL steps c of the curve's
+    shortest edge (its needle): one super-step to it, or, where `explicit` caps
+    dt at 8 c (a super-step needs 16 c), explicit steps sized by c."""
     h = float(curve.edge_lengths().min())
-    return FlowConfig(dt=1e-2, snapshot_dt=1e-2, max_time=NEEDLE_STEPS * CFL_FACTOR * h * h,
-                      remesh_every=every)
+    c = CFL_FACTOR * h * h
+    return FlowConfig(dt=8.0 * c if explicit else 1e-2, snapshot_dt=1e-2,
+                      max_time=NEEDLE_STEPS * c, remesh_every=every)
 
 
 @st.composite
@@ -222,20 +283,20 @@ def needled_polygons(draw):
 
 # Needles of 2.5e-8 (the shortest of the pinned rows below) to 5e-7, turned at
 # least 0.5 off the edge. Their edges are measured as chords, so a step's length
-# change is not noise: on 200 draws every run reached max_time in 300 to 303
-# steps with no rejected trial. The example is a draw whose needle read 0 once
-# its validated nodes were validated again (as the stepper's first snapshot
+# change is not noise: on 200 draws every explicit run reached max_time in 300 to
+# 303 steps with no rejected trial. The example is a draw whose needle read 0
+# once its validated nodes were validated again (as the stepper's first snapshot
 # once did), while edges came from arccos of a dot.
 @settings(max_examples=30)
-@given(needled_polygons(), st.booleans())
+@given(needled_polygons(), st.booleans(), st.booleans())
 @example(needled(jittered_polygon(130, 0.2, 0.5, np.random.default_rng(0)),
-                 10.0 ** math.log10(2.5e-8), 0.5), False)
-def test_needled_polygons_match_reference(nodes, closed):
+                 10.0 ** math.log10(2.5e-8), 0.5), False, True)
+def test_needled_polygons_match_reference(nodes, closed, explicit):
     try:
         curve = curve_of(nodes, closed)
     except DomainError:  # an edge reads below EDGE_MIN
         assume(False)
-    assert_matches_reference(curve, needle_cfg(curve))
+    assert_matches_reference(curve, needle_cfg(curve, explicit=explicit))
 
 
 def test_needled_arc_reaches_max_time():
@@ -251,7 +312,8 @@ def test_needled_arc_reaches_max_time():
 
 
 # (delta, side, closed, status, base polygon seed, remesh_every). Every needle of
-# 2.5e-8 and up reaches max_time with no rejected trial. Read by arccos, the
+# 2.5e-8 and up reaches max_time with no rejected trial: in one super-step of 35
+# stages, or in about 300 explicit steps under a low dt cap. Read by arccos, the
 # 2.5e-8 needles stalled at DT_FLOOR or stepped onto a mesh whose needle edge
 # read 0 (the seed-0 rows). The 1.5e-8 needle's CFL step, 5.6e-17, is below
 # DT_FLOOR, so that run stalls before its first trial.
@@ -290,6 +352,19 @@ def test_needle_statuses_match_reference(delta, side, closed, status, seed, ever
         assert traj.stats.accepted_steps == 0 and len(traj.snapshots) == 1
     else:
         assert traj.stats.accepted_steps > 0 and traj.stats.rejected_trials == 0
+
+
+@pytest.mark.parametrize("delta, side, closed, status, seed, every", NEEDLE_ROWS,
+                         ids=[needle_id(row) for row in NEEDLE_ROWS])
+def test_needles_step_explicitly_under_a_low_dt_cap(delta, side, closed, status, seed, every):
+    base = jittered_polygon(100, 0.8, 0.6, np.random.default_rng(seed))
+    curve = curve_of(needled(base, delta, side), closed)
+    traj = assert_matches_reference(curve, needle_cfg(curve, every, explicit=True))
+    assert traj.terminal_status == status
+    assert traj.stats.evaluations == traj.stats.accepted_steps
+    assert traj.stats.rejected_trials == 0
+    if status == STATUS_MAX_TIME and every == NO_REMESH:
+        assert NEEDLE_STEPS <= traj.stats.accepted_steps <= NEEDLE_STEPS + 3
 
 
 @settings(max_examples=15)
@@ -332,18 +407,22 @@ def _c11_arc():
     return resample(dirichlet_gamma(spec)[0], spacing=0.01)
 
 
-# The hypothesis draws above stop at 300 nodes; these pin two sizes perfbench
-# runs: the pi/3 circle at n = 2048 for about 50 steps, and c11's r = 0.04 arc
-# at 515 nodes, remeshed every 20 steps.
-@pytest.mark.parametrize("make, cfg, n", [
+# The hypothesis draws above stop at 300 nodes; these pin sizes that perfbench
+# and the checks run. The pi/3 circle at n = 2048 lands every 4e-5, 16 times its
+# CFL step, so it takes 3 super-steps of s = 8; c11's r = 0.04 arc at 515
+# nodes, remeshed every 20 steps, takes explicit steps only; c04's perturbed
+# latitude at n = 2048 takes 4 super-steps of 12 stages and one remesh.
+@pytest.mark.parametrize("make, cfg, n, steps, evaluations", [
     (lambda: circle_curve(np.pi / 3, n=2048),
-     FlowConfig(dt=1e-4, snapshot_dt=4e-5, max_time=1.2e-4), 2048),
+     FlowConfig(dt=1e-4, snapshot_dt=4e-5, max_time=1.2e-4), 2048, 3, 24),
     (_c11_arc, FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=0.01,
-                          target_spacing=0.01, remesh_every=20), 515),
-], ids=["circle-n2048", "c11-arc-n515"])
-def test_benchmark_sizes_match_reference(make, cfg, n):
+                          target_spacing=0.01, remesh_every=20), 515, 419, 419),
+    (lambda: perturbed_latitude(1.1, 0.12, 5, n=2048),
+     FlowConfig(dt=1e-4, snapshot_dt=2e-4, max_time=4e-4), 2048, 4, 48),
+], ids=["circle-n2048", "c11-arc-n515", "perturbed-n2048"])
+def test_benchmark_sizes_match_reference(make, cfg, n, steps, evaluations):
     curve = make()
     assert curve.n == n
     traj = assert_matches_reference(curve, cfg)
     assert traj.terminal_status == STATUS_MAX_TIME
-    assert traj.stats.accepted_steps >= 45
+    assert (traj.stats.accepted_steps, traj.stats.evaluations) == (steps, evaluations)

@@ -38,8 +38,8 @@ def test_readme_flow_report_counts_the_run(tmp_path, config, command, file):
     cfg = json.loads(config)
     report = json.loads((tmp_path / cfg.get("name", command) / "report.json").read_text())
     counts, fcfg = report["flow"], cli._flow_config(cfg)
-    assert set(counts) == {"accepted_steps", "rejected_trials", "remeshes", "min_dt",
-                           "max_dt", "min_edge", "final_n"}
+    assert set(counts) == {"accepted_steps", "evaluations", "rejected_trials", "remeshes",
+                           "min_dt", "max_dt", "min_edge", "final_n"}
     # both examples are closed curves run to max_time at most dt apart
     assert counts["accepted_steps"] >= fcfg.max_time / fcfg.dt
     assert 0.0 < counts["min_dt"] <= counts["max_dt"] <= fcfg.dt
