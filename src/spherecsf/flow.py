@@ -3,22 +3,25 @@
 An explicit step moves nodes by p <- normalize(p + dt * k), k the discrete
 geodesic-curvature vector, with dt <= c = CFL_FACTOR * (min edge)^2. Where dt and the
 next landing are 16 c away or more, it gives way to an RKL2 super-step (_super_size),
-unless a stage is not finite, the length grows or the end mesh needs more stages;
-each stage counts towards remesh_every. Steps land exactly on the snapshot times k *
-snapshot_dt and on max_time; explicit steps that produce NaNs or increase length are
-retried with halved dt. A remesh resamples an uneven mesh, or one whose mean edge
-left its band (_target_n); a closed curve's resample, whose nodes lie on its old
-edges, is then pushed once along its left normals to give back the area its chords
-cut (_remesh). A run whose step would fall below DT_FLOOR, or whose mesh fails
-validation where a snapshot or remesh is due (it is neither), ends as stalled unless
-it was singular. Snapshot 0 is the (validated) initial mesh itself.
+unless a stage is not finite, the length grows or the end mesh needs more stages; each
+stage counts towards remesh_every. A dropped one caps the next at half its length;
+each accepted one doubles the cap back toward dt, and a remesh resets it. Steps land
+exactly on the snapshot times k * snapshot_dt and on max_time; explicit steps that
+produce NaNs or increase length are retried with halved dt. A remesh resamples an
+uneven mesh, or one whose mean edge left its band (_target_n); a closed curve's
+resample, whose nodes lie on its old edges, is then pushed once along its left normals
+to give back the area its chords cut (_remesh). A run whose step would fall below
+DT_FLOOR, or whose mesh fails validation where a snapshot or remesh is due (it is
+neither), ends as stalled unless it was singular. Snapshot 0 is the (validated)
+initial mesh itself.
 
 The loop steps a _Workspace, built from the initial mesh's curve and again from each
 remesh's. It holds the nodes, component-major in three (3, w) buffers (w = n + 2 for
 a closed curve, padded as curves.wrapped pads rows; w = n for an arc), every other
-array a step writes and every view a step reads, so an explicit step is 26 numpy
-calls and a stage 32, none of which allocates. Edges come from chords, as in
-curves.wrapped_edges: edge j is 2 asin(c_j / 2) of its chord length c_j. A trial
+array a step writes and every view a step reads, so an explicit step is 21 numpy
+calls and a stage 27 (28 on an arc), none of which allocates: the curvature is kept
+as kv = k - v, which renormalisation projects (_Workspace). Edges come from chords,
+as in curves.wrapped_edges: edge j is 2 asin(c_j / 2) of its chord length c_j. A trial
 measures its chords once, for its length, and the next step's curvature divides by
 those same chords. Differences and products take whole (3, w) arrays flat, one call
 on contiguous memory each; what they leave in end columns mixes two rows, stays
@@ -218,18 +221,20 @@ def _dot(a, b, prod, out):
 
 
 # The views of one (3, w) node buffer b: b flat and its flat successors and
-# predecessors, its interior and node columns, and pads (0, w - 1) with sources.
-_Views = namedtuple("_Views", "flat ahead behind inner nodes pads wraps")
+# predecessors, its node columns, and pads (0, w - 1) with sources.
+_Views = namedtuple("_Views", "flat ahead behind nodes pads wraps")
 
 
 class _Workspace:
     """The step's arrays and views for one mesh (module docstring). With u_j the
     unit chord from column j to column j + 1, c_j its length and h_j = c_j / 2,
-    the node v between chords j - 1 and j gets the curvature vector
-    (w - v <w, v>) / (h_j + h_{j-1}), where w = u_j - u_{j-1}: the chord form's
-    2 (w - v <w, v>) / (c_j + c_{j-1}), bit for bit, as halving is exact. Edge j
-    is 2 asin(h_j), as curves.wrapped_edges measures it; the workspace keeps the
-    half edges asin(h_j), in node order."""
+    the node v between chords j - 1 and j has the curvature vector
+    k = (w - v <w, v>) / (h_j + h_{j-1}), w = u_j - u_{j-1}. On a unit v,
+    <w, v> = -h_j - h_{j-1}, so k = kv + v with kv = w / (h_j + h_{j-1}) (the chord
+    form's 2 w / (c_j + c_{j-1}), bit for bit, as halving is exact), and
+    normalize(v + dt k) = normalize(v + dt / (1 + dt) kv), |k|^2 = |kv|^2 - 1.
+    Edge j is 2 asin(h_j), as curves.wrapped_edges measures it; the workspace keeps
+    the half edges asin(h_j), in node order."""
 
     def __init__(self, curve: SphereCurve):
         closed = curve.closed
@@ -238,23 +243,20 @@ class _Workspace:
         cols = slice(1, -1) if closed else slice(None)
         def views(b):
             f = b.reshape(-1)
-            return _Views(f, f[1:], f[:-1], b[:, 1:-1], b[:, cols], b[:, ::w - 1],
-                          b[:, w - 2:0:-(w - 3)])
+            return _Views(f, f[1:], f[:-1], b[:, cols], b[:, ::w - 1], b[:, w - 2:0:-(w - 3)])
         self.closed, self.n = closed, n
         self.cur, self.nxt, self.third = (views(b) for b in (ext, *np.empty((2, *ext.shape))))
         # chords (j in column j), curvature and _dot's products; what no step writes is 0
-        d, kv, kn, dd, tt = np.zeros((5, 3, w))
+        d, kv, dd, tt = np.zeros((4, 3, w))
         self.d, self.d_chords = d.reshape(-1), d[:, :-1]
         self.d_ahead, self.d_behind = self.d[1:], self.d[:-1]
         self.kf, self.k_ahead, self.kv, self.k_inner, self.k_ends = (
             kv.reshape(-1), kv.reshape(-1)[1:], kv[:, cols], kv[:, 1:-1], kv[:, ::w - 1])
-        self.kn, self.kn_inner = (kn.reshape(-1), *kn[:, 1:-1]), kn[:, 1:-1]
         self.dd, self.tt = (dd.reshape(-1), *dd[:, :-1]), (tt.reshape(-1), *tt[:, cols])
-        self.c, self.h, self.h2, self.dot, self.norm = (
-            np.empty(m) for m in (w - 1, w - 1, w - 2, w - 2, n))
+        self.c, self.h, self.h2, self.norm = (np.empty(m) for m in (w - 1, w - 1, w - 2, n))
         self.h_ahead, self.h_behind, self.h_edges = self.h[1:], self.h[:-1], self.h[k:]
         self.half, self.spare_half = np.empty((2, n - 1 + k))
-        self.k0 = np.empty(3 * w)  # a super-step's starting curvature
+        self.k0 = np.empty(3 * w)  # a super-step's starting kv
         self.chords(self.cur, self.half)
 
     def chords(self, v, half) -> float:
@@ -266,22 +268,19 @@ class _Workspace:
         return 2.0 * float(np.add.reduce(np.arcsin(self.h_edges, half)))
 
     def curvature(self):
-        """The current nodes' curvature vectors, into kv, from the chords that
-        the last chords() call measured on them; it leaves unit chords in d."""
-        v, kf, k = self.cur, self.kf, self.k_inner
+        """The current nodes' kv = k - v, from the chords that the last chords()
+        call measured on them; it leaves unit chords in d."""
         np.divide(self.d_chords, self.c, self.d_chords)
         np.subtract(self.d_ahead, self.d_behind, self.k_ahead)
-        np.multiply(v.inner, _dot(kf, v.flat, self.kn, self.dot), self.kn_inner)
-        np.subtract(kf, self.kn[0], kf)
-        np.divide(k, np.add(self.h_behind, self.h_ahead, self.h2), k)
+        np.divide(self.k_inner, np.add(self.h_behind, self.h_ahead, self.h2), self.k_inner)
         if not self.closed:
             np.copyto(self.k_ends, 0.0)
 
     def trial(self, dt: float) -> float:
-        """Move the current nodes by dt along kv into the spare buffer, its chords
-        and half edges into d, c, h and spare_half, and return its length."""
+        """Move the current nodes by dt along kv + v into the spare buffer, its
+        chords and half edges into d, c, h and spare_half, and return its length."""
         nxt = self.nxt
-        np.multiply(self.kf, dt, nxt.flat)
+        np.multiply(self.kf, dt / (1.0 + dt), nxt.flat)
         np.add(nxt.flat, self.cur.flat, nxt.flat)
         norm = _dot(nxt.flat, nxt.flat, self.tt, self.norm)
         np.divide(nxt.nodes, np.sqrt(norm, norm), nxt.nodes)
@@ -293,8 +292,9 @@ class _Workspace:
         """An RKL2 super-step (Meyer, Balsara & Aslam 2014) of length tau in s
         stages into the spare buffer, as trial() leaves a step: stage 1 is
         trial(w tau / 3), w = 4 / (s^2 + s - 2), each later one is renormalised
-        (an arc's ends kept), and k0 keeps the start's curvature. Stops after the
-        first stage whose length is not finite; returns (length, stages run)."""
+        (an arc's ends kept, k's v folded into prev's and start's coefficients),
+        and k0 keeps the start's kv. Stops after the first stage whose length is
+        not finite; returns (length, stages run)."""
         start, spare, tmp, k0 = self.cur, self.third, self.tt[0], self.k0
         np.copyto(k0, self.kf)
         w = 4.0 / (s * s + s - 2)
@@ -306,9 +306,10 @@ class _Workspace:
             self.curvature()
             out = spare if older is start else older
             mu, nu = (2 * j - 1) / j * b[j] / b[j - 1], -(j - 1) / j * b[j] / b[j - 2]
+            mt, g = w * mu * tau, -(1.0 - b[j - 1]) * w * mu * tau
             f = np.multiply(older.flat, nu, out.flat)
-            for y, a in ((prev.flat, mu), (start.flat, 1.0 - mu - nu), (self.kf, w * mu * tau),
-                         (k0, -(1.0 - b[j - 1]) * w * mu * tau)):
+            for y, a in ((prev.flat, mu + mt), (start.flat, 1.0 - mu - nu + g), (self.kf, mt),
+                         (k0, g)):
                 np.add(f, np.multiply(y, a, tmp), f)
             norm = _dot(f, f, self.tt, self.norm)
             np.divide(out.nodes, np.sqrt(norm, norm), out.nodes)
@@ -318,8 +319,7 @@ class _Workspace:
         return length, j
 
     def accept(self) -> np.ndarray:
-        """Swap in the trial; return the half edges of the mesh the step started
-        from."""
+        """Swap in the trial; return the half edges of the mesh the step started from."""
         self.cur, self.nxt = self.nxt, self.cur
         self.half, self.spare_half = self.spare_half, self.half
         return self.spare_half
@@ -350,7 +350,7 @@ def _super_size(ws: _Workspace, c: float, cap: float, gap: float):
     / max |k|^2, what RKL2_MAX_STAGES stages reach), or gap where it lands, in the
     least s stages stable at c = CFL_FACTOR * h_min^2; (0, 0) unless s <= tau / (2 c),
     half the explicit steps or fewer. gap is the time to the next landing."""
-    k2 = float(np.maximum.reduce(_dot(ws.kf, ws.kf, ws.tt, ws.norm)))  # max |k|^2
+    k2 = float(np.maximum.reduce(_dot(ws.kf, ws.kf, ws.tt, ws.norm))) - 1.0  # max |k|^2
     tau = min(cap, _reach(RKL2_MAX_STAGES, c), RKL2_CURVATURE_GUARD / max(k2, 1e-300))
     if gap <= tau + max(LANDING_SLACK * tau, DT_FLOOR):
         tau = gap
@@ -373,7 +373,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     landed = 1
     next_snap = _snapshot_time(landed, cfg)
     since_remesh = accepted = evaluations = rejected = remeshes = 0
-    min_dt, max_dt, min_edge = math.inf, 0.0, math.inf
+    min_dt, max_dt, min_edge, cap = math.inf, 0.0, math.inf, cfg.dt  # cap: on tau
 
     def snapshot() -> bool:  # unless the mesh fails validation (an edge below EDGE_MIN)
         try:
@@ -403,17 +403,17 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
         s = 0
         # no step is tried below DT_FLOOR, and s <= tau / (2 c) holds for no tau
         # below 16 c: the sizing, which reads the curvature, is skipped there
-        if DT_FLOOR <= c and 16.0 * c <= min(cfg.dt, target - t):
-            tau, s = _super_size(ws, c, cfg.dt, target - t)
+        if DT_FLOOR <= c and 16.0 * c <= min(cap, target - t):
+            tau, s = _super_size(ws, c, cap, target - t)
         if s:  # rejected where a stage or the length is off, or the end mesh needs more stages
             new_len, done = ws.super_step(tau, s)
             evaluations += done - 1
             h_end = 2.0 * float(np.minimum.reduce(ws.spare_half))
             if (math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP
                     and _reach(s, 0.5 * h_end ** 2) >= tau):
-                dt, lands = tau, tau == target - t
+                dt, lands, cap = tau, tau == target - t, min(cfg.dt, 2.0 * cap)
             else:
-                s = 0
+                s, cap = 0, 0.5 * tau
                 np.copyto(ws.kf, ws.k0)
         if not s:
             for _ in range(MAX_DT_HALVINGS + 1):
@@ -456,7 +456,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
                 except DomainError:
                     status = STATUS_STALLED
                     break
-                length = 2.0 * float(np.add.reduce(ws.half))
+                length, cap = 2.0 * float(np.add.reduce(ws.half)), cfg.dt
                 remeshes += 1
 
     if snaps[-1].t < t:

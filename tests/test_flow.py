@@ -32,9 +32,10 @@ def wavy_arc(n=65):
                                np.sin(s)], axis=1))
 
 
-# Reference kernel: curvature vectors from rolled (n, 3) neighbour arrays and
-# edges from a separate chord pass. The component-major chord kernel reorders
-# only IEEE-exact arithmetic, so it must match these bit for bit.
+# Reference kernel: kv = k - v, the curvature vectors less their unit nodes, from
+# rolled (n, 3) neighbour arrays, and edges from a separate chord pass. The
+# component-major chord kernel reorders only IEEE-exact arithmetic, so it must
+# match these bit for bit.
 def _kvec_reference(nodes: np.ndarray, closed: bool) -> np.ndarray:
     if closed:
         prv = np.roll(nodes, 1, axis=0)
@@ -47,7 +48,6 @@ def _kvec_reference(nodes: np.ndarray, closed: bool) -> np.ndarray:
     c_prev = np.linalg.norm(d_prev, axis=1, keepdims=True)
     c_next = np.linalg.norm(d_next, axis=1, keepdims=True)
     lap = d_next / c_next + d_prev / c_prev
-    lap -= v * np.sum(lap * v, axis=1, keepdims=True)
     kv = 2.0 * lap / (c_prev + c_next)
     if closed:
         return kv
@@ -493,15 +493,53 @@ def _super_step_tries(monkeypatch):
 def test_curvature_guard_keeps_curved_runs_explicit(monkeypatch, make, cfg):
     # c02's circle near extinction and c14's finest Koch mesh have edges short
     # enough for super-steps, but their curvature changes faster than a
-    # super-step. Unguarded, the circle tries 5 near extinction, each of which
-    # lengthens it (17,865 evaluations in 17,790 steps), and the Koch run takes
-    # 3,989 evaluations against 2,386 guarded
+    # super-step. Unguarded, the circle tries 3 near extinction, each of which
+    # lengthens it (17,816 evaluations in 17,790 steps), and the Koch run takes
+    # 3,888 evaluations in 3,872 steps against 2,268 guarded
     tries = _super_step_tries(monkeypatch)
     guarded = evolve_closed(make(), cfg)
     assert not tries and guarded.stats.evaluations == guarded.stats.accepted_steps
     monkeypatch.setattr(flow, "RKL2_CURVATURE_GUARD", math.inf)
     unguarded = evolve_closed(make(), cfg)
     assert tries and unguarded.stats.evaluations > guarded.stats.evaluations
+
+
+def test_a_dropped_super_step_halves_the_next(monkeypatch):
+    # Unguarded, a small circle's super-steps near extinction each lengthen it
+    # and are dropped, wasting their stages after the first. Each drop caps the
+    # next super-step at half its tau, and a remesh lifts the cap back to dt: 6
+    # are tried and 49 stages wasted. Retried at the same tau, the run tried 12
+    # and wasted 156. Both take 3,385 steps.
+    taus, step = [], _Workspace.super_step
+
+    def recorded(ws, tau, s):
+        taus.append(tau)
+        return step(ws, tau, s)
+
+    monkeypatch.setattr(_Workspace, "super_step", recorded)
+    monkeypatch.setattr(flow, "RKL2_CURVATURE_GUARD", math.inf)
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, target_spacing=0.0106, remesh_every=20)
+    traj = evolve_closed(circle_curve(0.5, n=300), cfg)
+    assert traj.terminal_status == "extinct"
+    assert traj.stats.accepted_steps == 3385
+    assert traj.stats.evaluations - traj.stats.accepted_steps == 49
+    assert taus == [1e-4, 5e-5, 1e-4, 5e-5, 2.5e-5, 1.25e-5]
+
+
+def test_an_accepted_super_step_doubles_the_cap_back(monkeypatch):
+    # the first super-step is spoiled (its length grows), so the next is tried
+    # at half its tau; once that one is accepted, the cap is back at dt
+    taus, step = [], _Workspace.super_step
+
+    def first_spoiled(ws, tau, s):
+        taus.append(tau)
+        length, done = step(ws, tau, s)
+        return length + (len(taus) == 1), done
+
+    monkeypatch.setattr(_Workspace, "super_step", first_spoiled)
+    traj = evolve_closed(circle_curve(np.pi / 3, n=2048), FlowConfig(dt=1e-4, max_time=4e-4))
+    assert traj.terminal_status == "reached_max_time"
+    assert taus[:3] == [1e-4, 5e-5, 1e-4]
 
 
 def test_needle_edge_caps_the_stages_of_a_trial(monkeypatch):
