@@ -18,13 +18,14 @@ initial mesh itself.
 The loop steps a _Workspace, built from the initial mesh's curve and again from each
 remesh's. It holds the nodes, component-major in three (3, w) buffers (w = n + 2 for
 a closed curve, padded as curves.wrapped pads rows; w = n for an arc), every other
-array a step writes and every view a step reads, so an explicit step is 21 numpy
-calls and a stage 27 (28 on an arc), none of which allocates: the curvature is kept
-as kv = k - v, which renormalisation projects (_Workspace). Edges come from chords,
-as in curves.wrapped_edges: edge j is 2 asin(c_j / 2) of its chord length c_j. A trial
-measures its chords once, for its length, and the next step's curvature divides by
-those same chords. Differences and products take whole (3, w) arrays flat, one call
-on contiguous memory each; what they leave in end columns mixes two rows, stays
+array a step writes and every view a step reads, so an explicit step is 20 numpy
+calls and a stage 26 (27 on an arc), none of which allocates: the curvature is kept
+as kv = k - v, the nodes' second difference over their mean squared chord, which
+renormalisation projects and which keeps the edges even (_Workspace). Edges come from
+chords, as in curves.wrapped_edges: edge j is 2 asin(c_j / 2) of its chord length c_j.
+A trial measures its chords once, for its length, and the next step's curvature
+divides by their squares. Differences and products take whole (3, w) arrays flat, one
+call on contiguous memory each; what they leave in end columns mixes two rows, stays
 finite and reaches no node (pads are copied over it, an arc's end curvature is
 zeroed). A trial and its half edges go into the spare buffer and array, which swap in
 when it is accepted (a super-step's stages take turns in the spare and third
@@ -226,15 +227,18 @@ _Views = namedtuple("_Views", "flat ahead behind nodes pads wraps")
 
 
 class _Workspace:
-    """The step's arrays and views for one mesh (module docstring). With u_j the
-    unit chord from column j to column j + 1, c_j its length and h_j = c_j / 2,
-    the node v between chords j - 1 and j has the curvature vector
-    k = (w - v <w, v>) / (h_j + h_{j-1}), w = u_j - u_{j-1}. On a unit v,
-    <w, v> = -h_j - h_{j-1}, so k = kv + v with kv = w / (h_j + h_{j-1}) (the chord
-    form's 2 w / (c_j + c_{j-1}), bit for bit, as halving is exact), and
-    normalize(v + dt k) = normalize(v + dt / (1 + dt) kv), |k|^2 = |kv|^2 - 1.
-    Edge j is 2 asin(h_j), as curves.wrapped_edges measures it; the workspace keeps
-    the half edges asin(h_j), in node order."""
+    """The step's arrays and views for one mesh (module docstring). With d_j the
+    chord from column j to column j + 1 and c_j = |d_j|, the node v between chords
+    j - 1 and j has kv = (d_j - d_{j-1}) / q_j, q_j = (c_j^2 + c_{j-1}^2) / 2: the
+    simplest tangential redistribution of Mikula & Sevcovic 2001, which keeps edges
+    even. On a unit v, <d_j, v> = -c_j^2 / 2 and <d_{j-1}, v> = c_{j-1}^2 / 2, so
+    <kv, v> = -1, k = kv + v, normalize(v + dt k) = normalize(v + dt / (1 + dt) kv)
+    and |k|^2 = |kv|^2 - 1. The workspace keeps kv / 2 and doubles the scalars that
+    multiply it (exactly). Row j of v -> kv has -2 / q_j on its diagonal and 1 / q_j
+    off it, so by Gershgorin its spectrum lies in [-4 / q_j, 0], q_j >= c_min^2:
+    explicit Euler is stable for dt <= c_min^2 / 2, which CFL_FACTOR h_min^2 meets for
+    edges below 2 (h <= 1.19 c). Edge j is 2 asin(c_j / 2), as curves.wrapped_edges
+    measures it; the workspace keeps the half edges asin(c_j / 2), in node order."""
 
     def __init__(self, curve: SphereCurve):
         closed = curve.closed
@@ -246,41 +250,40 @@ class _Workspace:
             return _Views(f, f[1:], f[:-1], b[:, cols], b[:, ::w - 1], b[:, w - 2:0:-(w - 3)])
         self.closed, self.n = closed, n
         self.cur, self.nxt, self.third = (views(b) for b in (ext, *np.empty((2, *ext.shape))))
-        # chords (j in column j), curvature and _dot's products; what no step writes is 0
+        # chords (j in column j), kv / 2 and _dot's products; what no step writes is 0
         d, kv, dd, tt = np.zeros((4, 3, w))
-        self.d, self.d_chords = d.reshape(-1), d[:, :-1]
+        self.d = d.reshape(-1)
         self.d_ahead, self.d_behind = self.d[1:], self.d[:-1]
-        self.kf, self.k_ahead, self.kv, self.k_inner, self.k_ends = (
+        self.kf, self.k_ahead, self.kv_half, self.k_inner, self.k_ends = (
             kv.reshape(-1), kv.reshape(-1)[1:], kv[:, cols], kv[:, 1:-1], kv[:, ::w - 1])
         self.dd, self.tt = (dd.reshape(-1), *dd[:, :-1]), (tt.reshape(-1), *tt[:, cols])
-        self.c, self.h, self.h2, self.norm = (np.empty(m) for m in (w - 1, w - 1, w - 2, n))
-        self.h_ahead, self.h_behind, self.h_edges = self.h[1:], self.h[:-1], self.h[k:]
+        self.c2, self.h, self.q2, self.norm = (np.empty(m) for m in (w - 1, w - 1, w - 2, n))
+        self.c2_ahead, self.c2_behind, self.h_edges = self.c2[1:], self.c2[:-1], self.h[k:]
         self.half, self.spare_half = np.empty((2, n - 1 + k))
-        self.k0 = np.empty(3 * w)  # a super-step's starting kv
+        self.k0 = np.empty(3 * w)  # a super-step's starting kv / 2
         self.chords(self.cur, self.half)
 
     def chords(self, v, half) -> float:
-        """The chords of the nodes in v into d, c and h, their half edges into
-        half, and the length."""
+        """The chords of the nodes in v into d, their squares into c2 and halves
+        into h, their half edges into half, and the length."""
         np.subtract(v.ahead, v.behind, self.d_behind)
-        np.sqrt(_dot(self.d, self.d, self.dd, self.c), self.c)
-        np.multiply(self.c, _HALF, self.h)
+        np.sqrt(_dot(self.d, self.d, self.dd, self.c2), self.h)
+        np.multiply(self.h, _HALF, self.h)
         return 2.0 * float(np.add.reduce(np.arcsin(self.h_edges, half)))
 
     def curvature(self):
-        """The current nodes' kv = k - v, from the chords that the last chords()
-        call measured on them; it leaves unit chords in d."""
-        np.divide(self.d_chords, self.c, self.d_chords)
+        """The current nodes' kv / 2 = (d_j - d_{j-1}) / (c_j^2 + c_{j-1}^2), from
+        the chords that the last chords() call measured on them."""
         np.subtract(self.d_ahead, self.d_behind, self.k_ahead)
-        np.divide(self.k_inner, np.add(self.h_behind, self.h_ahead, self.h2), self.k_inner)
+        np.divide(self.k_inner, np.add(self.c2_behind, self.c2_ahead, self.q2), self.k_inner)
         if not self.closed:
             np.copyto(self.k_ends, 0.0)
 
     def trial(self, dt: float) -> float:
         """Move the current nodes by dt along kv + v into the spare buffer, its
-        chords and half edges into d, c, h and spare_half, and return its length."""
+        chords and half edges into d, c2, h and spare_half, and return its length."""
         nxt = self.nxt
-        np.multiply(self.kf, dt / (1.0 + dt), nxt.flat)
+        np.multiply(self.kf, 2.0 * dt / (1.0 + dt), nxt.flat)
         np.add(nxt.flat, self.cur.flat, nxt.flat)
         norm = _dot(nxt.flat, nxt.flat, self.tt, self.norm)
         np.divide(nxt.nodes, np.sqrt(norm, norm), nxt.nodes)
@@ -293,7 +296,7 @@ class _Workspace:
         stages into the spare buffer, as trial() leaves a step: stage 1 is
         trial(w tau / 3), w = 4 / (s^2 + s - 2), each later one is renormalised
         (an arc's ends kept, k's v folded into prev's and start's coefficients),
-        and k0 keeps the start's kv. Stops after the first stage whose length is
+        and k0 keeps the start's kv / 2. Stops after the first stage whose length is
         not finite; returns (length, stages run)."""
         start, spare, tmp, k0 = self.cur, self.third, self.tt[0], self.k0
         np.copyto(k0, self.kf)
@@ -308,8 +311,8 @@ class _Workspace:
             mu, nu = (2 * j - 1) / j * b[j] / b[j - 1], -(j - 1) / j * b[j] / b[j - 2]
             mt, g = w * mu * tau, -(1.0 - b[j - 1]) * w * mu * tau
             f = np.multiply(older.flat, nu, out.flat)
-            for y, a in ((prev.flat, mu + mt), (start.flat, 1.0 - mu - nu + g), (self.kf, mt),
-                         (k0, g)):
+            for y, a in ((prev.flat, mu + mt), (start.flat, 1.0 - mu - nu + g),
+                         (self.kf, 2.0 * mt), (k0, 2.0 * g)):
                 np.add(f, np.multiply(y, a, tmp), f)
             norm = _dot(f, f, self.tt, self.norm)
             np.divide(out.nodes, np.sqrt(norm, norm), out.nodes)
@@ -350,7 +353,7 @@ def _super_size(ws: _Workspace, c: float, cap: float, gap: float):
     / max |k|^2, what RKL2_MAX_STAGES stages reach), or gap where it lands, in the
     least s stages stable at c = CFL_FACTOR * h_min^2; (0, 0) unless s <= tau / (2 c),
     half the explicit steps or fewer. gap is the time to the next landing."""
-    k2 = float(np.maximum.reduce(_dot(ws.kf, ws.kf, ws.tt, ws.norm))) - 1.0  # max |k|^2
+    k2 = 4.0 * float(np.maximum.reduce(_dot(ws.kf, ws.kf, ws.tt, ws.norm))) - 1.0  # max |k|^2
     tau = min(cap, _reach(RKL2_MAX_STAGES, c), RKL2_CURVATURE_GUARD / max(k2, 1e-300))
     if gap <= tau + max(LANDING_SLACK * tau, DT_FLOOR):
         tau = gap

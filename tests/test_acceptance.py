@@ -27,26 +27,27 @@ ABS_TOL = {("dirichlet-scaling", "geodesic_gap"): 1e-7}
 IDS = [f"c{i + 1:02d}-{name}" for i, name in enumerate(ORDER)]
 # Each check's accepted steps and curvature evaluations (summed over the flow runs
 # it reads) as measured at CFL_FACTOR 0.35 with RKL2 super-steps where the mesh
-# limits the step; a check may take at most 2% more of either. Explicit steps
-# evaluate once each, so the counts differ only where a run super-steps (c11 took
-# 52,511 explicit steps and c13 25,655 before). Counts are exact on every machine.
-# A change that cuts them lowers these; raising one is a recorded decision.
+# limits the step, on the second-difference curvature that keeps edges even; a
+# check may take at most 2% more of either. Explicit steps evaluate once each, so
+# the counts differ only where a run super-steps (c11 and c13). Counts are exact on
+# every machine. A change that cuts them lowers these; raising one is a recorded
+# decision.
 STEPS = {
     "circle-oracle": (20_793, 20_793),
     "extinction-time": (17_790, 17_790),
-    "barrier-law": (6_870, 6_870),
-    "gage-identity": (50_243, 50_243),
-    "length-derivative": (50_243, 50_243),
+    "barrier-law": (5_701, 5_701),
+    "gage-identity": (30_219, 30_219),
+    "length-derivative": (30_219, 30_219),
     "area-ode": (7_172, 7_172),
-    "multiplicity-monotone": (37_938, 37_938),
-    "intersection-monotone": (37_938, 37_938),
-    "solver-crosscheck": (7_620, 7_620),
-    "straightening": (5_475, 5_475),
-    "dirichlet-scaling": (40_598, 44_961),
+    "multiplicity-monotone": (19_086, 19_086),
+    "intersection-monotone": (19_086, 19_086),
+    "solver-crosscheck": (7_603, 7_603),
+    "straightening": (3_800, 3_800),
+    "dirichlet-scaling": (39_716, 44_078),
     "levelset-sandwich": (8_000, 8_000),
     "trichotomy": (25_284, 25_452),
-    "uniform-length-bound": (5_128, 5_128),
-    "initial-continuity": (138, 138),
+    "uniform-length-bound": (5_059, 5_059),
+    "initial-continuity": (121, 121),
 }
 
 

@@ -81,7 +81,7 @@ def test_latitude_pointwise_curvature():
     c = circle_curve(np.pi / 4, n=512)
     ws = _Workspace(c)
     ws.curvature()
-    mags = np.linalg.norm(ws.kv + c.nodes.T, axis=0)  # |k| = |kv + v|
+    mags = np.linalg.norm(2.0 * ws.kv_half + c.nodes.T, axis=0)  # |k| = |kv + v|
     assert np.abs(mags - 1.0).max() < CURVATURE_TOL
 
 

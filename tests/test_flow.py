@@ -32,10 +32,11 @@ def wavy_arc(n=65):
                                np.sin(s)], axis=1))
 
 
-# Reference kernel: kv = k - v, the curvature vectors less their unit nodes, from
-# rolled (n, 3) neighbour arrays, and edges from a separate chord pass. The
-# component-major chord kernel reorders only IEEE-exact arithmetic, so it must
-# match these bit for bit.
+# Reference kernel: kv = k - v, the curvature vectors less their unit nodes, the
+# second differences over the mean squared chords, from rolled (n, 3) neighbour
+# arrays, and edges from a separate chord pass. The component-major kernel keeps
+# kv / 2 and reorders only IEEE-exact arithmetic, so twice its kv_half must match
+# these bit for bit.
 def _kvec_reference(nodes: np.ndarray, closed: bool) -> np.ndarray:
     if closed:
         prv = np.roll(nodes, 1, axis=0)
@@ -45,10 +46,9 @@ def _kvec_reference(nodes: np.ndarray, closed: bool) -> np.ndarray:
         v, prv, nxt = nodes[1:-1], nodes[:-2], nodes[2:]
     d_prev = prv - v
     d_next = nxt - v
-    c_prev = np.linalg.norm(d_prev, axis=1, keepdims=True)
-    c_next = np.linalg.norm(d_next, axis=1, keepdims=True)
-    lap = d_next / c_next + d_prev / c_prev
-    kv = 2.0 * lap / (c_prev + c_next)
+    q_prev = np.add.reduce(d_prev * d_prev, axis=1, keepdims=True)
+    q_next = np.add.reduce(d_next * d_next, axis=1, keepdims=True)
+    kv = (d_next + d_prev) / (0.5 * (q_prev + q_next))
     if closed:
         return kv
     out = np.zeros_like(nodes)
@@ -90,7 +90,7 @@ def test_chord_kernel_matches_reference(nodes, closed):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         ws = _Workspace(curve)
         ws.curvature()
-        assert np.array_equal(ws.kv.T, _kvec_reference(nodes, closed))
+        assert np.array_equal(2.0 * ws.kv_half.T, _kvec_reference(nodes, closed))
         assert np.array_equal(2.0 * ws.half, _edges_reference(nodes, closed))
         assert np.array_equal(2.0 * ws.half, curve.edge_lengths())
         # the trial's chords, measured in place, feed the next curvature
@@ -100,7 +100,7 @@ def test_chord_kernel_matches_reference(nodes, closed):
         assert length == float(np.add.reduce(_edges_reference(trial, closed)))
         ws.accept()
         ws.curvature()
-        assert np.array_equal(ws.kv.T, _kvec_reference(trial, closed))
+        assert np.array_equal(2.0 * ws.kv_half.T, _kvec_reference(trial, closed))
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -488,14 +488,11 @@ def _super_step_tries(monkeypatch):
 @pytest.mark.parametrize("make, cfg", [
     (lambda: circle_curve(np.pi / 3, n=512),
      FlowConfig(dt=1e-4, snapshot_dt=0.01, target_spacing=0.0106, remesh_every=20)),
-    (lambda: koch_like(4), FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=0.05)),
-], ids=["c02-circle", "c14-koch4"])
+], ids=["c02-circle"])
 def test_curvature_guard_keeps_curved_runs_explicit(monkeypatch, make, cfg):
-    # c02's circle near extinction and c14's finest Koch mesh have edges short
-    # enough for super-steps, but their curvature changes faster than a
-    # super-step. Unguarded, the circle tries 3 near extinction, each of which
-    # lengthens it (17,816 evaluations in 17,790 steps), and the Koch run takes
-    # 3,888 evaluations in 3,872 steps against 2,268 guarded
+    # c02's circle near extinction has edges short enough for super-steps, but
+    # its curvature changes faster than a super-step. Unguarded, it tries 3 near
+    # extinction, each of which lengthens it (17,816 evaluations in 17,790 steps)
     tries = _super_step_tries(monkeypatch)
     guarded = evolve_closed(make(), cfg)
     assert not tries and guarded.stats.evaluations == guarded.stats.accepted_steps
@@ -504,12 +501,28 @@ def test_curvature_guard_keeps_curved_runs_explicit(monkeypatch, make, cfg):
     assert tries and unguarded.stats.evaluations > guarded.stats.evaluations
 
 
+def test_even_edges_keep_the_finest_koch_mesh_explicit(monkeypatch):
+    # c14's finest Koch mesh, run to t = 0.05, keeps its shortest edge at 4.26e-3
+    # or more (9.0e-3 at the start), where its CFL step is still above dt / 16: it
+    # tries no super-step, guarded or not, and takes 2,336 steps. Where edges
+    # drift apart (the chord form), only the guard kept it explicit: unguarded it
+    # took 3,888 evaluations in 3,872 steps
+    tries = _super_step_tries(monkeypatch)
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=0.05)
+    for guard in (flow.RKL2_CURVATURE_GUARD, math.inf):
+        monkeypatch.setattr(flow, "RKL2_CURVATURE_GUARD", guard)
+        traj = evolve_closed(koch_like(4), cfg)
+        assert 16.0 * flow.CFL_FACTOR * traj.stats.min_edge ** 2 > cfg.dt
+        assert traj.stats.evaluations == traj.stats.accepted_steps == 2336
+    assert not tries
+
+
 def test_a_dropped_super_step_halves_the_next(monkeypatch):
     # Unguarded, a small circle's super-steps near extinction each lengthen it
     # and are dropped, wasting their stages after the first. Each drop caps the
-    # next super-step at half its tau, and a remesh lifts the cap back to dt: 6
-    # are tried and 49 stages wasted. Retried at the same tau, the run tried 12
-    # and wasted 156. Both take 3,385 steps.
+    # next super-step at half its tau, and a remesh lifts the cap back to dt: 5
+    # are tried and 42 stages wasted. Retried at the same tau, the run tried 6
+    # and wasted 83. Both take 3,381 steps.
     taus, step = [], _Workspace.super_step
 
     def recorded(ws, tau, s):
@@ -521,9 +534,9 @@ def test_a_dropped_super_step_halves_the_next(monkeypatch):
     cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, target_spacing=0.0106, remesh_every=20)
     traj = evolve_closed(circle_curve(0.5, n=300), cfg)
     assert traj.terminal_status == "extinct"
-    assert traj.stats.accepted_steps == 3385
-    assert traj.stats.evaluations - traj.stats.accepted_steps == 49
-    assert taus == [1e-4, 5e-5, 1e-4, 5e-5, 2.5e-5, 1.25e-5]
+    assert traj.stats.accepted_steps == 3381
+    assert traj.stats.evaluations - traj.stats.accepted_steps == 42
+    assert taus == [1e-4, 1e-4, 5e-5, 2.5e-5, 1.25e-5]
 
 
 def test_an_accepted_super_step_doubles_the_cap_back(monkeypatch):

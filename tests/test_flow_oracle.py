@@ -35,20 +35,34 @@ from test_curve_rows import (curve_of, edges_rows, integrals_rows, needled, norm
 from test_flow import Z, jittered_polygon, jittered_polygons
 
 
-def chord_curvature_rows(ext, closed):
+def curvature_rows(ext, closed):
     """kv = k - v, the curvature vectors less their unit nodes, from the (n, 3)
-    padded array ext, summing length-3 rows: on a unit node v the projection
-    of w = u_j - u_{j-1} off v adds v, as <w, v> = -(c_j + c_{j-1}) / 2."""
+    padded array ext, summing length-3 rows: the second difference
+    d_j - d_{j-1} of the chords d_j over q_j = (c_j^2 + c_{j-1}^2) / 2. On a unit
+    node v its projection off v adds v, as <d_j - d_{j-1}, v> = -q_j."""
+    d = ext[1:] - ext[:-1]
+    q = np.add.reduce(d * d, axis=1, keepdims=True)
+    lap = d[1:] - d[:-1]
+    lap /= 0.5 * (q[:-1] + q[1:])
+    return _padded(lap, ext, closed)
+
+
+def chord_curvature_rows(ext, closed):
+    """The chord form the stepper replaced, kept as an oracle: 2 (u_j - u_{j-1})
+    / (c_j + c_{j-1}), u_j the unit chords, also k - v on unit nodes."""
     d = ext[1:] - ext[:-1]
     c = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True))
     u = d / c
-    lap = u[1:] - u[:-1]
-    lap *= 2.0
-    lap /= c[:-1] + c[1:]
+    lap = 2.0 * (u[1:] - u[:-1]) / (c[:-1] + c[1:])
+    return _padded(lap, ext, closed)
+
+
+def _padded(k, ext, closed):
+    """k as it is for a closed curve; an arc's, between zero end rows."""
     if closed:
-        return lap
+        return k
     out = np.zeros_like(ext)
-    out[1:-1] = lap
+    out[1:-1] = k
     return out
 
 
@@ -67,7 +81,7 @@ def super_size_reference(kv, c, cap, gap):
     return (tau, s) if s <= min(RKL2_MAX_STAGES, tau / (2.0 * c)) else (0.0, 0)
 
 
-def super_step_rows(nodes, kv0, tau, s, closed):
+def super_step_rows(nodes, kv0, tau, s, closed, curvature=curvature_rows):
     """(nodes, edges, length, stages evaluated) of an RKL2 super-step of length
     tau in s stages from nodes, whose kv is kv0, stopping after the first
     stage whose length is not finite (Meyer, Balsara & Aslam 2014, with
@@ -84,7 +98,7 @@ def super_step_rows(nodes, kv0, tau, s, closed):
     j = 1
     while j < s and math.isfinite(float(np.add.reduce(e))):
         j += 1
-        kv = chord_curvature_rows(wrapped(prev, closed), closed)
+        kv = curvature(wrapped(prev, closed), closed)
         mu, nu = (2 * j - 1) / j * b[j] / b[j - 1], -(j - 1) / j * b[j] / b[j - 2]
         g = -(1.0 - b[j - 1]) * w * mu * tau
         y = nu * older
@@ -134,9 +148,9 @@ def target_n_reference(length, n, cfg, closed, h0):
     return n
 
 
-def evolve_reference(curve, cfg):
+def evolve_reference(curve, cfg, curvature=curvature_rows):
     """(snapshots as snapshot_rows, terminal status, FlowStats) of the (n, 3)
-    explicit loop."""
+    explicit loop, stepping kv = curvature(padded nodes, closed)."""
     closed = curve.closed
     nodes = np.array(curve.nodes)
     e = edges_rows(nodes, closed)
@@ -180,10 +194,11 @@ def evolve_reference(curve, cfg):
         if lands:  # the step ends on the target, not short of it
             dt = target - t
 
-        kv = chord_curvature_rows(ext, closed)
+        kv = curvature(ext, closed)
         tau, s = super_size_reference(kv, c, cap, target - t)
         if s:  # kept unless a stage or the length is off, or the end mesh needs more stages
-            trial, trial_e, new_len, done = super_step_rows(nodes, kv, tau, s, closed)
+            trial, trial_e, new_len, done = super_step_rows(nodes, kv, tau, s, closed,
+                                                            curvature)
             evaluations += done - 1
             if (math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP
                     and _reach(s, 0.5 * float(np.minimum.reduce(trial_e)) ** 2) >= tau):
@@ -421,7 +436,7 @@ def _c11_arc():
     (lambda: circle_curve(np.pi / 3, n=2048),
      FlowConfig(dt=1e-4, snapshot_dt=4e-5, max_time=1.2e-4), 2048, 3, 24),
     (_c11_arc, FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=0.01,
-                          target_spacing=0.01, remesh_every=20), 515, 419, 419),
+                          target_spacing=0.01, remesh_every=20), 515, 397, 397),
     (lambda: perturbed_latitude(1.1, 0.12, 5, n=2048),
      FlowConfig(dt=1e-4, snapshot_dt=2e-4, max_time=4e-4), 2048, 4, 48),
 ], ids=["circle-n2048", "c11-arc-n515", "perturbed-n2048"])
@@ -438,17 +453,14 @@ def test_benchmark_sizes_match_reference(make, cfg, n, steps, evaluations):
 
 
 def projected_curvature_rows(ext, closed):
-    """The textbook curvature vectors 2 (w - v <w, v>) / (c_j + c_{j-1}), with w
-    the difference of the unit chords at v, projected off v."""
+    """The textbook curvature vectors (w - v <w, v>) / q_j, with w = d_j - d_{j-1}
+    the second difference of the chords at v and q_j = (c_j^2 + c_{j-1}^2) / 2,
+    projected off v."""
     d = ext[1:] - ext[:-1]
     c = np.linalg.norm(d, axis=1, keepdims=True)
-    v, lap = ext[1:-1], d[1:] / c[1:] - d[:-1] / c[:-1]
-    k = 2.0 * (lap - v * np.sum(lap * v, axis=1, keepdims=True)) / (c[:-1] + c[1:])
-    if closed:
-        return k
-    out = np.zeros_like(ext)
-    out[1:-1] = k
-    return out
+    v, lap = ext[1:-1], d[1:] - d[:-1]
+    k = 2.0 * (lap - v * np.sum(lap * v, axis=1, keepdims=True)) / (c[:-1] ** 2 + c[1:] ** 2)
+    return _padded(k, ext, closed)
 
 
 def unit_rows(y):
@@ -496,7 +508,7 @@ def _cfl_step(curve):
 def test_unprojected_step_matches_the_projected_one(make):
     # normalize(v + dt k) = normalize(v + dt / (1 + dt) kv) on unit nodes: one
     # explicit step at the stepper's dt agrees with the textbook step to 2 ulps
-    # (measured: 1 ulp of 1 at most)
+    # (measured: 1.5 ulps of 1 at most, on the arc)
     curve = make()
     nodes, closed = np.array(curve.nodes), curve.closed
     ws = _Workspace(curve)
@@ -509,10 +521,9 @@ def test_unprojected_step_matches_the_projected_one(make):
 
 @pytest.mark.parametrize("make", IDENTITY_MESHES.values(), ids=IDENTITY_MESHES)
 def test_unprojected_super_step_matches_the_projected_one(make):
-    # an 8-stage super-step as long as 8 stages reach: measured 6.7e-13 from the
-    # textbook one on Koch d = 3, whose super-step moves nodes by 0.63 (the
-    # projected form of the stepper differed from it by 2.2e-13 there), and at
-    # most 3.1e-15 on the other meshes
+    # an 8-stage super-step as long as 8 stages reach: measured 1.0e-12 from the
+    # textbook one on Koch d = 3, whose super-step moves nodes by 0.26, and at
+    # most 2.8e-15 on the other meshes
     curve = make()
     tau = _reach(8, _cfl_step(curve))
     ws = _Workspace(curve)
@@ -526,13 +537,13 @@ def test_unprojected_super_step_matches_the_projected_one(make):
                                    SphereArc(perturbed_latitude(1.1, 0.12, 5, n=512).nodes)],
                          ids=["closed", "arc"])
 def test_kv_has_unit_inward_part_along_the_node(curve):
-    # <kv, v> = <w, v> / (h_j + h_{j-1}) = -1 at every interior node, to the
+    # <kv, v> = <d_j - d_{j-1}, v> / q_j = -1 at every interior node, to the
     # rounding of the chords v_{j+1} - v_j divided by h^2: measured 1.6 eps / h^2
     # (3.3e-12) at n = 512
     ws = _Workspace(curve)
     ws.curvature()
     inner = slice(None) if curve.closed else slice(1, -1)
-    dots = np.sum(ws.kv.T * curve.nodes, axis=1)[inner]
+    dots = np.sum(2.0 * ws.kv_half.T * curve.nodes, axis=1)[inner]
     h = float(curve.edge_lengths().min())
     assert np.abs(dots + 1.0).max() <= 4.0 * np.finfo(float).eps / h ** 2
 
@@ -547,3 +558,50 @@ def test_guard_reads_the_projected_curvature():
     k = projected_curvature_rows(wrapped(np.array(curve.nodes), True), True)
     assert s and tau == pytest.approx(RKL2_CURVATURE_GUARD / np.max(np.sum(k * k, axis=1)),
                                       rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The second difference keeps the edges even, and explicit steps stable
+
+
+def test_second_difference_matches_the_chord_form_on_a_regular_polygon():
+    # every chord of a regular polygon has one length c, so (d_j - d_{j-1}) / c^2
+    # is the chord form's 2 (u_j - u_{j-1}) / 2c up to the rounding of d / h^2:
+    # measured 5.6 eps / h^2 (3.1e-12) relative at h = 0.02
+    curve = circle_curve(1.0, n=264)
+    h = float(curve.edge_lengths().min())
+    ws = _Workspace(curve)
+    ws.curvature()
+    chord = chord_curvature_rows(wrapped(np.array(curve.nodes), True), True)
+    rel = np.abs(2.0 * ws.kv_half.T - chord).max() / np.abs(chord).max()
+    assert rel <= 16.0 * np.finfo(float).eps / h ** 2
+
+
+def test_second_difference_keeps_the_edges_even():
+    # c04's perturbed latitude on a fixed mesh to t = 0.05: its max/min edge goes
+    # from 1.30 to 1.054 in 1,261 steps; the chord form lets it drift to 1.52, so
+    # the shortest edge, and with it the step, shrinks (1,717 steps)
+    curve = perturbed_latitude(1.1, 0.12, 5, n=512)
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=0.05, max_time=0.05, remesh_every=NO_REMESH)
+    traj = assert_matches_reference(curve, cfg)
+    snaps, status, chord = evolve_reference(curve, cfg, chord_curvature_rows)
+    assert traj.terminal_status == status == STATUS_MAX_TIME
+    e, chord_e = traj.final().curve.edge_lengths(), edges_rows(snaps[-1].nodes, True)
+    assert e.max() / e.min() <= 1.07 and chord_e.max() / chord_e.min() >= 1.5
+    assert (traj.stats.accepted_steps, chord.accepted_steps) == (1261, 1717)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "arc"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_explicit_steps_are_stable_on_uneven_meshes(seed, closed):
+    # by Gershgorin (flow._Workspace) the step CFL_FACTOR h_min^2 is stable however
+    # uneven the edges: these polygons start at max/min edge 13.5, 8.5 and 7.8, and
+    # under a dt cap of 8 CFL steps they take 70 to 239 explicit steps to max_time
+    # with no rejected trial, their edges evened out to 1.12 or less
+    curve = curve_of(jittered_polygon(100, 0.8, 0.6, np.random.default_rng(seed)), closed)
+    e = curve.edge_lengths()
+    assert 7.8 <= e.max() / e.min() <= 13.5
+    traj = assert_matches_reference(curve, needle_cfg(curve, explicit=True))
+    assert traj.terminal_status == STATUS_MAX_TIME
+    assert traj.stats.rejected_trials == 0
+    assert traj.stats.evaluations == traj.stats.accepted_steps
