@@ -8,12 +8,11 @@ stable; `spherecsf verify` and the test suite both run the checks of `CHECKS`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache, wraps
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from . import flow
 from .errors import ExtinctionBeforeEnd
 from .sphere import GreatCircle, geodesic_distance, slerp
 from .curves import (SphereArc, _hausdorff_exceeds, c1_deviation, hausdorff_distance,
@@ -43,9 +42,19 @@ class CheckResult:
     runs: tuple = ()  # the FlowStats of the flow runs it read (a shared run's own)
 
 
-def _result(name, passed, detail, **measured):
+# FlowStats fields each check sums
+LEDGER = ("accepted_steps", "evaluations", "rejected_trials", "remeshes")
+
+
+def _result(name, passed, detail, runs=(), **measured):
+    """The check's result, with the LEDGER counters of `runs`, the FlowStats of
+    the flow runs it read, summed into its measured; a run listed twice counts
+    once, and a shared run counts in every check that reads it."""
+    runs = tuple({id(s): s for s in runs}.values())
     return CheckResult(name=name, passed=bool(passed), detail=detail,
-                       measured={k: v for k, v in measured.items()})
+                       measured={**measured, **{k: sum(getattr(s, k) for s in runs)
+                                                for k in LEDGER}},
+                       runs=runs)
 
 
 def _mean_radius(nodes, pole) -> float:
@@ -53,47 +62,10 @@ def _mean_radius(nodes, pole) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the step ledger and the shared, memoized runs
-
-_READ = []  # the flow runs the running check has read, each once
-# FlowStats fields each check sums
-LEDGER = ("accepted_steps", "evaluations", "rejected_trials", "remeshes")
+# the shared, memoized runs
 
 
-def _note(runs):
-    """runs, recorded as read by the running check unless it read them already."""
-    _READ.extend([r for r in runs if all(r is not s for s in _READ)])
-    return runs
-
-
-def _shared(make):
-    """make(), run once; every call records its runs as read."""
-    once = lru_cache(maxsize=None)(make)
-    return wraps(make)(lambda: _note(once()))
-
-
-def _ledger(check):
-    """check, with the LEDGER counters of the flow runs it reads summed into its
-    measured and their FlowStats in its runs. flow._evolve is wrapped while it
-    runs, so the runs that levelset and graphflow make count too; a shared run
-    counts in every check that reads it."""
-    @wraps(check)
-    def counted():
-        evolve = flow._evolve
-        _READ.clear()
-        flow._evolve = lambda curve, cfg: _note([evolve(curve, cfg)])[0]
-        try:
-            result = check()
-            stats = [r.stats for r in _READ]
-        finally:
-            flow._evolve = evolve
-            _READ.clear()
-        result.measured.update({k: sum(getattr(s, k) for s in stats) for k in LEDGER})
-        return replace(result, runs=tuple(stats))
-    return counted
-
-
-@_shared
+@lru_cache(maxsize=None)
 def _residual_trajectories():
     # snapshot_dt enters the residuals quadratically via the central
     # difference; the fastest transient here decays at rate ~ 2(mode^2 - 1)
@@ -106,11 +78,10 @@ def _residual_trajectories():
     return tuple(runs)
 
 
-@_shared
+@lru_cache(maxsize=None)
 def _monotone_trajectories():
-    # remesh disabled so sampled counts ride smooth node trajectories; the
-    # corpus is therefore smooth curves (corner curves cluster nodes without
-    # remeshing and stall the CFL step)
+    # remesh disabled so that each count follows one mesh's nodes; the corpus
+    # is smooth by choice (corner curves run without remeshing too)
     cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=0.19,
                      remesh_every=10 ** 9)
     corpus = (
@@ -139,7 +110,7 @@ def check_circle_oracle() -> CheckResult:
     return _result("circle-oracle", worst <= 5e-3,
                    f"max relative radius error {worst:.3e} (tolerance 5e-3) "
                    f"for the r0=pi/3 circle on [0, 0.6]",
-                   max_relative_error=worst)
+                   runs=[traj.stats], max_relative_error=worst)
 
 
 def check_extinction_time() -> CheckResult:
@@ -153,7 +124,7 @@ def check_extinction_time() -> CheckResult:
     ok = traj.terminal_status == STATUS_EXTINCT and rel <= 0.01
     return _result("extinction-time", ok,
                    f"measured extinction {got:.6f} vs ln(2) = {want:.6f}, "
-                   f"relative error {rel:.3e} (tolerance 1e-2)",
+                   f"relative error {rel:.3e} (tolerance 1e-2)", runs=[traj.stats],
                    measured_time=got, exact_time=want, relative_error=rel)
 
 
@@ -180,7 +151,7 @@ def check_barrier_law() -> CheckResult:
     return _result("barrier-law", ok,
                    f"band containment margin {margin:.3e} (needs >= 0) and "
                    f"constant-data graph error {graph_err:.3e} (tolerance 1e-6)",
-                   containment_margin=margin, graph_error=graph_err)
+                   runs=[traj.stats], containment_margin=margin, graph_error=graph_err)
 
 
 def _central_residuals(traj):
@@ -200,19 +171,21 @@ def _central_residuals(traj):
 
 
 def check_gage_identity() -> CheckResult:
-    worst = max(_central_residuals(traj)[0] for traj in _residual_trajectories())
+    trajs = _residual_trajectories()
+    worst = max(_central_residuals(traj)[0] for traj in trajs)
     return _result("gage-identity", worst <= 2e-2,
                    f"max relative residual of d/dt(total turning) = total "
                    f"turning is {worst:.3e} (tolerance 2e-2)",
-                   max_relative_residual=worst)
+                   runs=[t.stats for t in trajs], max_relative_residual=worst)
 
 
 def check_length_derivative() -> CheckResult:
-    worst = max(_central_residuals(traj)[1] for traj in _residual_trajectories())
+    trajs = _residual_trajectories()
+    worst = max(_central_residuals(traj)[1] for traj in trajs)
     return _result("length-derivative", worst <= 2e-2,
                    f"max relative residual of dL/dt = -bending is {worst:.3e} "
                    f"(tolerance 2e-2)",
-                   max_relative_residual=worst)
+                   runs=[t.stats for t in trajs], max_relative_residual=worst)
 
 
 def check_area_ode() -> CheckResult:
@@ -242,40 +215,42 @@ def check_area_ode() -> CheckResult:
                    f"residual {residual:.3e} against mu' = mu - 2*pi*k "
                    f"(k extinct boundaries) on [0, {times[-1]:.3f}] "
                    f"(tolerance 2e-2); {inner}; initial area {mu0:.6f}",
-                   residual=residual, initial_area=mu0,
+                   runs=report.runs, residual=residual, initial_area=mu0,
                    inner_extinction=t_inner, exact_inner_extinction=t_star,
                    inner_extinction_relative_error=rel,
                    outer_extinction=t_outer, samples=int(len(times)))
 
 
 def _monotone_increases(counter):
-    """(increases, transitions) of counter(curve, poles), one count per pole,
-    between consecutive snapshots, over every monotone trajectory and pole."""
+    """(increases, transitions, runs) of counter(curve, poles), one count per
+    pole, between consecutive snapshots, over every monotone trajectory and
+    pole; runs are the trajectories' FlowStats."""
     violations = checked = 0
     poles = fibonacci_sphere(50)
-    for traj in _monotone_trajectories():
+    trajs = _monotone_trajectories()
+    for traj in trajs:
         diffs = np.diff([counter(s.curve, poles) for s in traj.snapshots], axis=0)
         violations += int(np.sum(diffs > 0))
         checked += diffs.size
-    return violations, checked
+    return violations, checked, [t.stats for t in trajs]
 
 
 def check_multiplicity_monotone() -> CheckResult:
-    violations, checked = _monotone_increases(
+    violations, checked, runs = _monotone_increases(
         lambda curve, poles: _evaluate(curve, 0.1, poles)[0])
     return _result("multiplicity-monotone", violations == 0,
                    f"{violations} increases of the band multiplicity across "
                    f"{checked} sampled transitions (needs 0)",
-                   violations=violations, transitions=checked)
+                   runs=runs, violations=violations, transitions=checked)
 
 
 def check_intersection_monotone() -> CheckResult:
-    violations, checked = _monotone_increases(
+    violations, checked, runs = _monotone_increases(
         lambda curve, poles: [intersection_count(curve, GreatCircle(p)) for p in poles])
     return _result("intersection-monotone", violations == 0,
                    f"{violations} increases of the great-circle crossing "
                    f"count across {checked} sampled transitions (needs 0)",
-                   violations=violations, transitions=checked)
+                   runs=runs, violations=violations, transitions=checked)
 
 
 def check_solver_crosscheck() -> CheckResult:
@@ -288,15 +263,13 @@ def check_solver_crosscheck() -> CheckResult:
         0.03 * np.sin(2 * x) + 0.02 * np.cos(5 * x),
     )
     circle = GreatCircle(Z)
-    worst = 0.0
-    for heights in profiles:
-        out = crosscheck(PeriodicGraph(np.tan(heights)), circle, 0.1,
-                         curve_nodes=512)
-        worst = max(worst, out["gap"])
+    outs = [crosscheck(PeriodicGraph(np.tan(heights)), circle, 0.1, curve_nodes=512)
+            for heights in profiles]
+    worst = max(out["gap"] for out in outs)
     return _result("solver-crosscheck", worst <= 1e-3,
                    f"max Hausdorff gap between the lifted graph evolution and "
                    f"the intrinsic flow is {worst:.3e} (tolerance 1e-3)",
-                   max_gap=worst)
+                   runs=[out["flow"] for out in outs], max_gap=worst)
 
 
 def check_straightening() -> CheckResult:
@@ -317,7 +290,7 @@ def check_straightening() -> CheckResult:
                    f"deviation {res.deviations[-1]:.3e} (needs <= 0.1), "
                    f"contained={res.containment_ok}, aligned at "
                    f"t={res.first_aligned_time}, leafable={leaf.ok} "
-                   f"{leaf.reasons or ''}",
+                   f"{leaf.reasons or ''}", runs=[res.trajectory.stats],
                    initial_deviation=dev0, final_deviation=float(res.deviations[-1]),
                    first_aligned_time=res.first_aligned_time)
 
@@ -325,7 +298,7 @@ def check_straightening() -> CheckResult:
 def check_dirichlet_scaling() -> CheckResult:
     circle = GreatCircle(Z)
     cap_radius = 1.3
-    ratios = {}
+    ratios, runs = {}, []
     final_gap = None
     for r in (0.02, 0.04, 0.08):
         spec = DirichletArcSpec(circle=circle, band_halfwidth=r,
@@ -335,6 +308,7 @@ def check_dirichlet_scaling() -> CheckResult:
                          max_time=(0.6 if r == 0.08 else 5 * r),
                          target_spacing=r / 6, remesh_every=20)
         traj = evolve_arc(resample(arc, spacing=r / 6), cfg)
+        runs.append(traj.stats)
         ratios[r] = time_to_enter_cap(traj, spec.vertex, cap_radius / 2) / r
         if r == 0.08:
             last = traj.final().curve
@@ -349,7 +323,7 @@ def check_dirichlet_scaling() -> CheckResult:
                    f"entry times over band halfwidth {pretty} span "
                    f"{span:.3f}x (needs <= 3x); final arc is {final_gap:.3e} "
                    f"from the endpoint geodesic (tolerance 1e-3)",
-                   ratio_span=span, geodesic_gap=float(final_gap),
+                   runs=runs, ratio_span=span, geodesic_gap=float(final_gap),
                    **{f"ratio_r{k:g}": float(v) for k, v in ratios.items()})
 
 
@@ -369,14 +343,15 @@ def check_levelset_sandwich() -> CheckResult:
     return _result("levelset-sandwich", ok,
                    f"worst (gap - 3*arcsin(sin(eps)*e^t)) = {worst:.3e} "
                    f"(needs <= 0), skipped levels {skipped}, verdict "
-                   f"{result.verdict}",
+                   f"{result.verdict}", runs=result.runs,
                    worst_excess=float(worst), verdict=result.verdict)
 
 
 def check_trichotomy() -> CheckResult:
-    scenarios = []
+    scenarios, runs = [], []
     state = make_annulus(circle_curve(0.25, n=256), circle_curve(0.35, n=256))
     out = classify_long_term(state, max_time=0.5)
+    runs += out.runs
     lo, hi = circle_extinction_time(0.25), circle_extinction_time(0.35)
     scenarios.append((
         out.verdict == VERDICT_EXTINCT and out.consistent
@@ -387,12 +362,14 @@ def check_trichotomy() -> CheckResult:
     state = make_annulus(circle_curve(np.pi / 2, n=256),
                          circle_curve(np.pi / 2 + 0.1, n=256))
     out = classify_long_term(state, max_time=0.5)
+    runs += out.runs
     scenarios.append((out.verdict == VERDICT_HEMISPHERE and out.consistent,
                       f"equator strip: {out.verdict}"))
 
     state = make_annulus(circle_curve(0.6, n=256),
                          circle_curve(np.pi - 0.6, n=256))
     out = classify_long_term(state, max_time=0.5)
+    runs += out.runs
     scenarios.append((
         out.verdict == VERDICT_WHOLE_SPHERE and out.consistent
         and out.final_area >= 4.0 * np.pi - 0.1,
@@ -400,7 +377,7 @@ def check_trichotomy() -> CheckResult:
 
     ok = all(s[0] for s in scenarios)
     return _result("trichotomy", ok,
-                   "; ".join(s[1] for s in scenarios),
+                   "; ".join(s[1] for s in scenarios), runs=runs,
                    passed_scenarios=sum(1 for s in scenarios if s[0]))
 
 
@@ -412,10 +389,10 @@ def check_uniform_length_bound() -> CheckResult:
     # the ladder gives 96 nodes twice; each distinct size is evolved once
     sizes = [max(96, int(base.n * 2.0 ** (n - 5))) for n in range(6)]
     gammas = {size: resample(base, n=size) for size in sizes}
-    final = {size: evolve_closed(g, cfg).final().length for size, g in gammas.items()}
+    trajs = {size: evolve_closed(g, cfg) for size, g in gammas.items()}
     approx_ok = not any(_hausdorff_exceeds(gammas[size], base, 2.0 ** (-n), refine=1e-3)
                         for n, size in enumerate(sizes))
-    lengths = np.array([final[size] for size in sizes])
+    lengths = np.array([trajs[size].final().length for size in sizes])
     spread = float(lengths.max() / lengths.min() - 1.0)
     scale = 2.0 * lengths[0] / mult
     bounded = bool(np.all(lengths <= scale * mult))
@@ -424,7 +401,7 @@ def check_uniform_length_bound() -> CheckResult:
                    f"multiplicity {mult}, evolved lengths spread {spread:.3f} "
                    f"(needs <= 0.2), common bound holds: {bounded}, "
                    f"approximation rate held: {approx_ok}",
-                   multiplicity=mult, length_spread=spread,
+                   runs=[t.stats for t in trajs.values()], multiplicity=mult, length_spread=spread,
                    lengths=[float(x) for x in lengths])
 
 
@@ -438,22 +415,17 @@ def check_initial_continuity() -> CheckResult:
         leafable_wiggle(),
         resample(koch_like(2), n=384),
     ]
-    worst = 0.0
-    for curve in corpus:
-        moved = hausdorff_distance(evolve_closed(curve, cfg).final().curve,
-                                   curve, refine=1e-3)
-        worst = max(worst, moved)
     spec = DirichletArcSpec(circle=GreatCircle(Z), band_halfwidth=0.08,
                             cap_radius=1.3, closeness=0.25)
     arc, _ = dirichlet_gamma(spec)
     arc = resample(arc, spacing=0.08 / 6)
-    moved = hausdorff_distance(evolve_arc(arc, cfg).final().curve, arc,
-                               refine=1e-3)
-    worst = max(worst, moved)
+    trajs = [evolve_closed(curve, cfg) for curve in corpus] + [evolve_arc(arc, cfg)]
+    worst = max(hausdorff_distance(traj.final().curve, curve, refine=1e-3)
+                for traj, curve in zip(trajs, corpus + [arc]))
     return _result("initial-continuity", worst <= 0.05,
                    f"max Hausdorff displacement after t = 1e-3 is "
                    f"{worst:.3e} (tolerance 0.05)",
-                   max_displacement=worst)
+                   runs=[t.stats for t in trajs], max_displacement=worst)
 
 
 CHECKS = {
@@ -473,4 +445,3 @@ CHECKS = {
     "uniform-length-bound": check_uniform_length_bound,
     "initial-continuity": check_initial_continuity,
 }
-CHECKS = {name: _ledger(check) for name, check in CHECKS.items()}

@@ -222,6 +222,14 @@ def _write_manifest(run: RunDir, args, cfg: dict, wall_time_s: float) -> None:
     })
 
 
+def _with_flow(result) -> dict:
+    """asdict(result) with its `runs` written as "flow", one FlowStats.to_json()
+    per run, in run order."""
+    report = asdict(result)
+    del report["runs"]
+    return {**report, "flow": [s.to_json() for s in result.runs]}
+
+
 def _write_trajectory(run: RunDir, args, traj, include_nodes: bool) -> None:
     rows = [(s.t, s.length, s.total_curvature, s.bending, s.enclosed_area)
             for s in traj.snapshots]
@@ -362,18 +370,19 @@ def cmd_levelset(args, cfg: dict, run: RunDir) -> int:
                                eps0=_get(cfg, "eps0", 0.1, float))
         run.write_csv("tables/levels.csv", [f.name for f in fields(SandwichRow)],
                       map(astuple, result.levels))
-        run.write_json("report.json", asdict(result))
+        run.write_json("report.json", _with_flow(result))
         _say(args, f"{run.name}: verdict {result.verdict}")
     elif mode == "area":
         report = area_ode_check(state, _get(cfg, "t", kind=float))
         run.write_csv("tables/areas.csv", ["t", "area", "model"],
                       zip(report.times, report.areas, report.model))
         run.write_json("report.json", {"residual": report.residual,
-                                       "initial_area": state.area})
+                                       "initial_area": state.area,
+                                       "flow": [s.to_json() for s in report.runs]})
         _say(args, f"{run.name}: area-law residual {report.residual:.3e}")
     else:
         out = classify_long_term(state, max_time=_get(cfg, "max_time", kind=float))
-        run.write_json("report.json", asdict(out))
+        run.write_json("report.json", _with_flow(out))
         _say(args, f"{run.name}: verdict {out.verdict} (expected "
                    f"{out.expected_verdict}, consistent={out.consistent})")
     return 0
@@ -407,7 +416,7 @@ def cmd_graphflow(args, cfg: dict, run: RunDir) -> int:
         out = crosscheck(initial, GreatCircle(_pole(cfg)), t_end,
                          curve_nodes=_get(cfg, "curve_nodes", 512, int), dt=dt)
         final = out["graph"]
-        report["gap"] = out["gap"]
+        report["gap"], report["flow"] = out["gap"], out["flow"].to_json()
         _say(args, f"{run.name}: crosscheck gap {out['gap']:.3e}")
     else:
         final = evolve_graph(initial, t_end, dt=dt)

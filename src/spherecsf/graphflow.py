@@ -105,7 +105,8 @@ def crosscheck(initial, circle: GreatCircle, t: float,
                curve_nodes: int = 512, dt: float | None = None) -> dict:
     """Evolve the same data with both solvers and compare at time t. `dt` caps
     the graph step as in evolve_graph; the polyline runs at FlowConfig's default
-    step. Returns {"gap": Hausdorff distance, "graph": PeriodicGraph}."""
+    step. Returns {"gap": Hausdorff distance, "graph": PeriodicGraph, "flow": the
+    polyline run's FlowStats}."""
     g0 = initial if isinstance(initial, PeriodicGraph) else PeriodicGraph(initial)
     if t <= 0.0:
         raise DomainError(f"crosscheck time must be positive, got {t!r}")
@@ -113,4 +114,4 @@ def crosscheck(initial, circle: GreatCircle, t: float,
     start = resample(_lift_to_sphere(g0, circle), n=curve_nodes)
     traj = evolve_closed(start, FlowConfig(snapshot_dt=t, max_time=t, remesh_every=10 ** 9))
     gap = hausdorff_distance(traj.final().curve, _lift_to_sphere(g_t, circle), refine=1e-4)
-    return {"gap": float(gap), "graph": g_t}
+    return {"gap": float(gap), "graph": g_t, "flow": traj.stats}

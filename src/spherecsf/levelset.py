@@ -141,6 +141,7 @@ class SandwichResult:
     verdict: str
     t_end: float
     eps0: float
+    runs: tuple  # the FlowStats of each evolved level's two boundaries, in order
 
 
 def _horizon_config(name: str, t_end: float) -> FlowConfig:
@@ -169,7 +170,7 @@ def sandwich_flow(initial, n_levels: int, t_end: float,
     cfg = _horizon_config("t_end", t_end)
     closed = not isinstance(initial, AnnulusState)
     alpha, beta = (initial, initial) if closed else (initial.alpha, initial.beta)
-    levels = []
+    levels, runs = [], []
     for n in range(n_levels):
         # level n offsets by eps0 * 2^-n; a level whose offsets collide or
         # meet is skipped with the error's message
@@ -182,7 +183,8 @@ def sandwich_flow(initial, n_levels: int, t_end: float,
                                       area_final=np.nan, skipped=str(exc)))
             continue
         gap0 = hausdorff_distance(state.alpha, state.beta, refine=1e-3)
-        _, off, _, finals = evolve_annulus(state, cfg)
+        _, off, _, finals, stats = evolve_annulus(state, cfg)
+        runs += stats
         gap_t = hausdorff_distance(finals[0].curve, finals[1].curve, refine=1e-3)
         levels.append(SandwichRow(eps=eps, gap_initial=float(gap0), gap_final=float(gap_t),
                                   area_final=float(4.0 * np.pi - off[:, -1].sum())))
@@ -199,7 +201,7 @@ def sandwich_flow(initial, n_levels: int, t_end: float,
         elif finest.gap_final <= sandwich_bound(finest.eps, t_end):
             verdict = VERDICT_MEASURE_ZERO
     return SandwichResult(levels=levels, verdict=verdict, t_end=float(t_end),
-                          eps0=float(eps0))
+                          eps0=float(eps0), runs=tuple(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +215,20 @@ class AreaOdeReport:
     model: np.ndarray
     residual: float
     extinctions: list  # each boundary's extinction time, or None
+    runs: tuple  # the FlowStats of alpha's and beta's runs
 
 
 def evolve_annulus(state: AnnulusState, cfg: FlowConfig):
     """Evolve both boundaries of `state` under `cfg`, paired in time.
 
-    Returns (times, off_areas, extinctions, finals): the longer-lived
+    Returns (times, off_areas, extinctions, finals, stats): the longer-lived
     boundary's snapshot times (alpha's on a tie within 1e-9), less any at
     which a live boundary has no snapshot within 1e-9; each boundary's
     off-annulus (left) area there, shape (2, len(times)), held at
     `extinct_off_area` strictly after its death; each boundary's extinction
-    time or None; and each boundary's final snapshot. When both boundaries
-    die before `cfg.max_time`, the times end at that horizon, both held.
+    time or None; each boundary's final snapshot; and the FlowStats of each
+    boundary's run. When both boundaries die before `cfg.max_time`, the times
+    end at that horizon, both held.
     """
     ta, tb = evolve_closed(state.alpha, cfg), evolve_closed(state.beta, cfg)
     finals = [ta.final(), tb.final()]
@@ -245,7 +249,7 @@ def evolve_annulus(state: AnnulusState, cfg: FlowConfig):
     if None not in extinctions and times[-1] < (cfg.max_time or 0.0) - 1e-9:
         times = np.append(times, cfg.max_time)
         off = np.c_[off, [extinct_off_area(s.enclosed_area) for s in finals]]
-    return times, off, extinctions, finals
+    return times, off, extinctions, finals, (ta.stats, tb.stats)
 
 
 def area_ode_check(state: AnnulusState, t_end: float) -> AreaOdeReport:
@@ -258,7 +262,7 @@ def area_ode_check(state: AnnulusState, t_end: float) -> AreaOdeReport:
     the region survives is checked.
     """
     cfg = _horizon_config("t_end", t_end)
-    times, off, extinctions, finals = evolve_annulus(state, cfg)
+    times, off, extinctions, finals, runs = evolve_annulus(state, cfg)
     for t_ext, final, name in zip(extinctions, finals, ("alpha", "beta")):
         if (t_ext is not None and t_ext < t_end - 1e-9
                 and extinct_off_area(final.enclosed_area) == 4.0 * np.pi):
@@ -270,7 +274,7 @@ def area_ode_check(state: AnnulusState, t_end: float) -> AreaOdeReport:
                              [t for t in extinctions if t is not None])
     residual = float(np.abs(areas / model - 1.0).max())
     return AreaOdeReport(times=times, areas=areas, model=model, residual=residual,
-                         extinctions=extinctions)
+                         extinctions=extinctions, runs=runs)
 
 
 def extinct_off_area(final_area: float) -> float:
@@ -311,6 +315,7 @@ class ClassifyResult:
     consistent: bool
     extinction_time: Optional[float]
     final_area: float
+    runs: tuple  # the FlowStats of alpha's and beta's runs
 
 
 def classify_long_term(state: AnnulusState, max_time: float) -> ClassifyResult:
@@ -332,7 +337,7 @@ def classify_long_term(state: AnnulusState, max_time: float) -> ClassifyResult:
     else:
         expected = VERDICT_WHOLE_SPHERE
 
-    _, off, extinctions, finals = evolve_annulus(state, cfg)
+    _, off, extinctions, finals, runs = evolve_annulus(state, cfg)
     final_area = 4.0 * np.pi - off[:, -1].sum()
     both_dead = None not in extinctions
 
@@ -352,4 +357,5 @@ def classify_long_term(state: AnnulusState, max_time: float) -> ClassifyResult:
         consistent=verdict == expected,
         extinction_time=max(extinctions) if both_dead else None,
         final_area=float(final_area),
+        runs=runs,
     )

@@ -10,13 +10,14 @@ Each check's measured values are also pinned to acceptance_measured.json, as
 value rewrites that file and records the before and after values.
 """
 import json
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from spherecsf import FlowConfig, acceptance, circle_curve, evolve_closed, flow
-from spherecsf.acceptance import CHECKS
+from spherecsf import FlowConfig, acceptance, circle_curve, evolve_closed
+from spherecsf.acceptance import CHECKS, LEDGER
 
 ORDER = list(CHECKS)
 assert len(ORDER) == 15
@@ -100,24 +101,18 @@ def test_same_compares_by_kind():
     assert _same([1.0, 2.0], [1.0, 2.0]) and not _same([1.0], [1.0, 2.0])
 
 
-def test_ledger_counts_inner_runs_and_restores_the_stepper():
-    evolve = flow._evolve
-
-    def check():
-        cfg = FlowConfig(snapshot_dt=1e-3, max_time=1e-3)
-        steps = evolve_closed(circle_curve(0.5, n=64), cfg).stats.accepted_steps
-        return acceptance._result("inner", True, "", steps=steps)
-
-    result = acceptance._ledger(check)()
+def test_result_sums_the_ledger_once_per_run():
+    # a run listed twice counts once; a distinct run with equal counters counts
+    cfg = FlowConfig(snapshot_dt=1e-3, max_time=1e-3)
+    stats = evolve_closed(circle_curve(0.5, n=64), cfg).stats
+    result = acceptance._result("inner", True, "", runs=[stats, stats],
+                                steps=stats.accepted_steps)
     measured = result.measured
+    assert len(result.runs) == 1 and result.runs[0] is stats
     assert measured["accepted_steps"] == measured["steps"] > 0
     assert measured["evaluations"] == measured["accepted_steps"]
-    assert [s.accepted_steps for s in result.runs] == [measured["steps"]]
     assert (measured["rejected_trials"], measured["remeshes"]) == (0, 0)
-
-    def broken():
-        raise RuntimeError("check failed")
-
-    with pytest.raises(RuntimeError):
-        acceptance._ledger(broken)()
-    assert flow._evolve is evolve
+    twice = acceptance._result("twice", True, "", runs=[stats, replace(stats)])
+    assert twice.measured["accepted_steps"] == 2 * stats.accepted_steps
+    # no runs: four zeros
+    assert acceptance._result("none", True, "").measured == dict.fromkeys(LEDGER, 0)

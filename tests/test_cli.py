@@ -6,17 +6,20 @@ import os
 import typing
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spherecsf import (FlowConfig, SphereArc, acceptance, circle_curve, evolve_arc,
-                       evolve_closed, save_curve)
+from spherecsf import (FlowConfig, GreatCircle, SphereArc, acceptance, circle_curve,
+                       evolve_arc, evolve_closed, save_curve)
 from spherecsf import cli
 from spherecsf.cli import _CURVE_KEYS, _COMMANDS, _build_curve, _get, main
 from spherecsf.errors import ConfigInvalid
+from spherecsf.graphflow import crosscheck
 from spherecsf.jordan import CURVE_KINDS
+from spherecsf.levelset import area_ode_check, classify_long_term, sandwich_flow
 
 EQUATOR = {"kind": "Circle", "radius": 1.5707963267948966, "n": 192}
 BAND_ANNULUS = {"alpha": {"kind": "Circle", "radius": 0.8, "n": 192},
@@ -35,6 +38,11 @@ def run_cli(tmp_path, command, cfg, out="out", extra=()):
 
 def read_json(run_dir, rel):
     return json.loads((run_dir / rel).read_text())
+
+
+def flow_json(runs):
+    """What report.json's "flow" list holds for these FlowStats."""
+    return [s.to_json() for s in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +574,10 @@ def test_levelset_sandwich_mode(tmp_path):
     assert [lv["eps"] for lv in report["levels"]] == [0.08, 0.04, 0.02]
     head = (d / "tables" / "levels.csv").read_text().splitlines()[0]
     assert head == "eps,gap_initial,gap_final,area_final,skipped"
+    # the counters of both boundaries of each level, in run order
+    result = sandwich_flow(cli._levelset_state(cfg, 0), n_levels=3, t_end=0.08, eps0=0.08)
+    assert "runs" not in report and len(report["flow"]) == 6
+    assert report["flow"] == flow_json(result.runs)
 
 
 def test_levelset_area_mode(tmp_path):
@@ -578,6 +590,8 @@ def test_levelset_area_mode(tmp_path):
     assert report["initial_area"] == pytest.approx(exact, abs=1e-4)
     head = (d / "tables" / "areas.csv").read_text().splitlines()[0]
     assert head == "t,area,model"
+    runs = area_ode_check(cli._levelset_state(cfg, 0), 0.15).runs
+    assert len(runs) == 2 and report["flow"] == flow_json(runs)
 
 
 def test_levelset_area_mode_across_inner_death(tmp_path):
@@ -622,6 +636,9 @@ def test_levelset_classify_mode(tmp_path):
     assert report["consistent"] is True
     # both caps die by the circle law; the slower one sets the clock
     assert report["extinction_time"] == pytest.approx(-np.log(np.cos(0.5)), abs=1e-3)
+    runs = classify_long_term(cli._levelset_state(cfg, 0), max_time=0.2).runs
+    assert "runs" not in report and len(runs) == 2
+    assert report["flow"] == flow_json(runs)
 
 
 def test_levelset_rejects_unknown_mode(tmp_path, capsys):
@@ -659,6 +676,11 @@ def test_graphflow_crosscheck(tmp_path):
     assert rc == 0
     report = read_json(d, "report.json")
     assert report["gap"] < 5e-4
+    # the polyline run's counters, as simulate writes them
+    out = crosscheck(cli._graph_initial(cfg), GreatCircle(cli._pole(cfg)), 0.05,
+                     curve_nodes=256, dt=2e-4)
+    assert report["flow"] == out["flow"].to_json()
+    assert report["flow"]["accepted_steps"] > 0
 
 
 def test_graphflow_rejects_bad_harmonics(tmp_path, capsys):
@@ -683,14 +705,12 @@ def test_verify_single_check_passes(tmp_path):
 
 def test_verify_failing_check_exits_one(tmp_path, monkeypatch):
     # a failing check is reported, not raised: the command exits 1 and carries
-    # the check's own detail into report.json. Like every CHECKS entry it is
-    # wrapped in the step ledger, which counts no run here.
+    # the check's own detail into report.json. Like every check it builds its
+    # result with _result, whose step ledger counts no run here.
     def always_fails():
-        return acceptance.CheckResult(name="always-fails", passed=False,
-                                      detail="deliberate failure",
-                                      measured={"value": 1.0})
+        return acceptance._result("always-fails", False, "deliberate failure", value=1.0)
 
-    monkeypatch.setitem(acceptance.CHECKS, "always-fails", acceptance._ledger(always_fails))
+    monkeypatch.setitem(acceptance.CHECKS, "always-fails", always_fails)
     rc, d = run_cli(tmp_path, "verify", {"checks": ["always-fails"]})
     assert rc == 1
     report = read_json(d, "report.json")
@@ -706,8 +726,8 @@ def test_verify_failing_check_exits_one(tmp_path, monkeypatch):
 def test_verify_manifest_times_each_check_that_ran(tmp_path, monkeypatch):
     # the wall times go to manifest.json only: report.json and checks.csv of
     # two runs stay byte-identical
-    monkeypatch.setitem(acceptance.CHECKS, "quick", acceptance._ledger(
-        lambda: acceptance.CheckResult(name="quick", passed=True, detail="no work")))
+    monkeypatch.setitem(acceptance.CHECKS, "quick",
+                        lambda: acceptance._result("quick", True, "no work"))
     cfg = {"checks": ["quick", "initial-continuity"]}
     _, d1 = run_cli(tmp_path, "verify", cfg, out="a")
     rc, d2 = run_cli(tmp_path, "verify", cfg, out="b")
@@ -737,17 +757,16 @@ def test_verify_prints_each_checks_step_ledger(tmp_path, capsys):
 
 
 def test_verify_ends_with_totals_over_distinct_runs(tmp_path, capsys, monkeypatch):
-    # two checks read one shared run, as c04 and c05 do, and one reads its own:
+    # two checks read one cached run, as c04 and c05 do, and one reads its own:
     # each check's ledger counts the shared run, the totals line counts it once
     cfg = FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=2e-3)
-    shared = acceptance._shared(lambda: (evolve_closed(circle_curve(0.5, n=64), cfg),))
+    shared = lru_cache(maxsize=None)(lambda: evolve_closed(circle_curve(0.5, n=64), cfg))
 
     def reads_shared(name, own=False):
         def check():
-            runs = shared() + ((evolve_closed(circle_curve(0.9, n=64), cfg),) if own else ())
-            return acceptance.CheckResult(name=name, passed=True, detail="",
-                                          measured={"runs": len(runs)})
-        return acceptance._ledger(check)
+            runs = [shared()] + ([evolve_closed(circle_curve(0.9, n=64), cfg)] if own else [])
+            return acceptance._result(name, True, "", runs=[t.stats for t in runs])
+        return check
 
     monkeypatch.setitem(acceptance.CHECKS, "first", reads_shared("first"))
     monkeypatch.setitem(acceptance.CHECKS, "second", reads_shared("second", own=True))

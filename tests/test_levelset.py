@@ -21,6 +21,7 @@ from spherecsf import (
     classify_long_term,
     curves_cross,
     enclosed_left_area,
+    evolve_closed,
     hausdorff_distance,
     koch_like,
     make_annulus,
@@ -422,7 +423,10 @@ def test_evolve_annulus_holds_the_dead_cap_to_the_horizon():
     horizon = 0.08
     state = make_annulus(circle_curve(0.3, n=64), circle_curve(0.8, n=64))
     cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=horizon)
-    times, off, (t_inner, t_outer), finals = evolve_annulus(state, cfg)
+    times, off, (t_inner, t_outer), finals, stats = evolve_annulus(state, cfg)
+    # the counters of each boundary's own run
+    assert stats == (evolve_closed(state.alpha, cfg).stats,
+                     evolve_closed(state.beta, cfg).stats)
     assert t_inner == pytest.approx(-np.log(np.cos(0.3)), rel=1e-2)
     assert t_outer is None
     assert t_inner == finals[0].t and finals[1].t >= horizon - 1e-9
