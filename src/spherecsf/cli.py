@@ -357,7 +357,7 @@ def _levelset_state(cfg: dict, seed: int):
 
 
 def cmd_levelset(args, cfg: dict, run: RunDir) -> int:
-    mode = _get(cfg, "mode", "sandwich")
+    mode = _get(cfg, "mode", "sandwich", str)
     if mode not in ("sandwich", "area", "classify"):
         raise ConfigInvalid(f"mode: must be sandwich, area or classify, got {mode!r}")
     state = _levelset_state(cfg, args.seed)

@@ -3,15 +3,15 @@
 An explicit step moves nodes by p <- normalize(p + dt * k), k the discrete
 geodesic-curvature vector, with dt <= c = CFL_FACTOR * (min edge)^2. Where dt and the
 next landing are 16 c away or more, it gives way to an RKL2 super-step (_super_size),
-unless a stage is not finite, the length grows or the end mesh needs more stages; each
-stage counts towards remesh_every. A dropped one caps the next at half its length;
-each accepted one doubles the cap back toward dt, and a remesh resets it. Steps land
-exactly on the snapshot times k * snapshot_dt and on max_time; explicit steps that
-produce NaNs or increase length are retried with halved dt. A remesh resamples an
-uneven mesh, or one whose mean edge left its band (_target_n); a closed curve's
-resample, whose nodes lie on its old edges, is then pushed once along its left normals
-to give back the area its chords cut (_remesh). A run whose step would fall below
-DT_FLOOR, or whose mesh fails validation where a snapshot or remesh is due (it is
+unless a stage is not finite, the length grows or the end mesh needs more stages: then
+the explicit step is taken instead, and the next step is sized afresh. Each stage counts
+towards remesh_every. Steps land exactly on the snapshot times k * snapshot_dt and on
+max_time. An explicit step that produces NaNs or increases length ends the run as
+singularity: the step is stable (_Workspace), so no shorter one is tried. A remesh
+resamples an uneven mesh, or one whose mean edge left its band (_target_n); a closed
+curve's resample, whose nodes lie on its old edges, is then pushed once along its left
+normals to give back the area its chords cut (_remesh). A run whose step would fall
+below DT_FLOOR, or whose mesh fails validation where a snapshot or remesh is due (it is
 neither), ends as stalled unless it was singular. Snapshot 0 is the (validated)
 initial mesh itself.
 
@@ -55,16 +55,17 @@ from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _normal_push, c1
 from .sphere import GreatCircle, as_point, geodesic_distance
 
 CFL_FACTOR = 0.35  # 70% of the limit 0.5, where the top mode's 1 - 4 dt / h^2 is -1
-# A step may not increase length by more than this before it is retried.
+# A step may not increase length by more than this: a super-step that does is
+# dropped, an explicit step that does ends the run as singular.
 LENGTH_BACKSTOP = 1e-12
-# A rejected step is retried with dt halved, at most this many times.
-MAX_DT_HALVINGS = 8
+# A closed curve shorter than this is extinct.
+EXTINCTION_LENGTH = 1e-2
 # A remesh check resamples when the longest edge exceeds the shortest by this ratio U,
 # or to spacing s * sqrt(U) once the mean edge is below s / sqrt(U), s target_spacing;
 REMESH_UNIFORMITY = 1.1
 # with none, to the starting mean edge h0 once the mean edge is below h0 / REMESH_FOLLOW.
 REMESH_FOLLOW = 1.5
-# No step, CFL or halved, is tried below this: the run stalls (lengths read noise).
+# No CFL step is tried below this: the run stalls (lengths read noise).
 DT_FLOOR = 1e-16
 # A step that would end within this fraction of itself (or within DT_FLOOR) of
 # the next snapshot time or max_time ends on it instead, so no shorter step is
@@ -94,7 +95,6 @@ class FlowConfig:
     dt: float = 1e-4
     snapshot_dt: float = 1e-2
     max_time: Optional[float] = None
-    extinction_length: float = 1e-2
     target_spacing: Optional[float] = None
     remesh_every: int = 20
 
@@ -116,9 +116,6 @@ class FlowConfig:
         if self.max_time is not None and not (0.0 < self.max_time < math.inf):
             raise ConfigInvalid(
                 f"max_time must be positive and finite, got {self.max_time!r}")
-        if not (0.0 < self.extinction_length < math.inf):
-            raise ConfigInvalid(f"extinction_length must be positive and finite, "
-                                f"got {self.extinction_length!r}")
         if self.target_spacing is not None and not (0.0 < self.target_spacing < 0.5):
             raise ConfigInvalid(
                 f"target_spacing must be in (0, 0.5), got {self.target_spacing!r}")
@@ -142,7 +139,7 @@ class FlowStats:
 
     accepted_steps: int
     evaluations: int  # of curvature: one per explicit step, s per super-step
-    rejected_trials: int  # each one halved dt
+    rejected_trials: int  # 0, or 1 for the explicit trial that ended a singular run
     remeshes: int
     min_dt: float  # smallest accepted step; inf when none was accepted
     max_dt: float  # largest accepted step; 0 when none was accepted
@@ -348,13 +345,13 @@ def _stages(tau: float, step: float) -> int:
     return s if _reach(s, step) >= tau else s + 1
 
 
-def _super_size(ws: _Workspace, c: float, cap: float, gap: float):
-    """(tau, s) of this step's RKL2 super-step: tau = min(cap, RKL2_CURVATURE_GUARD
+def _super_size(ws: _Workspace, c: float, cfg: FlowConfig, gap: float):
+    """(tau, s) of this step's RKL2 super-step: tau = min(dt, RKL2_CURVATURE_GUARD
     / max |k|^2, what RKL2_MAX_STAGES stages reach), or gap where it lands, in the
     least s stages stable at c = CFL_FACTOR * h_min^2; (0, 0) unless s <= tau / (2 c),
     half the explicit steps or fewer. gap is the time to the next landing."""
     k2 = 4.0 * float(np.maximum.reduce(_dot(ws.kf, ws.kf, ws.tt, ws.norm))) - 1.0  # max |k|^2
-    tau = min(cap, _reach(RKL2_MAX_STAGES, c), RKL2_CURVATURE_GUARD / max(k2, 1e-300))
+    tau = min(cfg.dt, _reach(RKL2_MAX_STAGES, c), RKL2_CURVATURE_GUARD / max(k2, 1e-300))
     if gap <= tau + max(LANDING_SLACK * tau, DT_FLOOR):
         tau = gap
     s = _stages(tau, c)
@@ -375,8 +372,8 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     end = math.inf if cfg.max_time is None else cfg.max_time
     landed = 1
     next_snap = _snapshot_time(landed, cfg)
-    since_remesh = accepted = evaluations = rejected = remeshes = 0
-    min_dt, max_dt, min_edge, cap = math.inf, 0.0, math.inf, cfg.dt  # cap: on tau
+    since_remesh = accepted = evaluations = remeshes = 0
+    min_dt, max_dt, min_edge = math.inf, 0.0, math.inf
 
     def snapshot() -> bool:  # unless the mesh fails validation (an edge below EDGE_MIN)
         try:
@@ -388,7 +385,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     while True:
         min_e = 2.0 * float(np.minimum.reduce(ws.half))
         min_edge = min(min_edge, min_e)
-        if length < cfg.extinction_length and closed:
+        if length < EXTINCTION_LENGTH and closed:
             status = STATUS_EXTINCT
             break
         if t >= end:
@@ -406,32 +403,25 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
         s = 0
         # no step is tried below DT_FLOOR, and s <= tau / (2 c) holds for no tau
         # below 16 c: the sizing, which reads the curvature, is skipped there
-        if DT_FLOOR <= c and 16.0 * c <= min(cap, target - t):
-            tau, s = _super_size(ws, c, cap, target - t)
-        if s:  # rejected where a stage or the length is off, or the end mesh needs more stages
+        if DT_FLOOR <= c and 16.0 * c <= min(cfg.dt, target - t):
+            tau, s = _super_size(ws, c, cfg, target - t)
+        if s:  # dropped where a stage or the length is off, or the end mesh needs more stages
             new_len, done = ws.super_step(tau, s)
             evaluations += done - 1
             h_end = 2.0 * float(np.minimum.reduce(ws.spare_half))
             if (math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP
                     and _reach(s, 0.5 * h_end ** 2) >= tau):
-                dt, lands, cap = tau, tau == target - t, min(cfg.dt, 2.0 * cap)
+                dt, lands = tau, tau == target - t
             else:
-                s, cap = 0, 0.5 * tau
+                s = 0
                 np.copyto(ws.kf, ws.k0)
         if not s:
-            for _ in range(MAX_DT_HALVINGS + 1):
-                if dt < DT_FLOOR:
-                    status = STATUS_STALLED
-                    break
-                new_len = ws.trial(dt)
-                if math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP:
-                    break
-                rejected += 1
-                dt *= 0.5
-                lands = False
-            else:
+            if dt < DT_FLOOR:
+                status = STATUS_STALLED
+                break
+            new_len = ws.trial(dt)
+            if not (math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP):
                 status = STATUS_SINGULARITY
-            if status is not None:
                 break
 
         start_half, length = ws.accept(), new_len
@@ -459,15 +449,15 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
                 except DomainError:
                     status = STATUS_STALLED
                     break
-                length, cap = 2.0 * float(np.add.reduce(ws.half)), cfg.dt
+                length = 2.0 * float(np.add.reduce(ws.half))
                 remeshes += 1
 
     if snaps[-1].t < t:
         if not snapshot() and status != STATUS_SINGULARITY:
             status = STATUS_STALLED
     stats = FlowStats(accepted_steps=accepted, evaluations=evaluations,
-                      rejected_trials=rejected, remeshes=remeshes, min_dt=min_dt, max_dt=max_dt,
-                      min_edge=min_edge, final_n=ws.n)
+                      rejected_trials=int(status == STATUS_SINGULARITY), remeshes=remeshes,
+                      min_dt=min_dt, max_dt=max_dt, min_edge=min_edge, final_n=ws.n)
     return FlowTrajectory(snapshots=snaps, terminal_status=status, stats=stats)
 
 

@@ -450,6 +450,8 @@ def leafable_wiggle(pole=(0.0, 0.0, 1.0), band: float = 0.05,
     The initial latitude deviation is about atan(0.88 * band * mode); with the
     defaults that exceeds 0.5 rad while the curve stays inside B_band(g).
     """
+    if not (_is_number(seed, True) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     g = GreatCircle(pole)
     rng = np.random.default_rng(seed)
     phase = float(rng.uniform(0.0, 2.0 * np.pi))

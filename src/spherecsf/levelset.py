@@ -19,7 +19,8 @@ from .errors import (DomainError, ExtinctionBeforeEnd, NotEmbedded,
 from .curves import (ClosedSphereCurve, _check_positive, _hausdorff_exceeds, _normal_push,
                      curve_distance, curves_cross, edge_ends, hausdorff_distance,
                      integrals, resample, self_intersects, wrapped)
-from .flow import STATUS_EXTINCT, FlowConfig, barrier_radius_oracle, evolve_closed
+from .flow import (STATUS_EXTINCT, FlowConfig, _is_number, barrier_radius_oracle,
+                   evolve_closed)
 from .sphere import as_point
 
 AREA_FLOOR = 1e-2          # a sandwich area below this counts as no area
@@ -167,6 +168,8 @@ def sandwich_flow(initial, n_levels: int, t_end: float,
     (offsets push outward into each off-annulus side); evolve_annulus
     evolves each level's pair, so a dead boundary counts its extinct area.
     """
+    if not (_is_number(n_levels, True) and n_levels >= 1):
+        raise DomainError(f"n_levels must be an integer >= 1, got {n_levels!r}")
     cfg = _horizon_config("t_end", t_end)
     closed = not isinstance(initial, AnnulusState)
     alpha, beta = (initial, initial) if closed else (initial.alpha, initial.beta)

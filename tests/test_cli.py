@@ -162,7 +162,7 @@ def test_simulate_arc_requires_horizon(tmp_path, capsys):
      "flow.target_nodes"),
     ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"remesh_every": float("nan")}},
      "flow.remesh_every"),
-    # the remesh uniformity and the dt-halving cap are flow constants, not settings
+    # flow constants are not settings
     ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"remesh_uniformity": 1.1}},
      "flow.remesh_uniformity"),
     ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"max_dt_halvings": 8}},
@@ -178,6 +178,9 @@ def test_simulate_arc_requires_horizon(tmp_path, capsys):
     ({"curve": {"file": "curve.csv", "n": 64}}, "curve.n"),
     ({"curve": {"file": "no-such-curve.csv"}}, "curve"),
     ({"curve": {"kind": "Circle", "radius": 1.0}, "flw": {"max_time": 0.1}}, "flw"),
+    # the extinction length is a flow constant too (flow.EXTINCTION_LENGTH)
+    ({"curve": {"kind": "Circle", "radius": 1.0}, "flow": {"extinction_length": 1e-2}},
+     "flow.extinction_length"),
 ])
 def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
     rc, d = run_cli(tmp_path, "simulate", cfg)
@@ -371,6 +374,18 @@ def test_seed_flag_is_the_default_generator_seed():
     built = _build_curve({"kind": "LeafableWiggle", "n": 64}, "curve", seed=5)
     assert np.array_equal(built.nodes,
                           CURVE_KINDS["LeafableWiggle"](n=64, seed=5).nodes)
+
+
+@pytest.mark.parametrize("spec, extra", [({"seed": -1}, ()), ({}, ("--seed", "-1"))],
+                         ids=["curve-seed", "seed-flag"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, spec, extra):
+    # numpy's generators take seeds >= 0
+    curve = {"kind": "LeafableWiggle", "n": 64, **spec}
+    rc, d = run_cli(tmp_path, "simulate", {"curve": curve, "flow": {"max_time": 0.01}},
+                    extra=extra)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: curve: seed must be")
+    assert not d.exists()
 
 
 def run_python(args, timeout):
@@ -645,6 +660,22 @@ def test_levelset_rejects_unknown_mode(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "levelset", {"mode": "wat", "curve": EQUATOR, "t": 0.1})
     assert rc == 2
     assert "mode" in capsys.readouterr().err
+
+
+def test_levelset_mode_is_a_string(tmp_path, capsys):
+    rc, d = run_cli(tmp_path, "levelset", {"mode": 5, "curve": EQUATOR, "t": 0.1})
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: mode: must be a string, got 5\n"
+    assert not d.exists()
+
+
+@pytest.mark.parametrize("levels", [0, -3])
+def test_levelset_refuses_level_counts_it_cannot_run(tmp_path, capsys, levels):
+    # a count below 1 would run no level and give no verdict
+    rc, d = run_cli(tmp_path, "levelset", {"curve": EQUATOR, "t": 0.05, "levels": levels})
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: n_levels must be an integer >= 1")
+    assert not d.exists()
 
 
 def test_levelset_area_mode_needs_annulus(tmp_path, capsys):

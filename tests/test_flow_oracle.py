@@ -24,8 +24,8 @@ from spherecsf import (DirichletArcSpec, FlowConfig, GreatCircle, SphereArc,
                        koch_like, perturbed_latitude)
 from spherecsf.errors import DomainError
 from spherecsf.curves import nodes_for_spacing, resample, wrapped
-from spherecsf.flow import (CFL_FACTOR, DT_FLOOR, LANDING_SLACK, LENGTH_BACKSTOP,
-                            MAX_DT_HALVINGS, REMESH_FOLLOW, REMESH_UNIFORMITY,
+from spherecsf.flow import (CFL_FACTOR, DT_FLOOR, EXTINCTION_LENGTH, LANDING_SLACK,
+                            LENGTH_BACKSTOP, REMESH_FOLLOW, REMESH_UNIFORMITY,
                             RKL2_CURVATURE_GUARD, RKL2_MAX_STAGES, STATUS_EXTINCT,
                             STATUS_MAX_TIME, STATUS_SINGULARITY, STATUS_STALLED, FlowStats,
                             _Workspace, _reach, _snapshot_time, _stages, _super_size)
@@ -66,15 +66,15 @@ def _padded(k, ext, closed):
     return out
 
 
-def super_size_reference(kv, c, cap, gap):
-    """(tau, s) of the RKL2 super-step: tau = min(cap, what RKL2_MAX_STAGES
+def super_size_reference(kv, c, cfg, gap):
+    """(tau, s) of the RKL2 super-step: tau = min(dt, what RKL2_MAX_STAGES
     stages reach, RKL2_CURVATURE_GUARD / max |k|^2), or gap where it lands, and
     s the least stage count that reaches tau at step c; (0, 0) unless
     s <= tau / (2 c) and s <= RKL2_MAX_STAGES."""
-    if c < DT_FLOOR or min(cap, gap) < 16.0 * c:
+    if c < DT_FLOOR or min(cfg.dt, gap) < 16.0 * c:
         return 0.0, 0
     k2 = float(np.maximum.reduce(np.add.reduce(kv * kv, axis=1))) - 1.0  # |kv + v|^2
-    tau = min(cap, _reach(RKL2_MAX_STAGES, c), RKL2_CURVATURE_GUARD / max(k2, 1e-300))
+    tau = min(cfg.dt, _reach(RKL2_MAX_STAGES, c), RKL2_CURVATURE_GUARD / max(k2, 1e-300))
     if gap <= tau + max(LANDING_SLACK * tau, DT_FLOOR):
         tau = gap
     s = _stages(tau, c)
@@ -166,10 +166,9 @@ def evolve_reference(curve, cfg, curvature=curvature_rows):
     status = None
     landed = 1
     next_snap = _snapshot_time(landed, cfg)
-    since_remesh = accepted = evaluations = rejected = remeshes = 0
+    since_remesh = accepted = evaluations = remeshes = 0
     min_dt = min_edge = math.inf
     max_dt = 0.0
-    cap = cfg.dt  # a dropped super-step halves it, an accepted one doubles it back
 
     def snapshot():  # the stepper's policy: a mesh that fails validation is not kept
         try:
@@ -181,7 +180,7 @@ def evolve_reference(curve, cfg, curvature=curvature_rows):
     while True:
         min_e = float(np.minimum.reduce(e))
         min_edge = min(min_edge, min_e)
-        if length < cfg.extinction_length and closed:
+        if length < EXTINCTION_LENGTH and closed:
             status = STATUS_EXTINCT
             break
         if cfg.max_time is not None and t >= cfg.max_time:
@@ -195,7 +194,7 @@ def evolve_reference(curve, cfg, curvature=curvature_rows):
             dt = target - t
 
         kv = curvature(ext, closed)
-        tau, s = super_size_reference(kv, c, cap, target - t)
+        tau, s = super_size_reference(kv, c, cfg, target - t)
         if s:  # kept unless a stage or the length is off, or the end mesh needs more stages
             trial, trial_e, new_len, done = super_step_rows(nodes, kv, tau, s, closed,
                                                             curvature)
@@ -203,28 +202,20 @@ def evolve_reference(curve, cfg, curvature=curvature_rows):
             if (math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP
                     and _reach(s, 0.5 * float(np.minimum.reduce(trial_e)) ** 2) >= tau):
                 dt, lands, trial_ext = tau, tau == target - t, wrapped(trial, closed)
-                cap = min(cfg.dt, 2.0 * cap)
             else:
-                s, cap = 0, 0.5 * tau
+                s = 0
         if not s:
-            for _ in range(MAX_DT_HALVINGS + 1):
-                if dt < DT_FLOOR:  # no trial below the floor
-                    status = STATUS_STALLED
-                    break
-                trial = dt / (1.0 + dt) * kv  # normalize(nodes + dt (kv + nodes))
-                trial += nodes
-                trial /= np.sqrt(np.add.reduce(trial * trial, axis=1, keepdims=True))
-                trial_ext = wrapped(trial, closed)
-                trial_e = edges_rows(trial, closed)
-                new_len = float(np.add.reduce(trial_e))
-                if math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP:
-                    break
-                rejected += 1
-                dt *= 0.5
-                lands = False
-            else:
-                status = STATUS_SINGULARITY
-            if status is not None:
+            if dt < DT_FLOOR:  # no trial below the floor
+                status = STATUS_STALLED
+                break
+            trial = dt / (1.0 + dt) * kv  # normalize(nodes + dt (kv + nodes))
+            trial += nodes
+            trial /= np.sqrt(np.add.reduce(trial * trial, axis=1, keepdims=True))
+            trial_ext = wrapped(trial, closed)
+            trial_e = edges_rows(trial, closed)
+            new_len = float(np.add.reduce(trial_e))
+            if not (math.isfinite(new_len) and new_len <= length + LENGTH_BACKSTOP):
+                status = STATUS_SINGULARITY  # a stable step that fails is not retried
                 break
 
         start_e = e
@@ -254,14 +245,14 @@ def evolve_reference(curve, cfg, curvature=curvature_rows):
                     status = STATUS_STALLED
                     break
                 ext = wrapped(nodes, closed)
-                length, cap = float(np.add.reduce(e)), cfg.dt
+                length = float(np.add.reduce(e))
                 remeshes += 1
 
     if snaps[-1].t < t:
         if not snapshot() and status != STATUS_SINGULARITY:
             status = STATUS_STALLED
-    return snaps, status, FlowStats(accepted, evaluations, rejected, remeshes, min_dt,
-                                    max_dt, min_edge, len(nodes))
+    return snaps, status, FlowStats(accepted, evaluations, int(status == STATUS_SINGULARITY),
+                                    remeshes, min_dt, max_dt, min_edge, len(nodes))
 
 
 def assert_matches_reference(curve, cfg):
@@ -554,7 +545,7 @@ def test_guard_reads_the_projected_curvature():
     curve = circle_curve(0.04, n=256)
     ws = _Workspace(curve)
     ws.curvature()
-    tau, s = _super_size(ws, _cfl_step(curve), 1e-4, 1.0)
+    tau, s = _super_size(ws, _cfl_step(curve), FlowConfig(dt=1e-4), 1.0)
     k = projected_curvature_rows(wrapped(np.array(curve.nodes), True), True)
     assert s and tau == pytest.approx(RKL2_CURVATURE_GUARD / np.max(np.sum(k * k, axis=1)),
                                       rel=1e-9)

@@ -248,6 +248,12 @@ def test_wiggle_seed_determinism():
     assert not np.array_equal(leafable_wiggle(seed=3).nodes, leafable_wiggle(seed=4).nodes)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.0, True])
+def test_wiggle_seed_is_an_integer_at_least_zero(seed):
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        leafable_wiggle(seed=seed)
+
+
 def test_koch_depth_domain():
     for bad in (0, 7):
         with pytest.raises(DomainError):

@@ -343,10 +343,11 @@ def test_sandwich_rejects_nonpositive_time():
 @pytest.mark.parametrize("initial", [lambda: circle_curve(1.0, n=64),
                                      band_annulus],
                          ids=["curve", "annulus"])
-def test_sandwich_with_no_levels_is_inconclusive(initial):
-    res = sandwich_flow(initial(), 0, t_end=0.05, eps0=0.08)
-    assert res.levels == [] and res.verdict == "Inconclusive"
-    assert res.t_end == 0.05 and res.eps0 == 0.08
+def test_sandwich_with_no_levels_is_refused(initial):
+    # a count below 1 would run no level and give no verdict
+    for levels in (0, -3, 2.5, True):
+        with pytest.raises(DomainError, match="n_levels must be an integer >= 1"):
+            sandwich_flow(initial(), levels, t_end=0.05, eps0=0.08)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@ the "Command line" section through the command line that follows it."""
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from spherecsf import cli, evolve_closed
+from spherecsf import FlowConfig, cli, evolve_closed
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 SECTION = README.split("\n## Command line\n")[1].split("\n## ")[0]
@@ -45,6 +46,14 @@ def test_readme_flow_report_counts_the_run(tmp_path, config, command, file):
     assert 0.0 < counts["min_dt"] <= counts["max_dt"] <= fcfg.dt
     assert counts == evolve_closed(cli._build_curve(cfg["curve"], "curve", 0),
                                    fcfg).stats.to_json()
+
+
+def test_readme_names_the_flow_config_fields():
+    count, names = re.search(r"`FlowConfig` has (\w+) fields: (.*?)\.", README, re.S).groups()
+    want = [f.name for f in fields(FlowConfig)]
+    assert re.findall(r"`(\w+)`", names) == want
+    assert ["one", "two", "three", "four", "five", "six", "seven", "eight"].index(count) + 1 \
+        == len(want)
 
 
 def test_readme_quick_start_runs():
