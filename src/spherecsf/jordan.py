@@ -4,8 +4,8 @@ The r-multiplicity of a curve relative to a great circle g counts the components
 of the curve inside the open band B_{2r}(g) that touch the closed band B_r(g)
 (touch tolerance 1e-9). The supremum over g is estimated on a deterministic
 Fibonacci pole lattice with one local refinement pass, so it is a certified
-lower bound for the true supremum. Each lattice runs in blocks of poles of
-about _HEIGHT_BLOCK heights, on which _components peaks at 91 bytes per height at
+lower bound for the true supremum. Lattices run in blocks of about _HEIGHT_BLOCK
+heights, a row per pole, on which _components peaks at 91 bytes per height at
 worst (58 when few edges bulge): 24 MB, at any node and pole count.
 """
 
@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParamDomain, SpacingNotFound
-from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _dot3, _tangent_toward,
+from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _tangent_toward,
                      curve_distance, edge_ends, latitude_deviation_angles,
                      resample, wrapped)
 from .flow import DirichletArcSpec, _is_number
@@ -82,20 +82,18 @@ def _band_geometry(curve: SphereCurve, r: float):
     band and touch thresholds on |height| at radius r, and closedness."""
     if not (0.0 < r < np.pi / 4.0):
         raise DomainError(f"multiplicity radius must be in (0, pi/4), got {r!r}")
-    a, b = edge_ends(wrapped(curve.nodes, curve.closed), curve.closed)
-    cos_edge = np.minimum(np.maximum(_dot3(a.T, b.T), -1.0), 1.0)
-    sin_edge = np.sqrt(np.maximum(1e-300, 1.0 - cos_edge * cos_edge))
-    return (cos_edge, sin_edge, np.sin(2.0 * r), np.sin(min(r + TOUCH_TOL, np.pi / 2)),
+    e = curve.edge_lengths()
+    return (np.cos(e), np.sin(e), np.sin(2.0 * r), np.sin(min(r + TOUCH_TOL, np.pi / 2)),
             curve.closed)
 
 
 def _components(heights, cos_edge, sin_edge, sin_band, sin_touch, closed):
-    """The components that count, for every column of heights (one pole each),
+    """The components that count, for every row of heights (one pole each),
     from the in-band entries alone.
 
-    Returns the count per column and one (column, first node, last node) row
-    per counted component, sorted by column and first node. Within a column
-    the in-band nodes fall into runs of linked edges; a closed curve's run
+    Returns the count per pole and one (pole, first node, last node) row per
+    counted component, sorted by pole and first node. Within a pole the
+    in-band nodes fall into runs of linked edges; a closed curve's run
     through its last node goes on into the run at node 0, so that component
     runs from the late run's first node to the early run's last node, and a
     closed curve linked all round is (0, n - 1). The height along an edge is
@@ -107,31 +105,33 @@ def _components(heights, cos_edge, sin_edge, sin_band, sin_touch, closed):
     same component. These are the rules of the edges' full height extrema. A
     component counts if it holds a touch.
     """
-    n = len(heights)
-    pole, node = np.divmod(np.flatnonzero((np.abs(heights) < sin_band).T), n)  # pole by pole
-    h = heights[node, pole]
+    n_poles, n = heights.shape
+    pole, node = np.divmod(np.flatnonzero((heights < sin_band) & (heights > -sin_band)), n)
+    if not len(node):  # no height in band
+        return np.zeros(n_poles, dtype=np.intp), np.empty((0, 3), dtype=np.intp)
+    h = heights[pole, node]
     # entry i's edge goes to entry i + 1 when that is the next node of its pole
     adjacent = np.zeros(len(node), dtype=bool)
     adjacent[:-1] = (node[1:] == node[:-1] + 1) & (pole[1:] == pole[:-1])
     hb = np.concatenate((h[1:], h[:1]))  # the height at the far end of each edge
     link = adjacent.copy()  # every edge, linked unless it is seen to leave the band
     if closed:  # and from node n - 1 to node 0 of its pole
-        end = np.flatnonzero(node == n - 1)
+        end = (node == n - 1).nonzero()[0]
         head = np.searchsorted(pole, pole[end])
         wraps = node[head] == 0
         end, head = end[wraps], head[wraps]
         hb[end] = h[head]
         link[end] = True
     c = cos_edge.take(node, mode="clip")  # clipped at an arc's last node, which has no edge
-    k = np.flatnonzero(link & ((hb - h * c) * (hb * c - h) < 0.0))  # an extremum inside
+    k = (link & ((hb - h * c) * (hb * c - h) < 0.0)).nonzero()[0]  # an extremum inside
     a, b, c, s = h[k], hb[k], c[k], sin_edge[node[k]]
     link[k] = np.sqrt(np.maximum((a * a + b * b - 2.0 * a * b * c) / (s * s), 0.0)) < sin_band
     touch = (np.abs(h) <= sin_touch) | (link & (h * hb <= 0.0))
     del h, hb, k, a, b, c, s  # the block's peak: free the edge arrays before the runs
     stop = ~(link & adjacent)  # each run's last entry, and always the very last
     start = np.concatenate((stop[-1:], stop[:-1]))  # each run's first: start[0] holds
-    run = np.cumsum(start) - 1
-    first, last = np.flatnonzero(start), np.flatnonzero(stop)
+    run = np.add.accumulate(start, dtype=np.intp) - 1
+    first, last = start.nonzero()[0], stop.nonzero()[0]
     if closed:  # a linked seam makes the run at node 0 part of the run through n - 1
         late, early = run[end[link[end]]], run[head[link[end]]]
         last[late] = last[early]
@@ -141,12 +141,12 @@ def _components(heights, cos_edge, sin_edge, sin_band, sin_touch, closed):
     held = np.zeros(len(first), dtype=bool)
     held[run[touch]] = True
     first, last = first[held], last[held]  # rows for the runs that count only
-    return (np.bincount(pole[first], minlength=heights.shape[1]),
-            np.column_stack([pole[first], node[first], node[last]]))
+    return (np.bincount(pole[first], minlength=n_poles),
+            np.stack((pole[first], node[first], node[last]), axis=1))
 
 
 def _report(pole, r, counts, rows, k) -> MultiplicityReport:
-    """The report for column k, with this pole, of _components' result."""
+    """The report for pole k of _components' result, which is `pole`."""
     ranges = [(a, b) for a, b in rows[rows[:, 0] == k, 1:].tolist()]
     return MultiplicityReport(pole=pole, r=float(r), count=int(counts[k]),
                               components=ranges)
@@ -157,13 +157,16 @@ def _evaluate(curve: SphereCurve, r: float, poles: np.ndarray):
     forms heights, one gemm per block of about _HEIGHT_BLOCK heights."""
     band = _band_geometry(curve, r)
     step = max(1, _HEIGHT_BLOCK // curve.n)
+    # zero nodes, sliced off below, fill gemm's last 8-node tile: OpenBLAS rounds a
+    # tail of 4 to 7 unlike whole tiles, so a pole's heights would vary by block
+    nodes = np.concatenate((curve.nodes, np.zeros((-curve.n % 8, 3))))
     counts, rows = [], []
     for first in range(0, len(poles), step):
         part = poles[first:first + step]
-        # a lone pole goes in twice: numpy sends a one-column product to gemv,
+        # a lone pole goes in twice: numpy sends a one-row product to gemv,
         # whose heights can differ in the last bit from the whole lattice's gemm
-        heights = curve.nodes @ (part if len(part) > 1 else part.repeat(2, axis=0)).T
-        c, w = _components(heights[:, :len(part)], *band)
+        heights = (part if len(part) > 1 else part.repeat(2, axis=0)) @ nodes.T
+        c, w = _components(heights[:len(part), :curve.n], *band)
         if len(part) == len(poles):  # one block: its rows need no offset
             return c, w
         counts.append(c)

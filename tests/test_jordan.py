@@ -12,7 +12,7 @@ from spherecsf import (ClosedSphereCurve, DirichletArcSpec, GreatCircle, Spacing
                        verify_spacing)
 from spherecsf.curves import mean_adjacent_edges
 from spherecsf.errors import DomainError, ParamDomain, SpacingNotFound
-from spherecsf.jordan import TOUCH_TOL
+from spherecsf.jordan import TOUCH_TOL, _cap_lattice, _evaluate
 
 from test_query_oracles import multiplicity_counts_loop
 from test_sphere import leaf_angle
@@ -88,6 +88,17 @@ def test_a_node_within_the_touch_band_counts_its_component():
 
 def test_far_latitude_misses_band():
     assert multiplicity_at(circle_curve(0.4, n=128), GreatCircle(Z), 0.1).count == 0
+
+
+def test_a_block_no_band_reaches_has_no_rows():
+    # every pole lies within 0.5 of z, so every height of the 0.3 latitude
+    # is above cos 0.8, far outside the band sin 2r
+    curve = circle_curve(0.3, n=128)
+    counts, rows = _evaluate(curve, 0.1, _cap_lattice(np.eye(3), 0.5, 40))
+    assert counts.tolist() == [0] * 40 and counts.dtype == np.intp
+    assert rows.shape == (0, 3) and rows.dtype == np.intp
+    rep = multiplicity_at(curve, GreatCircle(Z), 0.1)
+    assert (rep.count, rep.components) == (0, [])
 
 
 def test_multiplicity_radius_domain():

@@ -509,11 +509,11 @@ def test_multiplicity_sup_memory_is_bounded_in_depth():
     (np.pi / 2 - np.arcsin(0.99 * np.sin(0.2)), 21, 0),  # every edge leaves the band
 ])
 def test_components_memory_per_height_when_every_height_is_in_band(rho, n, count):
-    # the most _components holds per height: 90 bytes here in both blocks; 124
-    # when the full height extrema were formed on every edge, and 134 in the
-    # second block while the dead edge arrays and every run's row were kept
+    # the most _components holds per height: 90 and 91 bytes here; 124 when
+    # the full height extrema were formed on every edge, and 134 in the second
+    # block while the dead edge arrays and every run's row were kept
     curve = circle_curve(rho, n=n)
-    heights = curve.nodes @ np.tile([0.0, 0.0, 1.0], (2 ** 18 // n, 1)).T
+    heights = np.tile([0.0, 0.0, 1.0], (2 ** 18 // n, 1)) @ curve.nodes.T
     band = _band_geometry(curve, 0.1)
     assert np.all(np.abs(heights) < band[2])
     tracemalloc.start()
@@ -522,8 +522,8 @@ def test_components_memory_per_height_when_every_height_is_in_band(rho, n, count
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts.tolist() == [count] * heights.shape[1]
-    assert rows[:, 1:].tolist() == [[0, n - 1]] * (count * heights.shape[1])
+    assert counts.tolist() == [count] * len(heights)
+    assert rows[:, 1:].tolist() == [[0, n - 1]] * (count * len(heights))
     assert peak < 100 * heights.size
 
 
@@ -608,8 +608,9 @@ def test_equator_polygon_does_not_self_intersect():
 @settings(max_examples=40)
 @given(wavy_curves(), st.sampled_from([0.02, 0.05, 0.1, 0.3]), st.integers(0, 2 ** 32 - 1))
 def test_component_counts_match_per_pole_loop(curve, r, seed):
+    # the loop's own heights, one row per pole
     poles = fibonacci_sphere(200) @ _rotation(np.random.default_rng(seed)).T
-    counts, rows = _components(curve.nodes @ poles.T, *_band_geometry(curve, r))
+    counts, rows = _components((curve.nodes @ poles.T).T, *_band_geometry(curve, r))
     loop = multiplicity_counts_loop(curve, r, poles)
     assert counts.tolist() == [c for c, _ in loop]
     assert [tuple(row) for row in rows.tolist()] == [(k, a, b) for k, (_, ranges)
@@ -647,9 +648,11 @@ def test_multiplicity_sup_matches_per_pole_loop(curve, r, pole_samples, blocks):
         got = multiplicity_sup(curve, r, pole_samples=pole_samples)
     count, pole, ranges, lattices = multiplicity_sup_loop(curve, r, pole_samples)
     assert (got.count, tuple(got.pole), got.components) == (count, tuple(pole), ranges)
-    # a one-pole block is padded for gemm, as gemv's heights can differ in the last bit
-    assert np.array_equal(np.concatenate(seen, axis=1),
-                          np.concatenate([curve.nodes @ p.T for p in lattices], axis=1))
+    # each pole's row of heights is its column of the node-major lattice product:
+    # a one-pole block is padded for gemm, as gemv's heights can differ in the
+    # last bit, and the nodes fill whole gemm tiles, as a tail can too
+    assert np.array_equal(np.concatenate(seen),
+                          np.concatenate([curve.nodes @ p.T for p in lattices], axis=1).T)
 
 
 def test_multiplicity_sup_ties_go_to_the_smallest_pole():
@@ -660,14 +663,37 @@ def test_multiplicity_sup_ties_go_to_the_smallest_pole():
     assert (got.count, tuple(got.pole), got.components) == (count, tuple(pole), ranges)
 
 
-def test_multiplicity_at_reads_its_poles_lattice_column():
+def test_multiplicity_at_reads_its_poles_lattice_row():
     # a one-pole gemv reads (1488, 521) here: its heights differ in the last
     # bit from the lattice's gemm next to the band's edge
     curve, poles, r = koch_like(4), fibonacci_sphere(2000), 0.31658152159801384
-    counts, rows = _components(curve.nodes @ poles.T, *_band_geometry(curve, r))
+    counts, rows = _components(poles @ curve.nodes.T, *_band_geometry(curve, r))
     at = multiplicity_at(curve, GreatCircle(poles[56]), r)
     assert rows[rows[:, 0] == 56, 1:].tolist() == [[1486, 521]]
     assert (at.count, at.components) == (counts[56], [(1486, 521)])
+
+
+@pytest.mark.parametrize("curve", [koch_like(4), perturbed_latitude(1.0, 0.18, 4, n=1021)],
+                         ids=["koch4", "n1021"])
+def test_pole_major_heights_equal_the_node_major_lattice(curve):
+    # _evaluate forms one row of heights per pole, the oracles one column per
+    # pole: a BLAS that rounds the two layouts apart fails here. n = 1021 leaves
+    # a 5-node tail, which gemm rounds unlike its full tiles unless it is filled
+    poles = fibonacci_sphere(2000)
+    seen = []
+
+    def recorded(heights, *band):
+        seen.append(heights)
+        return _components(heights, *band)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jordan, "_components", recorded)
+        jordan._evaluate(curve, 0.05, poles)
+        jordan._evaluate(curve, 0.05, poles[56:57])  # a lone pole, padded to two rows
+    lattice = (curve.nodes @ poles.T).T
+    assert len(seen) > 2 and all(h.shape[1] == curve.n for h in seen)
+    assert np.array_equal(np.concatenate(seen[:-1]), lattice)
+    assert np.array_equal(seen[-1], lattice[56:57])
 
 
 def test_only_evaluate_forms_heights():
@@ -676,6 +702,8 @@ def test_only_evaluate_forms_heights():
     tree = ast.parse(Path(jordan.__file__).read_text())
 
     def is_nodes(node):
+        if isinstance(node, ast.Attribute) and node.attr == "T":  # nodes.T
+            node = node.value
         return (isinstance(node, ast.Attribute) and node.attr == "nodes"
                 or isinstance(node, ast.Name) and node.id == "nodes")
 
