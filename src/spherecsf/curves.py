@@ -100,7 +100,7 @@ def _validated_nodes(nodes, closed: bool):
         raise DomainError("all nodes must be unit vectors (tolerance 1e-9)")
     nodes = np.divide(nodes, norms[:, None], order="C")
     edges = wrapped_edges(wrapped(nodes, closed), closed)
-    lo, hi = edges.min(), edges.max()
+    lo, hi = np.minimum.reduce(edges), np.maximum.reduce(edges)
     if not (EDGE_MIN < lo and hi < EDGE_MAX):
         raise DomainError(
             f"edge lengths must lie in ({EDGE_MIN}, pi/2); got range [{lo:.3e}, {hi:.3e}]")
@@ -198,16 +198,16 @@ def integrals(curve: SphereCurve) -> CurveDiagnostics:
     left of travel. No node floor or embedding check; diagnostics adds those."""
     e = curve.edge_lengths()
     tau = turning_angles(curve)
-    total = tau.sum()
+    total = np.add.reduce(tau)  # ufunc reductions: the methods' sums, without their wrappers
     hbar = mean_adjacent_edges(curve)
     area = float(2.0 * np.pi - total) if curve.closed else None
     return CurveDiagnostics(
-        length=float(e.sum()),
+        length=float(np.add.reduce(e)),
         total_curvature=float(total),
-        bending=float((tau * tau / hbar).sum()),
+        bending=float(np.add.reduce(tau * tau / hbar)),
         enclosed_area=area,
-        max_edge=float(e.max()),
-        min_edge=float(e.min()),
+        max_edge=float(np.maximum.reduce(e)),
+        min_edge=float(np.minimum.reduce(e)),
     )
 
 
@@ -236,20 +236,18 @@ def resample(curve: SphereCurve, n: Optional[int] = None,
     if n < MIN_NODES:
         raise TooFewNodes(f"cannot resample to {n} < {MIN_NODES} nodes")
     cum = np.concatenate([[0.0], np.cumsum(e)])
-    if curve.closed:
-        t = np.arange(n) * (total / n)
-    else:
-        t = np.linspace(0.0, total, n)
-    idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(e) - 1)
-    f = (t - cum[idx]) / e[idx]
-    f = np.clip(f, 0.0, 1.0)
+    t = np.arange(n) * (total / (n - 1 + curve.closed))
+    if not curve.closed:
+        t[-1] = total  # np.linspace(0, total, n), without its overhead
+    # t >= cum[idx] >= 0, and idx < len(e) where rounding puts t past cum[-1]
+    idx = np.minimum(np.searchsorted(cum, t, side="right") - 1, len(e) - 1)
+    f = np.minimum((t - cum[idx]) / e[idx], 1.0)
     cols = curve.nodes.T  # edge j runs from node j to node j + 1, wrapping on a closed curve
     new = edge_slerp(cols.take(idx, axis=1), cols.take(idx + 1, axis=1, mode="wrap"),
                      e[idx], f)
     new /= np.sqrt(_dot3(new, new))
     if not curve.closed:
-        new[:, 0] = curve.nodes[0]
-        new[:, -1] = curve.nodes[-1]
+        new[:, [0, -1]] = cols[:, [0, -1]]
     return curve.with_nodes(new.T)
 
 

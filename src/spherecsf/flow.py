@@ -15,27 +15,27 @@ below DT_FLOOR, or whose mesh fails validation where a snapshot or remesh is due
 neither), ends as stalled unless it was singular. Snapshot 0 is the (validated)
 initial mesh itself.
 
-The loop steps a _Workspace, built from the initial mesh's curve and again from each
-remesh's. It holds the nodes, component-major in three (3, w) buffers (w = n + 2 for
-a closed curve, padded as curves.wrapped pads rows; w = n for an arc), every other
-array a step writes and every view a step reads, so an explicit step is 20 numpy
-calls and a stage 26 (27 on an arc), none of which allocates: the curvature is kept
-as kv = k - v, the nodes' second difference over their mean squared chord, which
-renormalisation projects and which keeps the edges even (_Workspace). Edges come from
-chords, as in curves.wrapped_edges: edge j is 2 asin(c_j / 2) of its chord length c_j.
-A trial measures its chords once, for its length, and the next step's curvature
-divides by their squares. Differences and products take whole (3, w) arrays flat, one
-call on contiguous memory each; what they leave in end columns mixes two rows, stays
-finite and reaches no node (pads are copied over it, an arc's end curvature is
+The loop steps a _Workspace, built from the initial mesh; a remesh loads its curve into
+it, or into a new one where n changes. It holds the nodes, component-major in three
+(3, w) buffers (w = n + 2 for a closed curve, padded as curves.wrapped pads rows; w = n
+for an arc), every other array a step writes and every view a step reads, so an explicit
+step is 20 numpy calls and a stage 26 (27 on an arc), none of which allocates: the
+curvature is kept as kv = k - v, the nodes' second difference over their mean squared
+chord, which renormalisation projects and which keeps the edges even (_Workspace). Edges
+come from chords, as in curves.wrapped_edges: edge j is 2 asin(c_j / 2) of its chord
+length c_j. A trial measures its chords once, for its length, and the next step's
+curvature divides by their squares. Differences and products take whole (3, w) arrays
+flat, one call on contiguous memory each; what they leave in end columns mixes two rows,
+stays finite and reaches no node (pads are copied over it, an arc's end curvature is
 zeroed). A trial and its half edges go into the spare buffer and array, which swap in
-when it is accepted (a super-step's stages take turns in the spare and third
-buffers); the remesh uniformity ratio uses the edges of the mesh the step started
-from. Each per-node dot product sums the rows of a (3, w) array in the order numpy
-sums a length-3 row, and every other operation is elementwise and in the same order,
-so the results are bit-identical to the (n, 3) form the tests keep as their
-reference. Everything outside the loop sees (n, 3) C-contiguous nodes. A snapshot or
-a remesh validates the workspace's nodes once, from a view of its buffer, and then
-reads the edge lengths that validation measured.
+when it is accepted (a super-step's stages take turns in the spare and third buffers);
+the remesh uniformity ratio uses the edges of the mesh the step started from. Each
+per-node dot product sums the rows of a (3, w) array in the order numpy sums a length-3
+row, and every other operation is elementwise and in the same order, so the results are
+bit-identical to the (n, 3) form the tests keep as their reference. Everything outside
+the loop sees (n, 3) C-contiguous nodes. A snapshot or a remesh validates the
+workspace's nodes once, from a view of its buffer, and then reads the edge lengths that
+validation measured.
 """
 
 from __future__ import annotations
@@ -178,12 +178,6 @@ def _snapshot(t: float, curve: SphereCurve) -> Snapshot:
                     enclosed_area=d.enclosed_area)
 
 
-def _initial_mesh(curve: SphereCurve, cfg: FlowConfig) -> SphereCurve:
-    if cfg.target_spacing is not None:
-        return resample(curve, spacing=cfg.target_spacing)
-    return curve
-
-
 def _remesh(curve: SphereCurve, n: int) -> SphereCurve:
     """curve resampled to n nodes. A closed curve's resample has its nodes on
     the old edges, and its chords change its left area A = 2 pi - sum(turning)
@@ -218,9 +212,9 @@ def _dot(a, b, prod, out):
     return np.add(out, r2, out)
 
 
-# The views of one (3, w) node buffer b: b flat and its flat successors and
-# predecessors, its node columns, and pads (0, w - 1) with sources.
-_Views = namedtuple("_Views", "flat ahead behind nodes pads wraps")
+# The views of one (3, w) node buffer b: b itself, b flat and its flat successors
+# and predecessors, its node columns, and pads (0, w - 1) with sources.
+_Views = namedtuple("_Views", "ext flat ahead behind nodes pads wraps")
 
 
 class _Workspace:
@@ -239,14 +233,13 @@ class _Workspace:
 
     def __init__(self, curve: SphereCurve):
         closed = curve.closed
-        ext = wrapped(curve.nodes, closed).T.copy()
-        n, w, k = curve.n, ext.shape[1], int(closed)
+        n, w, k = curve.n, curve.n + 2 * closed, int(closed)
         cols = slice(1, -1) if closed else slice(None)
         def views(b):
             f = b.reshape(-1)
-            return _Views(f, f[1:], f[:-1], b[:, cols], b[:, ::w - 1], b[:, w - 2:0:-(w - 3)])
-        self.closed, self.n = closed, n
-        self.cur, self.nxt, self.third = (views(b) for b in (ext, *np.empty((2, *ext.shape))))
+            return _Views(b, f, f[1:], f[:-1], b[:, cols], b[:, ::w - 1], b[:, w - 2:0:-(w - 3)])
+        self.kind, self.closed, self.n = type(curve), closed, n
+        self.cur, self.nxt, self.third = (views(b) for b in np.empty((3, 3, w)))
         # chords (j in column j), kv / 2 and _dot's products; what no step writes is 0
         d, kv, dd, tt = np.zeros((4, 3, w))
         self.d = d.reshape(-1)
@@ -258,7 +251,20 @@ class _Workspace:
         self.c2_ahead, self.c2_behind, self.h_edges = self.c2[1:], self.c2[:-1], self.h[k:]
         self.half, self.spare_half = np.empty((2, n - 1 + k))
         self.k0 = np.empty(3 * w)  # a super-step's starting kv / 2
+        self.load(curve)
+
+    def load(self, curve: SphereCurve) -> _Workspace:
+        """This workspace with curve (of its kind) as the current mesh, or a new
+        one where curve has another node count."""
+        if curve.n != self.n:
+            return _Workspace(curve)
+        np.copyto(self.cur.ext, wrapped(curve.nodes, self.closed).T)
         self.chords(self.cur, self.half)
+        return self
+
+    def curve(self) -> SphereCurve:
+        """The current mesh as a curve; DomainError where it fails validation."""
+        return self.kind(self.cur.nodes.T)
 
     def chords(self, v, half) -> float:
         """The chords of the nodes in v into d, their squares into c2 and halves
@@ -362,7 +368,8 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     closed = curve.closed
     if not closed and cfg.max_time is None:
         raise ConfigInvalid("max_time is required when evolving an arc")
-    curve = _initial_mesh(curve, cfg)
+    if cfg.target_spacing is not None:
+        curve = resample(curve, spacing=cfg.target_spacing)
     ws = _Workspace(curve)
     t = 0.0
     snaps = [_snapshot(0.0, curve)]
@@ -377,7 +384,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
 
     def snapshot() -> bool:  # unless the mesh fails validation (an edge below EDGE_MIN)
         try:
-            snaps.append(_snapshot(t, curve.with_nodes(ws.cur.nodes.T)))
+            snaps.append(_snapshot(t, ws.curve()))
         except DomainError:
             return False
         return True
@@ -445,10 +452,11 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
             ratio = float(start_half.max() / start_half.min())
             if want != ws.n or ratio >= REMESH_UNIFORMITY:
                 try:  # a mesh that fails validation is not remeshed, as not snapshotted
-                    ws = _Workspace(_remesh(curve.with_nodes(ws.cur.nodes.T), want))
+                    new = _remesh(ws.curve(), want)
                 except DomainError:
                     status = STATUS_STALLED
                     break
+                ws = ws.load(new)
                 length = 2.0 * float(np.add.reduce(ws.half))
                 remeshes += 1
 
