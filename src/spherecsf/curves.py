@@ -29,7 +29,7 @@ from typing import ClassVar, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, NotEmbedded, PoleDegenerate, TooFewNodes
-from .sphere import GreatCircle, edge_slerp, geodesic_distance
+from .sphere import _UNIT_ROUNDING, GreatCircle, edge_slerp, geodesic_distance
 
 MIN_NODES = 8
 EDGE_MIN = 1e-8
@@ -84,9 +84,11 @@ def _check_positive(value, name: str) -> None:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _validated_nodes(nodes, closed: bool):
-    """The renormalised (n, 3) C-contiguous nodes and their edge lengths, both
-    read-only; DomainError or TooFewNodes if they cannot form a curve."""
+def _validated_nodes(nodes, closed: bool, edges=None):
+    """The unit (n, 3) C-contiguous nodes and their edge lengths, both read-only;
+    DomainError or TooFewNodes if they cannot form a curve. As in sphere.as_point,
+    nodes are divided by their norms unless all are within _UNIT_ROUNDING of 1, so
+    validated nodes validate as they are, with the edges, if given, they carry."""
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or nodes.shape[1] != 3:
         raise DomainError(f"nodes must have shape (n, 3), got {nodes.shape}")
@@ -94,12 +96,14 @@ def _validated_nodes(nodes, closed: bool):
     if n < MIN_NODES:
         raise TooFewNodes(f"need at least {MIN_NODES} nodes, got {n}")
     norms = np.sqrt(_dot3(nodes.T, nodes.T))
-    if not (np.abs(norms - 1.0) <= 1e-9).all():  # false for a NaN or inf norm too
+    off = float(np.maximum.reduce(np.abs(norms - 1.0)))
+    if not off <= 1e-9:  # false for a NaN or inf norm too
         if not np.isfinite(nodes).all():
             raise DomainError("nodes must be finite")
         raise DomainError("all nodes must be unit vectors (tolerance 1e-9)")
-    nodes = np.divide(nodes, norms[:, None], order="C")
-    edges = wrapped_edges(wrapped(nodes, closed), closed)
+    nodes, edges = ((np.array(nodes, order="C"), edges) if off <= _UNIT_ROUNDING
+                    else (np.divide(nodes, norms[:, None], order="C"), None))
+    edges = wrapped_edges(wrapped(nodes, closed), closed) if edges is None else edges
     lo, hi = np.minimum.reduce(edges), np.maximum.reduce(edges)
     if not (EDGE_MIN < lo and hi < EDGE_MAX):
         raise DomainError(
@@ -117,10 +121,18 @@ class _Polyline:
     closed: ClassVar[bool]
     _edges: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        nodes, edges = _validated_nodes(self.nodes, self.closed)
+    def __post_init__(self, edges=None):
+        nodes, edges = _validated_nodes(self.nodes, self.closed, edges)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "_edges", edges)
+
+    @classmethod
+    def _measured(cls, nodes, edges):
+        """cls(nodes), given the edge lengths wrapped_edges measures on nodes."""
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "nodes", nodes)
+        curve.__post_init__(edges)
+        return curve
 
     @property
     def n(self) -> int:

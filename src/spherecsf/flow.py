@@ -32,10 +32,10 @@ when it is accepted (a super-step's stages take turns in the spare and third buf
 the remesh uniformity ratio uses the edges of the mesh the step started from. Each
 per-node dot product sums the rows of a (3, w) array in the order numpy sums a length-3
 row, and every other operation is elementwise and in the same order, so the results are
-bit-identical to the (n, 3) form the tests keep as their reference. Everything outside
-the loop sees (n, 3) C-contiguous nodes. A snapshot or a remesh validates the
-workspace's nodes once, from a view of its buffer, and then reads the edge lengths that
-validation measured.
+bit-identical to the (n, 3) form the tests keep as their reference. A snapshot or a
+remesh validates the workspace's mesh once, as it is: the steps normalised its nodes, so
+they are not divided again, and its edges are 2 * half, not measured again. Only the
+curve it makes holds (n, 3) C-contiguous nodes.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ class _Workspace:
 
     def curve(self) -> SphereCurve:
         """The current mesh as a curve; DomainError where it fails validation."""
-        return self.kind(self.cur.nodes.T)
+        return self.kind._measured(self.cur.nodes.T, 2.0 * self.half)
 
     def chords(self, v, half) -> float:
         """The chords of the nodes in v into d, their squares into c2 and halves

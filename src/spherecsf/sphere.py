@@ -12,8 +12,10 @@ import numpy as np
 
 from .errors import DomainError, PoleDegenerate
 
-# Constructor inputs must be unit length to this tolerance (then re-normalized exactly).
+# Constructor inputs must be unit length to this tolerance, and are divided by their norm
+# unless it is within _UNIT_ROUNDING of 1: so a vector divided once passes unchanged.
 UNIT_TOL = 1e-9
+_UNIT_ROUNDING = 4.0 * np.finfo(float).eps
 # Within this distance of a pole (or its antipode) latitude directions are undefined.
 POLE_EPS = 1e-9
 
@@ -28,14 +30,14 @@ def unit(v):
 
 
 def as_point(p, what="point"):
-    """Validate p as a unit 3-vector and return an exactly normalized copy."""
+    """Validate p as a unit 3-vector and return a unit copy (UNIT_TOL)."""
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise DomainError(f"{what} must be a 3-vector, got shape {p.shape}")
     n = np.linalg.norm(p)
     if not abs(n - 1.0) <= UNIT_TOL:
         raise DomainError(f"{what} must be unit length, |p| = {n!r}")
-    return p / n
+    return p.copy() if abs(n - 1.0) <= _UNIT_ROUNDING else p / n
 
 
 def geodesic_distance(p, q):

@@ -25,6 +25,10 @@ from spherecsf.sphere import geodesic_distance
 from test_flow import jittered_polygon, jittered_polygons, wavy_arc
 
 
+# Nodes whose norms are all this close to 1 (a few ulps) validate as they are.
+UNIT_ROUNDING = 4.0 * np.finfo(float).eps
+
+
 def distance_rows(p, q):
     """Great-circle distance from a row reduction over the length-3 rows."""
     return np.arccos(np.minimum(np.maximum(np.add.reduce(p * q, axis=-1), -1.0), 1.0))
@@ -56,7 +60,8 @@ def validated_rows(nodes, closed):
     norms = np.linalg.norm(nodes, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise DomainError("all nodes must be unit vectors (tolerance 1e-9)")
-    nodes = nodes / norms[:, None]
+    if np.any(np.abs(norms - 1.0) > UNIT_ROUNDING):  # else kept as they are
+        nodes = nodes / norms[:, None]
     edges = edges_rows(nodes, closed)
     if np.any(edges <= EDGE_MIN) or np.any(edges >= EDGE_MAX):
         raise DomainError(
@@ -211,9 +216,32 @@ def test_needle_edges_read_their_length(delta, closed):
     # needle 3% long and the 1.2e-8 one as 0, which validation rejects
     curve = curve_of(needled(jittered_polygon(100, 0.8, 0.6, np.random.default_rng(0)),
                              delta, 2.0), closed)
-    again = curve.with_nodes(curve.nodes)  # renormalised once more, moved by ulps
+    again = curve.with_nodes(curve.nodes)  # validated again: unit to rounding, kept as they are
     for c in (curve, again):
         assert abs(c.edge_lengths()[0] - delta) <= 1e-8 * delta
+
+
+def test_validation_is_idempotent():
+    # validated nodes are unit to within a few ulps, so a second validation
+    # divides nothing; at the parent it moved 172 of these polygons and Koch d = 3, 4
+    rng = np.random.default_rng(0)
+    curves = [ClosedSphereCurve(jittered_polygon(int(rng.integers(8, 300)), rng.uniform(0.2, 1.4),
+                                                 rng.uniform(0.0, 0.9), rng))
+              for _ in range(200)]
+    curves += [koch_like(d) for d in (2, 3, 4)] + [resample(wavy_arc(), n=97)]
+    for curve in curves:
+        again = curve.with_nodes(curve.nodes)
+        assert np.array_equal(again.nodes, curve.nodes)
+        assert np.array_equal(again.edge_lengths(), curve.edge_lengths())
+
+
+def test_nodes_off_unit_beyond_rounding_are_divided():
+    nodes = np.array(koch_like(2).nodes)
+    nodes[3] *= 1.0 + 1e-12
+    curve = ClosedSphereCurve(nodes)
+    assert not np.array_equal(curve.nodes[3], nodes[3])
+    assert np.array_equal(curve.nodes, validated_rows(nodes, True)[0])
+    assert abs(np.linalg.norm(curve.nodes[3]) - 1.0) <= UNIT_ROUNDING
 
 
 def _off_unit(nodes):

@@ -2,14 +2,15 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherecsf import (ClosedSphereCurve, FlowConfig, SphereArc,
+from spherecsf import (ClosedSphereCurve, DirichletArcSpec, FlowConfig, GreatCircle, SphereArc,
                        barrier_radius_oracle, circle_curve, circle_extinction_time,
-                       circle_oracle, evolve_arc, evolve_closed, koch_like,
+                       circle_oracle, dirichlet_gamma, evolve_arc, evolve_closed, koch_like,
                        leafable_wiggle, perturbed_latitude, straightening_experiment,
                        time_to_enter_cap)
 from spherecsf import curves, flow
@@ -269,8 +270,8 @@ def test_snapshot_fields():
 
 @pytest.mark.parametrize("closed", [True, False])
 def test_snapshot_zero_is_the_validated_curve(closed):
-    # validating its nodes again would divide them by their norms once more,
-    # which moves most polygons by an ulp
+    # the initial mesh itself, not a copy of it validated again (which would now
+    # keep its nodes as they are)
     curve = perturbed_latitude(1.1, 0.12, 5, n=128) if closed else wavy_arc()
     cfg = FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=1e-3)
     traj = (evolve_closed if closed else evolve_arc)(curve, cfg)
@@ -311,9 +312,10 @@ def test_snapshots_own_their_nodes(closed):
 
 
 def test_one_edge_pass_per_validated_mesh(monkeypatch):
-    # wrapped_edges measures every edge a curve is validated with; the initial
-    # mesh (which is snapshot 0), each later snapshot and each closed remesh's
-    # old, resampled and pushed mesh get one pass each
+    # wrapped_edges measures the edges of a curve validated from outside the
+    # workspace: the initial mesh (resampled from the curve; it is snapshot 0) and
+    # each closed remesh's resampled and pushed mesh. Later snapshots and a
+    # remesh's old mesh take the workspace's edges, 2 * half.
     curve = circle_curve(0.4, n=64)
     calls = []
 
@@ -326,7 +328,122 @@ def test_one_edge_pass_per_validated_mesh(monkeypatch):
                      remesh_every=5)
     traj = evolve_closed(curve, cfg)
     assert traj.stats.remeshes > 0 and len(traj.snapshots) > 2
-    assert len(calls) == len(traj.snapshots) + 3 * traj.stats.remeshes
+    assert len(calls) == 1 + 2 * traj.stats.remeshes
+
+
+def _c11_arc(r):
+    """c11's hairpin arc at band halfwidth r, its nodes r / 4 apart (as perfbench)."""
+    spec = DirichletArcSpec(circle=GreatCircle(Z), band_halfwidth=r, cap_radius=1.3,
+                            closeness=0.25)
+    return resample(dirichlet_gamma(spec)[0], spacing=0.25 * r)
+
+
+# flow-fixed's four runs, c02 to extinction, both c11 arcs (to t = 0.05) and Koch
+# d = 3 on a set spacing
+WORKSPACE_RUNS = {
+    **{f"circle-n{n}": (lambda n=n: circle_curve(np.pi / 3, n=n),
+                        FlowConfig(dt=1e-4, snapshot_dt=0.01, max_time=t))
+       for n, t in ((128, 0.6), (512, 0.1), (2048, 0.002))},
+    "perturbed": (lambda: perturbed_latitude(1.1, 0.12, 5, n=512),
+                  FlowConfig(dt=1e-4, snapshot_dt=0.002, max_time=0.05, remesh_every=10 ** 9)),
+    "c02": (lambda: circle_curve(np.pi / 3, n=512),
+            FlowConfig(dt=1e-4, snapshot_dt=0.01, target_spacing=0.0106, remesh_every=20)),
+    **{f"c11-r{r}": (lambda r=r: _c11_arc(r),
+                     FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=0.05,
+                                target_spacing=0.25 * r, remesh_every=20))
+       for r in (0.04, 0.08)},
+    "koch3": (lambda: koch_like(3),
+              FlowConfig(dt=1e-4, snapshot_dt=1e-3, max_time=0.01, target_spacing=0.01)),
+}
+
+
+def _same_curve(a, b):
+    return (type(a) is type(b) and np.array_equal(a.nodes, b.nodes)
+            and np.array_equal(a.edge_lengths(), b.edge_lengths()))
+
+
+@pytest.mark.parametrize("name", sorted(WORKSPACE_RUNS))
+def test_snapshots_and_remeshes_read_the_workspace(monkeypatch, name):
+    # the workspace's mesh, validated as it is with the step's edges, is the
+    # curve a fresh validation of its nodes gives, and so is everything after it
+    make, cfg = WORKSPACE_RUNS[name]
+    curve = make()
+    remeshes, remesh = [], flow._remesh
+
+    def recorded(old, n):
+        new = remesh(old, n)
+        remeshes.append((old, n, new))
+        return new
+
+    monkeypatch.setattr(flow, "_remesh", recorded)
+    traj = flow._evolve(curve, cfg)
+    assert traj.terminal_status in ("extinct", "reached_max_time")
+    assert len(remeshes) == traj.stats.remeshes
+    # the n = 128 circle remeshes once, by the follow rule
+    assert (len(remeshes) > 0) == (cfg.target_spacing is not None or name == "circle-n128")
+    for s in traj.snapshots:
+        fresh = flow._snapshot(s.t, type(curve)(s.curve.nodes))
+        assert _same_curve(s.curve, fresh.curve)
+        assert ((s.t, s.length, s.total_curvature, s.bending, s.enclosed_area)
+                == (fresh.t, fresh.length, fresh.total_curvature, fresh.bending,
+                    fresh.enclosed_area))
+    for old, n, new in remeshes:
+        fresh = type(curve)(old.nodes)
+        assert _same_curve(old, fresh)
+        assert _same_curve(new, remesh(fresh, n))
+
+
+def test_load_matches_a_new_workspace():
+    old, new = (perturbed_latitude(1.1, 0.12, 5, n=64, phase=p) for p in (0.0, 0.3))
+    ws = _Workspace(old)
+    ws.trial(1e-4)
+    ws.accept()
+    assert ws.load(new) is ws
+    fresh = _Workspace(new)
+    for a, b in ((ws.cur.ext, fresh.cur.ext), (ws.half, fresh.half), (ws.d, fresh.d),
+                 (ws.c2, fresh.c2)):
+        assert np.array_equal(a, b)
+    assert ws.load(circle_curve(0.5, n=65)).n == 65
+
+
+def _squeeze_at(monkeypatch, site, call):
+    """Patch _Workspace.curve so that its call-th call from `site` ("snapshot" or
+    "_evolve", where a remesh validates) first moves node 1 to within 5e-9 of
+    node 0 and measures the workspace's chords again."""
+    curve, calls = _Workspace.curve, []
+
+    def squeezed(ws):
+        if sys._getframe(1).f_code.co_name == site:
+            calls.append(1)
+            if len(calls) == call:
+                p, q = ws.cur.nodes[:, 0], ws.cur.nodes[:, 1]
+                m = p + 5e-9 * (q - p) / np.linalg.norm(q - p)
+                ws.cur.nodes[:, 1] = m / np.linalg.norm(m)
+                np.copyto(ws.cur.pads, ws.cur.wraps)
+                ws.chords(ws.cur, ws.half)
+        return curve(ws)
+
+    monkeypatch.setattr(_Workspace, "curve", squeezed)
+
+
+@pytest.mark.parametrize("site", ["snapshot", "_evolve"])
+def test_a_squeezed_workspace_mesh_stalls(monkeypatch, site):
+    # validated as it is, the workspace's mesh still meets the constructor's edge
+    # bounds: an edge squeezed below EDGE_MIN at the third snapshot or remesh ends
+    # the run stalled, with the snapshots taken before it
+    curve = circle_curve(np.pi / 3, n=512)
+    cfg = FlowConfig(dt=1e-4, snapshot_dt=0.01, target_spacing=0.015, remesh_every=20)
+    full = evolve_closed(curve, cfg)
+    _squeeze_at(monkeypatch, site, 3)
+    traj = evolve_closed(curve, cfg)
+    assert traj.terminal_status == "stalled"
+    assert 1 < len(traj.snapshots) < len(full.snapshots)
+    for a, b in zip(traj.snapshots, full.snapshots):
+        assert a.t == b.t and _same_curve(a.curve, b.curve)
+    if site == "snapshot":
+        assert len(traj.snapshots) == 3
+    else:
+        assert traj.stats.remeshes == 2
 
 
 class _FadingCFL(float):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from spherecsf import (GreatCircle, circle_curve, fold_angle, geodesic_distance,
                        orthonormal_frame, slerp, unit)
 from spherecsf.errors import DomainError
+from spherecsf.jordan import fibonacci_sphere
 from spherecsf.sphere import as_point
 
 X = np.array([1.0, 0.0, 0.0])
@@ -39,6 +40,17 @@ def test_unit_rejects_zero():
 def test_as_point_rejects_non_unit(v):
     with pytest.raises(DomainError, match="unit length"):
         as_point(v)
+
+
+def test_great_circle_keeps_a_unit_pole():
+    # as_point divides only a norm more than a few ulps off 1, so the pole a
+    # GreatCircle reads is the lattice pole itself (537 of these moved at the parent)
+    poles = fibonacci_sphere(2000)
+    assert all(np.array_equal(GreatCircle(p).pole, p) for p in poles)
+    p = poles[7] * (1.0 + 1e-12)
+    g = GreatCircle(p)
+    assert not np.array_equal(g.pole, p) and abs(np.linalg.norm(g.pole) - 1.0) < 1e-15
+    assert p.flags.writeable and not g.pole.flags.writeable
 
 
 def test_geodesic_distance_known_values():
