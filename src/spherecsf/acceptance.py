@@ -43,7 +43,7 @@ class CheckResult:
 
 
 # FlowStats fields each check sums
-LEDGER = ("accepted_steps", "evaluations", "rejected_trials", "remeshes")
+LEDGER = ("accepted_steps", "evaluations", "remeshes")
 
 
 def _result(name, passed, detail, runs=(), **measured):

@@ -5,6 +5,10 @@ manifest.json, report.json, tables/*.csv and (for flow runs) trajectory.jsonl,
 and prints a one-line summary. Exit codes: 0 success, 1 runtime or science
 failure, 2 invalid config (the message names the offending field).
 
+The config holds every input of the experiment, each field read by `_get`; the
+flags say only where the config is, where a run writes and how it reports
+(`--quiet`, and `simulate --nodes` to record node positions).
+
 `main` is the one run skeleton: it loads the config, names the run, hands the
 subcommand its `RunDir`, and writes manifest.json once the subcommand returns.
 A run that raises leaves no directory behind.
@@ -29,9 +33,8 @@ from . import __version__
 from .errors import (ConfigInvalid, DomainError, ParamDomain, SphereCSFError,
                      TooFewNodes)
 from .sphere import GreatCircle
-from .curves import SphereArc, load_curve, save_curve
-from .flow import (FlowConfig, _is_number, evolve_arc, evolve_closed,
-                   straightening_experiment)
+from .curves import SphereArc, _is_number, load_curve, save_curve
+from .flow import FlowConfig, evolve_arc, evolve_closed, straightening_experiment
 from .graphflow import PeriodicGraph, crosscheck, evolve_graph
 from .jordan import (CURVE_KINDS, Spacing, construct_spacing, multiplicity_at,
                      multiplicity_sup, verify_spacing)
@@ -169,10 +172,10 @@ _CURVE_KEYS = {"pole": _floats(3), **dict.fromkeys(("n", "mode", "seed", "depth"
                                                     "base_nodes"), int)}
 
 
-def _build_curve(spec: dict, field: str, seed: int):
+def _build_curve(spec: dict, field: str):
     """A curve from {"file": path} or {"kind": name, **maker keyword arguments},
     each keyword read by its kind in _CURVE_KEYS (else a real), at the maker's
-    default when absent; --seed is the default of a maker's `seed`."""
+    default when absent."""
     where = field + "."
     if "file" in spec:
         _only(spec, ("file",), where)
@@ -185,8 +188,7 @@ def _build_curve(spec: dict, field: str, seed: int):
         make = CURVE_KINDS[kind]
         keys = inspect.signature(make).parameters
         _only(spec, ("kind", *keys), where)
-        params = {key: _get(spec, key, seed if key == "seed" else p.default,
-                            _CURVE_KEYS.get(key, float), where)
+        params = {key: _get(spec, key, p.default, _CURVE_KEYS.get(key, float), where)
                   for key, p in keys.items()}
     try:
         return make(**params)
@@ -209,8 +211,6 @@ def _write_manifest(run: RunDir, args, cfg: dict, wall_time_s: float) -> None:
     run.write_json("manifest.json", {
         "command": args.command,
         "name": run.name,
-        "seed": args.seed,
-        "format": args.format,
         "config": cfg,
         "versions": {
             "python": sys.version.split()[0],
@@ -230,14 +230,13 @@ def _with_flow(result) -> dict:
     return {**report, "flow": [s.to_json() for s in result.runs]}
 
 
-def _write_trajectory(run: RunDir, args, traj, include_nodes: bool) -> None:
+def _write_trajectory(run: RunDir, traj, include_nodes: bool) -> None:
     rows = [(s.t, s.length, s.total_curvature, s.bending, s.enclosed_area)
             for s in traj.snapshots]
-    if args.format == "jsonl":
-        run.write_jsonl("trajectory.jsonl", (
-            dict(zip(_TRAJECTORY_FIELDS, row),
-                 **({"nodes": s.curve.nodes.tolist()} if include_nodes else {}))
-            for row, s in zip(rows, traj.snapshots)))
+    run.write_jsonl("trajectory.jsonl", (
+        dict(zip(_TRAJECTORY_FIELDS, row),
+             **({"nodes": s.curve.nodes.tolist()} if include_nodes else {}))
+        for row, s in zip(rows, traj.snapshots)))
     run.write_csv("tables/trajectory.csv", _TRAJECTORY_FIELDS, rows)
 
 
@@ -247,7 +246,7 @@ def _write_trajectory(run: RunDir, args, traj, include_nodes: bool) -> None:
 
 
 def cmd_simulate(args, cfg: dict, run: RunDir) -> int:
-    curve = _build_curve(_get(cfg, "curve", kind=dict), "curve", args.seed)
+    curve = _build_curve(_get(cfg, "curve", kind=dict), "curve")
     fcfg = _flow_config(cfg)
     if isinstance(curve, SphereArc):
         if fcfg.max_time is None:
@@ -255,8 +254,7 @@ def cmd_simulate(args, cfg: dict, run: RunDir) -> int:
         traj = evolve_arc(curve, fcfg)
     else:
         traj = evolve_closed(curve, fcfg)
-    _write_trajectory(run, args, traj,
-                      _get(cfg, "record_nodes", False, bool) or args.nodes)
+    _write_trajectory(run, traj, args.nodes)
     final = traj.final()
     save_curve(run.file("tables/final_curve.csv"), final.curve)
     run.write_json("report.json", {
@@ -276,7 +274,7 @@ def cmd_simulate(args, cfg: dict, run: RunDir) -> int:
 
 
 def cmd_multiplicity(args, cfg: dict, run: RunDir) -> int:
-    curve = _build_curve(_get(cfg, "curve", kind=dict), "curve", args.seed)
+    curve = _build_curve(_get(cfg, "curve", kind=dict), "curve")
     r = _get(cfg, "r", kind=float)
     if "pole" in cfg:
         report = multiplicity_at(curve, GreatCircle(_pole(cfg)), r)
@@ -291,7 +289,7 @@ def cmd_multiplicity(args, cfg: dict, run: RunDir) -> int:
 
 
 def cmd_spacing(args, cfg: dict, run: RunDir) -> int:
-    curve = _build_curve(_get(cfg, "curve", kind=dict), "curve", args.seed)
+    curve = _build_curve(_get(cfg, "curve", kind=dict), "curve")
     theta = _get(cfg, "theta", kind=float)
     x_samples = _get(cfg, "x_samples", 1000, int)
     if "points" in cfg:
@@ -318,7 +316,7 @@ def cmd_spacing(args, cfg: dict, run: RunDir) -> int:
 
 
 def cmd_straighten(args, cfg: dict, run: RunDir) -> int:
-    curve = _build_curve(_get(cfg, "curve", kind=dict), "curve", args.seed)
+    curve = _build_curve(_get(cfg, "curve", kind=dict), "curve")
     if isinstance(curve, SphereArc):
         raise ConfigInvalid("curve: straighten needs a closed curve")
     g = GreatCircle(_pole(cfg))
@@ -328,8 +326,7 @@ def cmd_straighten(args, cfg: dict, run: RunDir) -> int:
     res = straightening_experiment(
         curve, g, barrier_halfwidth=_get(cfg, "barrier_halfwidth", kind=float),
         alignment=_get(cfg, "alignment", kind=float), cfg=fcfg)
-    _write_trajectory(run, args, res.trajectory,
-                      _get(cfg, "record_nodes", False, bool))
+    _write_trajectory(run, res.trajectory, include_nodes=False)
     run.write_csv("tables/deviations.csv",
                   ["t", "deviation", "max_height", "barrier_height"],
                   zip(res.times, res.deviations, res.max_heights,
@@ -347,20 +344,19 @@ def cmd_straighten(args, cfg: dict, run: RunDir) -> int:
     return 0
 
 
-def _levelset_state(cfg: dict, seed: int):
+def _levelset_state(cfg: dict):
     if "annulus" in cfg:
         ann = _only(_get(cfg, "annulus", kind=dict), ("alpha", "beta"), "annulus.")
-        alpha = _build_curve(_get(ann, "alpha", kind=dict), "annulus.alpha", seed)
-        beta = _build_curve(_get(ann, "beta", kind=dict), "annulus.beta", seed)
-        return make_annulus(alpha, beta)
-    return _build_curve(_get(cfg, "curve", kind=dict), "curve", seed)
+        return make_annulus(_build_curve(_get(ann, "alpha", kind=dict), "annulus.alpha"),
+                            _build_curve(_get(ann, "beta", kind=dict), "annulus.beta"))
+    return _build_curve(_get(cfg, "curve", kind=dict), "curve")
 
 
 def cmd_levelset(args, cfg: dict, run: RunDir) -> int:
     mode = _get(cfg, "mode", "sandwich", str)
     if mode not in ("sandwich", "area", "classify"):
         raise ConfigInvalid(f"mode: must be sandwich, area or classify, got {mode!r}")
-    state = _levelset_state(cfg, args.seed)
+    state = _levelset_state(cfg)
     if mode != "sandwich" and not isinstance(state, AnnulusState):
         raise ConfigInvalid(f"annulus: required for mode {mode!r}")
 
@@ -381,7 +377,7 @@ def cmd_levelset(args, cfg: dict, run: RunDir) -> int:
                                        "flow": [s.to_json() for s in report.runs]})
         _say(args, f"{run.name}: area-law residual {report.residual:.3e}")
     else:
-        out = classify_long_term(state, max_time=_get(cfg, "max_time", kind=float))
+        out = classify_long_term(state, max_time=_get(cfg, "t", kind=float))
         run.write_json("report.json", _with_flow(out))
         _say(args, f"{run.name}: verdict {out.verdict} (expected "
                    f"{out.expected_verdict}, consistent={out.consistent})")
@@ -470,16 +466,15 @@ def cmd_verify(args, cfg: dict, run: RunDir) -> int:
 # besides `name`)
 _COMMANDS = {
     "simulate": (cmd_simulate, "evolve a curve and record its trajectory", True,
-                 ("curve", "flow", "record_nodes")),
+                 ("curve", "flow")),
     "multiplicity": (cmd_multiplicity, "band multiplicity of a curve", True,
                      ("curve", "r", "pole", "pole_samples")),
     "spacing": (cmd_spacing, "construct or verify a spaced point set", True,
                 ("curve", "theta", "x_samples", "points", "C", "margin")),
     "straighten": (cmd_straighten, "band-confined straightening run", True,
-                   ("curve", "pole", "flow", "barrier_halfwidth", "alignment",
-                    "record_nodes")),
+                   ("curve", "pole", "flow", "barrier_halfwidth", "alignment")),
     "levelset": (cmd_levelset, "offset sandwich, area law, or trichotomy", True,
-                 ("mode", "curve", "annulus", "t", "levels", "eps0", "max_time")),
+                 ("mode", "curve", "annulus", "t", "levels", "eps0")),
     "graphflow": (cmd_graphflow, "periodic graph evolution over a great circle",
                   True, ("t", "values", "n", "constant_height", "harmonics", "dt",
                          "crosscheck", "pole", "curve_nodes")),
@@ -497,10 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", help="path to a JSON config file")
         p.add_argument("--out", default="out", help="output root directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized generators")
-        p.add_argument("--format", choices=("csv", "jsonl"), default="jsonl",
-                       help="trajectory serialization format")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the stdout summary")
         for flag, help_flag in extra_flags.get(cmd, []):

@@ -23,6 +23,7 @@ cap-pair search's chords.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Optional
 
@@ -76,6 +77,18 @@ def _dot3(a, b):
     """Column dot products of (3, m) arrays, summed as numpy sums a length-3 row."""
     p = a * b
     return p[0] + p[1] + p[2]
+
+
+def _is_number(value, count: bool) -> bool:
+    """The one rule for numeric settings: a count is an integer, a real is any
+    real number, and a bool is neither."""
+    return not isinstance(value, bool) and isinstance(
+        value, numbers.Integral if count else numbers.Real)
+
+
+def _check_count(name: str, value) -> None:
+    if not _is_number(value, True):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_positive(value, name: str) -> None:
@@ -245,6 +258,7 @@ def resample(curve: SphereCurve, n: Optional[int] = None,
     if n is None:
         _check_positive(spacing, "spacing")
         n = nodes_for_spacing(total, spacing, curve.closed)
+    _check_count("n", n)
     if n < MIN_NODES:
         raise TooFewNodes(f"cannot resample to {n} < {MIN_NODES} nodes")
     cum = np.concatenate([[0.0], np.cumsum(e)])

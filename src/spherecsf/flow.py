@@ -41,7 +41,6 @@ curve it makes holds (n, 3) C-contiguous nodes.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -50,8 +49,9 @@ import numpy as np
 
 from .errors import (AntipodalEndpoints, ConfigInvalid, DomainError, NeverEnters,
                      ParamDomain)
-from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _normal_push, c1_deviation,
-                     integrals, nodes_for_spacing, resample, turning_angles, wrapped)
+from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _is_number, _normal_push,
+                     c1_deviation, integrals, nodes_for_spacing, resample, turning_angles,
+                     wrapped)
 from .sphere import GreatCircle, as_point, geodesic_distance
 
 CFL_FACTOR = 0.35  # 70% of the limit 0.5, where the top mode's 1 - 4 dt / h^2 is -1
@@ -81,13 +81,6 @@ STATUS_EXTINCT = "extinct"
 STATUS_MAX_TIME = "reached_max_time"
 STATUS_SINGULARITY = "singularity"
 STATUS_STALLED = "stalled"
-
-
-def _is_number(value, count: bool) -> bool:
-    """The one rule for numeric settings: a count is an integer, a real is any
-    real number, and a bool is neither."""
-    return not isinstance(value, bool) and isinstance(
-        value, numbers.Integral if count else numbers.Real)
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,6 @@ class FlowStats:
 
     accepted_steps: int
     evaluations: int  # of curvature: one per explicit step, s per super-step
-    rejected_trials: int  # 0, or 1 for the explicit trial that ended a singular run
     remeshes: int
     min_dt: float  # smallest accepted step; inf when none was accepted
     max_dt: float  # largest accepted step; 0 when none was accepted
@@ -463,8 +455,7 @@ def _evolve(curve: SphereCurve, cfg: FlowConfig) -> FlowTrajectory:
     if snaps[-1].t < t:
         if not snapshot() and status != STATUS_SINGULARITY:
             status = STATUS_STALLED
-    stats = FlowStats(accepted_steps=accepted, evaluations=evaluations,
-                      rejected_trials=int(status == STATUS_SINGULARITY), remeshes=remeshes,
+    stats = FlowStats(accepted_steps=accepted, evaluations=evaluations, remeshes=remeshes,
                       min_dt=min_dt, max_dt=max_dt, min_edge=min_edge, final_n=ws.n)
     return FlowTrajectory(snapshots=snaps, terminal_status=status, stats=stats)
 

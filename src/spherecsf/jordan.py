@@ -17,10 +17,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParamDomain, SpacingNotFound
-from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _tangent_toward,
-                     curve_distance, edge_ends, latitude_deviation_angles,
-                     resample, wrapped)
-from .flow import DirichletArcSpec, _is_number
+from .curves import (ClosedSphereCurve, SphereArc, SphereCurve, _check_count, _is_number,
+                     _tangent_toward, curve_distance, edge_ends,
+                     latitude_deviation_angles, resample, wrapped)
+from .flow import DirichletArcSpec
 from .sphere import (GreatCircle, as_point, edge_slerp, fold_angle,
                      geodesic_distance, orthonormal_frame, unit)
 
@@ -28,11 +28,6 @@ TOUCH_TOL = 1e-9
 MAX_SPACING_ADDITIONS = 64  # transverse companions construct_spacing may add
 MAX_KOCH_DEPTH = 6
 _HEIGHT_BLOCK = 2 ** 18  # heights per pole block of _evaluate, about 2 MiB
-
-
-def _check_count(name: str, value) -> None:
-    if not _is_number(value, True):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -419,6 +414,7 @@ def _latitude_radius(radius) -> float:
 def circle_curve(radius: float, pole=(0.0, 0.0, 1.0), n: int = 256,
                  phase: float = 0.0) -> ClosedSphereCurve:
     """Uniform polygon on a latitude circle, counterclockwise about the pole."""
+    _check_count("n", n)
     ang = phase + 2.0 * np.pi * np.arange(n) / n
     return ClosedSphereCurve(_polar_nodes(pole, _latitude_radius(radius), ang))
 
@@ -426,7 +422,9 @@ def circle_curve(radius: float, pole=(0.0, 0.0, 1.0), n: int = 256,
 def perturbed_latitude(radius: float, amplitude: float, mode: int, n: int = 512,
                        pole=(0.0, 0.0, 1.0), phase: float = 0.0) -> ClosedSphereCurve:
     """Polar-distance profile radius + amplitude * sin(mode * angle + phase)."""
-    if mode < 1 or int(mode) != mode:
+    _check_count("mode", mode)
+    _check_count("n", n)
+    if mode < 1:
         raise DomainError(f"mode must be a positive integer, got {mode!r}")
     ang = 2.0 * np.pi * np.arange(n) / n
     rho = radius + amplitude * np.sin(mode * ang + phase)
@@ -455,6 +453,8 @@ def leafable_wiggle(pole=(0.0, 0.0, 1.0), band: float = 0.05,
     """
     if not (_is_number(seed, True) and seed >= 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_count("mode", mode)
+    _check_count("n", n)
     g = GreatCircle(pole)
     rng = np.random.default_rng(seed)
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -470,7 +470,9 @@ def koch_like(depth: int, base_radius: float = 0.8, pole=(0.0, 0.0, 1.0),
     """Spherical snowflake: each edge gains an outward apex of height
     sqrt(3)/6 times the edge length; depth <= 6. The base polygon alone has
     too few nodes to be a curve, so depth >= 1."""
-    if not (1 <= depth <= MAX_KOCH_DEPTH) or int(depth) != depth:
+    _check_count("depth", depth)
+    _check_count("base_nodes", base_nodes)
+    if not 1 <= depth <= MAX_KOCH_DEPTH:
         raise DomainError(f"depth must be an integer in [1, {MAX_KOCH_DEPTH}]")
     ang = 2.0 * np.pi * np.arange(base_nodes) / base_nodes
     nodes = _polar_nodes(pole, _latitude_radius(base_radius), ang)

@@ -16,11 +16,10 @@ import numpy as np
 
 from .errors import (DomainError, ExtinctionBeforeEnd, NotEmbedded,
                      OffsetCollision)
-from .curves import (ClosedSphereCurve, _check_positive, _hausdorff_exceeds, _normal_push,
-                     curve_distance, curves_cross, edge_ends, hausdorff_distance,
-                     integrals, resample, self_intersects, wrapped)
-from .flow import (STATUS_EXTINCT, FlowConfig, _is_number, barrier_radius_oracle,
-                   evolve_closed)
+from .curves import (ClosedSphereCurve, _check_positive, _hausdorff_exceeds, _is_number,
+                     _normal_push, curve_distance, curves_cross, edge_ends,
+                     hausdorff_distance, integrals, resample, self_intersects, wrapped)
+from .flow import STATUS_EXTINCT, FlowConfig, barrier_radius_oracle, evolve_closed
 from .sphere import as_point
 
 AREA_FLOOR = 1e-2          # a sandwich area below this counts as no area

@@ -26,30 +26,6 @@ MEASURED = json.loads(Path(__file__).with_name("acceptance_measured.json").read_
 # quantum (1.49e-8), so rounding moves it by whole quanta
 ABS_TOL = {("dirichlet-scaling", "geodesic_gap"): 1e-7}
 IDS = [f"c{i + 1:02d}-{name}" for i, name in enumerate(ORDER)]
-# Each check's accepted steps and curvature evaluations (summed over the flow runs
-# it reads) as measured at CFL_FACTOR 0.35 with RKL2 super-steps where the mesh
-# limits the step, on the second-difference curvature that keeps edges even; a
-# check may take at most 2% more of either. Explicit steps evaluate once each, so
-# the counts differ only where a run super-steps (c11 and c13). Counts are exact on
-# every machine. A change that cuts them lowers these; raising one is a recorded
-# decision.
-STEPS = {
-    "circle-oracle": (20_793, 20_793),
-    "extinction-time": (17_790, 17_790),
-    "barrier-law": (5_701, 5_701),
-    "gage-identity": (30_219, 30_219),
-    "length-derivative": (30_219, 30_219),
-    "area-ode": (7_172, 7_172),
-    "multiplicity-monotone": (19_086, 19_086),
-    "intersection-monotone": (19_086, 19_086),
-    "solver-crosscheck": (7_603, 7_603),
-    "straightening": (3_800, 3_800),
-    "dirichlet-scaling": (39_716, 44_078),
-    "levelset-sandwich": (8_000, 8_000),
-    "trichotomy": (25_284, 25_452),
-    "uniform-length-bound": (5_059, 5_059),
-    "initial-continuity": (121, 121),
-}
 
 
 @lru_cache(maxsize=None)
@@ -84,15 +60,6 @@ def test_acceptance(name):
     assert not moved, f"{name}: measured values moved (pinned, now): {moved}"
 
 
-@pytest.mark.parametrize("name", ORDER, ids=IDS)
-def test_check_steps_within_bound(name):
-    measured = _run(name).measured
-    steps, evaluations = STEPS[name]
-    assert measured["rejected_trials"] == 0
-    assert measured["accepted_steps"] <= 1.02 * steps
-    assert measured["evaluations"] <= 1.02 * evaluations
-
-
 def test_same_compares_by_kind():
     assert _same(1.0, 1.0 + 1e-12) and not _same(1.0, 1.0 + 1e-8)
     assert _same(1.5e-8, 1.49e-8, 1e-7) and not _same(1.5e-8, 1.49e-8)
@@ -111,8 +78,8 @@ def test_result_sums_the_ledger_once_per_run():
     assert len(result.runs) == 1 and result.runs[0] is stats
     assert measured["accepted_steps"] == measured["steps"] > 0
     assert measured["evaluations"] == measured["accepted_steps"]
-    assert (measured["rejected_trials"], measured["remeshes"]) == (0, 0)
+    assert measured["remeshes"] == 0
     twice = acceptance._result("twice", True, "", runs=[stats, replace(stats)])
     assert twice.measured["accepted_steps"] == 2 * stats.accepted_steps
-    # no runs: four zeros
+    # no runs: three zeros
     assert acceptance._result("none", True, "").measured == dict.fromkeys(LEDGER, 0)

@@ -24,6 +24,8 @@ from spherecsf.levelset import area_ode_check, classify_long_term, sandwich_flow
 EQUATOR = {"kind": "Circle", "radius": 1.5707963267948966, "n": 192}
 BAND_ANNULUS = {"alpha": {"kind": "Circle", "radius": 0.8, "n": 192},
                 "beta": {"kind": "Circle", "radius": 1.2, "n": 192}}
+SMALL_ANNULUS = {"alpha": {"kind": "Circle", "radius": 0.3, "n": 64},
+                 "beta": {"kind": "Circle", "radius": 0.8, "n": 64}}
 SIM_CFG = {"name": "run", "curve": {"kind": "Circle", "radius": 1.2, "n": 128},
            "flow": {"dt": 2e-4, "snapshot_dt": 0.02, "max_time": 0.1}}
 
@@ -70,7 +72,6 @@ def test_simulate_manifest_echoes_config(tmp_path):
     manifest = read_json(d, "manifest.json")
     assert manifest["command"] == "simulate"
     assert manifest["config"] == SIM_CFG
-    assert manifest["seed"] == 0
     assert set(manifest["versions"]) == {"python", "numpy", "spherecsf"}
     assert manifest["wall_time_s"] >= 0.0
     assert "check_wall_s" not in manifest  # verify's alone
@@ -87,7 +88,7 @@ def test_simulate_outputs_are_byte_deterministic(tmp_path):
 @pytest.mark.parametrize("cfg,files", [
     ({"mode": "area", "annulus": BAND_ANNULUS, "t": 0.15},
      ("report.json", "tables/areas.csv")),
-    ({"mode": "classify", "max_time": 0.2, "annulus": {
+    ({"mode": "classify", "t": 0.2, "annulus": {
         "alpha": {"kind": "Circle", "radius": 0.3, "n": 128},
         "beta": {"kind": "Circle", "radius": 0.5, "n": 128}}},
      ("report.json",)),
@@ -97,13 +98,6 @@ def test_levelset_outputs_are_byte_deterministic(tmp_path, cfg, files):
     _, d2 = run_cli(tmp_path, "levelset", cfg, out="b")
     for rel in files:
         assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), rel
-
-
-def test_simulate_csv_format_drops_jsonl(tmp_path):
-    rc, d = run_cli(tmp_path, "simulate", SIM_CFG, extra=("--format", "csv"))
-    assert rc == 0
-    assert not (d / "trajectory.jsonl").exists()
-    assert (d / "tables" / "trajectory.csv").is_file()
 
 
 def test_simulate_nodes_flag_records_positions(tmp_path):
@@ -123,7 +117,7 @@ def test_simulate_evolves_an_arc(tmp_path):
     assert report["terminal_status"] == "reached_max_time"
     assert report["final_time"] == pytest.approx(0.01)
     # the report counts the arc solver's run
-    arc = _build_curve(cfg["curve"], "curve", 0)
+    arc = _build_curve(cfg["curve"], "curve")
     assert isinstance(arc, SphereArc)
     assert report["flow"] == evolve_arc(arc, cli._flow_config(cfg)).stats.to_json()
     assert report["flow"]["accepted_steps"] > 0
@@ -205,8 +199,6 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
     ("graphflow", {"t": 0.05, "n": "128"}, "n"),
     ("graphflow", {"t": 0.05, "harmonics": [{"mode": 2.0, "sin_height": 0.1}]},
      "harmonics[0].mode"),
-    ("simulate", {**SIM_CFG, "record_nodes": "yes"}, "record_nodes"),
-    ("simulate --nodes", {**SIM_CFG, "record_nodes": "yes"}, "record_nodes"),
     # a real field takes any JSON number, but not a bool or a numeric string
     ("graphflow", {"t": True, "n": 64}, "t"),
     ("graphflow", {"t": "0.05", "n": 64}, "t"),
@@ -237,17 +229,23 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, cfg, field):
     ("spacing", {"curve": {"file": "curve.csv", "kind": "Circle"}, "theta": 0.3},
      "curve.kind"),
     ("verify", {"check": ["initial-continuity"]}, "check"),
+    # node recording is simulate's --nodes, and every levelset mode's horizon is t
+    ("simulate", {**SIM_CFG, "record_nodes": True}, "record_nodes"),
+    ("straighten", {"curve": {"kind": "LeafableWiggle", "n": 128},
+                    "barrier_halfwidth": 0.08, "alignment": 0.1,
+                    "flow": {"max_time": 0.01}, "record_nodes": False}, "record_nodes"),
+    ("levelset", {"mode": "classify", "annulus": SMALL_ANNULUS, "max_time": 0.2},
+     "max_time"),
 ], ids=["r", "t", "levels", "values", "sin_height", "bool-string", "bool-number",
-        "int-fraction", "int-bool", "int-string", "int-float", "bool-string-nodes",
-        "bool-string-nodes-flag", "real-bool", "real-string", "r-bool",
-        "alignment-string", "points-shape", "values-2d", "values-scalar",
+        "int-fraction", "int-bool", "int-string", "int-float", "real-bool", "real-string",
+        "r-bool", "alignment-string", "points-shape", "values-2d", "values-scalar",
         "curve-n-fraction", "koch-base-nodes-fraction", "annulus-radius-string",
         "harmonic-typo", "top-level-typo", "annulus-extra", "file-spec-extra",
-        "verify-typo"])
+        "verify-typo", "simulate-record-nodes", "straighten-record-nodes",
+        "classify-max-time"])
 def test_non_numeric_fields_are_config_errors(tmp_path, capsys, command, cfg,
                                               field):
-    command, *flags = command.split()
-    rc, d = run_cli(tmp_path, command, cfg, extra=flags)
+    rc, d = run_cli(tmp_path, command, cfg)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}:")
@@ -320,7 +318,7 @@ CURVE_SPECS = {
 @pytest.mark.parametrize("kind", sorted(CURVE_KINDS))
 def test_cli_curve_spec_is_generator_call(kind):
     params = CURVE_SPECS[kind]
-    built = _build_curve({"kind": kind, **params}, "curve", seed=5)
+    built = _build_curve({"kind": kind, **params}, "curve")
     assert np.array_equal(built.nodes, CURVE_KINDS[kind](**params).nodes)
 
 
@@ -370,19 +368,34 @@ def test_commands_declare_the_fields_they_read():
         assert read[func.__name__] == set(fields), func.__name__
 
 
-def test_seed_flag_is_the_default_generator_seed():
-    built = _build_curve({"kind": "LeafableWiggle", "n": 64}, "curve", seed=5)
-    assert np.array_equal(built.nodes,
-                          CURVE_KINDS["LeafableWiggle"](n=64, seed=5).nodes)
+def test_commands_read_only_how_a_run_reports_from_args():
+    # every experiment input is a config field; of the flags a command reads
+    # only simulate's --nodes (--quiet is read by _say)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {node.attr for f in tree.body
+            if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")
+            for node in ast.walk(f)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+    assert read == {"nodes"}
 
 
-@pytest.mark.parametrize("spec, extra", [({"seed": -1}, ()), ({}, ("--seed", "-1"))],
-                         ids=["curve-seed", "seed-flag"])
-def test_negative_seed_is_a_config_error(tmp_path, capsys, spec, extra):
+@pytest.mark.parametrize("flag", ["--seed", "--format"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "none.json"), "--out", str(tmp_path),
+              "--quiet", flag, "0"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spec", [{"seed": -1}], ids=["curve-seed"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, spec):
     # numpy's generators take seeds >= 0
     curve = {"kind": "LeafableWiggle", "n": 64, **spec}
-    rc, d = run_cli(tmp_path, "simulate", {"curve": curve, "flow": {"max_time": 0.01}},
-                    extra=extra)
+    rc, d = run_cli(tmp_path, "simulate", {"curve": curve, "flow": {"max_time": 0.01}})
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: curve: seed must be")
     assert not d.exists()
@@ -467,15 +480,13 @@ RUNTIME_ERRORS = [
                  "points": [[0, 0, 2], [0, 0.8, 0.6]]}),
 ]
 
-SMALL_ANNULUS = {"alpha": {"kind": "Circle", "radius": 0.3, "n": 64},
-                 "beta": {"kind": "Circle", "radius": 0.8, "n": 64}}
 NAN = float("nan")
 
 
 @pytest.mark.parametrize("cfg,message", [
     ({"mode": "sandwich", "curve": EQUATOR | {"n": 64}, "t": NAN}, "t_end must be"),
     ({"mode": "area", "annulus": SMALL_ANNULUS, "t": NAN}, "t_end must be"),
-    ({"mode": "classify", "annulus": SMALL_ANNULUS, "max_time": NAN}, "max_time must be"),
+    ({"mode": "classify", "annulus": SMALL_ANNULUS, "t": NAN}, "max_time must be"),
     ({"mode": "sandwich", "curve": EQUATOR | {"n": 64}, "t": 0.01, "eps0": NAN},
      "offset must be"),
 ], ids=["sandwich-t", "area-t", "classify-max-time", "sandwich-eps0"])
@@ -590,7 +601,7 @@ def test_levelset_sandwich_mode(tmp_path):
     head = (d / "tables" / "levels.csv").read_text().splitlines()[0]
     assert head == "eps,gap_initial,gap_final,area_final,skipped"
     # the counters of both boundaries of each level, in run order
-    result = sandwich_flow(cli._levelset_state(cfg, 0), n_levels=3, t_end=0.08, eps0=0.08)
+    result = sandwich_flow(cli._levelset_state(cfg), n_levels=3, t_end=0.08, eps0=0.08)
     assert "runs" not in report and len(report["flow"]) == 6
     assert report["flow"] == flow_json(result.runs)
 
@@ -605,7 +616,7 @@ def test_levelset_area_mode(tmp_path):
     assert report["initial_area"] == pytest.approx(exact, abs=1e-4)
     head = (d / "tables" / "areas.csv").read_text().splitlines()[0]
     assert head == "t,area,model"
-    runs = area_ode_check(cli._levelset_state(cfg, 0), 0.15).runs
+    runs = area_ode_check(cli._levelset_state(cfg), 0.15).runs
     assert len(runs) == 2 and report["flow"] == flow_json(runs)
 
 
@@ -642,7 +653,7 @@ def test_levelset_area_mode_names_touching_boundaries(tmp_path, capsys):
 def test_levelset_classify_mode(tmp_path):
     ann = {"alpha": {"kind": "Circle", "radius": 0.3, "n": 128},
            "beta": {"kind": "Circle", "radius": 0.5, "n": 128}}
-    cfg = {"mode": "classify", "annulus": ann, "max_time": 0.2}
+    cfg = {"mode": "classify", "annulus": ann, "t": 0.2}
     rc, d = run_cli(tmp_path, "levelset", cfg)
     assert rc == 0
     report = read_json(d, "report.json")
@@ -651,7 +662,7 @@ def test_levelset_classify_mode(tmp_path):
     assert report["consistent"] is True
     # both caps die by the circle law; the slower one sets the clock
     assert report["extinction_time"] == pytest.approx(-np.log(np.cos(0.5)), abs=1e-3)
-    runs = classify_long_term(cli._levelset_state(cfg, 0), max_time=0.2).runs
+    runs = classify_long_term(cli._levelset_state(cfg), max_time=0.2).runs
     assert "runs" not in report and len(runs) == 2
     assert report["flow"] == flow_json(runs)
 
@@ -748,8 +759,7 @@ def test_verify_failing_check_exits_one(tmp_path, monkeypatch):
     assert report["all_passed"] is False
     assert report["checks"][0]["detail"] == "deliberate failure"
     assert report["checks"][0]["measured"] == {"value": 1.0, "accepted_steps": 0,
-                                               "evaluations": 0, "rejected_trials": 0,
-                                               "remeshes": 0}
+                                               "evaluations": 0, "remeshes": 0}
     lines = (d / "tables" / "checks.csv").read_text().splitlines()
     assert lines == ["name,passed", "always-fails,False"]
 
@@ -783,7 +793,6 @@ def test_verify_prints_each_checks_step_ledger(tmp_path, capsys):
     assert measured["accepted_steps"] > 0
     assert line.endswith(f"[accepted_steps={measured['accepted_steps']} "
                          f"evaluations={measured['evaluations']} "
-                         f"rejected_trials={measured['rejected_trials']} "
                          f"remeshes={measured['remeshes']}]")
 
 
@@ -812,7 +821,6 @@ def test_verify_ends_with_totals_over_distinct_runs(tmp_path, capsys, monkeypatc
     assert lines[-1] == (f"totals over 2 distinct runs: "
                          f"accepted_steps={second['accepted_steps']} "
                          f"evaluations={second['evaluations']} "
-                         f"rejected_trials={second['rejected_trials']} "
                          f"remeshes={second['remeshes']}")
 
 

@@ -8,11 +8,11 @@ from spherecsf import (ClosedSphereCurve, DirichletArcSpec, GreatCircle, Spacing
                        dirichlet_gamma, fibonacci_sphere, geodesic_distance,
                        is_leafable, koch_like,
                        latitude_deviation_angles, leafable_wiggle, multiplicity_at,
-                       multiplicity_sup, self_intersects, turning_angles, unit,
-                       verify_spacing)
+                       multiplicity_sup, perturbed_latitude, resample, self_intersects,
+                       turning_angles, unit, verify_spacing)
 from spherecsf.curves import mean_adjacent_edges
 from spherecsf.errors import DomainError, ParamDomain, SpacingNotFound
-from spherecsf.jordan import TOUCH_TOL, _cap_lattice, _evaluate
+from spherecsf.jordan import CURVE_KINDS, TOUCH_TOL, _cap_lattice, _evaluate
 
 from test_query_oracles import multiplicity_counts_loop
 from test_sphere import leaf_angle
@@ -269,6 +269,26 @@ def test_koch_depth_domain():
     for bad in (0, 7):
         with pytest.raises(DomainError):
             koch_like(bad)
+
+
+# each count of a curve maker or of resample is an integral number and not a
+# bool; a fractional one once built a polygon with one short edge or a kink
+@pytest.mark.parametrize("name, make", [
+    ("n", lambda: circle_curve(1.0, n=64.5)),
+    ("n", lambda: perturbed_latitude(1.0, 0.1, 3, n=100.5)),
+    ("mode", lambda: perturbed_latitude(1.0, 0.1, 3.0)),
+    ("n", lambda: leafable_wiggle(n=100.5)),
+    ("mode", lambda: leafable_wiggle(mode=14.5)),
+    ("depth", lambda: koch_like(2.0)),
+    ("depth", lambda: koch_like(True)),
+    ("base_nodes", lambda: koch_like(2, base_nodes=6.5)),
+    ("n", lambda: resample(circle_curve(1.0, n=64), n=64.5)),
+    ("n", lambda: CURVE_KINDS["DirichletGamma"](0.08, n=64.5)),
+], ids=["circle-n", "perturbed-n", "perturbed-mode", "wiggle-n", "wiggle-mode",
+        "koch-depth", "koch-depth-bool", "koch-base-nodes", "resample-n", "dirichlet-n"])
+def test_counts_are_integers(name, make):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+        make()
 
 
 def test_koch_scaling_and_embeddedness():

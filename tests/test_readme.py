@@ -39,12 +39,12 @@ def test_readme_flow_report_counts_the_run(tmp_path, config, command, file):
     cfg = json.loads(config)
     report = json.loads((tmp_path / cfg.get("name", command) / "report.json").read_text())
     counts, fcfg = report["flow"], cli._flow_config(cfg)
-    assert set(counts) == {"accepted_steps", "evaluations", "rejected_trials", "remeshes",
+    assert set(counts) == {"accepted_steps", "evaluations", "remeshes",
                            "min_dt", "max_dt", "min_edge", "final_n"}
     # both examples are closed curves run to max_time at most dt apart
     assert counts["accepted_steps"] >= fcfg.max_time / fcfg.dt
     assert 0.0 < counts["min_dt"] <= counts["max_dt"] <= fcfg.dt
-    assert counts == evolve_closed(cli._build_curve(cfg["curve"], "curve", 0),
+    assert counts == evolve_closed(cli._build_curve(cfg["curve"], "curve"),
                                    fcfg).stats.to_json()
 
 
@@ -54,6 +54,16 @@ def test_readme_names_the_flow_config_fields():
     assert re.findall(r"`(\w+)`", names) == want
     assert ["one", "two", "three", "four", "five", "six", "seven", "eight"].index(count) + 1 \
         == len(want)
+
+
+def test_readme_names_the_common_flags():
+    # the flags every subcommand takes, as _build_parser gives them
+    subparsers = next(a for a in cli._build_parser()._actions if a.choices)
+    flags = [{opt for action in sub._actions for opt in action.option_strings
+              if opt != "--help" and opt.startswith("--")}
+             for sub in subparsers.choices.values()]
+    named = re.search(r"Every subcommand takes (.*?)\. ", SECTION, re.S).group(1)
+    assert set(re.findall(r"`(--[\w-]+)", named)) == set.intersection(*flags)
 
 
 def test_readme_quick_start_runs():
